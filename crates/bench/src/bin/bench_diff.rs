@@ -18,11 +18,11 @@
 //!   mismatched core counts skip the comparison entirely rather than
 //!   annotating noise.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
-//!   emitted with `threads > 1`, i.e. `exp_sched`'s `parwave`
-//!   `run_parallel` cases), and like `speedup_parallel` only when core
-//!   counts match; otherwise an explicit "skipped (cores N vs M)" line
-//!   is printed instead of a silent skip. Serial cases' wall ratios
-//!   remain informational table columns, not gates.
+//!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow` and
+//!   `faults` `run_parallel` cases), and like `speedup_parallel` only
+//!   when core counts match; otherwise an explicit "skipped (cores N vs
+//!   M)" line is printed instead of a silent skip. Serial cases' wall
+//!   ratios remain informational table columns, not gates.
 //! * `plan_ms` — scheduler planning wall time (the `exp_sched` cases).
 //!   Lower is better: regression = fresh time more than `threshold`
 //!   percent *above* baseline. This is the gate that pins the
@@ -68,8 +68,8 @@ struct CaseSpeedup {
     /// Gated only for thread-parallel cases (`threads > 1`), and only
     /// when core counts match — serial wall ratios stay informational.
     speedup_wall: Option<f64>,
-    /// Worker threads the case ran with (`exp_sched`'s `parwave` cases
-    /// emit > 1; absent or 1 marks a serial case).
+    /// Worker threads the case ran with (`exp_sched`'s `dataflow` and
+    /// `faults` cases emit > 1; absent or 1 marks a serial case).
     threads: Option<f64>,
     plan_ms: Option<f64>,
     /// Structural efficiency of the planned schedule; gated hard for
@@ -262,9 +262,9 @@ fn main() -> ExitCode {
             }
             _ => {}
         }
-        // Thread-parallel cases (exp_sched's `parwave`): their wall
-        // ratio is the tentpole metric, gated exactly like any other
-        // when the runner matches the baseline's core count.
+        // Thread-parallel cases (exp_sched's `dataflow`/`faults`): their
+        // wall ratio is the tentpole metric, gated exactly like any
+        // other when the runner matches the baseline's core count.
         match (f.speedup_wall, b.speedup_wall) {
             (Some(fw), Some(bw)) if f.is_parallel() || b.is_parallel() => {
                 if same_cores {

@@ -8,7 +8,7 @@
 //! flow is the *run*: recording + planning cost is measured once and
 //! reported separately as `plan_ns`.
 //!
-//! Eight case families:
+//! Seven case families:
 //!
 //! * `packcache d=<d>` — the E2 hot path (`√m = 16`, strict full-width
 //!   blocks, `f64`): eager `dense::multiply` re-reads each `A` strip
@@ -40,33 +40,25 @@
 //!   (`tcu_algos::plan_memo`), so record + plan cost — formerly the
 //!   dominant wall cost here, the 0.158× cliff — is paid once in the
 //!   warmup and the timed rounds run plan-free.
-//! * `parwave d=<d> units=<p>` — the serial scheduled run versus the
-//!   wave-barrier driver (`run_wave`, pinned: this family measures
-//!   *that* driver regardless of `TCU_EXEC_MODE`) on `p` threaded units
-//!   over the packcache-style accumulation graph (each wave holds
-//!   `d/√m` independent column-block products). Results are asserted
-//!   bit-identical before timing; the `speedup_wall` of these cases is
-//!   what `bench_diff` gates on runners whose core count matches the
-//!   committed baseline's (a 1-core recording honestly shows ≤1× and is
-//!   skipped elsewhere).
-//! * `dataflow d=<d> units=<p>` — the same workload and serial rival,
-//!   but the scheduled side runs the barrier-free dataflow driver
-//!   (`run_dataflow`, pinned). Directly comparable row-for-row with
-//!   `parwave`: the gap between the two families *is* the wave-barrier
-//!   dispatch overhead. On a 1-core runner the driver resolves to its
-//!   inline executor, so `sched ns/op` collapses to ≈ the serial run —
-//!   the per-op dispatch cost the barriers were hiding. Their
+//! * `dataflow d=<d> units=<p>` — the serial scheduled run versus
+//!   `run_parallel` (the barrier-free dataflow driver) on `p` units
+//!   over the packcache-style accumulation graph (`d/√m` independent
+//!   column-block chains). Results are asserted bit-identical before
+//!   timing; the `speedup_wall` of these cases is what `bench_diff`
+//!   gates on runners whose core count matches the committed
+//!   baseline's (a 1-core runner resolves to the inline executor, so
+//!   `sched ns/op` collapses to ≈ the serial run). Their
 //!   `sched_efficiency` (the structural bound over the dataflow
 //!   makespan) is a *hard* `bench_diff` gate — deterministic, so >10%
 //!   drops fail even in informational mode.
-//! * `faults d=<d> units=<p> rate=<r>` — `run_wave` on plain
-//!   executors versus the fault-tolerant `try_run_wave` (pinned to the
-//!   wave driver, whose recovery accounting is fully replayable) on
+//! * `faults d=<d> units=<p> rate=<r>` — `run_parallel` on plain
+//!   executors versus the fault-tolerant `try_run_parallel` on
 //!   `FaultyExecutor`s injecting `r` transient faults per mille (plus a
 //!   permanent victim when `r > 0`). `rate=0` pins the fault-free
 //!   containment overhead in wall-clock (the gated number); nonzero
-//!   rates chart recovery's simulated cost — retry backoff + requeue
-//!   makespan — against fault density. Elements and `Stats` are
+//!   rates chart recovery's simulated cost — retry backoff + recovery
+//!   passes — against fault density. Recovery is replay-deterministic,
+//!   so the simulated columns are exact. Elements and `Stats` are
 //!   asserted byte-identical before timing (the recovery contract).
 //! * `gauss d=<d>` / `closure n=<n>` — the panel-re-streaming paper
 //!   workloads on their scheduled fast paths
@@ -165,15 +157,16 @@ struct Case {
     critical_path: u64,
     /// `max(critical_path, ⌈work/units⌉) / makespan` of the plan: 1.0
     /// means the LPT waves hit the structural lower bound (0.0 when the
-    /// plan is not held here). For the `dataflow` cases this is
-    /// [`tcu_sched::Schedule::dataflow_efficiency`] — the same bound
-    /// over the barrier-free placement's makespan.
+    /// plan is not held here). For the `dataflow` and `faults` cases
+    /// this is [`tcu_sched::Schedule::dataflow_efficiency`] — the same
+    /// bound over the barrier-free placement's makespan.
     sched_efficiency: f64,
     /// Planned parallel wall over the cost-weighted critical path —
     /// how far the schedule sits from the no-units-can-help floor
     /// (1.0 = critical-path bound; 0.0 when the plan is not held
-    /// here). For the `dataflow` cases the numerator is the dataflow
-    /// makespan, for every other planned case the wave makespan.
+    /// here). For the `dataflow` and `faults` cases the numerator is
+    /// the dataflow makespan, for every other planned case the wave
+    /// makespan.
     makespan_over_cp: f64,
 }
 
@@ -653,104 +646,16 @@ fn bench_strassen(d: usize, quick: bool) -> Case {
     }
 }
 
-/// Serial scheduled run vs `run_parallel` on `units` threaded units —
-/// the tentpole's wave-parallel wall-clock case. The graph is the
-/// packcache accumulation flow: each of the `q` waves holds `q`
-/// independent column-block products, which the planner LPT-partitions
-/// across units and the wave driver executes on real threads. Results
-/// are asserted bit-identical to the serial scheduled run before
-/// timing; `speedup_wall` (eager = serial scheduled run here) is the
-/// number `bench_diff` gates when the runner's core count matches the
-/// baseline's.
-fn bench_parwave(d: usize, units: usize, quick: bool) -> Case {
-    use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TensorOp};
-    use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
-
-    let s = SQRT_M;
-    let q = d / s;
-    let a = workload(d, d, 5);
-    let b = workload(d, d, 6);
-
-    let mut g = OpGraph::new();
-    let ab = g.buffer("A", d, d);
-    let bb = g.buffer("B", d, d);
-    let cb = g.buffer("C", d, d);
-    for j in 0..q {
-        for k in 0..q {
-            g.record(
-                TensorOp::mul_acc(d, s),
-                OperandRef::new(ab, 0, k * s, d, s),
-                OperandRef::new(bb, k * s, j * s, s, s),
-                OperandRef::new(cb, 0, j * s, d, s),
-            );
-        }
-    }
-    let unit = ModelTensorUnit::new(s * s, 0);
-    let plan_serial = Scheduler::new().plan(&g, &unit);
-    let plan_par = Scheduler::new().with_units(units).plan(&g, &unit);
-
-    let serial_run = || {
-        let mut mach = TcuMachine::with_executor(unit, tcu_core::HostExecutor::new());
-        let mut c = Matrix::<f64>::zeros(d, d);
-        let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan_serial.run(&mut mach, &mut env);
-        (c, mach.stats().clone())
-    };
-    let par_run = || {
-        let mut mach = ParallelTcuMachine::new(unit, units);
-        let mut c = Matrix::<f64>::zeros(d, d);
-        let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan_par.run_wave(&mut mach, &mut env);
-        (c, mach.stats().clone())
-    };
-    let (c_serial, serial_stats) = serial_run();
-    let (c_par, par_stats) = par_run();
-    assert_eq!(c_serial, c_par, "run_wave must be bit-identical");
-    assert_eq!(serial_stats, par_stats, "charges must be identical");
-
-    let reps: u32 = if quick { 2 } else { 5 };
-    let eager_ns = tcu_bench::time_ns(reps, || serial_run().0);
-    let sched_ns = tcu_bench::time_ns(reps, || par_run().0);
-    Case {
-        name: format!("parwave d={d} units={units}"),
-        d,
-        sqrt_m: s,
-        threads: units,
-        reps,
-        eager_ns,
-        sched_ns,
-        plan_ns: 0.0,
-        eager_invocations: plan_serial.invocations(),
-        sched_invocations: plan_par.invocations(),
-        // Simulated time is the planned makespan: the multi-unit plan's
-        // wave-parallel charge versus the single-unit serial charge.
-        eager_sim_time: plan_serial.makespan(),
-        sched_sim_time: plan_par.makespan(),
-        pack_lookups: 0,
-        pack_misses: 0,
-        packed_bytes: 0,
-        memo: MemoCost::default(),
-        critical_path: plan_par.critical_path(),
-        sched_efficiency: plan_par.sched_efficiency(),
-        makespan_over_cp: over_cp(plan_par.makespan(), plan_par.critical_path()),
-    }
-}
-
-/// Serial scheduled run vs the barrier-free dataflow driver
-/// (`run_dataflow`) on `units` — same workload and rivalry as
-/// `parwave`, so the two families are directly comparable. The
+/// Serial scheduled run vs `run_parallel`, the barrier-free dataflow
+/// driver, on `units`. The graph is the packcache accumulation flow:
+/// `q` independent column-block chains of `q` products each. The
 /// placement is resolved at plan time; at run time ops dispatch as
-/// their hazard predecessors commit (no wave barriers), with single-op
-/// batching elided entirely on one core (the inline executor runs the
-/// placement order serial-style). Results are asserted bit-identical to
-/// the serial scheduled run before timing. `sched_efficiency` here is
-/// `dataflow_efficiency` — the structural lower bound over the
+/// their hazard predecessors commit, with batching elided entirely on
+/// one core (the inline executor walks the placement serial-style).
+/// Results are asserted bit-identical to the serial scheduled run
+/// before timing; `speedup_wall` is the number `bench_diff` gates when
+/// the runner's core count matches the baseline's. `sched_efficiency`
+/// here is `dataflow_efficiency` — the structural lower bound over the
 /// *dataflow* makespan — and is a hard lower-is-worse `bench_diff`
 /// gate.
 fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
@@ -797,12 +702,12 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
         env.bind_input(ab, a.view());
         env.bind_input(bb, b.view());
         env.bind_output(cb, c.view_mut());
-        plan_par.run_dataflow(&mut mach, &mut env);
+        plan_par.run_parallel(&mut mach, &mut env);
         (c, mach.stats().clone())
     };
     let (c_serial, serial_stats) = serial_run();
     let (c_df, df_stats) = df_run();
-    assert_eq!(c_serial, c_df, "run_dataflow must be bit-identical");
+    assert_eq!(c_serial, c_df, "run_parallel must be bit-identical");
     assert_eq!(serial_stats, df_stats, "charges must be identical");
 
     let reps: u32 = if quick { 2 } else { 5 };
@@ -841,7 +746,7 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
 /// containment overhead (the per-op `catch_unwind` + the wrapper's plan
 /// probe) — the number the gate keeps honest. At `rate > 0` the wall
 /// ratio shows recovery's host cost and the sim ratio its simulated
-/// cost (retry backoff + requeue makespan over the planned makespan),
+/// cost (retry backoff + recovery passes over the planned makespan),
 /// as a function of fault rate. Elements and `Stats` are asserted
 /// byte-identical to the fault-free run before timing — the recovery
 /// contract, re-checked where the numbers are made.
@@ -889,7 +794,7 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         env.bind_input(ab, a.view());
         env.bind_input(bb, b.view());
         env.bind_output(cb, c.view_mut());
-        plan.run_wave(&mut mach, &mut env);
+        plan.run_parallel(&mut mach, &mut env);
         (c, mach.stats().clone())
     };
     let faulty_run = || {
@@ -904,7 +809,7 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         env.bind_input(ab, a.view());
         env.bind_input(bb, b.view());
         env.bind_output(cb, c.view_mut());
-        plan.try_run_wave(&mut mach, &mut env)
+        plan.try_run_parallel(&mut mach, &mut env)
             .expect("seeded plans are recoverable");
         drop(env);
         (c, mach.stats().clone(), mach.time())
@@ -929,17 +834,17 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         eager_invocations: plan.invocations(),
         sched_invocations: plan.invocations(),
         // Simulated time: planned makespan vs the faulty run's clock
-        // (makespan + retry backoff + requeue makespan) — the recovery
+        // (makespan + retry backoff + recovery passes) — the recovery
         // cost in the model's own terms.
-        eager_sim_time: plan.makespan(),
+        eager_sim_time: plan.dataflow_makespan(),
         sched_sim_time: faulty_time,
         pack_lookups: 0,
         pack_misses: 0,
         packed_bytes: 0,
         memo: MemoCost::default(),
         critical_path: plan.critical_path(),
-        sched_efficiency: plan.sched_efficiency(),
-        makespan_over_cp: over_cp(plan.makespan(), plan.critical_path()),
+        sched_efficiency: plan.dataflow_efficiency(),
+        makespan_over_cp: over_cp(plan.dataflow_makespan(), plan.critical_path()),
     }
 }
 
@@ -965,18 +870,13 @@ fn main() {
         bench_closure(d_ge, quick),
         // Always full size (like `plan`), so the CI smoke run shares
         // these case names with the committed baseline and bench_diff
-        // can gate the wave-parallel wall speedups.
-        bench_parwave(512, 2, quick),
-        bench_parwave(512, 4, quick),
-        // The barrier-free rival on the same workload/sizes, so wave
-        // and dataflow dispatch overhead diff directly. Full size
-        // always, same reason as `parwave`.
+        // can gate the parallel wall speedups.
         bench_dataflow(512, 2, quick),
         bench_dataflow(512, 4, quick),
         // Fault tolerance: rate=0 pins the fault-free containment
-        // overhead on the parwave workload (wall speedup ≈ 1), the
+        // overhead on the dataflow workload (wall speedup ≈ 1), the
         // nonzero rates chart recovery cost against fault density in
-        // simulated time. Full size always, same reason as `parwave`.
+        // simulated time. Full size always, same reason as `dataflow`.
         bench_faults(512, 4, 0, quick),
         bench_faults(512, 4, 20, quick),
         bench_faults(512, 4, 100, quick),

@@ -57,10 +57,10 @@ pub struct OperandId {
 /// of doing so. Implementations must be deterministic: the same op and
 /// operands always produce bit-identical output.
 ///
-/// Executors are `Send`: the multi-unit wave driver moves each unit's
-/// executor into its own worker thread for the duration of a wave
-/// (determinism is unaffected — every unit still sees its ops in the
-/// schedule's canonical order).
+/// Executors are `Send`: the multi-unit parallel driver moves each
+/// unit's executor into its own worker thread for the duration of a
+/// run (determinism is unaffected — every unit still sees its ops in a
+/// fixed, plan-time order).
 pub trait Executor: Send {
     /// Backend name for diagnostics and experiment tables.
     fn name(&self) -> &'static str;

@@ -18,11 +18,12 @@
 //!
 //! Injected faults manifest as panics carrying an [`InjectedFault`]
 //! payload, raised *before* the wrapped executor touches the output —
-//! so a retried op sees its scratch destination exactly as seeded, and
-//! the wave driver (`tcu-sched`) contains the unwind per op with
+//! so a retried op sees its destination exactly as seeded, and the
+//! parallel driver (`tcu-sched`) contains the unwind per op with
 //! `catch_unwind`. Non-injected panics (a real executor bug) are
-//! treated as permanent unit faults and recovered the same way, except
-//! the op's scratch is conservatively re-seeded before re-execution.
+//! treated as permanent unit faults and recovered the same way when the
+//! op ran into scratch: the torn scratch is discarded and the op is
+//! rebuilt from its untouched destination before re-execution.
 
 use crate::exec::{Executor, OperandId, PackCacheStats};
 use crate::op::TensorOp;
@@ -44,10 +45,10 @@ pub enum FaultKind {
     Permanent,
 }
 
-/// The panic payload of an injected fault. The wave driver downcasts
-/// caught unwinds to this type to tell injected faults (scratch left
-/// untouched, retry is safe) from real executor bugs (scratch state
-/// unknown, re-seed before re-execution).
+/// The panic payload of an injected fault. The parallel driver
+/// downcasts caught unwinds to this type to tell injected faults
+/// (destination left untouched, retry is safe) from real executor bugs
+/// (destination state unknown, rebuild before re-execution).
 #[derive(Clone, Copy, Debug)]
 pub struct InjectedFault {
     /// Unit the fault fired on.
@@ -293,16 +294,16 @@ pub fn assign_unit_ids<U: TensorUnit, E: Executor>(
     }
 }
 
-/// Bounds on the wave driver's recovery behaviour.
+/// Bounds on the parallel driver's recovery behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Total attempts per op on one unit (the first try plus retries).
     /// An op still faulting transiently after this many attempts fails
     /// the run with [`crate::TcuError::RetriesExhausted`].
     pub max_attempts: u32,
-    /// Quarantine permanently failing units and re-partition their
-    /// remaining work onto survivors. When `false`, a permanent fault
-    /// fails the run with [`crate::TcuError::UnitFault`].
+    /// Quarantine permanently failing units and re-run their remaining
+    /// work on the survivors. When `false`, a permanent fault fails the
+    /// run with [`crate::TcuError::UnitFault`].
     pub quarantine: bool,
 }
 
@@ -316,7 +317,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// Recovery counters of one [`ParallelTcuMachine`]: everything the
-/// fault-tolerant wave driver did that a fault-free run would not.
+/// fault-tolerant parallel driver did that a fault-free run would not.
 /// Deliberately *not* part of [`crate::Stats`] — the recovery contract
 /// is that a recoverable faulty run's `Stats` are byte-identical to the
 /// fault-free run's, so recovery accounting lives on its own surface.
@@ -333,10 +334,11 @@ pub struct FaultStats {
     pub backoff_time: u64,
     /// Units quarantined.
     pub quarantined_units: u64,
-    /// Ops re-partitioned onto surviving units.
+    /// Ops re-run on surviving units in recovery passes: each dead
+    /// unit's unexecuted ops plus everything hazard-downstream of them.
     pub requeued_ops: u64,
-    /// Extra simulated makespan of re-partitioned work (the LPT
-    /// makespan of each requeued batch over the survivors).
+    /// Extra simulated makespan of re-run work (the LPT makespan of
+    /// each recovery pass over the survivors).
     pub recovery_makespan: u64,
 }
 
@@ -368,7 +370,7 @@ impl std::fmt::Display for FaultStats {
 }
 
 /// Suppress the default panic-hook output for [`InjectedFault`] panics
-/// (they are expected and caught by the wave driver; letting each one
+/// (they are expected and caught by the parallel driver; letting each one
 /// print a backtrace banner buries real output). Any other panic still
 /// reaches the previously-installed hook. Installs once per process;
 /// chaos tests, the chaos example, and the fault benchmarks call this

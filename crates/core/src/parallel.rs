@@ -19,13 +19,13 @@
 //! multiplication code path in the workspace.
 
 use crate::cost::{Stats, StatsSummary};
-use crate::exec::{Executor, HostExecutor, OperandId, PackCacheStats};
+use crate::exec::{Executor, HostExecutor, PackCacheStats};
 use crate::fault::FaultStats;
 use crate::op::TensorOp;
 use crate::tensor_unit::TensorUnit;
 use crate::trace::TraceLog;
 use std::sync::Arc;
-use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
+use tcu_linalg::{Matrix, MatrixView, Scalar};
 
 /// A TCU machine with `p` identical tensor units.
 ///
@@ -45,7 +45,7 @@ pub struct ParallelTcuMachine<U: TensorUnit, E: Executor = HostExecutor> {
     /// `stats.tensor_time`, which keeps the *work* for utilization
     /// accounting).
     makespan_time: u64,
-    /// Recovery accounting: what the fault-tolerant wave driver did that
+    /// Recovery accounting: what the fault-tolerant parallel driver did that
     /// a fault-free run would not. Kept outside `stats` so `Stats` stay
     /// byte-identical between a recovered run and a fault-free one.
     fault_stats: FaultStats,
@@ -121,7 +121,7 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
         self.recorder = Some(recorder);
     }
 
-    /// The attached recorder, if any — the wave driver clones this so
+    /// The attached recorder, if any — the parallel driver clones this so
     /// its worker threads can stamp per-op execute spans.
     #[must_use]
     pub fn recorder_handle(&self) -> Option<Arc<dyn tcu_obs::Recorder>> {
@@ -147,9 +147,8 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
         &mut self.execs[u]
     }
 
-    /// All units' backends at once — the wave driver borrows the slice
-    /// and hands each unit's executor to that unit's worker thread for
-    /// the duration of one wave.
+    /// All units' backends at once — the slice a caller can hand out
+    /// element-wise, one executor per worker thread.
     #[inline]
     pub fn unit_executors_mut(&mut self) -> &mut [E] {
         &mut self.execs
@@ -186,7 +185,7 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
 
     /// Start recording an execution trace; any previous trace is
     /// discarded. Tensor events are recorded in *charge order* — the
-    /// schedule's canonical serial order under the wave driver — so a
+    /// schedule's canonical serial order under the parallel driver — so a
     /// parallel run's trace is byte-identical to the serial machine's.
     pub fn enable_trace(&mut self) {
         self.trace = Some(TraceLog::new());
@@ -284,104 +283,11 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
         partition_lpt(&costs, self.units())
     }
 
-    /// Issue one already-scheduled op on unit `unit_idx`: the
-    /// charge-and-execute half of running a `tcu-sched` schedule on this
-    /// machine. The op is validated and charged exactly as on the serial
-    /// machine (including the tall-split into square invocations on
-    /// units without native tall support) — per-op `Stats` are therefore
-    /// identical to a serial run of the same stream — and its numerics
-    /// run on the *assigned unit's* executor, so executor-local caches
-    /// follow the schedule's unit placement. Wall-clock is not advanced
-    /// here: the caller completes each wave with [`Self::complete_wave`],
-    /// charging the wave's makespan once.
-    ///
-    /// # Panics
-    /// Panics if `unit_idx ≥ units()`, if `op` violates the model's
-    /// shape contract, or if the views do not carry `op`'s shapes.
-    pub fn issue_into_on_unit<T: Scalar>(
-        &mut self,
-        unit_idx: usize,
-        op: TensorOp,
-        a: MatrixView<'_, T>,
-        a_id: Option<OperandId>,
-        b: MatrixView<'_, T>,
-        out: &mut MatrixViewMut<'_, T>,
-    ) {
-        assert!(
-            unit_idx < self.units(),
-            "unit index {unit_idx} out of range for {} units",
-            self.units()
-        );
-        assert!(
-            op.matches((a.rows(), a.cols()), (b.rows(), b.cols())),
-            "operands do not match the op descriptor"
-        );
-        assert_eq!(
-            (out.rows(), out.cols()),
-            (op.rows, op.width),
-            "output does not match the op descriptor"
-        );
-        self.charge_wave_op(&op);
-        let _ = self.execs[unit_idx].execute_tagged(&op, a, a_id, b, out);
-    }
-
-    /// Meter one scheduled op without executing it: validate against the
-    /// model, then record its hardware invocations into `Stats` and the
-    /// trace exactly as the serial machine's charge path does (one event
-    /// per invocation, `rows` set to what each invocation streams). The
-    /// wave driver charges every op of a wave in canonical order on the
-    /// main thread *before* the wave's numerics run on worker threads —
-    /// accounting is therefore deterministic and byte-identical to a
-    /// serial scheduled run regardless of thread interleaving.
-    ///
-    /// # Panics
-    /// Panics if `op` violates the model's shape contract.
-    pub fn charge_wave_op(&mut self, op: &TensorOp) {
-        self.wave_parts().0.charge_wave_op(op);
-    }
-
-    /// Advance simulated wall-clock by a completed wave's makespan (the
-    /// max-loaded unit of the wave's partition). Paired with
-    /// [`Self::issue_into_on_unit`], which charges per-op work only.
-    pub fn complete_wave(&mut self, makespan: u64) {
-        self.makespan_time += makespan;
-    }
-
-    /// Recovery counters accumulated by the fault-tolerant wave driver
+    /// Recovery counters accumulated by the fault-tolerant parallel driver
     /// (all zero on a fault-free run).
     #[must_use]
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
-    }
-
-    /// Record a contained unit fault (transient or permanent) as a
-    /// trace annotation plus a [`FaultStats`] counter. Never touches
-    /// `Stats` — recovery must be unobservable there.
-    pub fn record_fault(&mut self, unit: usize, transient: bool) {
-        self.wave_parts().0.record_fault(unit, transient);
-    }
-
-    /// Record a retry of a `rows`-row op on `unit` and charge its
-    /// simulated backoff into wall-clock: the op's invocation cost
-    /// again, doubled per extra attempt (`attempt` counts from 2, the
-    /// first retry). The charge lands in `makespan_time` — observable
-    /// via [`Self::time`] — never in `Stats`. Returns the backoff
-    /// charged.
-    pub fn record_retry(&mut self, unit: usize, attempt: u32, rows: usize) -> u64 {
-        self.wave_parts().0.record_retry(unit, attempt, rows)
-    }
-
-    /// Record the quarantine of `unit` with `requeued` ops moved onto
-    /// survivors.
-    pub fn record_quarantine(&mut self, unit: usize, requeued: usize) {
-        self.wave_parts().0.record_quarantine(unit, requeued);
-    }
-
-    /// Charge the extra simulated makespan of a re-partitioned batch of
-    /// requeued ops (the LPT makespan of the batch over the surviving
-    /// units). Like backoff, this lands in `makespan_time` only.
-    pub fn charge_recovery(&mut self, makespan: u64) {
-        self.wave_parts().0.charge_recovery(makespan);
     }
 
     /// Split the machine into its accounting half and its executors —
@@ -499,15 +405,12 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
 /// The accounting half of a [`ParallelTcuMachine`], borrowed apart from
 /// its executors via [`ParallelTcuMachine::wave_parts`].
 ///
-/// Wave execution needs two disjoint capabilities at once: worker
+/// Parallel execution needs two disjoint capabilities at once: worker
 /// threads need exclusive, long-lived access to *their unit's* executor,
 /// and the main thread needs to keep metering charges, recovery
-/// annotations, and wave makespans in canonical order. This split makes
-/// that borrow structure explicit — every method here touches only the
-/// shared costing policy and the accounting state, never an executor —
-/// and each method is the exact body the machine's same-named method
-/// delegates to, so charging through the accountant is byte-identical
-/// to charging through the machine.
+/// annotations, and makespans in canonical order. This split makes that
+/// borrow structure explicit — every method here touches only the
+/// shared costing policy and the accounting state, never an executor.
 #[derive(Debug)]
 pub struct WaveAccountant<'m, U: TensorUnit> {
     unit: &'m U,
@@ -538,7 +441,7 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// The total simulated cost one scheduled op will be charged (the
     /// sum over its hardware invocations) — what
     /// [`Self::charge_wave_op`] adds to `tensor_time`, computed without
-    /// charging. The wave driver stamps it into telemetry so per-op
+    /// charging. The parallel driver stamps it into telemetry so per-op
     /// execute spans carry both wall ns and model cost.
     ///
     /// # Panics
@@ -570,7 +473,17 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         }
     }
 
-    /// See [`ParallelTcuMachine::charge_wave_op`].
+    /// Meter one scheduled op without executing it: validate against the
+    /// model, then record its hardware invocations into `Stats` and the
+    /// trace exactly as the serial machine's charge path does (one event
+    /// per invocation, `rows` set to what each invocation streams;
+    /// units without native tall support split an op into `⌈n/√m⌉`
+    /// square invocations). The parallel driver charges every op in
+    /// canonical order on the main thread *before* any numerics run on
+    /// worker threads — accounting is therefore deterministic and
+    /// byte-identical to a serial scheduled run regardless of thread
+    /// interleaving. Wall-clock is not advanced here; see
+    /// [`Self::complete_wave`].
     ///
     /// # Panics
     /// Panics if `op` violates the model's shape contract.
@@ -593,12 +506,15 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         }
     }
 
-    /// See [`ParallelTcuMachine::complete_wave`].
+    /// Advance simulated wall-clock by a completed schedule's makespan
+    /// (the charge [`Self::charge_wave_op`] leaves out).
     pub fn complete_wave(&mut self, makespan: u64) {
         *self.makespan_time += makespan;
     }
 
-    /// See [`ParallelTcuMachine::record_fault`].
+    /// Record a contained unit fault (transient or permanent) as a
+    /// trace annotation plus a [`FaultStats`] counter. Never touches
+    /// `Stats` — recovery must be unobservable there.
     pub fn record_fault(&mut self, unit: usize, transient: bool) {
         if transient {
             self.fault_stats.transient_faults += 1;
@@ -614,7 +530,12 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         });
     }
 
-    /// See [`ParallelTcuMachine::record_retry`].
+    /// Record a retry of a `rows`-row op on `unit` and charge its
+    /// simulated backoff into wall-clock: the op's invocation cost
+    /// again, doubled per extra attempt (`attempt` counts from 2, the
+    /// first retry). The charge lands in the machine's
+    /// [`ParallelTcuMachine::time`], never in `Stats`. Returns the
+    /// backoff charged.
     pub fn record_retry(&mut self, unit: usize, attempt: u32, rows: usize) -> u64 {
         let backoff = self
             .unit
@@ -634,7 +555,8 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         backoff
     }
 
-    /// See [`ParallelTcuMachine::record_quarantine`].
+    /// Record the quarantine of `unit` with `requeued` ops moved onto
+    /// survivors.
     pub fn record_quarantine(&mut self, unit: usize, requeued: usize) {
         self.fault_stats.quarantined_units += 1;
         self.fault_stats.requeued_ops += requeued as u64;
@@ -647,7 +569,9 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         });
     }
 
-    /// See [`ParallelTcuMachine::charge_recovery`].
+    /// Charge the extra simulated makespan of a recovery pass (the LPT
+    /// makespan of the requeued ops over the surviving units). Like
+    /// backoff, this lands in wall-clock only.
     pub fn charge_recovery(&mut self, makespan: u64) {
         self.fault_stats.recovery_makespan += makespan;
         *self.makespan_time += makespan;
@@ -863,13 +787,15 @@ mod tests {
     #[test]
     fn scheduled_issue_path_matches_serial_charges_and_numerics() {
         use crate::exec::OperandId;
-        // Two independent 8-row ops on 2 units: per-op Stats equal the
-        // serial machine's, wall-clock is one wave's makespan.
+        // Two independent 8-row ops on 2 units through the accountant /
+        // executor split: per-op Stats equal the serial machine's,
+        // wall-clock is the completed makespan.
         let inputs = batch_inputs(2, 8, 4);
         let mut par = ParallelTcuMachine::new(ModelTensorUnit::new(16, 7), 2);
         par.enable_pack_caches(4);
         let mut ser = crate::TcuMachine::model(16, 7);
         let mut outs = vec![Matrix::<i64>::zeros(8, 4), Matrix::<i64>::zeros(8, 4)];
+        let (mut acct, execs) = par.wave_parts();
         for (u, ((a, b), out)) in inputs.iter().zip(&mut outs).enumerate() {
             let id = OperandId {
                 buffer: u as u64,
@@ -877,16 +803,11 @@ mod tests {
                 origin: (0, 0),
                 extent: (8, 4),
             };
-            par.issue_into_on_unit(
-                u,
-                TensorOp::mul(8, 4),
-                a.view(),
-                Some(id),
-                b.view(),
-                &mut out.view_mut(),
-            );
+            let op = TensorOp::mul(8, 4);
+            acct.charge_wave_op(&op);
+            let _ = execs[u].execute_tagged(&op, a.view(), Some(id), b.view(), &mut out.view_mut());
         }
-        par.complete_wave(8 * 4 + 7);
+        acct.complete_wave(8 * 4 + 7);
         for (i, (a, b)) in inputs.iter().enumerate() {
             assert_eq!(outs[i], ser.tensor_mul(a, b));
         }
@@ -905,12 +826,13 @@ mod tests {
         mach.enable_trace();
         let clean_stats = mach.stats().clone();
 
-        mach.record_fault(1, true);
-        let b1 = mach.record_retry(1, 2, 8); // first retry: 1× cost
-        let b2 = mach.record_retry(1, 3, 8); // second retry: 2× cost
-        mach.record_fault(0, false);
-        mach.record_quarantine(0, 3);
-        mach.charge_recovery(100);
+        let (mut acct, _) = mach.wave_parts();
+        acct.record_fault(1, true);
+        let b1 = acct.record_retry(1, 2, 8); // first retry: 1× cost
+        let b2 = acct.record_retry(1, 3, 8); // second retry: 2× cost
+        acct.record_fault(0, false);
+        acct.record_quarantine(0, 3);
+        acct.charge_recovery(100);
 
         let cost = 8 * 4 + 7;
         assert_eq!((b1, b2), (cost, 2 * cost));
@@ -928,21 +850,5 @@ mod tests {
         let trace = mach.take_trace();
         assert_eq!(trace.fault_events().len(), 5);
         assert_eq!(trace.digest(), TraceLog::new().digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn scheduled_issue_rejects_bad_unit_index() {
-        let inputs = batch_inputs(1, 4, 4);
-        let mut par = ParallelTcuMachine::new(ModelTensorUnit::new(16, 0), 2);
-        let mut out = Matrix::<i64>::zeros(4, 4);
-        par.issue_into_on_unit(
-            2,
-            TensorOp::mul(4, 4),
-            inputs[0].0.view(),
-            None,
-            inputs[0].1.view(),
-            &mut out.view_mut(),
-        );
     }
 }

@@ -150,7 +150,7 @@ impl TraceLog {
     }
 
     /// Record a contained unit fault. Recovery events never coalesce
-    /// with scalar segments — the wave driver charges no scalar work
+    /// with scalar segments — the parallel driver charges no scalar work
     /// while recovering, so a fault annotation can never split a run
     /// that a fault-free execution would have merged.
     pub fn push_fault(&mut self, unit: usize, transient: bool) {

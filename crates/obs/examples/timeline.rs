@@ -1,5 +1,5 @@
-//! End-to-end telemetry demo: run the `parwave` workload (each wave
-//! holds `d/√m` independent column-block products) on a 4-unit
+//! End-to-end telemetry demo: run the blocked accumulation workload
+//! (`d/√m` column-block chains of `d/√m` products each) on a 4-unit
 //! parallel machine with an [`tcu_obs::ObsSink`] attached, print the
 //! plain-text run report, and write a Chrome-trace / Perfetto JSON
 //! timeline with one lane per unit plus a scheduler lane.
@@ -38,8 +38,8 @@ fn main() -> std::io::Result<()> {
     let a = workload(d, d, 5);
     let b = workload(d, d, 6);
 
-    // The parwave accumulation graph: wave k holds q independent
-    // column-block products, all accumulating into C.
+    // The accumulation graph: q independent column-block chains of q
+    // products each, all accumulating into C.
     let mut g = OpGraph::new();
     let ab = g.buffer("A", d, d);
     let bb = g.buffer("B", d, d);
@@ -59,10 +59,10 @@ fn main() -> std::io::Result<()> {
     let plan = Scheduler::new().with_units(units).plan(&g, &unit);
 
     // Attach the sink through the execution environment; the driver
-    // forwards it to the machine, so driver spans (wave/stage/merge)
-    // and per-unit op spans land in the same sink. When `TCU_TRACE_OUT`
-    // is set, machines auto-attach the process-wide sink at
-    // construction — reuse that one so there is a single timeline.
+    // attaches it to the machine, so driver spans (stage/merge, ready
+    // dispatches, steals) and per-unit op spans land in the same sink.
+    // When `TCU_TRACE_OUT` is set, reuse the process-wide sink machines
+    // pick up at construction, so the written trace is this run.
     let sink = tcu_obs::env_recorder().unwrap_or_else(|| Arc::new(ObsSink::new()));
     let mut mach = ParallelTcuMachine::new(unit, units);
     let mut c = Matrix::<f64>::zeros(d, d);
@@ -86,7 +86,8 @@ fn main() -> std::io::Result<()> {
         ],
     };
 
-    print!("{}", sink.report(&meta));
+    let report = sink.report(&meta);
+    print!("{report}");
     println!(
         "plan: {} ops in {} waves, makespan {}, critical path {}, efficiency {:.3}",
         plan.ops(),
@@ -111,30 +112,15 @@ fn main() -> std::io::Result<()> {
         assert!(ops > 0, "unit {u} executed ops");
     }
 
-    // A second run pinned to the barrier-free dataflow driver, with its
-    // own sink: its report must surface the dispatch telemetry (ready
-    // deque depth, steal counters) the driver records.
-    let df_sink = Arc::new(ObsSink::new());
-    let mut df_mach = ParallelTcuMachine::new(unit, units);
-    let mut c2 = Matrix::<f64>::zeros(d, d);
-    let mut env = ExecEnv::new(&g);
-    env.enable_recorder(df_sink.clone());
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(cb, c2.view_mut());
-    plan.run_dataflow(&mut df_mach, &mut env);
-    drop(env);
-    assert_eq!(c, c2, "dataflow bytes match the mode-routed run");
-
-    let df_report = df_sink.report(&meta);
-    print!("{df_report}");
+    // The driver's dispatch telemetry (ready-deque depth, steal
+    // counter) surfaces in the report.
     assert!(
-        df_report.contains("ready_depth_peak"),
-        "dataflow report surfaces the ready-deque depth"
+        report.contains("ready_depth_peak"),
+        "report surfaces the ready-deque depth"
     );
     assert!(
-        df_report.contains("steals"),
-        "dataflow report surfaces the steal counter"
+        report.contains("steals"),
+        "report surfaces the steal counter"
     );
 
     let path = tcu_obs::env_trace_path().unwrap_or("tcu_timeline_trace.json");

@@ -2,7 +2,7 @@
 //! # tcu-obs — span-based execution telemetry for the TCU simulator
 //!
 //! Observability seam for the whole workspace: the execution layers
-//! (`tcu-core`'s machines, `tcu-sched`'s planner and wave driver,
+//! (`tcu-core`'s machines, `tcu-sched`'s planner and parallel driver,
 //! `tcu-algos`' plan memo) emit typed, *closed* spans and instant
 //! events into a [`Recorder`], and this crate turns the buffered
 //! stream into
@@ -10,10 +10,9 @@
 //! * a Chrome Trace Event / Perfetto JSON timeline with one lane per
 //!   tensor unit plus a scheduler lane
 //!   ([`ObsSink::export_chrome_trace`]),
-//! * a plain-text run report — per-unit busy/idle utilization, wave
-//!   occupancy histogram, wall-time split across
-//!   plan/compile/stage/execute/merge plus retry counts
-//!   ([`ObsSink::report`]), and
+//! * a plain-text run report — per-unit busy/idle utilization, the
+//!   wall-time split across plan/compile/stage/execute/merge, retry
+//!   counts, and dispatch counters ([`ObsSink::report`]), and
 //! * a unified metrics registry of named counters ([`Metrics`]),
 //!   incremented as events arrive.
 //!
@@ -29,7 +28,7 @@
 //!
 //! [`ObsSink`] keeps one bounded ring buffer per lane, each behind its
 //! own mutex. Exactly one thread writes a given lane in steady state —
-//! the wave driver's unit workers own their unit's lane, the main
+//! the parallel driver's unit workers own their unit's lane, the main
 //! thread owns the scheduler lane — so locks are uncontended and
 //! recording stays off every other thread's path. When a ring is full
 //! the *oldest* events drop (counted, surfaced in the report), so a
@@ -52,7 +51,7 @@ use std::time::Instant;
 /// Which timeline a recorded event belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
-    /// Main-thread orchestration: planning, compilation, wave dispatch,
+    /// Main-thread orchestration: planning, compilation, dispatch,
     /// staging, merging, fault handling.
     Scheduler,
     /// Per-op execution (and executor-local cache traffic) on one
@@ -83,18 +82,8 @@ pub enum EventKind {
         /// Compiled ops in the executable plan.
         ops: u64,
     },
-    /// One wave dispatched by the parallel driver (span covers staging
-    /// through merge).
-    Wave {
-        /// Wave index within the schedule.
-        wave: u32,
-        /// Scheduled ops in the wave.
-        items: u32,
-        /// Units with nonzero assigned load.
-        units_busy: u32,
-    },
-    /// Operand staging (pre-copying regions a wave both reads and
-    /// writes) for one wave or one serial op.
+    /// Operand staging (snapshotting written-buffer regions before
+    /// their first reader) for one dispatch or one serial op.
     Stage {
         /// Staging directives executed.
         copies: u32,
@@ -114,7 +103,7 @@ pub enum EventKind {
         /// Simulated cost charged for the op's invocations.
         sim_cost: u64,
     },
-    /// One scratch-buffer acquisition by the wave driver.
+    /// One scratch-buffer acquisition by the parallel driver.
     ScratchAcquire {
         /// Unit whose op the scratch is for.
         unit: u32,
@@ -186,7 +175,6 @@ impl EventKind {
             EventKind::MemoHit => "memo_hit",
             EventKind::MemoMiss => "memo_miss",
             EventKind::Compile { .. } => "compile",
-            EventKind::Wave { .. } => "wave",
             EventKind::Stage { .. } => "stage",
             EventKind::Merge { .. } => "merge",
             EventKind::OpExec { .. } => "op",
@@ -228,7 +216,7 @@ impl SpanEvent {
 
 /// Sink for execution telemetry. Implementations must be cheap and
 /// must never panic: recording happens on execution hot paths,
-/// including inside worker threads whose panics the wave driver
+/// including inside worker threads whose panics the parallel driver
 /// interprets as unit faults.
 ///
 /// `Debug` is required so hosting structs (machines, schedulers) keep
@@ -251,7 +239,6 @@ pub enum Metric {
     MemoHits,
     MemoMisses,
     Compiles,
-    Waves,
     OpsExecuted,
     StageSpans,
     MergeSpans,
@@ -269,7 +256,7 @@ pub enum Metric {
 }
 
 /// Number of registered metrics.
-const METRIC_COUNT: usize = 19;
+const METRIC_COUNT: usize = 18;
 
 /// Registry names, indexed by `Metric as usize`.
 pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
@@ -277,7 +264,6 @@ pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
     "memo_hits",
     "memo_misses",
     "compiles",
-    "waves",
     "ops_executed",
     "stage_spans",
     "merge_spans",
@@ -486,7 +472,6 @@ impl ObsSink {
             EventKind::MemoHit => m.bump(Metric::MemoHits, 1),
             EventKind::MemoMiss => m.bump(Metric::MemoMisses, 1),
             EventKind::Compile { .. } => m.bump(Metric::Compiles, 1),
-            EventKind::Wave { .. } => m.bump(Metric::Waves, 1),
             EventKind::Stage { .. } => m.bump(Metric::StageSpans, 1),
             EventKind::Merge { .. } => m.bump(Metric::MergeSpans, 1),
             EventKind::OpExec { .. } => m.bump(Metric::OpsExecuted, 1),
@@ -643,9 +628,9 @@ impl ObsSink {
     }
 
     /// The plain-text run report: metadata header, per-unit busy/idle
-    /// utilization, wave occupancy histogram, the wall-time split
-    /// across plan/compile/stage/execute/merge, fault/retry lines, and
-    /// the metrics-registry snapshot.
+    /// utilization, the wall-time split across
+    /// plan/compile/stage/execute/merge, fault/retry lines, dispatch
+    /// counters, and the metrics-registry snapshot.
     #[must_use]
     pub fn report(&self, meta: &RunMeta) -> String {
         let mut out = String::new();
@@ -669,18 +654,10 @@ impl ObsSink {
             ));
         }
 
-        // Wave occupancy histogram: how many waves kept how many units busy.
-        let mut occupancy: Vec<(u32, u64)> = Vec::new();
         let mut phase = [0u64; 5]; // plan, compile, stage, execute, merge
         let mut retries = (0u64, 0u64); // count, simulated backoff
         for ev in self.lane_events(Lane::Scheduler) {
             match ev.kind {
-                EventKind::Wave { units_busy, .. } => {
-                    match occupancy.iter_mut().find(|(k, _)| *k == units_busy) {
-                        Some((_, n)) => *n += 1,
-                        None => occupancy.push((units_busy, 1)),
-                    }
-                }
                 EventKind::PlanBuild { .. } => phase[0] += ev.dur_ns,
                 EventKind::Compile { .. } => phase[1] += ev.dur_ns,
                 EventKind::Stage { .. } => phase[2] += ev.dur_ns,
@@ -694,13 +671,6 @@ impl ObsSink {
         }
         for (_, busy, _, _) in &rows {
             phase[3] += busy;
-        }
-        if !occupancy.is_empty() {
-            occupancy.sort_unstable();
-            out.push_str("wave occupancy (units busy: waves):\n");
-            for (k, n) in occupancy {
-                out.push_str(&format!("  {k}: {n}\n"));
-            }
         }
         out.push_str("phase wall time (ns):\n");
         for (name, ns) in ["plan", "compile", "stage", "execute", "merge"]
@@ -806,11 +776,6 @@ fn args_json(kind: &EventKind) -> String {
         } => format!("\"recorded\": {recorded}, \"scheduled\": {scheduled}, \"waves\": {waves}"),
         EventKind::MemoHit | EventKind::MemoMiss => String::new(),
         EventKind::Compile { ops } => format!("\"ops\": {ops}"),
-        EventKind::Wave {
-            wave,
-            items,
-            units_busy,
-        } => format!("\"wave\": {wave}, \"items\": {items}, \"units_busy\": {units_busy}"),
         EventKind::Stage { copies } => format!("\"copies\": {copies}"),
         EventKind::Merge { items } => format!("\"items\": {items}"),
         EventKind::OpExec {
@@ -1034,21 +999,13 @@ mod tests {
         );
         sink.record(
             Lane::Scheduler,
-            span(
-                EventKind::Wave {
-                    wave: 0,
-                    items: 3,
-                    units_busy: 2,
-                },
-                0,
-                600,
-            ),
+            span(EventKind::Ready { unit: 2, depth: 3 }, 0, 0),
         );
         let rep = sink.report(&RunMeta::default());
         assert!(rep.contains("unit 2: busy 500 ns (100.0%), idle 0 ns"));
-        assert!(rep.contains("wave occupancy"));
+        assert!(rep.contains("dataflow: steals 0, ready_depth_peak 3"));
         assert!(rep.contains("ops_executed=1"));
-        assert!(rep.contains("waves=1"));
+        assert!(rep.contains("ready_depth_peak=3"));
     }
 
     #[test]

@@ -10,19 +10,21 @@
 //! across 4 units:
 //!
 //! 1. **Recovery is unobservable.** A seeded [`FaultPlan`] injects
-//!    transient drops and one permanently dead unit; the wave driver
-//!    retries, quarantines, and re-partitions — and the elements,
+//!    transient drops and one permanently dead unit; the default
+//!    parallel driver retries, quarantines, and re-runs the dead unit's
+//!    work in a recovery pass on the survivors — and the elements,
 //!    `Stats`, and trace digest come out byte-identical to the
-//!    fault-free run. Only `time()` (backoff + requeue makespan) and
-//!    [`FaultStats`] show that anything happened.
+//!    fault-free run. Only `time()` (backoff + recovery-pass makespan)
+//!    and [`FaultStats`] show that anything happened.
 //! 2. **Replayability.** The same seed replays the same faults: the
-//!    recovery counters and fault trace are reproduced exactly.
+//!    clock, the recovery counters, and the ordered fault trace are
+//!    reproduced exactly.
 //! 3. **Unrecoverable plans fail typed.** Killing every unit yields
 //!    [`TcuError::AllUnitsQuarantined`] — an `Err`, not a panic.
 
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, FaultKind, FaultPlan, FaultyExecutor,
-    HostExecutor, ModelTensorUnit, ParallelTcuMachine, RecoveryPolicy, TensorOp,
+    HostExecutor, ModelTensorUnit, ParallelTcuMachine, TensorOp,
 };
 use tcu_linalg::Matrix;
 use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
@@ -97,7 +99,7 @@ fn run_with_faults(
     env.bind_input(bb, b.view());
     env.bind_output(mb, m.view_mut());
     env.bind_output(cb, c.view_mut());
-    let r = plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default());
+    let r = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     let trace = mach.take_trace();
     (
@@ -121,7 +123,7 @@ fn main() {
         "pipeline: {} ops in {} waves on {units} units, planned makespan {}\n",
         plan.ops(),
         plan.waves(),
-        plan.makespan()
+        plan.dataflow_makespan()
     );
 
     // Fault-free baseline: the empty plan is a pure pass-through.
@@ -141,7 +143,7 @@ fn main() {
         run_with_faults(&g, &bufs, &plan, units, s, fplan.clone());
     assert!(r.is_ok(), "seeded plans are recoverable by construction");
     println!(
-        "chaos run:       time {t}, digest {digest:#018x}\n  {} transient faults retried ({} retries, backoff {}), {} unit(s) quarantined, {} ops requeued (makespan {})",
+        "chaos run:       time {t}, digest {digest:#018x}\n  {} transient faults retried ({} retries, backoff {}), {} unit(s) quarantined, {} ops re-run in recovery passes (makespan {})",
         fs.transient_faults, fs.retries, fs.backoff_time, fs.quarantined_units, fs.requeued_ops, fs.recovery_makespan
     );
     assert_eq!(c, c_free, "elements must be byte-identical");

@@ -13,18 +13,18 @@
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! Three directive classes cover every binding pattern:
+//! Two directive classes, plus one count, cover every binding pattern:
 //!
 //! * **`serial_stages`** — reads of written buffers that some op reads
 //!   *while writing the same buffer*. Safe Rust cannot hold the output
 //!   binding mutably and read it at once, so the serial runtime
 //!   snapshots these (only these — every other read is zero-copy) right
 //!   before their first reader.
-//! * **`par_stages`** — every read of a written buffer. Wave workers
-//!   run while the main thread retains mutable access to the outputs,
-//!   so the parallel runtime snapshots each such region once, at the
-//!   wave of its first reader (the hazard order makes the bytes
-//!   identical wherever in that window the snapshot is taken).
+//! * **written reads** — every read of a written buffer. Parallel
+//!   workers run while the main thread retains mutable access to the
+//!   outputs, so the parallel runtime snapshots each such region once,
+//!   right before its first reader's dispatch; only their number is
+//!   stored ([`ExecutablePlan::staged_reads`]).
 //! * **`cond_stages`** — reads of buffers the graph never writes.
 //!   Normally input-bound and zero-copy; if the caller bound one as an
 //!   output instead, the parallel runtime snapshots it once at run
@@ -98,8 +98,9 @@ pub struct ExecutablePlan {
     pub(crate) ops: Vec<CompiledOp>,
     /// Written-buffer keys with a same-buffer reader, by `before_op`.
     pub(crate) serial_stages: Vec<StageDirective>,
-    /// Every written-buffer key, sorted by `before_op`.
-    pub(crate) par_stages: Vec<StageDirective>,
+    /// Written-buffer keys (each snapshotted once by the parallel
+    /// runtime).
+    pub(crate) written_reads: usize,
     /// Never-written-buffer keys (staged at run start if not
     /// input-bound; parallel runtime only).
     pub(crate) cond_stages: Vec<StageDirective>,
@@ -144,7 +145,7 @@ impl ExecutablePlan {
     /// Read keys the parallel runtime snapshots (written-buffer reads).
     #[must_use]
     pub fn staged_reads(&self) -> usize {
-        self.par_stages.len()
+        self.written_reads
     }
 
     /// Read keys the serial runtime snapshots (same-buffer
@@ -292,7 +293,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     }
 
     let mut serial_stages = Vec::new();
-    let mut par_stages = Vec::new();
+    let mut written_reads = 0;
     let mut cond_stages = Vec::new();
     for (slot, key) in keys.iter().enumerate() {
         let d = StageDirective {
@@ -305,7 +306,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
             before_op: first_reader[slot],
         };
         if written[d.buf] {
-            par_stages.push(d);
+            written_reads += 1;
             if same_buf[slot] {
                 serial_stages.push(d);
             }
@@ -349,7 +350,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     Ok(ExecutablePlan {
         ops,
         serial_stages,
-        par_stages,
+        written_reads,
         cond_stages,
         slots: keys.len(),
         wave_ranges,

@@ -3,13 +3,14 @@
 //! runtime can execute fixed per-unit op sequences and stay bit-for-bit
 //! deterministic no matter how threads interleave.
 //!
-//! The wave driver inserts a global barrier at every hazard level, so
-//! its makespan is the *sum of per-wave maxima* — a straggler idles
-//! every other unit for the rest of its wave. The dataflow placement
-//! replays the same cost model through an event-driven simulation
-//! instead: ops become ready as their hazard predecessors finish, the
-//! ready pool is drained in `(ready time, cost desc, emission index)`
-//! order, and each op runs on the unit that can start it earliest.
+//! The wave partition ([`Schedule::wave_partitions`]) puts a barrier
+//! at every hazard level, so its makespan is the *sum of per-wave
+//! maxima* — a straggler idles every other unit for the rest of its
+//! wave. The dataflow placement replays the same cost model through an
+//! event-driven simulation instead: ops become ready as their hazard
+//! predecessors finish, the ready pool is drained in
+//! `(ready time, cost desc, emission index)` order, and each op runs on
+//! the unit that can start it earliest.
 //! Ties prefer the op's *home* — the unit the wave planner's LPT
 //! partition assigned its first invocation to — and otherwise follow a
 //! seeded permutation of the units; a non-home choice is a
@@ -38,34 +39,13 @@ use crate::scheduler::Schedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which parallel driver [`Schedule::try_run_parallel`] routes to.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The PR-6 wave driver: a global barrier per hazard level.
-    Wave,
-    /// The barrier-free dataflow driver (the default).
-    #[default]
-    Dataflow,
-}
-
-/// The driver selection for this process: `TCU_EXEC_MODE=wave` pins the
-/// legacy wave driver, anything else (including unset) selects
-/// dataflow. Read per run, so tests can toggle it.
-#[must_use]
-pub fn exec_mode() -> ExecMode {
-    match std::env::var("TCU_EXEC_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("wave") => ExecMode::Wave,
-        _ => ExecMode::Dataflow,
-    }
-}
-
-/// Knobs of the dataflow driver that do not affect results: the steal
+/// Knobs of the parallel driver that do not affect results: the steal
 /// tie-break seed (any seed yields byte-identical elements, `Stats`,
 /// and digest — it only moves which unit runs what, hence per-unit
-/// cache counters and `time()`), and the inline/threaded choice (also
-/// unobservable in `time()` and cache counters, except for the
-/// threaded driver's timing-dependent recovery charges under
-/// *permanent* faults — see the `run` module docs).
+/// cache counters, fault outcomes, and `time()`), and the
+/// inline/threaded choice (also unobservable in `time()`, cache
+/// counters, and fault counters; the one exception, a foreign executor
+/// panic, is a named deviation in the `run` module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataflowTuning {
     /// Seed of the steal tie-break permutation (0 = lowest-index-first
@@ -103,26 +83,22 @@ impl DataflowTuning {
     }
 }
 
-/// The resolved dataflow placement of one schedule: fixed unit
-/// assignment and per-unit execution order, plus the simulated makespan
-/// the runtime charges.
+/// The resolved dataflow placement of one schedule: fixed per-unit
+/// execution queues, plus the simulated makespan the runtime charges.
 #[derive(Clone, Debug)]
 pub(crate) struct DataflowPlacement {
-    /// Unit each op runs on, emission order.
-    pub(crate) unit_of: Vec<u32>,
-    /// Each op's wave-LPT home unit (`unit_of[i] != home[i]` is a
+    /// Each op's wave-LPT home unit (an op queued elsewhere is a
     /// steal), emission order.
     pub(crate) home: Vec<u32>,
     /// Simulated start time of each op (the fallback placement stores
     /// the emission index — any topological stamp works; only the
-    /// relative order is consumed).
+    /// relative order is consumed). Every hazard edge points to a
+    /// strictly larger `(start, index)` key, which is what keeps
+    /// queues in that order deadlock-free.
     pub(crate) start: Vec<u64>,
-    /// Per-unit op indices in execution order (ascending `start`).
+    /// Per-unit op indices in execution order (ascending
+    /// `(start, index)`).
     pub(crate) unit_order: Vec<Vec<u32>>,
-    /// Global execution order for the inline executor: sorted by
-    /// `(start, unit, index)`, which interleaves the per-unit orders
-    /// without reordering any of them and respects every hazard edge.
-    pub(crate) order: Vec<u32>,
     /// Simulated makespan the runtime charges (never exceeds the wave
     /// makespan — see the fallback).
     pub(crate) makespan: u64,
@@ -156,8 +132,7 @@ fn steal_permutation(units: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
-/// Each op's home unit: the wave-LPT unit of its first invocation —
-/// exactly the unit the wave driver would run it on.
+/// Each op's home unit: the wave-LPT unit of its first invocation.
 fn home_units(sched: &Schedule, plan: &ExecutablePlan) -> Vec<u32> {
     let mut home = vec![0u32; sched.ops()];
     for (wave, &(wstart, wend)) in plan.wave_ranges.iter().enumerate() {
@@ -195,7 +170,6 @@ pub(crate) fn place_dataflow(
     let perm = steal_permutation(units, steal_seed);
 
     let mut avail = vec![0u64; units];
-    let mut unit_of = vec![0u32; n];
     let mut start = vec![0u64; n];
     let mut unit_order: Vec<Vec<u32>> = vec![Vec::new(); units];
     let mut steals = 0u64;
@@ -216,7 +190,6 @@ pub(crate) fn place_dataflow(
         };
         start[i] = best;
         avail[chosen] = best + cost;
-        unit_of[i] = chosen as u32;
         unit_order[chosen].push(idx);
         let finish = best + cost;
         for &j in plan.successors_of(i) {
@@ -233,17 +206,15 @@ pub(crate) fn place_dataflow(
     if makespan > sched.makespan() {
         // The barrier-free greedy lost to per-wave LPT (possible on
         // adversarial graphs): keep the wave placement, whose emission
-        // order is trivially hazard-safe and whose makespan the wave
-        // driver already achieves.
+        // order is trivially hazard-safe and whose makespan is the wave
+        // makespan.
         let mut unit_order: Vec<Vec<u32>> = vec![Vec::new(); units];
         for (i, &h) in home.iter().enumerate() {
             unit_order[h as usize].push(i as u32);
         }
         return DataflowPlacement {
-            unit_of: home.clone(),
             start: (0..n as u64).collect(),
             unit_order,
-            order: (0..n as u32).collect(),
             makespan: sched.makespan(),
             steals: 0,
             fallback: true,
@@ -251,14 +222,10 @@ pub(crate) fn place_dataflow(
         };
     }
 
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&i| (start[i as usize], unit_of[i as usize], i));
     DataflowPlacement {
-        unit_of,
         home,
         start,
         unit_order,
-        order,
         makespan,
         steals,
         fallback: false,
@@ -326,19 +293,6 @@ impl Schedule {
             .max(self.tensor_time().div_ceil(self.units() as u64));
         bound as f64 / df as f64
     }
-
-    /// The simulated tensor wall-clock [`Schedule::try_run_parallel`]
-    /// will charge under the *current* [`exec_mode`]:
-    /// [`Schedule::makespan`] for the wave driver,
-    /// [`Schedule::dataflow_makespan`] for the dataflow driver. What
-    /// mode-agnostic tests compare `time()` against.
-    #[must_use]
-    pub fn planned_parallel_time(&self) -> u64 {
-        match exec_mode() {
-            ExecMode::Wave => self.makespan(),
-            ExecMode::Dataflow => self.dataflow_makespan(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -380,8 +334,8 @@ mod tests {
         let compiled = plan.compiled().expect("compiles");
         let p1 = place_dataflow(&plan, compiled, 7);
         let p2 = place_dataflow(&plan, compiled, 7);
-        assert_eq!(p1.unit_of, p2.unit_of);
-        assert_eq!(p1.order, p2.order);
+        assert_eq!(p1.unit_order, p2.unit_order);
+        assert_eq!(p1.start, p2.start);
         assert_eq!(p1.makespan, p2.makespan);
         assert!(plan.dataflow_makespan_seeded(7) <= plan.makespan());
         let bound = plan
@@ -396,18 +350,21 @@ mod tests {
         let plan = Scheduler::new().with_units(3).plan(&pipeline(32, 8), &unit);
         let compiled = plan.compiled().expect("compiles");
         for seed in [0u64, 1, 0xDEAD_BEEF] {
+            // The global `(start, index)` order the executors walk.
             let p = place_dataflow(&plan, compiled, seed);
-            let mut pos = vec![0usize; plan.ops()];
-            for (k, &i) in p.order.iter().enumerate() {
-                pos[i as usize] = k;
-            }
+            let key = |i: usize| (p.start[i], i);
             for i in 0..plan.ops() {
                 for &j in compiled.successors_of(i) {
                     assert!(
-                        pos[i] < pos[j as usize],
+                        key(i) < key(j as usize),
                         "op {i} must execute before its successor {j} (seed {seed})"
                     );
                 }
+            }
+            for q in &p.unit_order {
+                assert!(q
+                    .windows(2)
+                    .all(|w| key(w[0] as usize) < key(w[1] as usize)));
             }
         }
     }
@@ -440,7 +397,14 @@ mod tests {
         let compiled = plan.compiled().expect("compiles");
         for seed in [0u64, 42] {
             let p = place_dataflow(&plan, compiled, seed);
-            assert_eq!(p.unit_of, p.home, "single wave must keep LPT homes");
+            for (u, q) in p.unit_order.iter().enumerate() {
+                for &i in q {
+                    assert_eq!(
+                        p.home[i as usize] as usize, u,
+                        "single wave keeps LPT homes"
+                    );
+                }
+            }
             assert_eq!(p.steals, 0);
             assert_eq!(p.makespan, plan.makespan());
         }

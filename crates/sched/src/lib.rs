@@ -51,7 +51,7 @@ pub mod run;
 pub mod scheduler;
 
 pub use compile::ExecutablePlan;
-pub use dataflow::{exec_mode, DataflowTuning, ExecMode};
+pub use dataflow::DataflowTuning;
 pub use graph::{BufferId, Node, OpGraph, OperandRef};
 pub use run::ExecEnv;
 pub use scheduler::{Schedule, ScheduledNode, Scheduler};

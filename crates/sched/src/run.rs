@@ -47,32 +47,13 @@
 //!
 //! # Multi-unit execution
 //!
-//! [`Schedule::run_parallel`] routes to one of two drivers (selected
-//! by [`crate::exec_mode`], dataflow by default). The **wave** driver
-//! ([`Schedule::run_wave`]) consumes [`Schedule::wave_partitions`]
-//! directly: every wave's invocations are issued on the units the
-//! planner's LPT partition assigned them to (each unit owning its own
-//! executor, hence its own pack cache), on a pool of worker threads
-//! spawned **once per run** — each unit's worker holds its executor for
-//! the whole run and receives per-round batches over a channel, instead
-//! of a fresh `thread::scope` per wave. Per-op scratch comes from a
-//! main-thread recycling pool (re-zeroed or re-seeded per op, so the
-//! numerics are exactly a fresh allocation's). Numerics still execute
-//! in the schedule's canonical serial order — waves hold only
-//! independent ops, so this equals any true interleaving — which keeps
-//! multi-unit runs bit-identical to serial runs and to each other for
-//! every unit count.
-//!
-//! # Barrier-free dataflow execution
-//!
-//! The **dataflow** driver ([`Schedule::run_dataflow`]) removes the
-//! per-wave barrier: instead of stalling every unit at each hazard
-//! level, ops dispatch as soon as their hazard predecessors' results
-//! have been committed. All scheduling decisions are resolved *at plan
-//! time* by [`crate::dataflow`]'s deterministic placement simulation
-//! (which unit runs each op, in what per-unit order, and with which
-//! deterministic steals), so the runtime is a pure executor of fixed
-//! per-unit sequences and the results cannot depend on thread timing:
+//! [`Schedule::run_parallel`] is a barrier-free dataflow driver: ops
+//! dispatch as soon as their hazard predecessors' results have been
+//! committed. Every scheduling decision is resolved *at plan time* by
+//! [`crate::dataflow`]'s deterministic placement simulation (which unit
+//! runs each op, in what per-unit order, with which deterministic
+//! steals), so the runtime executes fixed per-unit queues and its
+//! results cannot depend on thread timing:
 //!
 //! * **accounting** — every op is charged on the main thread, up
 //!   front, in emission order (after validating all bindings), so
@@ -80,72 +61,84 @@
 //!   run's; wall-clock advances once, by the placement's simulated
 //!   makespan, so `time()` lands on [`Schedule::dataflow_makespan`]
 //!   (never above [`Schedule::makespan`]);
-//! * **numerics** — workers execute into per-op scratch exactly as the
-//!   wave driver does; the main thread commits finished scratches and
-//!   only then releases hazard successors, so overlapping writes
-//!   retire in hazard (emission) order and elements are bit-identical
-//!   to [`Schedule::run`] for every unit count, steal seed, and
-//!   interleaving;
-//! * **dispatch overhead** — each idle unit receives its entire ready
-//!   prefix as *one* channel message, and written-buffer reads are
-//!   snapshotted incrementally, right before their first reader's
-//!   dispatch, instead of per wave. On a single-core host (or under
-//!   `TCU_DF_INLINE=1`) an inline executor skips workers, channels,
-//!   and scratch entirely and replays the placement's global order
-//!   serial-style — same bytes, same per-unit cache counters, no
-//!   dispatch overhead.
-//!
-//! Fault recovery matches the wave driver (retry with backoff,
-//! quarantine + LPT re-partition of the dead unit's queued and stolen
-//! work onto survivors, preserving the per-unit queues' start-order
-//! invariant so progress is never deadlocked) with two documented
-//! deviations: charges are recorded up front, so a run that *fails*
-//! still carries the full schedule's `Stats`; and under the inline
-//! executor a *foreign* (non-injected) panic cannot be recovered — it
-//! may have half-written its in-place destination — so it fails the
-//! run where the scratch-based drivers rebuild and requeue. Under
-//! permanent faults the threaded driver's recovery charges and
-//! per-unit cache counters may vary with thread timing (the committed
-//! frontier at quarantine time is physical); elements, `Stats`, and
-//! the digest stay byte-identical regardless.
+//! * **numerics** — workers execute into per-op scratch (accumulating
+//!   ops pre-seeded with the destination bytes); the main thread
+//!   commits finished scratches and only then releases hazard
+//!   successors, so overlapping writes retire in hazard (emission)
+//!   order and elements are bit-identical to [`Schedule::run`] for
+//!   every unit count, steal seed, and interleaving;
+//! * **dispatch** — each idle unit receives its entire ready prefix as
+//!   *one* channel message, and written-buffer reads are snapshotted
+//!   right before their first reader's dispatch. On a single-core host
+//!   (or under `TCU_DF_INLINE=1`) an inline executor skips workers,
+//!   channels, and scratch entirely and walks the same queues
+//!   serial-style in `(start, index)` order — same bytes, same per-unit
+//!   cache counters, same clock, no dispatch overhead.
 //!
 //! # Fault tolerance
 //!
 //! Every entry point has a fallible `try_*` form returning
 //! [`TcuError`] — binding mistakes, plan/machine mismatches, and op
-//! contract violations come back as values; the legacy `bind_*`/`run*`
-//! names are thin wrappers that panic with the error's `Display`
-//! (preserving every historical panic message). On top of that,
-//! [`Schedule::try_run_parallel`] *recovers* from unit faults: each
-//! worker contains per-op panics with `catch_unwind`, transient faults
-//! (an [`InjectedFault`] payload, as injected by
-//! [`tcu_core::FaultyExecutor`]) are retried in place with simulated
-//! backoff charged into wall-clock, and permanently failing units are
-//! quarantined — for the rest of the *run*, not just the wave — with
-//! their unexecuted items re-partitioned onto the survivors via
-//! [`partition_lpt`]. Recovery is unobservable in results by
-//! construction: per-op `Stats`/trace charges happen on the main thread
-//! before numerics, faulted ops re-execute against intact (or
-//! re-seeded) scratch, and fault/retry/quarantine trace annotations are
-//! excluded from the digest — so a recoverable faulty run's elements,
-//! `Stats`, and digest are byte-identical to the fault-free run's, with
-//! only `time()` (backoff + requeue makespans) and
-//! [`tcu_core::FaultStats`] recording that recovery happened. A
-//! non-[`InjectedFault`] worker panic (a real executor bug) is treated
-//! as a permanent unit fault whose in-flight scratch is conservatively
-//! rebuilt from the environment before requeueing; a worker that dies
-//! outside per-op containment (its channel disconnects) is recovered
-//! the same way, with its whole round rebuilt.
+//! contract violations come back as values; the `bind_*`/`run*` names
+//! are thin wrappers that panic with the error's `Display`. On top of
+//! that, [`Schedule::try_run_parallel`] *recovers* from unit faults.
+//! Every execution is wrapped in `catch_unwind`:
+//!
+//! * a transient [`InjectedFault`] (as injected by
+//!   [`tcu_core::FaultyExecutor`]) is retried in place, each retry
+//!   charging simulated backoff into wall-clock;
+//! * a permanent fault — or any other panic payload, i.e. a real
+//!   executor bug — quarantines the unit for the rest of the run.
+//!
+//! Recovery is **pass-based**. When a unit dies, its unexecuted queue
+//! suffix and everything hazard-downstream of that suffix leave the
+//! current pass; the survivors finish the rest of their fixed queues;
+//! then the removed set is LPT-placed ([`partition_lpt`]) onto the
+//! survivors, each queue kept in `(start, index)` order, and runs as
+//! the next pass, whose makespan is charged as recovery time. Fault,
+//! retry, and quarantine annotations are buffered per unit and flushed
+//! in unit order at each pass boundary.
+//!
+//! That makes recovery a function of the schedule, the steal seed, and
+//! the fault plan alone. No removed op can have been dispatched — each
+//! one waits on an uncommitted op — so every unit's execution sequence
+//! in a pass is its queue minus the removed set, and so is every
+//! executor's fault-plan index. `time()`, [`tcu_core::FaultStats`], and
+//! the *ordered* fault trace therefore replay exactly, and the inline
+//! and threaded executors agree on all of them. Recovery stays
+//! unobservable in results: charges precede numerics, faulted ops
+//! re-execute against an untouched destination, and the annotations
+//! are excluded from the digest — so a recoverable faulty run's
+//! elements, `Stats`, and digest are byte-identical to the fault-free
+//! run's. Unrecoverable runs fail typed ([`TcuError::RetriesExhausted`],
+//! [`TcuError::UnitFault`], [`TcuError::AllUnitsQuarantined`]); a pass
+//! with several fatal stops drains and reports the one on the op with
+//! the smallest `(start, index)` key, so errors are deterministic too.
+//!
+//! # Known deviations
+//!
+//! Each is deterministic and pinned by a test:
+//!
+//! 1. **A failed run's `Stats` carry the full charge.** Charges are
+//!    recorded up front, so a run that returns `Err` still holds the
+//!    whole schedule's `Stats` (its simulated makespan is not charged).
+//!    Pinned by `chaos.rs`'s `all_units_quarantined_fails_typed_not_hanging`.
+//! 2. **The inline executor fails on a foreign panic.** It writes
+//!    destinations in place, so a non-[`InjectedFault`] panic may have
+//!    half-written one and there is no scratch to rebuild from: the run
+//!    returns [`TcuError::UnitFault`], where the threaded executor
+//!    rebuilds the op and quarantines the unit. Pinned by
+//!    `dataflow_exec.rs`'s `foreign_panics_recover_threaded_and_fail_inline`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
-use crate::dataflow::{exec_mode, place_dataflow, DataflowPlacement, DataflowTuning, ExecMode};
+use crate::dataflow::{place_dataflow, DataflowPlacement, DataflowTuning};
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tcu_core::{
     partition_lpt, BindRole, Executor, FaultKind, InjectedFault, OperandId, ParallelTcuMachine,
-    RecoveryPolicy, TcuError, TcuMachine, TensorUnit, WaveAccountant,
+    RecoveryPolicy, TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
 };
 use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
 
@@ -188,9 +181,11 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
     }
 
     /// Attach an execution-telemetry recorder to this environment's
-    /// runs: the driver forwards it to the machine (per-op execute
+    /// runs: the driver attaches it to the machine (per-op execute
     /// spans, pack-cache traffic, fault annotations) and emits its own
-    /// wave/stage/merge spans through it. Purely observational —
+    /// stage/merge spans through it. It takes precedence over a
+    /// recorder the machine already holds, such as the `TCU_TRACE_OUT`
+    /// sink machines pick up at construction. Purely observational —
     /// results, `Stats`, traces, and simulated time are unchanged.
     pub fn enable_recorder(&mut self, recorder: std::sync::Arc<dyn tcu_obs::Recorder>) {
         self.recorder = Some(recorder);
@@ -378,7 +373,7 @@ impl Schedule {
     /// outputs hold whatever the already-issued prefix of the stream
     /// wrote (an error aborts mid-stream, it does not roll back). Fault
     /// *recovery* (retry, quarantine) is a property of the parallel
-    /// wave driver — see [`Schedule::try_run_parallel`]; the serial
+    /// driver — see [`Schedule::try_run_parallel`]; the serial
     /// path has no worker threads to contain, so an executor panic here
     /// propagates.
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
@@ -397,7 +392,7 @@ impl Schedule {
             });
         }
         let plan = self.compiled()?;
-        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
+        if let Some(rec) = env.recorder.clone() {
             mach.enable_recorder(rec);
         }
         let stamps = tag_stamps(env);
@@ -462,14 +457,10 @@ impl Schedule {
     }
 
     /// Execute the planned stream *across the units* of a parallel
-    /// machine, routing to the driver [`crate::exec_mode`] selects: the
-    /// barrier-free dataflow driver ([`Schedule::run_dataflow`]) by
-    /// default, the per-wave driver ([`Schedule::run_wave`]) under
-    /// `TCU_EXEC_MODE=wave`. Both drivers produce elements, `Stats`,
-    /// and trace digests byte-identical to the serial [`Schedule::run`]
-    /// for every unit count; they differ only in host-thread structure
-    /// and in the simulated wall-clock they charge
-    /// ([`Schedule::planned_parallel_time`]).
+    /// machine on the barrier-free dataflow driver (see the
+    /// [module docs](self)): elements, `Stats`, and trace digests are
+    /// byte-identical to the serial [`Schedule::run`] for every unit
+    /// count, and `time()` lands on [`Schedule::dataflow_makespan`].
     ///
     /// # Panics
     /// Panics if the machine's `√m` or unit count differs from what the
@@ -488,502 +479,15 @@ impl Schedule {
     }
 
     /// [`Schedule::run_parallel`] with fault recovery under the default
-    /// [`RecoveryPolicy`] (3 attempts per op, quarantine on). See
+    /// [`RecoveryPolicy`] (3 attempts per op, quarantine on) and tuning
+    /// read from the environment ([`DataflowTuning::from_env`]). See
     /// [`Schedule::try_run_parallel_with`].
     pub fn try_run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
     ) -> Result<(), TcuError> {
-        self.try_run_parallel_with(mach, env, RecoveryPolicy::default())
-    }
-
-    /// The fault-tolerant parallel entry point: routes to
-    /// [`Schedule::try_run_wave_with`] or
-    /// [`Schedule::try_run_dataflow_with`] per [`crate::exec_mode`],
-    /// with dataflow tuning read from the environment
-    /// ([`DataflowTuning::from_env`]).
-    pub fn try_run_parallel_with<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-        policy: RecoveryPolicy,
-    ) -> Result<(), TcuError> {
-        match exec_mode() {
-            ExecMode::Wave => self.try_run_wave_with(mach, env, policy),
-            ExecMode::Dataflow => {
-                self.try_run_dataflow_with(mach, env, policy, DataflowTuning::from_env())
-            }
-        }
-    }
-
-    /// The per-wave-barrier parallel driver, pinned regardless of
-    /// [`crate::exec_mode`]: every wave's invocations are issued on the
-    /// units the planner's LPT partition assigned them to, and a global
-    /// barrier separates waves. Panicking wrapper over
-    /// [`Schedule::try_run_wave`].
-    ///
-    /// # Panics
-    /// As [`Schedule::run_parallel`].
-    pub fn run_wave<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run_wave(mach, env)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run_wave`] with fault recovery under the default
-    /// [`RecoveryPolicy`], returning errors instead of panicking.
-    pub fn try_run_wave<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) -> Result<(), TcuError> {
-        self.try_run_wave_with(mach, env, RecoveryPolicy::default())
-    }
-
-    /// The fault-tolerant wave driver: one persistent worker per unit,
-    /// per-wave dispatch with a global barrier between hazard levels,
-    /// plus containment and recovery of worker faults under `policy`.
-    /// Concurrency is safe by construction — ops sharing a wave never
-    /// overlap in any written region, which a debug assertion
-    /// re-verifies per wave — and deterministic by design:
-    ///
-    /// * **accounting** (per-op `Stats` charges and trace events) is
-    ///   recorded on the main thread in the schedule's canonical order
-    ///   *before* the wave's numerics run, exactly as a serial scheduled
-    ///   run charges them; wall-clock advances by one makespan per wave,
-    ///   so `mach.time()` lands on [`Schedule::makespan`] (plus scalar
-    ///   work);
-    /// * **numerics** land in per-op scratch buffers — pre-seeded with
-    ///   the destination bytes for accumulating ops, so the kernel
-    ///   performs the identical arithmetic on identical values — and the
-    ///   main thread merges the disjoint results back in canonical
-    ///   order, making elements bit-identical to [`Schedule::run`] for
-    ///   every unit count;
-    /// * **pack-cache counters** are per unit, and each worker consumes
-    ///   its ops in canonical order, so every unit's executor sees the
-    ///   exact op subsequence a serial placement-following run would —
-    ///   cache stats cannot depend on thread interleaving.
-    ///
-    /// Every per-op panic on a worker is caught. An [`InjectedFault`]
-    /// payload marked transient is retried on the same unit (bounded by
-    /// `policy.max_attempts`, each retry charging simulated backoff
-    /// into wall-clock); one marked permanent — or any *other* panic
-    /// payload, i.e. a real executor bug — kills the unit: with
-    /// `policy.quarantine` the unit is retired for the rest of the run
-    /// and its unexecuted items are re-partitioned onto the survivors
-    /// (charging the requeued batch's LPT makespan), without it the run
-    /// fails with [`TcuError::UnitFault`]. A run out of retries fails
-    /// with [`TcuError::RetriesExhausted`]; losing every unit with work
-    /// still pending fails with [`TcuError::AllUnitsQuarantined`].
-    ///
-    /// For every *recoverable* fault schedule the recovery contract
-    /// holds: output elements, `Stats`, and the trace digest are
-    /// byte-identical to the fault-free run, with the recovery story
-    /// visible only in `time()`, [`tcu_core::FaultStats`], and the
-    /// digest-exempt fault/retry/quarantine trace annotations. On
-    /// `Err`, outputs hold the completed waves' results only — the
-    /// failing wave's scratches are discarded, never half-merged.
-    pub fn try_run_wave_with<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-        policy: RecoveryPolicy,
-    ) -> Result<(), TcuError> {
-        if mach.sqrt_m() != self.sqrt_m {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different tensor-unit size",
-            });
-        }
-        if mach.units() != self.units() {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different unit count",
-            });
-        }
-        if env.shapes != self.buffer_shapes {
-            return Err(TcuError::PlanMismatch {
-                what: "environment built for a different graph (buffer shapes disagree)",
-            });
-        }
-        let plan = self.compiled()?;
-        // Telemetry: the environment's recorder (if the machine has
-        // none of its own) is attached to the machine first, so worker
-        // executors emit pack-cache traffic and the wave accountant
-        // emits fault annotations through it. One handle then serves
-        // the driver's own wave/stage/merge spans.
-        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
-            mach.enable_recorder(rec);
-        }
-        let recorder = mach.recorder_handle();
-        let stamps = tag_stamps(env);
-        let units = mach.units();
-        let max_attempts = policy.max_attempts.max(1);
-
-        // The run-local snapshot arena: one slot per compiled read key,
-        // filled at most once per run (`OnceLock`, so the main thread
-        // can keep staging while workers hold shared borrows). Reads of
-        // never-written buffers are staged up front when not input-
-        // bound — their content cannot change during the run.
-        let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-        for d in &plan.cond_stages {
-            if env.inputs[d.buf].is_some() {
-                continue;
-            }
-            let snap = env.outputs[d.buf]
-                .as_ref()
-                .ok_or(TcuError::Unbound {
-                    buffer: d.buf,
-                    written: false,
-                })?
-                .as_view()
-                .subview(d.r0, d.c0, d.rows, d.cols)
-                .to_matrix();
-            let _ = arena[d.slot as usize].set(snap);
-        }
-
-        // Borrow split for the run: workers see the arena and the
-        // frozen inputs; the main thread keeps the outputs (staging
-        // sources, accumulate seeds, merges) and the machine's
-        // accounting half, while each worker owns one unit's executor.
-        let arena = &arena;
-        let inputs = &env.inputs;
-        let outputs = &mut env.outputs;
-        let (mut acct, execs) = mach.wave_parts();
-        // Quarantine outlives the wave: a unit that failed permanently
-        // stays retired for the remainder of this run.
-        let mut quarantined = vec![false; units];
-        let mut pool: Vec<Matrix<T>> = Vec::new();
-
-        std::thread::scope(|scope| {
-            // One persistent worker per unit for the whole run: tasks
-            // arrive as (items, max_attempts) rounds, outcomes return on
-            // the paired channel. A worker exits when the task sender
-            // drops (normal shutdown) or its outcome can no longer be
-            // delivered.
-            let mut task_tx = Vec::with_capacity(units);
-            let mut result_rx = Vec::with_capacity(units);
-            let mut handles = Vec::with_capacity(units);
-            for (u, exec) in execs.iter_mut().enumerate() {
-                let (ttx, trx) = std::sync::mpsc::channel();
-                let (rtx, rrx) = std::sync::mpsc::channel();
-                let rec = recorder.clone();
-                handles.push(scope.spawn(move || {
-                    while let Ok((items, max)) = trx.recv() {
-                        let outcome =
-                            run_items_contained(exec, items, max, rec.as_deref(), u as u32);
-                        if rtx.send(outcome).is_err() {
-                            break;
-                        }
-                    }
-                }));
-                task_tx.push(ttx);
-                result_rx.push(rrx);
-            }
-
-            let run_result = (|| -> Result<(), TcuError> {
-                let mut next_stage = 0usize;
-                for (wave, &(wstart, wend)) in plan.wave_ranges.iter().enumerate() {
-                    let rec = recorder.as_deref();
-                    let wave_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let wave_nodes = &self.nodes()[wstart..wend];
-                    if cfg!(debug_assertions) {
-                        assert_wave_outputs_disjoint(wave_nodes);
-                    }
-                    // Staging pass: snapshot every written-buffer read
-                    // first consumed in this wave before anything
-                    // executes (the hazard order makes this byte-equal
-                    // to per-op lazy staging: a region's bytes are
-                    // frozen between its last `gen` write and its last
-                    // `gen` reader).
-                    let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let mut staged = 0u32;
-                    while next_stage < plan.par_stages.len()
-                        && (plan.par_stages[next_stage].before_op as usize) < wend
-                    {
-                        let d = plan.par_stages[next_stage];
-                        let snap = outputs[d.buf]
-                            .as_ref()
-                            .ok_or(TcuError::Unbound {
-                                buffer: d.buf,
-                                written: false,
-                            })?
-                            .as_view()
-                            .subview(d.r0, d.c0, d.rows, d.cols)
-                            .to_matrix();
-                        let _ = arena[d.slot as usize].set(snap);
-                        staged += 1;
-                        next_stage += 1;
-                    }
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        stage_t0,
-                        tcu_obs::EventKind::Stage { copies: staged },
-                    );
-
-                    // Charging + assembly pass, in canonical order:
-                    // meter each op, resolve its operand views and
-                    // cache tag, and build its work item on the unit
-                    // the planner assigned its first invocation to.
-                    // Items bound for already-quarantined units are
-                    // displaced and re-partitioned onto the survivors
-                    // below. Charges always happen here, on the main
-                    // thread, in canonical order — faults can delay
-                    // numerics, never reorder accounting.
-                    let s = acct.sqrt_m();
-                    let tall = acct.unit().supports_tall();
-                    let partition = &self.wave_partitions()[wave];
-                    let mut pending: Vec<Vec<WaveItem<'_, T>>> =
-                        (0..units).map(|_| Vec::new()).collect();
-                    let mut displaced: Vec<WaveItem<'_, T>> = Vec::new();
-                    let mut inv_at = 0usize;
-                    for i in wstart..wend {
-                        let cop = &plan.ops[i];
-                        let invocations = if tall {
-                            1
-                        } else {
-                            cop.op.charge_rows(s).div_ceil(s)
-                        };
-                        let Some(&unit) = partition.assignment.get(inv_at) else {
-                            return Err(split_mismatch());
-                        };
-                        inv_at += invocations;
-                        acct.charge_wave_op(&cop.op);
-                        let mut item =
-                            build_item(arena, inputs, outputs, &stamps, &mut pool, plan, i)?;
-                        item.rows = cop.op.charge_rows(s) as u64;
-                        item.sim_cost = acct.op_cost(&cop.op);
-                        if let Some(r) = rec {
-                            let t = r.now_ns();
-                            emit_span(
-                                rec,
-                                tcu_obs::Lane::Scheduler,
-                                Some(t),
-                                tcu_obs::EventKind::ScratchAcquire {
-                                    unit: unit as u32,
-                                    reused: item.reused,
-                                    bytes: (cop.op.rows * cop.op.width * std::mem::size_of::<T>())
-                                        as u64,
-                                },
-                            );
-                        }
-                        if quarantined[unit] {
-                            displaced.push(item);
-                        } else {
-                            pending[unit].push(item);
-                        }
-                    }
-                    if inv_at != partition.assignment.len() {
-                        return Err(split_mismatch());
-                    }
-                    requeue_onto_survivors(&mut acct, &mut pending, displaced, &quarantined, wave)?;
-                    let units_busy = pending.iter().filter(|v| !v.is_empty()).count() as u32;
-
-                    // Execution rounds: dispatch every unit's batch to
-                    // its persistent worker, then collect outcomes in
-                    // unit order (deterministic for a given fault
-                    // plan). A round ends when every dispatched worker
-                    // answers; units that died during the round are
-                    // quarantined and their unexecuted items
-                    // re-partitioned, then the next round runs the
-                    // requeued work.
-                    let mut finished: Vec<(usize, Matrix<T>)> = Vec::with_capacity(wend - wstart);
-                    loop {
-                        let was_busy: Vec<bool> = pending.iter().map(|v| !v.is_empty()).collect();
-                        if !was_busy.iter().any(|&b| b) {
-                            break;
-                        }
-                        // Wave indices assigned this round, per unit —
-                        // enough to rebuild a unit's entire round from
-                        // the environment if its worker dies so hard
-                        // its outcome is lost (outputs are pristine
-                        // until the merge pass, so rebuilt items are
-                        // byte-identical to the originals).
-                        let assigned: Vec<Vec<usize>> = pending
-                            .iter()
-                            .map(|v| v.iter().map(|it| it.idx).collect())
-                            .collect();
-                        let mut sent = vec![false; units];
-                        for u in 0..units {
-                            if was_busy[u] {
-                                let items = std::mem::take(&mut pending[u]);
-                                sent[u] = task_tx[u].send((items, max_attempts)).is_ok();
-                            }
-                        }
-                        // Process outcomes in unit order: record
-                        // fault/retry annotations, collect completed
-                        // scratches, quarantine dead units and gather
-                        // their unexecuted items for re-partitioning.
-                        // A failed send or a disconnected result
-                        // channel means the worker itself is gone —
-                        // the `lost` outcome, recovered like any other
-                        // permanent unit death.
-                        let mut requeue: Vec<WaveItem<'_, T>> = Vec::new();
-                        for u in 0..units {
-                            if !was_busy[u] {
-                                continue;
-                            }
-                            let outcome = if sent[u] {
-                                result_rx[u].recv().unwrap_or_else(|_| UnitOutcome::lost())
-                            } else {
-                                UnitOutcome::lost()
-                            };
-                            for note in &outcome.notes {
-                                match *note {
-                                    WorkerNote::Fault { transient } => {
-                                        acct.record_fault(u, transient);
-                                    }
-                                    WorkerNote::Retry { attempt, op } => {
-                                        let _ = acct.record_retry(u, attempt, op.charge_rows(s));
-                                    }
-                                }
-                            }
-                            finished.extend(outcome.done);
-                            match outcome.terminal {
-                                None => {}
-                                Some(Terminal::Exhausted { attempts }) => {
-                                    return Err(TcuError::RetriesExhausted {
-                                        unit: u,
-                                        wave,
-                                        attempts,
-                                    });
-                                }
-                                Some(Terminal::Dead { dirty }) => {
-                                    if !policy.quarantine {
-                                        return Err(TcuError::UnitFault { unit: u, wave });
-                                    }
-                                    quarantined[u] = true;
-                                    let mut leftover = outcome.leftover;
-                                    if outcome.lost {
-                                        // The whole round is rebuilt:
-                                        // nothing the worker did
-                                        // reached the outputs, and the
-                                        // charges were recorded at
-                                        // assembly.
-                                        leftover = assigned[u]
-                                            .iter()
-                                            .map(|&idx| {
-                                                build_item(
-                                                    arena, inputs, outputs, &stamps, &mut pool,
-                                                    plan, idx,
-                                                )
-                                                .map(|mut it| {
-                                                    it.rows =
-                                                        plan.ops[idx].op.charge_rows(s) as u64;
-                                                    it.sim_cost = acct.op_cost(&plan.ops[idx].op);
-                                                    it
-                                                })
-                                            })
-                                            .collect::<Result<_, _>>()?;
-                                    } else if dirty {
-                                        // A non-injected panic may have
-                                        // fired mid-write: rebuild the
-                                        // in-flight item's scratch from
-                                        // the (untouched) environment.
-                                        if let Some(first) = leftover.first_mut() {
-                                            let (rows, sim_cost) = (first.rows, first.sim_cost);
-                                            *first = build_item(
-                                                arena, inputs, outputs, &stamps, &mut pool, plan,
-                                                first.idx,
-                                            )?;
-                                            first.rows = rows;
-                                            first.sim_cost = sim_cost;
-                                        }
-                                    }
-                                    acct.record_quarantine(u, leftover.len());
-                                    requeue.extend(leftover);
-                                }
-                            }
-                        }
-                        requeue_onto_survivors(
-                            &mut acct,
-                            &mut pending,
-                            requeue,
-                            &quarantined,
-                            wave,
-                        )?;
-                    }
-
-                    // Merge pass, canonical order: copy each scratch
-                    // into its (disjoint) destination region of the
-                    // bound outputs, then recycle it. Reached only when
-                    // every item of the wave completed — an error above
-                    // discards the wave's scratches instead of
-                    // half-merging them.
-                    let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let merged = finished.len() as u32;
-                    finished.sort_unstable_by_key(|(idx, _)| *idx);
-                    for (idx, scratch) in finished {
-                        let cop = &plan.ops[idx];
-                        outputs[cop.out_buf]
-                            .as_mut()
-                            .unwrap_or_else(|| unreachable!("output bound (checked at assembly)"))
-                            .subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols)
-                            .copy_from(scratch.view());
-                        pool.push(scratch);
-                    }
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        merge_t0,
-                        tcu_obs::EventKind::Merge { items: merged },
-                    );
-                    acct.complete_wave(partition.makespan());
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        wave_t0,
-                        tcu_obs::EventKind::Wave {
-                            wave: wave as u32,
-                            items: (wend - wstart) as u32,
-                            units_busy,
-                        },
-                    );
-                }
-                Ok(())
-            })();
-
-            // Shut the pool down and join every worker before leaving
-            // the scope: joining consumes any worker panic, so a dead
-            // worker can never re-raise at scope exit (lost workers
-            // were already recovered as quarantines above).
-            drop(task_tx);
-            for h in handles {
-                let _ = h.join();
-            }
-            run_result
-        })
-    }
-
-    /// The barrier-free dataflow driver, pinned regardless of
-    /// [`crate::exec_mode`]: ops dispatch as their hazard predecessors
-    /// commit, on the deterministic plan-time placement (see the
-    /// [module docs](self) and [`crate::dataflow`]). Panicking wrapper
-    /// over [`Schedule::try_run_dataflow`].
-    ///
-    /// # Panics
-    /// As [`Schedule::run_parallel`].
-    pub fn run_dataflow<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run_dataflow(mach, env)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run_dataflow`] with fault recovery under the default
-    /// [`RecoveryPolicy`] and environment tuning, returning errors
-    /// instead of panicking.
-    pub fn try_run_dataflow<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) -> Result<(), TcuError> {
-        self.try_run_dataflow_with(
+        self.try_run_parallel_with(
             mach,
             env,
             RecoveryPolicy::default(),
@@ -991,20 +495,28 @@ impl Schedule {
         )
     }
 
-    /// The fault-tolerant dataflow driver under explicit `policy` and
+    /// The fault-tolerant parallel driver under explicit `policy` and
     /// `tuning`. Resolves the deterministic placement, validates every
     /// op's bindings, charges the whole stream up front in emission
     /// order (so `Stats` and the digest equal the serial run's even
     /// under recovery), then executes it inline or on the worker pool
-    /// per `tuning` — the choice, like the steal seed, is byte-
-    /// unobservable in elements, `Stats`, and digest. Wall-clock
-    /// advances by [`Schedule::dataflow_makespan_seeded`] of the
-    /// tuning's seed (plus any charged backoff/recovery); on `Err` the
-    /// makespan is not charged and outputs hold only the committed
-    /// ops' results (never a torn scratch merge — though under the
-    /// inline executor, which writes destinations in place, the failing
-    /// op's own region may be partially written by a *foreign* panic).
-    pub fn try_run_dataflow_with<T: Scalar, U: TensorUnit, E: Executor>(
+    /// per `tuning`. Neither that choice nor the steal seed is
+    /// observable in elements, `Stats`, or digest, and the
+    /// inline/threaded choice is not observable in `time()` or
+    /// [`tcu_core::FaultStats`] either. Wall-clock advances by
+    /// [`Schedule::dataflow_makespan_seeded`] of the tuning's seed plus
+    /// the charged backoff and recovery passes.
+    ///
+    /// Transient faults retry in place, at most `policy.max_attempts`
+    /// attempts per op, or the run fails with
+    /// [`TcuError::RetriesExhausted`]. A unit that fails permanently is
+    /// quarantined and its work re-run in a recovery pass (see the
+    /// [module docs](self)); without `policy.quarantine` the run fails
+    /// with [`TcuError::UnitFault`], and losing every unit with work
+    /// still pending fails with [`TcuError::AllUnitsQuarantined`]. On
+    /// `Err` the makespan is not charged and outputs hold only the
+    /// committed ops' results.
+    pub fn try_run_parallel_with<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
@@ -1027,7 +539,7 @@ impl Schedule {
             });
         }
         let plan = self.compiled()?;
-        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
+        if let Some(rec) = env.recorder.clone() {
             mach.enable_recorder(rec);
         }
         let recorder = mach.recorder_handle();
@@ -1035,8 +547,7 @@ impl Schedule {
         let placement = place_dataflow(self, plan, tuning.steal_seed);
 
         // Snapshot arena, with never-written output-bound reads staged
-        // up front — exactly as the wave driver stages them (their
-        // content cannot change during the run).
+        // up front (their content cannot change during the run).
         let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
         for d in &plan.cond_stages {
             if env.inputs[d.buf].is_some() {
@@ -1088,7 +599,10 @@ impl Schedule {
                 cop.op.charge_rows(s).div_ceil(s)
             } as u32;
             if inv != self.node_invocations[i] {
-                return Err(split_mismatch());
+                return Err(TcuError::PlanMismatch {
+                    what: "machine splits ops differently than the schedule planned \
+                           (tall-operand support must match the planning unit)",
+                });
             }
         }
         // Charge the entire stream in emission order on the main
@@ -1099,7 +613,7 @@ impl Schedule {
         }
 
         if tuning.use_inline() {
-            run_dataflow_inline(
+            run_inline(
                 self,
                 plan,
                 &placement,
@@ -1114,7 +628,7 @@ impl Schedule {
                 recorder.as_deref(),
             )
         } else {
-            run_dataflow_threaded(
+            run_threaded(
                 self, plan, &placement, &mut acct, execs, arena, written, inputs, outputs, &stamps,
                 policy, &recorder,
             )
@@ -1144,21 +658,11 @@ fn emit_span(
     }
 }
 
-/// The plan/machine disagreement error of the wave driver's partition
-/// walk (the planning unit and the executing machine must split tall
-/// operands identically for the per-invocation assignment to line up).
-fn split_mismatch() -> TcuError {
-    TcuError::PlanMismatch {
-        what: "machine splits ops differently than the schedule planned \
-               (tall-operand support must match the planning unit)",
-    }
-}
-
-/// One op's share of a wave, bound for a specific unit's worker.
+/// One op bound for a specific unit's worker.
 struct WaveItem<'v, T: Scalar> {
-    /// Compiled-op index (canonical order), for the merge pass.
+    /// Compiled-op index (emission order), for the commit.
     idx: usize,
-    op: tcu_core::TensorOp,
+    op: TensorOp,
     a: MatrixView<'v, T>,
     tag: OperandId,
     b: MatrixView<'v, T>,
@@ -1223,9 +727,10 @@ fn take_scratch<T: Scalar>(
 /// and a scratch destination — zeros for overwrite ops (the kernel
 /// writes every element), the exact destination bytes for accumulating
 /// ops (so the kernel performs the identical arithmetic an in-place
-/// accumulate would). Also the rebuild path for faulted items: outputs
-/// stay untouched until the wave's merge pass, so building the same
-/// item twice yields byte-identical operands and seed.
+/// accumulate would). Also the rebuild path for an op a recovery pass
+/// re-runs: an uncommitted op's destination is untouched (every later
+/// writer of it waits on its commit), so building the same item twice
+/// yields byte-identical operands and seed.
 fn build_item<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
@@ -1260,74 +765,120 @@ fn build_item<'v, T: Scalar>(
         b,
         scratch,
         reused,
-        // Telemetry annotations the assembly pass stamps from the
-        // accountant (a rebuild path copies them from the plan).
+        // Telemetry annotations the dispatcher stamps from the
+        // accountant.
         rows: 0,
         sim_cost: 0,
     })
 }
 
-/// A recovery annotation produced on a worker thread, recorded into the
-/// machine by the main thread (in unit order, so trace annotations are
-/// deterministic for a given fault plan).
+/// A recovery annotation produced during a pass, recorded into the
+/// machine at the pass boundary (in unit order, so trace annotations
+/// are deterministic for a given fault plan).
 #[derive(Clone, Copy)]
 enum WorkerNote {
     /// A contained fault (transient = retried, permanent = unit died).
     Fault { transient: bool },
     /// A retry attempt; the op identifies the backoff's cost basis.
-    Retry {
-        attempt: u32,
-        op: tcu_core::TensorOp,
-    },
+    Retry { attempt: u32, op: TensorOp },
 }
 
-/// Why a unit's worker stopped executing mid-round.
+/// Why a unit stopped executing mid-pass.
+#[derive(Clone, Copy)]
 enum Terminal {
     /// One op stayed transiently faulting through `max_attempts`.
     Exhausted { attempts: u32 },
-    /// The unit failed permanently. `dirty` means the panic was not an
-    /// [`InjectedFault`] (which fires before any write), so the
-    /// in-flight item's scratch must be rebuilt before requeueing.
-    Dead { dirty: bool },
+    /// The unit failed permanently. `foreign` means the panic was not
+    /// an [`InjectedFault`] (which fires before any write), so the
+    /// failed attempt may have half-written its destination.
+    Dead { foreign: bool },
 }
 
-/// Everything one unit's worker produced in one execution round.
+impl Terminal {
+    /// The error this stop fails the run with, or `None` when the unit
+    /// is quarantined and its work recovered. `scratch` says whether the
+    /// failed attempt wrote a private scratch (rebuildable) rather than
+    /// the bound destination itself.
+    fn fatal(
+        self,
+        unit: usize,
+        wave: usize,
+        policy: RecoveryPolicy,
+        scratch: bool,
+    ) -> Option<TcuError> {
+        match self {
+            Terminal::Exhausted { attempts } => Some(TcuError::RetriesExhausted {
+                unit,
+                wave,
+                attempts,
+            }),
+            Terminal::Dead { foreign } if policy.quarantine && (scratch || !foreign) => None,
+            Terminal::Dead { .. } => Some(TcuError::UnitFault { unit, wave }),
+        }
+    }
+}
+
+/// Everything one unit's worker produced for one batch.
 struct UnitOutcome<'v, T: Scalar> {
-    /// Completed `(op index, filled scratch)` pairs for the merge.
+    /// Completed `(op index, filled scratch)` pairs, in batch order.
     done: Vec<(usize, Matrix<T>)>,
     /// Fault/retry annotations, in occurrence order.
     notes: Vec<WorkerNote>,
     /// Why the worker stopped early, if it did.
     terminal: Option<Terminal>,
-    /// Items not executed (the in-flight item first).
+    /// Items not executed (the failed item first).
     leftover: Vec<WaveItem<'v, T>>,
-    /// The worker died outside per-op containment and its state is
-    /// gone; the caller rebuilds the whole round from the environment.
-    lost: bool,
 }
 
-impl<T: Scalar> UnitOutcome<'_, T> {
-    /// The synthetic outcome for a worker whose channel disconnected.
-    fn lost() -> Self {
-        Self {
-            done: Vec::new(),
-            notes: vec![WorkerNote::Fault { transient: false }],
-            terminal: Some(Terminal::Dead { dirty: true }),
-            leftover: Vec::new(),
-            lost: true,
+/// Execute one op with per-attempt fault containment: every attempt is
+/// wrapped in `catch_unwind`, a transient [`InjectedFault`] retries in
+/// place (bounded by `max_attempts` — each retry consumes the
+/// executor's next execution index, so a fault plan spacing its
+/// transients out by one index always recovers), and a permanent fault
+/// or a foreign panic stops the unit. Annotations go to `notes`.
+#[allow(clippy::too_many_arguments)]
+fn execute_with_retries<T: Scalar, E: Executor>(
+    exec: &mut E,
+    op: &TensorOp,
+    a: MatrixView<'_, T>,
+    tag: OperandId,
+    b: MatrixView<'_, T>,
+    out: &mut MatrixViewMut<'_, T>,
+    max_attempts: u32,
+    notes: &mut Vec<WorkerNote>,
+) -> Result<(), Terminal> {
+    let mut attempt = 1u32;
+    loop {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = exec.execute_tagged(op, a, Some(tag), b, out);
+        }));
+        let Err(payload) = result else {
+            return Ok(());
+        };
+        match payload.downcast::<InjectedFault>() {
+            Ok(fault) if fault.kind == FaultKind::Transient => {
+                notes.push(WorkerNote::Fault { transient: true });
+                if attempt >= max_attempts {
+                    return Err(Terminal::Exhausted { attempts: attempt });
+                }
+                attempt += 1;
+                notes.push(WorkerNote::Retry { attempt, op: *op });
+            }
+            injected => {
+                notes.push(WorkerNote::Fault { transient: false });
+                return Err(Terminal::Dead {
+                    foreign: injected.is_err(),
+                });
+            }
         }
     }
 }
 
-/// Run one unit's wave items in canonical order on its executor, with
-/// per-op fault containment: every execution is wrapped in
-/// `catch_unwind`, transient [`InjectedFault`]s retry in place (bounded
-/// by `max_attempts` — each retry consumes the executor's next
-/// execution index, so a fault plan spacing its transients out by one
-/// index always recovers), and permanent faults or foreign panics stop
-/// the unit, returning the unexecuted items for requeueing. Injected
-/// faults fire before the executor touches the scratch, so a retried
-/// or requeued item's seed is exactly as built.
+/// Run one unit's batch in queue order on its executor, each op under
+/// [`execute_with_retries`]; a stop returns the unexecuted items.
+/// Injected faults fire before the executor touches the scratch, and a
+/// foreign panic's scratch is discarded — a recovery pass rebuilds the
+/// item from the environment.
 fn run_items_contained<'v, T: Scalar, E: Executor>(
     exec: &mut E,
     items: Vec<WaveItem<'v, T>>,
@@ -1340,123 +891,42 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
         notes: Vec::new(),
         terminal: None,
         leftover: Vec::new(),
-        lost: false,
     };
     let mut iter = items.into_iter();
     while let Some(mut item) = iter.next() {
-        let mut attempt = 1u32;
-        loop {
-            let t0 = rec.map(tcu_obs::Recorder::now_ns);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = exec.execute_tagged(
-                    &item.op,
-                    item.a,
-                    Some(item.tag),
-                    item.b,
-                    &mut item.scratch.view_mut(),
-                );
-            }));
-            match result {
-                Ok(()) => {
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Unit(unit),
-                        t0,
-                        tcu_obs::EventKind::OpExec {
-                            unit,
-                            rows: item.rows,
-                            sim_cost: item.sim_cost,
-                        },
-                    );
-                    out.done.push((item.idx, item.scratch));
-                    break;
-                }
-                Err(payload) => {
-                    let terminal = match payload.downcast::<InjectedFault>() {
-                        Ok(fault) if fault.kind == FaultKind::Transient => {
-                            out.notes.push(WorkerNote::Fault { transient: true });
-                            if attempt >= max_attempts {
-                                Some(Terminal::Exhausted { attempts: attempt })
-                            } else {
-                                attempt += 1;
-                                out.notes.push(WorkerNote::Retry {
-                                    attempt,
-                                    op: item.op,
-                                });
-                                None
-                            }
-                        }
-                        Ok(_) => {
-                            out.notes.push(WorkerNote::Fault { transient: false });
-                            Some(Terminal::Dead { dirty: false })
-                        }
-                        Err(_foreign) => {
-                            out.notes.push(WorkerNote::Fault { transient: false });
-                            Some(Terminal::Dead { dirty: true })
-                        }
-                    };
-                    if let Some(terminal) = terminal {
-                        out.terminal = Some(terminal);
-                        out.leftover.push(item);
-                        out.leftover.extend(iter);
-                        return out;
-                    }
-                    // else: retry the same item on the next loop pass.
-                }
-            }
+        let t0 = rec.map(tcu_obs::Recorder::now_ns);
+        let result = execute_with_retries(
+            exec,
+            &item.op,
+            item.a,
+            item.tag,
+            item.b,
+            &mut item.scratch.view_mut(),
+            max_attempts,
+            &mut out.notes,
+        );
+        if let Err(terminal) = result {
+            out.terminal = Some(terminal);
+            out.leftover.push(item);
+            out.leftover.extend(iter);
+            break;
         }
+        emit_span(
+            rec,
+            tcu_obs::Lane::Unit(unit),
+            t0,
+            tcu_obs::EventKind::OpExec {
+                unit,
+                rows: item.rows,
+                sim_cost: item.sim_cost,
+            },
+        );
+        out.done.push((item.idx, item.scratch));
     }
     out
 }
 
-/// Re-partition `batch` (items displaced off quarantined units) onto
-/// the surviving units via LPT over the items' invocation costs,
-/// charging the batch's makespan as recovery time. Fails with
-/// [`TcuError::AllUnitsQuarantined`] when work remains and no unit
-/// survives.
-fn requeue_onto_survivors<'v, T: Scalar, U: TensorUnit>(
-    acct: &mut WaveAccountant<'_, U>,
-    pending: &mut [Vec<WaveItem<'v, T>>],
-    batch: Vec<WaveItem<'v, T>>,
-    quarantined: &[bool],
-    wave: usize,
-) -> Result<(), TcuError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let survivors: Vec<usize> = (0..pending.len()).filter(|&u| !quarantined[u]).collect();
-    if survivors.is_empty() {
-        return Err(TcuError::AllUnitsQuarantined {
-            wave,
-            pending: batch.len(),
-        });
-    }
-    let costs: Vec<u64> = batch
-        .iter()
-        .map(|it| invocation_cost_of(acct, &it.op))
-        .collect();
-    let part = partition_lpt(&costs, survivors.len());
-    acct.charge_recovery(part.makespan());
-    for (item, &slot) in batch.into_iter().zip(&part.assignment) {
-        pending[survivors[slot]].push(item);
-    }
-    Ok(())
-}
-
-/// The simulated cost recovery LPT weighs an op at: what the executing
-/// machine's unit charges for its invocations (the shared basis of the
-/// wave and dataflow requeue paths).
-fn invocation_cost_of<U: TensorUnit>(acct: &WaveAccountant<'_, U>, op: &tcu_core::TensorOp) -> u64 {
-    let s = acct.sqrt_m();
-    let n = op.charge_rows(s);
-    if acct.unit().supports_tall() {
-        acct.unit().invocation_cost(n)
-    } else {
-        (n.div_ceil(s) as u64) * acct.unit().invocation_cost(s)
-    }
-}
-
-/// One worker→main message of the threaded dataflow driver: a batch's
+/// One worker→main message of the threaded executor: a batch's
 /// outcome, or a drop-guard notice that the worker died outside per-op
 /// containment (the outcome rides in a `Box` so the two variants stay
 /// close in size).
@@ -1465,11 +935,11 @@ enum DfMsg<'v, T: Scalar> {
     Gone(usize),
 }
 
-/// Arms a dataflow worker with a death notice: if the worker thread
-/// unwinds anywhere outside `run_items_contained`'s per-op containment,
-/// the guard's drop sends [`DfMsg::Gone`], so the main thread — which
-/// blocks on one shared result channel — can never wait forever on a
-/// reply that will not come. Disarmed on normal shutdown.
+/// Arms a worker with a death notice: if the worker thread unwinds
+/// anywhere outside [`execute_with_retries`]' containment, the guard's
+/// drop sends [`DfMsg::Gone`], so the main thread — which blocks on one
+/// shared result channel — can never wait forever on a reply that will
+/// not come. Disarmed on normal shutdown.
 struct GoneGuard<'v, T: Scalar> {
     unit: usize,
     tx: std::sync::mpsc::Sender<DfMsg<'v, T>>,
@@ -1485,12 +955,11 @@ impl<T: Scalar> Drop for GoneGuard<'_, T> {
 }
 
 /// Stage op `idx`'s written-buffer reads whose snapshot slots are still
-/// empty — the dataflow driver's incremental replacement for the wave
-/// driver's per-wave staging pass. Sound at first-reader dispatch time:
-/// the reader's hazard predecessors (every generation-`gen` writer
-/// among them) have committed, and any later writer is hazard-gated
-/// behind this reader's own commit, so the region holds exactly the
-/// bytes the read's key names.
+/// empty. Sound at first-reader dispatch time: the reader's hazard
+/// predecessors (every generation-`gen` writer among them) have
+/// committed, and any later writer is hazard-gated behind this reader's
+/// own commit, so the region holds exactly the bytes the read's key
+/// names.
 fn stage_pending_reads<T: Scalar>(
     arena: &[OnceLock<Matrix<T>>],
     written: &[bool],
@@ -1519,107 +988,150 @@ fn stage_pending_reads<T: Scalar>(
     Ok(staged)
 }
 
-/// Re-partition displaced op *indices* (a quarantined unit's in-flight
-/// and queued work) onto the survivors via LPT, charging the batch's
-/// makespan as recovery time, and insert each into its survivor's
-/// queue beyond the dispatch cursor, keeping every queue sorted by
-/// `(placement start, emission index)`. That invariant is the dataflow
-/// executor's deadlock-freedom proof: hazard edges only ever point to
-/// strictly larger `(start, index)` keys, so the uncommitted op with
-/// the globally smallest key always sits at some live queue's front
-/// with every predecessor committed — dispatch can always progress.
-/// (Items are rebuilt from the untouched environment at their next
-/// dispatch, which also covers a dirty in-flight scratch.)
-#[allow(clippy::too_many_arguments)]
-fn requeue_displaced<U: TensorUnit>(
-    acct: &mut WaveAccountant<'_, U>,
-    plan: &ExecutablePlan,
-    start: &[u64],
-    queues: &mut [Vec<u32>],
-    cursor: &[usize],
-    displaced: Vec<usize>,
-    quarantined: &[bool],
-    level: usize,
-) -> Result<(), TcuError> {
-    if displaced.is_empty() {
-        return Ok(());
+/// Mark `seeds` and everything hazard-downstream of them in `removed`,
+/// returning how many ops were newly marked.
+fn remove_downstream(plan: &ExecutablePlan, seeds: &[u32], removed: &mut [bool]) -> usize {
+    let mut stack = seeds.to_vec();
+    let mut marked = 0;
+    while let Some(i) = stack.pop() {
+        let i = i as usize;
+        if !removed[i] {
+            removed[i] = true;
+            marked += 1;
+            stack.extend_from_slice(plan.successors_of(i));
+        }
     }
-    let survivors: Vec<usize> = (0..queues.len()).filter(|&v| !quarantined[v]).collect();
-    if survivors.is_empty() {
-        return Err(TcuError::AllUnitsQuarantined {
-            wave: level,
-            pending: displaced.len(),
-        });
-    }
-    let costs: Vec<u64> = displaced
-        .iter()
-        .map(|&j| invocation_cost_of(acct, &plan.ops[j].op))
-        .collect();
-    let part = partition_lpt(&costs, survivors.len());
-    acct.charge_recovery(part.makespan());
-    for (&j, &slot) in displaced.iter().zip(&part.assignment) {
-        let v = survivors[slot];
-        let key = (start[j], j as u32);
-        let pos = queues[v][cursor[v]..].partition_point(|&x| (start[x as usize], x) < key);
-        queues[v].insert(cursor[v] + pos, j as u32);
-    }
-    Ok(())
+    marked
 }
 
-/// Quarantine `unit` on the inline dataflow path: re-assign every not-
-/// yet-executed op of the unit (`rest` is the unexecuted suffix of the
-/// placement's global order, current op first) onto the survivors via
-/// LPT, charging the batch's makespan as recovery time. The global
-/// execution order itself is unchanged — it respects every hazard edge
-/// regardless of unit assignment — so only `unit_of` moves.
-fn quarantine_inline<U: TensorUnit>(
-    acct: &mut WaveAccountant<'_, U>,
-    plan: &ExecutablePlan,
-    rest: &[u32],
-    unit_of: &mut [u32],
-    quarantined: &mut [bool],
-    unit: usize,
-    level: usize,
-) -> Result<(), TcuError> {
-    quarantined[unit] = true;
-    let displaced: Vec<usize> = rest
-        .iter()
-        .map(|&x| x as usize)
-        .filter(|&j| unit_of[j] as usize == unit)
-        .collect();
-    acct.record_quarantine(unit, displaced.len());
-    let survivors: Vec<usize> = (0..quarantined.len())
-        .filter(|&v| !quarantined[v])
-        .collect();
-    if survivors.is_empty() {
-        return Err(TcuError::AllUnitsQuarantined {
-            wave: level,
-            pending: displaced.len(),
-        });
-    }
-    let costs: Vec<u64> = displaced
-        .iter()
-        .map(|&j| invocation_cost_of(acct, &plan.ops[j].op))
-        .collect();
-    let part = partition_lpt(&costs, survivors.len());
-    acct.charge_recovery(part.makespan());
-    for (&j, &slot) in displaced.iter().zip(&part.assignment) {
-        unit_of[j] = survivors[slot] as u32;
-    }
-    Ok(())
+/// What one execution pass observed, per unit, until its boundary.
+///
+/// Both executors fill it in the same per-unit order — each unit's
+/// queue minus the ops the pass removes — so closing it yields the
+/// same annotations, quarantines, and recovery pass regardless of how
+/// units interleaved.
+struct PassLog {
+    /// Buffered fault/retry annotations, per unit, in occurrence order.
+    notes: Vec<Vec<WorkerNote>>,
+    /// Queue position of the op each unit stopped at, if it stopped.
+    stopped_at: Vec<Option<usize>>,
+    /// The pass's fatal stop with the smallest `(start, index)` key.
+    fatal: Option<((u64, u32), TcuError)>,
 }
 
-/// The inline dataflow executor: replay the placement's global
-/// `(start, unit, index)` order serial-style — no workers, no
-/// channels, no scratch — executing each op on its assigned unit's
-/// executor directly into the bound destination. Per-unit op sequences
-/// are the global order filtered by unit, i.e. exactly the threaded
-/// executor's queues, so pack-cache counters and fault-plan outcomes
-/// match the threaded driver op for op. The hot loop is the serial
-/// runtime's (on-demand staging, zero-copy reads, in-place writes),
-/// which is what makes single-core dataflow dispatch overhead ~zero.
+impl PassLog {
+    fn new(units: usize) -> Self {
+        Self {
+            notes: vec![Vec::new(); units],
+            stopped_at: vec![None; units],
+            fatal: None,
+        }
+    }
+
+    /// Unit `u` stopped at position `pos` of its pass `queue`; `fatal`
+    /// is the error the stop fails the run with, if it is not
+    /// recoverable.
+    fn stop(
+        &mut self,
+        u: usize,
+        pos: usize,
+        queue: &[u32],
+        start: &[u64],
+        fatal: Option<TcuError>,
+    ) {
+        self.stopped_at[u] = Some(pos);
+        let key = queue
+            .get(pos)
+            .map_or((u64::MAX, u32::MAX), |&i| (start[i as usize], i));
+        if let Some(e) = fatal {
+            if self.fatal.as_ref().is_none_or(|(k, _)| key < *k) {
+                self.fatal = Some((key, e));
+            }
+        }
+    }
+
+    /// Close the pass: flush every unit's annotations in unit order and
+    /// quarantine the units that died — each credited with the removed
+    /// ops no lower-indexed unit's stop already claimed — then LPT-place
+    /// the removed set onto the survivors as the next pass's `queues`,
+    /// charging its makespan as recovery. Returns whether a recovery
+    /// pass follows; `Err` for the pass's earliest fatal stop, or when
+    /// work remains and no unit survives.
+    fn finish<U: TensorUnit>(
+        self,
+        acct: &mut WaveAccountant<'_, U>,
+        sched: &Schedule,
+        plan: &ExecutablePlan,
+        start: &[u64],
+        queues: &mut Vec<Vec<u32>>,
+        alive: &mut [bool],
+    ) -> Result<bool, TcuError> {
+        let PassLog {
+            notes,
+            stopped_at,
+            fatal,
+        } = self;
+        let s = acct.sqrt_m();
+        let mut removed = vec![false; plan.ops()];
+        for (u, notes) in notes.into_iter().enumerate() {
+            for note in notes {
+                match note {
+                    WorkerNote::Fault { transient } => acct.record_fault(u, transient),
+                    WorkerNote::Retry { attempt, op } => {
+                        let _ = acct.record_retry(u, attempt, op.charge_rows(s));
+                    }
+                }
+            }
+            if let (Some(pos), None) = (stopped_at[u], &fatal) {
+                alive[u] = false;
+                let requeued = remove_downstream(plan, &queues[u][pos..], &mut removed);
+                acct.record_quarantine(u, requeued);
+            }
+        }
+        if let Some((_, e)) = fatal {
+            return Err(e);
+        }
+        let batch: Vec<usize> = (0..plan.ops()).filter(|&i| removed[i]).collect();
+        let Some(&first) = batch.first() else {
+            return Ok(false);
+        };
+        let survivors: Vec<usize> = (0..alive.len()).filter(|&u| alive[u]).collect();
+        if survivors.is_empty() {
+            return Err(TcuError::AllUnitsQuarantined {
+                wave: sched.nodes()[first].level,
+                pending: batch.len(),
+            });
+        }
+        let costs: Vec<u64> = batch
+            .iter()
+            .map(|&j| acct.op_cost(&plan.ops[j].op))
+            .collect();
+        let part = partition_lpt(&costs, survivors.len());
+        acct.charge_recovery(part.makespan());
+        let mut next = vec![Vec::new(); alive.len()];
+        for (&j, &slot) in batch.iter().zip(&part.assignment) {
+            next[survivors[slot]].push(j as u32);
+        }
+        for q in &mut next {
+            q.sort_unstable_by_key(|&j| (start[j as usize], j));
+        }
+        *queues = next;
+        Ok(true)
+    }
+}
+
+/// The inline executor: walk each pass's queues in global
+/// `(start, index)` order serial-style — no workers, no channels, no
+/// scratch — executing each op on its queue's unit directly into the
+/// bound destination. That order is topological (hazard edges point to
+/// strictly larger keys) and keeps every queue's own order, so per-unit
+/// op sequences — each queue minus the ops the pass removes — are
+/// exactly the threaded executor's: pack-cache counters, fault-plan
+/// outcomes, and recovery match it op for op. The hot loop is the
+/// serial runtime's (on-demand staging, zero-copy reads, in-place
+/// writes), which is what makes single-core dispatch overhead ~zero.
 #[allow(clippy::too_many_arguments)]
-fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
+fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
     placement: &DataflowPlacement,
@@ -1635,32 +1147,46 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
 ) -> Result<(), TcuError> {
     let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
-    let mut unit_of = placement.unit_of.clone();
-    let mut quarantined = vec![false; execs.len()];
-    for (k, &idx) in placement.order.iter().enumerate() {
-        let i = idx as usize;
-        let cop = &plan.ops[i];
-        let level = sched.nodes()[i].level;
-        let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
-        let staged = stage_pending_reads(arena, written, outputs, plan, i)?;
-        if staged > 0 {
-            emit_span(
-                recorder,
-                tcu_obs::Lane::Scheduler,
-                stage_t0,
-                tcu_obs::EventKind::Stage { copies: staged },
-            );
-        }
-        let rows = cop.op.charge_rows(s) as u64;
-        let sim_cost = acct.op_cost(&cop.op);
-        let u0 = unit_of[i] as usize;
-        acct.record_ready(u0, 1);
-        if placement.home[i] as usize != u0 {
-            acct.record_steal(placement.home[i] as usize, u0);
-        }
-        let mut attempt = 1u32;
-        loop {
-            let u = unit_of[i] as usize;
+    let start = &placement.start;
+    let mut queues = placement.unit_order.clone();
+    let mut indeg = plan.preds.clone();
+    let mut alive = vec![true; execs.len()];
+    for pass in 0.. {
+        let mut order: Vec<(u64, u32, usize, usize)> = queues
+            .iter()
+            .enumerate()
+            .flat_map(|(u, q)| {
+                q.iter()
+                    .enumerate()
+                    .map(move |(pos, &i)| (start[i as usize], i, u, pos))
+            })
+            .collect();
+        order.sort_unstable();
+        let mut log = PassLog::new(execs.len());
+        for (_, idx, u, pos) in order {
+            let i = idx as usize;
+            // A stopped unit's remaining ops, and every op downstream of
+            // an op this pass removed (a predecessor never committed),
+            // wait for the recovery pass.
+            if log.stopped_at[u].is_some() || indeg[i] != 0 {
+                continue;
+            }
+            let cop = &plan.ops[i];
+            let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
+            let staged = stage_pending_reads(arena, written, outputs, plan, i)?;
+            if staged > 0 {
+                emit_span(
+                    recorder,
+                    tcu_obs::Lane::Scheduler,
+                    stage_t0,
+                    tcu_obs::EventKind::Stage { copies: staged },
+                );
+            }
+            acct.record_ready(u, 1);
+            let home = placement.home[i] as usize;
+            if pass == 0 && home != u {
+                acct.record_steal(home, u);
+            }
             let a = wave_read(arena, inputs, &cop.a)?;
             let b = wave_read(arena, inputs, &cop.b)?;
             let tag = read_tag(&cop.a, stamps[cop.a.buf]);
@@ -1669,10 +1195,16 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
                 .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
             let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
             let t0 = recorder.map(tcu_obs::Recorder::now_ns);
-            let exec = &mut execs[u];
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = exec.execute_tagged(&cop.op, a, Some(tag), b, &mut out_view);
-            }));
+            let result = execute_with_retries(
+                &mut execs[u],
+                &cop.op,
+                a,
+                tag,
+                b,
+                &mut out_view,
+                max_attempts,
+                &mut log.notes[u],
+            );
             match result {
                 Ok(()) => {
                     emit_span(
@@ -1681,78 +1213,38 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         t0,
                         tcu_obs::EventKind::OpExec {
                             unit: u as u32,
-                            rows,
-                            sim_cost,
+                            rows: cop.op.charge_rows(s) as u64,
+                            sim_cost: acct.op_cost(&cop.op),
                         },
                     );
-                    break;
+                    for &succ in plan.successors_of(i) {
+                        indeg[succ as usize] -= 1;
+                    }
                 }
-                Err(payload) => match payload.downcast::<InjectedFault>() {
-                    Ok(fault) if fault.kind == FaultKind::Transient => {
-                        acct.record_fault(u, true);
-                        if attempt >= max_attempts {
-                            return Err(TcuError::RetriesExhausted {
-                                unit: u,
-                                wave: level,
-                                attempts: attempt,
-                            });
-                        }
-                        attempt += 1;
-                        let _ = acct.record_retry(u, attempt, cop.op.charge_rows(s));
-                    }
-                    Ok(_) => {
-                        // Injected permanent faults fire before the
-                        // executor writes, so the destination is intact
-                        // and the op re-executes cleanly on a survivor
-                        // (with a fresh retry budget, as after a wave
-                        // requeue).
-                        acct.record_fault(u, false);
-                        if !policy.quarantine {
-                            return Err(TcuError::UnitFault {
-                                unit: u,
-                                wave: level,
-                            });
-                        }
-                        quarantine_inline(
-                            acct,
-                            plan,
-                            &placement.order[k..],
-                            &mut unit_of,
-                            &mut quarantined,
-                            u,
-                            level,
-                        )?;
-                        attempt = 1;
-                    }
-                    Err(_foreign) => {
-                        // A real executor bug may have half-written its
-                        // in-place destination — inline execution has
-                        // no scratch to rebuild from, so the run fails
-                        // (the scratch-based drivers recover instead).
-                        acct.record_fault(u, false);
-                        return Err(TcuError::UnitFault {
-                            unit: u,
-                            wave: level,
-                        });
-                    }
-                },
+                Err(terminal) => {
+                    // In-place execution: a foreign panic is fatal here.
+                    let fatal = terminal.fatal(u, sched.nodes()[i].level, policy, false);
+                    log.stop(u, pos, &queues[u], start, fatal);
+                }
             }
+        }
+        if !log.finish(acct, sched, plan, start, &mut queues, &mut alive)? {
+            break;
         }
     }
     acct.complete_wave(placement.makespan);
     Ok(())
 }
 
-/// The threaded dataflow executor: per-unit worker threads drain the
-/// placement's fixed per-unit queues, the main thread dispatches each
-/// idle unit's maximal ready prefix as one batched message, and
-/// commits arriving scratches — releasing hazard successors — as
-/// frontiers clear. No barrier ever synchronizes units; determinism
-/// comes from the fixed queues (per-unit op sequences cannot depend on
-/// timing) and hazard-gated commits (overlapping writes retire in
-/// emission order).
+/// The threaded executor: per-unit worker threads drain each pass's
+/// fixed per-unit queues, the main thread dispatches each idle unit's
+/// maximal ready prefix as one batched message, and commits arriving
+/// scratches — releasing hazard successors — as frontiers clear. No
+/// barrier ever synchronizes units; determinism comes from the fixed
+/// queues (per-unit op sequences cannot depend on timing) and
+/// hazard-gated commits (overlapping writes retire in emission order).
 #[allow(clippy::too_many_arguments)]
-fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
+fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
     placement: &DataflowPlacement,
@@ -1769,14 +1261,11 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     let units = execs.len();
     let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
+    let start = &placement.start;
     let mut queues = placement.unit_order.clone();
-    let mut cursor = vec![0usize; units];
     let mut indeg = plan.preds.clone();
-    let mut in_flight = vec![false; units];
-    let mut dispatched: Vec<Vec<usize>> = vec![Vec::new(); units];
-    let mut quarantined = vec![false; units];
+    let mut alive = vec![true; units];
     let mut pool: Vec<Matrix<T>> = Vec::new();
-    let mut remaining = plan.ops();
 
     let run_result = std::thread::scope(|scope| {
         let (result_tx, result_rx) = std::sync::mpsc::channel::<DfMsg<'v, T>>();
@@ -1804,214 +1293,166 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         }
 
         let run_result = (|| -> Result<(), TcuError> {
-            loop {
-                // Dispatch: every idle, live unit takes its maximal
-                // ready prefix — staged, built, and sent as ONE
-                // message (the batched replacement for per-wave
-                // per-round sends).
-                for u in 0..units {
-                    if quarantined[u] || in_flight[u] || cursor[u] >= queues[u].len() {
-                        continue;
-                    }
-                    let rec = recorder.as_deref();
-                    let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let mut staged = 0u32;
-                    let mut batch: Vec<WaveItem<'v, T>> = Vec::new();
-                    let mut idxs: Vec<usize> = Vec::new();
-                    while cursor[u] < queues[u].len() {
-                        let i = queues[u][cursor[u]] as usize;
-                        if indeg[i] != 0 {
-                            break;
+            for pass in 0.. {
+                let mut log = PassLog::new(units);
+                let mut cursor = vec![0usize; units];
+                // Queue positions of each unit's in-flight batch (empty
+                // = idle): at most one batch per unit is in flight.
+                let mut in_flight: Vec<Vec<usize>> = vec![Vec::new(); units];
+                let mut removed = vec![false; plan.ops()];
+                let mut pending: usize = queues.iter().map(Vec::len).sum();
+                while pending > 0 {
+                    // Dispatch: every idle, live unit takes its maximal
+                    // ready prefix — skipping ops this pass removed —
+                    // staged, built, and sent as ONE message.
+                    for u in 0..units {
+                        if log.stopped_at[u].is_some() || !in_flight[u].is_empty() {
+                            continue;
                         }
-                        staged += stage_pending_reads(arena, written, outputs, plan, i)?;
-                        let mut item =
-                            build_item(arena, inputs, outputs, stamps, &mut pool, plan, i)?;
-                        let cop = &plan.ops[i];
-                        item.rows = cop.op.charge_rows(s) as u64;
-                        item.sim_cost = acct.op_cost(&cop.op);
-                        if let Some(r) = rec {
-                            let t = r.now_ns();
+                        let rec = recorder.as_deref();
+                        let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
+                        let mut staged = 0u32;
+                        let mut batch: Vec<WaveItem<'v, T>> = Vec::new();
+                        while let Some(&idx) = queues[u].get(cursor[u]) {
+                            let i = idx as usize;
+                            if removed[i] {
+                                cursor[u] += 1;
+                                continue;
+                            }
+                            if indeg[i] != 0 {
+                                break;
+                            }
+                            staged += stage_pending_reads(arena, written, outputs, plan, i)?;
+                            let mut item =
+                                build_item(arena, inputs, outputs, stamps, &mut pool, plan, i)?;
+                            let cop = &plan.ops[i];
+                            item.rows = cop.op.charge_rows(s) as u64;
+                            item.sim_cost = acct.op_cost(&cop.op);
+                            if let Some(r) = rec {
+                                let t = r.now_ns();
+                                emit_span(
+                                    rec,
+                                    tcu_obs::Lane::Scheduler,
+                                    Some(t),
+                                    tcu_obs::EventKind::ScratchAcquire {
+                                        unit: u as u32,
+                                        reused: item.reused,
+                                        bytes: (cop.op.rows
+                                            * cop.op.width
+                                            * std::mem::size_of::<T>())
+                                            as u64,
+                                    },
+                                );
+                            }
+                            let home = placement.home[i] as usize;
+                            if pass == 0 && home != u {
+                                acct.record_steal(home, u);
+                            }
+                            batch.push(item);
+                            in_flight[u].push(cursor[u]);
+                            cursor[u] += 1;
+                        }
+                        if batch.is_empty() {
+                            continue;
+                        }
+                        if staged > 0 {
                             emit_span(
                                 rec,
                                 tcu_obs::Lane::Scheduler,
-                                Some(t),
-                                tcu_obs::EventKind::ScratchAcquire {
-                                    unit: u as u32,
-                                    reused: item.reused,
-                                    bytes: (cop.op.rows * cop.op.width * std::mem::size_of::<T>())
-                                        as u64,
-                                },
+                                stage_t0,
+                                tcu_obs::EventKind::Stage { copies: staged },
                             );
                         }
-                        batch.push(item);
-                        idxs.push(i);
-                        cursor[u] += 1;
+                        acct.record_ready(u, batch.len());
+                        // A failed send means the worker is already dead;
+                        // its drop guard queued a `Gone`, which the
+                        // receive path below recovers from.
+                        let _ = task_tx[u].send((batch, max_attempts));
                     }
-                    if batch.is_empty() {
-                        continue;
+                    if in_flight.iter().all(Vec::is_empty) {
+                        return Err(TcuError::PlanMismatch {
+                            what: "dataflow dispatch stalled with work remaining (driver bug)",
+                        });
                     }
-                    if staged > 0 {
-                        emit_span(
-                            rec,
-                            tcu_obs::Lane::Scheduler,
-                            stage_t0,
-                            tcu_obs::EventKind::Stage { copies: staged },
-                        );
-                    }
-                    acct.record_ready(u, batch.len());
-                    for &i in &idxs {
-                        let h = placement.home[i] as usize;
-                        if h != u {
-                            acct.record_steal(h, u);
+                    let Ok(msg) = result_rx.recv() else {
+                        return Err(TcuError::PlanMismatch {
+                            what: "dataflow result channel closed (driver bug)",
+                        });
+                    };
+                    // The answering unit, and — if it stopped — how many
+                    // of its batch committed first and why it stopped. A
+                    // worker lost outside containment committed nothing
+                    // (outputs are pristine), so its whole batch reruns.
+                    let (u, stop) = match msg {
+                        DfMsg::Done(u, outcome) => {
+                            let UnitOutcome {
+                                done,
+                                notes,
+                                terminal,
+                                leftover,
+                            } = *outcome;
+                            log.notes[u].extend(notes);
+                            let committed = done.len();
+                            // Commit: merge the batch's scratches, then
+                            // release each op's hazard successors. Ops
+                            // of one batch were all ready at dispatch,
+                            // so none depends on another.
+                            if committed > 0 {
+                                let rec = recorder.as_deref();
+                                let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
+                                for (idx, scratch) in done {
+                                    let cop = &plan.ops[idx];
+                                    outputs[cop.out_buf]
+                                        .as_mut()
+                                        .unwrap_or_else(|| {
+                                            unreachable!("output bound (validated up front)")
+                                        })
+                                        .subview_mut(
+                                            cop.out_r0,
+                                            cop.out_c0,
+                                            cop.out_rows,
+                                            cop.out_cols,
+                                        )
+                                        .copy_from(scratch.view());
+                                    pool.push(scratch);
+                                    for &succ in plan.successors_of(idx) {
+                                        indeg[succ as usize] -= 1;
+                                    }
+                                }
+                                pending -= committed;
+                                emit_span(
+                                    rec,
+                                    tcu_obs::Lane::Scheduler,
+                                    merge_t0,
+                                    tcu_obs::EventKind::Merge {
+                                        items: committed as u32,
+                                    },
+                                );
+                            }
+                            pool.extend(leftover.into_iter().map(|it| it.scratch));
+                            (u, terminal.map(|t| (committed, t)))
                         }
+                        DfMsg::Gone(u) => {
+                            log.notes[u].push(WorkerNote::Fault { transient: false });
+                            (u, Some((0, Terminal::Dead { foreign: true })))
+                        }
+                    };
+                    if let Some((committed, terminal)) = stop {
+                        let pos = in_flight[u].get(committed).copied().unwrap_or(cursor[u]);
+                        let wave = queues[u]
+                            .get(pos)
+                            .map_or(0, |&i| sched.nodes()[i as usize].level);
+                        let fatal = terminal.fatal(u, wave, policy, true);
+                        log.stop(u, pos, &queues[u], start, fatal);
+                        pending -= remove_downstream(plan, &queues[u][pos..], &mut removed);
                     }
-                    dispatched[u] = idxs;
-                    in_flight[u] = true;
-                    // A failed send means the worker is already dead;
-                    // its drop guard queued a `Gone`, which the receive
-                    // path below recovers from (outputs are untouched,
-                    // so the batch rebuilds byte-identically).
-                    let _ = task_tx[u].send((batch, max_attempts));
+                    in_flight[u].clear();
                 }
-                if remaining == 0 {
-                    return Ok(());
-                }
-                if !in_flight.iter().any(|&b| b) {
-                    return Err(TcuError::PlanMismatch {
-                        what: "dataflow dispatch stalled with work remaining (driver bug)",
-                    });
-                }
-                let Ok(msg) = result_rx.recv() else {
-                    return Err(TcuError::PlanMismatch {
-                        what: "dataflow result channel closed (driver bug)",
-                    });
-                };
-                match msg {
-                    DfMsg::Done(u, outcome) => {
-                        let UnitOutcome {
-                            done,
-                            notes,
-                            terminal,
-                            leftover,
-                            lost: _,
-                        } = *outcome;
-                        in_flight[u] = false;
-                        dispatched[u].clear();
-                        for note in &notes {
-                            match *note {
-                                WorkerNote::Fault { transient } => {
-                                    acct.record_fault(u, transient);
-                                }
-                                WorkerNote::Retry { attempt, op } => {
-                                    let _ = acct.record_retry(u, attempt, op.charge_rows(s));
-                                }
-                            }
-                        }
-                        // Commit: merge the batch's scratches in
-                        // emission order, then release each op's
-                        // hazard successors. Commit-on-arrival is safe
-                        // because overlapping writers are themselves
-                        // hazard-ordered — a later writer cannot even
-                        // dispatch before the earlier one commits.
-                        if !done.is_empty() {
-                            let rec = recorder.as_deref();
-                            let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                            let merged = done.len() as u32;
-                            let mut done = done;
-                            done.sort_unstable_by_key(|(idx, _)| *idx);
-                            for (idx, scratch) in done {
-                                let cop = &plan.ops[idx];
-                                outputs[cop.out_buf]
-                                    .as_mut()
-                                    .unwrap_or_else(|| {
-                                        unreachable!("output bound (validated up front)")
-                                    })
-                                    .subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols)
-                                    .copy_from(scratch.view());
-                                pool.push(scratch);
-                                for &succ in plan.successors_of(idx) {
-                                    indeg[succ as usize] -= 1;
-                                }
-                                remaining -= 1;
-                            }
-                            emit_span(
-                                rec,
-                                tcu_obs::Lane::Scheduler,
-                                merge_t0,
-                                tcu_obs::EventKind::Merge { items: merged },
-                            );
-                        }
-                        match terminal {
-                            None => {}
-                            Some(Terminal::Exhausted { attempts }) => {
-                                let lvl =
-                                    leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
-                                return Err(TcuError::RetriesExhausted {
-                                    unit: u,
-                                    wave: lvl,
-                                    attempts,
-                                });
-                            }
-                            Some(Terminal::Dead { dirty: _ }) => {
-                                let lvl =
-                                    leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
-                                if !policy.quarantine {
-                                    return Err(TcuError::UnitFault { unit: u, wave: lvl });
-                                }
-                                quarantined[u] = true;
-                                let mut displaced: Vec<usize> = leftover
-                                    .into_iter()
-                                    .map(|it| {
-                                        pool.push(it.scratch);
-                                        it.idx
-                                    })
-                                    .collect();
-                                displaced
-                                    .extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
-                                cursor[u] = queues[u].len();
-                                acct.record_quarantine(u, displaced.len());
-                                requeue_displaced(
-                                    acct,
-                                    plan,
-                                    &placement.start,
-                                    &mut queues,
-                                    &cursor,
-                                    displaced,
-                                    &quarantined,
-                                    lvl,
-                                )?;
-                            }
-                        }
-                    }
-                    DfMsg::Gone(u) => {
-                        // The worker died outside per-op containment:
-                        // its whole in-flight batch is lost, but
-                        // nothing of it was committed, so outputs are
-                        // pristine and the batch requeues by index.
-                        in_flight[u] = false;
-                        acct.record_fault(u, false);
-                        let lvl = dispatched[u].first().map_or(0, |&i| sched.nodes()[i].level);
-                        if !policy.quarantine {
-                            return Err(TcuError::UnitFault { unit: u, wave: lvl });
-                        }
-                        quarantined[u] = true;
-                        let mut displaced = std::mem::take(&mut dispatched[u]);
-                        displaced.extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
-                        cursor[u] = queues[u].len();
-                        acct.record_quarantine(u, displaced.len());
-                        requeue_displaced(
-                            acct,
-                            plan,
-                            &placement.start,
-                            &mut queues,
-                            &cursor,
-                            displaced,
-                            &quarantined,
-                            lvl,
-                        )?;
-                    }
+                if !log.finish(acct, sched, plan, start, &mut queues, &mut alive)? {
+                    break;
                 }
             }
+            Ok(())
         })();
 
         drop(task_tx);
@@ -2025,29 +1466,6 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         acct.complete_wave(placement.makespan);
     }
     run_result
-}
-
-/// The soundness precondition of concurrent wave execution: no two ops
-/// of one wave write overlapping output elements. The scheduler
-/// guarantees this by construction — `Node::conflicts` flags every
-/// write overlap and the leveler separates conflicting nodes — so the
-/// wave driver re-checks it in debug builds only (the check is
-/// quadratic in wave width).
-///
-/// # Panics
-/// Panics if two ops of the wave write overlapping regions.
-fn assert_wave_outputs_disjoint(wave: &[crate::ScheduledNode]) {
-    for (i, x) in wave.iter().enumerate() {
-        for y in &wave[i + 1..] {
-            assert!(
-                !x.node.out.overlaps(&y.node.out),
-                "wave holds overlapping output regions {:?} and {:?} — \
-                 concurrent execution would race; this is a scheduler bug",
-                x.node.out,
-                y.node.out
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2366,7 +1784,7 @@ mod tests {
         // multi-unit wall-clock the planner predicted.
         assert_eq!((m2, c2), (m1, c1));
         assert_eq!(par.stats(), serial.stats());
-        assert_eq!(par.time(), plan.planned_parallel_time());
+        assert_eq!(par.time(), plan.dataflow_makespan());
         assert!(plan.makespan() < plan.tensor_time(), "3 units must help");
         // The units' caches collectively served every lookup.
         let (mut lookups, mut misses) = (0u64, 0u64);
@@ -2432,51 +1850,5 @@ mod tests {
         let m = pseudo(8, 8, 1);
         let mut env = ExecEnv::new(&g);
         env.bind_input(mb, m.view());
-    }
-
-    /// Build one wave's worth of scheduled nodes writing the given
-    /// output rectangles of a shared buffer (for the disjointness
-    /// check's own tests — a real `Scheduler` can never emit such a
-    /// wave, which is exactly why the assertion exists).
-    fn wave_writing(outs: &[(usize, usize, usize, usize)]) -> Vec<crate::ScheduledNode> {
-        let s = 4usize;
-        let mut g = OpGraph::new();
-        let ab = g.buffer("A", s, s);
-        let bb = g.buffer("B", s, s);
-        let cb = g.buffer("C", 4 * s, 4 * s);
-        outs.iter()
-            .map(|&(r0, c0, rows, cols)| crate::ScheduledNode {
-                node: crate::Node {
-                    op: TensorOp::padded(rows, s, cols),
-                    a: crate::OperandRef::new(ab, 0, 0, rows, s),
-                    b: crate::OperandRef::new(bb, 0, 0, s, cols),
-                    out: crate::OperandRef::new(cb, r0, c0, rows, cols),
-                    a_gen: 0,
-                    b_gen: 0,
-                    out_gen: 0,
-                },
-                level: 0,
-                fused: 1,
-                a_gen: 0,
-                b_gen: 0,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn disjoint_wave_outputs_pass_the_assertion() {
-        // Adjacent but non-overlapping rectangles, including a shared
-        // edge — exactly the tightest layout a wave legally holds.
-        let wave = wave_writing(&[(0, 0, 4, 4), (0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 8, 8)]);
-        assert_wave_outputs_disjoint(&wave);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping output regions")]
-    fn disjointness_assertion_catches_an_overlapping_wave() {
-        // The second rectangle shares element (4, 4) with the third —
-        // a deliberate scheduling-invariant violation.
-        let wave = wave_writing(&[(0, 0, 4, 4), (0, 4, 8, 4), (4, 4, 4, 4)]);
-        assert_wave_outputs_disjoint(&wave);
     }
 }

@@ -159,13 +159,13 @@ fn raw_pipeline_runs_on_serial_parallel_and_systolic_backends() {
         let stats = if systolic {
             let mut par = ParallelTcuMachine::with_executor(unit, p, SystolicExecutor::new());
             plan.run_parallel(&mut par, &mut env);
-            assert_eq!(par.time(), plan.planned_parallel_time());
+            assert_eq!(par.time(), plan.dataflow_makespan());
             par.stats().clone()
         } else {
             let mut par = ParallelTcuMachine::new(unit, p);
             par.enable_pack_caches(2 * q);
             plan.run_parallel(&mut par, &mut env);
-            assert_eq!(par.time(), plan.planned_parallel_time());
+            assert_eq!(par.time(), plan.dataflow_makespan());
             par.stats().clone()
         };
         assert_eq!((&m, &c), (&want_m, &want_c), "systolic={systolic}");

@@ -1,19 +1,23 @@
-//! Chaos suite: the recovery contract of the fault-tolerant wave
-//! driver, under deterministic fault injection.
+//! Chaos suite: the recovery contract of the parallel driver under
+//! deterministic fault injection.
 //!
 //! For random RAW-pipeline graphs (the same generator as the
 //! thread-count-invariance suite) and every unit count in {1, 2, 4, 8},
 //! a seeded *recoverable* [`FaultPlan`] — transient faults never
 //! consecutive on a unit, permanent faults on at most `units − 1` units
 //! — must leave the run's *elements*, *Stats*, and *trace digest*
-//! byte-identical to the fault-free run. Recovery is observable only in
-//! `time()` (retry backoff, requeue makespan), in [`FaultStats`], and
-//! in the digest-exempt fault/retry/quarantine trace annotations —
-//! which must themselves be reproducible: the same plan replayed twice
-//! yields the same fault trace.
+//! byte-identical to the fault-free run, under both the inline and the
+//! threaded executor. Recovery is observable only in `time()` (retry
+//! backoff, recovery-pass makespans), in [`FaultStats`], and in the
+//! digest-exempt fault/retry/quarantine trace annotations — and those
+//! must replay: the same plan run twice yields the same clock, counters,
+//! and *ordered* fault trace, and the two executors agree on all of
+//! them. Seeded plans draw their fault indices from a horizon derived
+//! from the plan's per-unit op count, so permanent faults land inside a
+//! unit's executions and quarantine actually happens.
 //!
 //! Unrecoverable plans must come back as typed [`TcuError`]s — never a
-//! panic, never an abort.
+//! panic, never an abort — and identically from both executors.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,14 +28,19 @@ use tcu_core::{
     TcuError, TcuMachine, TensorOp, TraceLog,
 };
 use tcu_linalg::Matrix;
-use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
+use tcu_sched::{BufferId, DataflowTuning, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Execution indices covered by seeded plans — past any unit's per-run
-/// execution count, so planned faults actually land.
-const HORIZON: u64 = 64;
+const EXECUTORS: [bool; 2] = [true, false];
+
+/// Execution indices seeded plans draw faults from: a unit's share of
+/// the plan's ops, so a planned permanent fault usually lands before the
+/// unit runs out of work.
+fn horizon(plan: &Schedule) -> u64 {
+    plan.ops().div_ceil(plan.units()) as u64
+}
 
 /// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
 /// read-write) the generator records over.
@@ -111,12 +120,10 @@ struct ChaosRun {
     fault_stats: FaultStats,
 }
 
-/// One `try_run_wave_with` execution on a fresh machine whose every
-/// unit executor injects from `fplan`. Pinned to the wave driver: this
-/// suite is the wave driver's recovery contract (full fault-trace and
-/// `time()` replay determinism); the dataflow driver's fault contract —
-/// byte-unobservable recovery, with replay determinism scoped to what
-/// barrier-free execution can promise — lives in `dataflow_exec.rs`.
+/// One `try_run_parallel_with` execution on a fresh machine whose
+/// every unit executor injects from `fplan`, on the inline or the
+/// threaded executor (steal seed 0).
+#[allow(clippy::too_many_arguments)]
 fn run_faulty(
     g: &OpGraph,
     bufs: &Bufs,
@@ -125,6 +132,7 @@ fn run_faulty(
     seed: u64,
     fplan: FaultPlan,
     policy: RecoveryPolicy,
+    inline: bool,
 ) -> ChaosRun {
     silence_injected_fault_panics();
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
@@ -149,7 +157,11 @@ fn run_faulty(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let result = plan.try_run_wave_with(&mut mach, &mut env, policy);
+    let tuning = DataflowTuning {
+        steal_seed: 0,
+        inline: Some(inline),
+    };
+    let result = plan.try_run_parallel_with(&mut mach, &mut env, policy, tuning);
     drop(env);
     ChaosRun {
         result,
@@ -189,7 +201,24 @@ fn serial_reference(
     (c, d, ser.stats().clone(), ser.take_trace())
 }
 
-/// The recovery contract at one unit count under one seeded plan.
+/// Two runs observed the same recovery: identical elements, `Stats`,
+/// digest, clock, fault counters, and *ordered* fault trace.
+fn assert_same_recovery(x: &ChaosRun, y: &ChaosRun, what: &str) {
+    prop_assert_eq!(&x.result, &y.result, "result: {}", what);
+    prop_assert_eq!((&x.c, &x.d), (&y.c, &y.d), "elements: {}", what);
+    prop_assert_eq!(&x.stats, &y.stats, "Stats: {}", what);
+    prop_assert_eq!(x.trace.digest(), y.trace.digest(), "digest: {}", what);
+    prop_assert_eq!(x.time, y.time, "time(): {}", what);
+    prop_assert_eq!(x.fault_stats, y.fault_stats, "fault_stats(): {}", what);
+    prop_assert_eq!(
+        x.trace.fault_events(),
+        y.trace.fault_events(),
+        "ordered fault trace: {}",
+        what
+    );
+}
+
+/// The recovery contract at every unit count under one seeded plan.
 fn check_recovery_unobservable(seed: u64) {
     let (g, bufs) = random_graph(seed);
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
@@ -199,72 +228,58 @@ fn check_recovery_unobservable(seed: u64) {
         let plan = Scheduler::new().with_units(units).plan(&g, &unit);
         // Recoverable by construction: no consecutive transients, at
         // most units − 1 permanent victims (and none at 1 unit).
-        let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, HORIZON, 150, units / 2);
-        let run = run_faulty(
-            &g,
-            &bufs,
-            &plan,
-            units,
-            seed,
-            fplan.clone(),
-            RecoveryPolicy::default(),
-        );
-        prop_assert!(
-            run.result.is_ok(),
-            "recoverable plan failed at {} units: {:?}",
-            units,
-            run.result
-        );
+        let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
+        let policy = RecoveryPolicy::default();
+        let runs = EXECUTORS
+            .map(|inline| run_faulty(&g, &bufs, &plan, units, seed, fplan.clone(), policy, inline));
+        for (run, inline) in runs.iter().zip(EXECUTORS) {
+            let what = format!("{units} units, inline={inline}");
+            prop_assert!(
+                run.result.is_ok(),
+                "recoverable plan failed ({}): {:?}",
+                what,
+                run.result
+            );
 
-        // The contract: elements, Stats, digest byte-identical to the
-        // fault-free run; the scheduled events (faults stripped) are
-        // the fault-free trace exactly.
-        prop_assert_eq!(&run.c, &c_ref, "elements (C) at {} units", units);
-        prop_assert_eq!(&run.d, &d_ref, "elements (D) at {} units", units);
-        prop_assert_eq!(&run.stats, &stats_ref, "Stats at {} units", units);
-        prop_assert_eq!(run.trace.digest(), trace_ref.digest());
-        prop_assert_eq!(
-            run.trace.without_faults().events(),
-            trace_ref.events(),
-            "scheduled events at {} units",
-            units
-        );
+            // The contract: elements, Stats, digest byte-identical to the
+            // fault-free run; the scheduled events (faults stripped) are
+            // the fault-free trace exactly.
+            prop_assert_eq!(&run.c, &c_ref, "elements (C): {}", what);
+            prop_assert_eq!(&run.d, &d_ref, "elements (D): {}", what);
+            prop_assert_eq!(&run.stats, &stats_ref, "Stats: {}", what);
+            prop_assert_eq!(run.trace.digest(), trace_ref.digest());
+            prop_assert_eq!(
+                run.trace.without_faults().events(),
+                trace_ref.events(),
+                "scheduled events: {}",
+                what
+            );
 
-        // Recovery cost is visible where it should be: wall-clock at
-        // least the planned makespan, exceeding it exactly when the
-        // fault counters say recovery was charged.
-        prop_assert!(run.time >= plan.makespan());
-        let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
-        prop_assert_eq!(run.time, plan.makespan() + charged);
-        let saw_faults = run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
-        prop_assert_eq!(
-            !run.trace.fault_events().is_empty(),
-            saw_faults,
-            "fault annotations iff faults fired at {} units",
-            units
-        );
+            // Recovery cost is visible where it should be: the clock is
+            // the placement makespan plus exactly what the fault
+            // counters say recovery charged.
+            let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
+            prop_assert_eq!(run.time, plan.dataflow_makespan_seeded(0) + charged);
+            let saw_faults =
+                run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
+            prop_assert_eq!(
+                !run.trace.fault_events().is_empty(),
+                saw_faults,
+                "fault annotations iff faults fired: {}",
+                what
+            );
 
-        // Reproducibility: the same plan replayed gives the same fault
-        // trace, the same counters, the same bytes.
-        let again = run_faulty(
-            &g,
-            &bufs,
-            &plan,
-            units,
-            seed,
-            fplan,
-            RecoveryPolicy::default(),
+            // Replay: the same plan gives the same recovery, clock and
+            // ordered fault trace included.
+            let again = run_faulty(&g, &bufs, &plan, units, seed, fplan.clone(), policy, inline);
+            assert_same_recovery(&again, run, &format!("replay, {what}"));
+        }
+        // And the executor choice is unobservable in all of it.
+        assert_same_recovery(
+            &runs[0],
+            &runs[1],
+            &format!("inline vs threaded, {units} units"),
         );
-        prop_assert!(again.result.is_ok());
-        prop_assert_eq!((&again.c, &again.d), (&run.c, &run.d));
-        prop_assert_eq!(again.fault_stats, run.fault_stats);
-        prop_assert_eq!(
-            again.trace.fault_events(),
-            run.trace.fault_events(),
-            "fault trace must replay byte-identically at {} units",
-            units
-        );
-        prop_assert_eq!(again.time, run.time);
     }
 }
 
@@ -272,16 +287,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Random RAW pipelines × seeded recoverable fault plans at
-    // 1/2/4/8 units: recovery must be unobservable in elements, Stats,
-    // and digest, and the fault trace must replay exactly.
+    // 1/2/4/8 units × both executors: recovery must be unobservable in
+    // elements, Stats, and digest, and the clock, counters, and ordered
+    // fault trace must replay exactly and agree across executors.
     #[test]
     fn recoverable_faults_are_unobservable_and_replayable(seed in 0u64..10_000) {
         check_recovery_unobservable(seed);
     }
 }
 
-/// A fixed single-wave graph: two independent ops (disjoint outputs),
-/// enough to occupy two units or quarantine down to one.
+/// The plan-derived horizon is what makes the suite exercise recovery:
+/// across seeds, most multi-unit runs must quarantine a unit, and some
+/// must lose two or more.
+#[test]
+fn seeded_plans_quarantine_most_multi_unit_runs() {
+    let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
+    let (mut runs, mut quarantined, mut multiple) = (0u32, 0u32, 0u32);
+    for seed in 0..40u64 {
+        let (g, bufs) = random_graph(seed);
+        for units in [2usize, 4, 8] {
+            let plan = Scheduler::new().with_units(units).plan(&g, &unit);
+            let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
+            let policy = RecoveryPolicy::default();
+            let run = run_faulty(&g, &bufs, &plan, units, seed, fplan, policy, true);
+            assert!(run.result.is_ok(), "{:?}", run.result);
+            runs += 1;
+            quarantined += u32::from(run.fault_stats.quarantined_units > 0);
+            multiple += u32::from(run.fault_stats.quarantined_units > 1);
+        }
+    }
+    assert!(
+        2 * quarantined > runs,
+        "only {quarantined} of {runs} multi-unit runs quarantined a unit"
+    );
+    assert!(multiple > 0, "no run quarantined two units");
+}
+
+/// A fixed graph of two independent ops (disjoint outputs), enough to
+/// occupy two units or quarantine down to one.
 fn two_op_graph() -> (OpGraph, Bufs) {
     let mut g = OpGraph::new();
     let bufs = Bufs {
@@ -316,16 +359,19 @@ fn exhausted_retries_fail_typed_not_panicking() {
         .fail(0, 0, FaultKind::Transient)
         .fail(0, 1, FaultKind::Transient)
         .fail(0, 2, FaultKind::Transient);
-    let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan, RecoveryPolicy::default());
-    match run.result {
-        Err(TcuError::RetriesExhausted { unit, attempts, .. }) => {
-            assert_eq!(unit, 0);
-            assert_eq!(attempts, 3);
+    for inline in EXECUTORS {
+        let policy = RecoveryPolicy::default();
+        let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan.clone(), policy, inline);
+        match run.result {
+            Err(TcuError::RetriesExhausted { unit, attempts, .. }) => {
+                assert_eq!(unit, 0);
+                assert_eq!(attempts, 3);
+            }
+            other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
+        // Nothing committed: the failed op's destination is untouched.
+        assert_eq!(run.c, Matrix::<i64>::zeros(DIM, DIM));
     }
-    // The failing wave's scratches were discarded, never half-merged.
-    assert_eq!(run.c, Matrix::<i64>::zeros(DIM, DIM));
 }
 
 #[test]
@@ -340,12 +386,14 @@ fn raising_max_attempts_recovers_the_same_plan() {
         max_attempts: 4,
         quarantine: true,
     };
-    let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan, policy);
-    assert!(run.result.is_ok(), "{:?}", run.result);
-    assert_eq!(run.fault_stats.transient_faults, 3);
-    assert_eq!(run.fault_stats.retries, 3);
     let (c_ref, ..) = serial_reference(&g, &bufs, 3);
-    assert_eq!(run.c, c_ref);
+    for inline in EXECUTORS {
+        let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan.clone(), policy, inline);
+        assert!(run.result.is_ok(), "{:?}", run.result);
+        assert_eq!(run.fault_stats.transient_faults, 3);
+        assert_eq!(run.fault_stats.retries, 3);
+        assert_eq!(run.c, c_ref);
+    }
 }
 
 #[test]
@@ -357,10 +405,17 @@ fn all_units_quarantined_fails_typed_not_hanging() {
     let fplan = FaultPlan::none()
         .fail(0, 0, FaultKind::Permanent)
         .fail(1, 0, FaultKind::Permanent);
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, RecoveryPolicy::default());
-    match run.result {
-        Err(TcuError::AllUnitsQuarantined { pending, .. }) => assert!(pending > 0),
-        other => panic!("expected AllUnitsQuarantined, got {other:?}"),
+    let (_, _, stats_ref, _) = serial_reference(&g, &bufs, 5);
+    for inline in EXECUTORS {
+        let policy = RecoveryPolicy::default();
+        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+        match run.result {
+            Err(TcuError::AllUnitsQuarantined { pending, .. }) => assert_eq!(pending, 2),
+            other => panic!("expected AllUnitsQuarantined, got {other:?}"),
+        }
+        // Named deviation: charges are recorded up front, so the failed
+        // run still carries the whole schedule's Stats.
+        assert_eq!(run.stats, stats_ref);
     }
 }
 
@@ -373,10 +428,12 @@ fn quarantine_off_makes_permanent_faults_fatal() {
         max_attempts: 3,
         quarantine: false,
     };
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, policy);
-    match run.result {
-        Err(TcuError::UnitFault { unit, .. }) => assert_eq!(unit, 0),
-        other => panic!("expected UnitFault, got {other:?}"),
+    for inline in EXECUTORS {
+        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+        match run.result {
+            Err(TcuError::UnitFault { unit, .. }) => assert_eq!(unit, 0),
+            other => panic!("expected UnitFault, got {other:?}"),
+        }
     }
 }
 
@@ -385,19 +442,25 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
     let (g, bufs) = two_op_graph();
     let plan = plan_at(&g, 2);
     let fplan = FaultPlan::none().fail(0, 0, FaultKind::Permanent);
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, RecoveryPolicy::default());
-    assert!(run.result.is_ok(), "{:?}", run.result);
-    assert_eq!(run.fault_stats.quarantined_units, 1);
-    assert_eq!(run.fault_stats.permanent_faults, 1);
-    assert!(run.fault_stats.requeued_ops > 0);
     let (c_ref, _, stats_ref, trace_ref) = serial_reference(&g, &bufs, 5);
-    assert_eq!(run.c, c_ref, "survivor-executed elements must match");
-    assert_eq!(run.stats, stats_ref);
-    assert_eq!(run.trace.digest(), trace_ref.digest());
-    assert!(
-        run.time > plan.makespan(),
-        "requeue makespan must be charged"
-    );
+    for inline in EXECUTORS {
+        let policy = RecoveryPolicy::default();
+        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+        assert!(run.result.is_ok(), "{:?}", run.result);
+        assert_eq!(run.fault_stats.quarantined_units, 1);
+        assert_eq!(run.fault_stats.permanent_faults, 1);
+        assert_eq!(run.fault_stats.requeued_ops, 1);
+        assert_eq!(run.c, c_ref, "survivor-executed elements must match");
+        assert_eq!(run.stats, stats_ref);
+        assert_eq!(run.trace.digest(), trace_ref.digest());
+        // The recovery pass re-runs the dead unit's op on the survivor:
+        // its cost is charged on top of the placement makespan.
+        assert_eq!(run.fault_stats.recovery_makespan, 16 * SQRT_M as u64 + 13);
+        assert_eq!(
+            run.time,
+            plan.dataflow_makespan_seeded(0) + 16 * SQRT_M as u64 + 13
+        );
+    }
 }
 
 #[test]

@@ -1,40 +1,40 @@
-//! Determinism contract of the barrier-free dataflow driver.
+//! Determinism contract of the barrier-free parallel driver.
 //!
 //! For random RAW-pipeline graphs (the chaos / thread-count-invariance
-//! generator) at every unit count in {1, 2, 4, 8}, both dataflow
-//! executors — inline and threaded — must be byte-identical to the
-//! serial scheduled run (hence to the wave driver, whose own identity
-//! `parallel_exec.rs` pins) in *elements*, *Stats*, and *trace digest*,
-//! under every steal seed, under seeded transient fault plans, and
-//! under seeded permanent (quarantine) fault plans. The simulated clock
-//! must land exactly on [`Schedule::dataflow_makespan_seeded`] plus the
-//! charged backoff/recovery, and the placement's makespan must never
-//! exceed the wave makespan.
-//!
-//! Replay determinism is asserted to exactly the scope the driver
-//! promises (see the `tcu_sched::run` module docs): everything is
-//! repeat-deterministic except the *threaded* driver's fault counters
-//! and recovery charges under *permanent* faults, which depend on
-//! dispatch timing.
+//! generator) at every unit count in {1, 2, 4, 8}, both executors —
+//! inline and threaded — must be byte-identical to the serial scheduled
+//! run in *elements*, *Stats*, and *trace digest*, under every steal
+//! seed, under seeded transient fault plans, and under seeded permanent
+//! (quarantine) fault plans. The simulated clock must land exactly on
+//! [`Schedule::dataflow_makespan_seeded`] plus the charged
+//! backoff/recovery, the placement's makespan must never exceed the
+//! wave makespan, and the two executors must agree on the clock and the
+//! fault counters under every plan. The one executor-dependent outcome,
+//! a foreign executor panic, is pinned by
+//! `foreign_panics_recover_threaded_and_fail_inline`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcu_core::{
-    assign_unit_ids, silence_injected_fault_panics, FaultPlan, FaultStats, FaultyExecutor,
-    HostExecutor, ModelTensorUnit, PackCacheStats, PadPolicy, ParallelTcuMachine, RecoveryPolicy,
-    TcuError, TcuMachine, TensorOp,
+    assign_unit_ids, silence_injected_fault_panics, Executor, FaultPlan, FaultStats,
+    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
+    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp,
 };
 use tcu_linalg::Matrix;
+use tcu_linalg::{MatrixView, MatrixViewMut, Scalar};
 use tcu_sched::{BufferId, DataflowTuning, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const STEAL_SEEDS: [u64; 3] = [0, 1, 0xDEAD];
-/// Execution indices covered by seeded fault plans — past any unit's
-/// per-run execution count, so planned faults actually land.
-const HORIZON: u64 = 64;
+
+/// Execution indices seeded fault plans draw from: a unit's share of
+/// the plan's ops, so planned faults land inside its executions.
+fn horizon(plan: &Schedule) -> u64 {
+    plan.ops().div_ceil(plan.units()) as u64
+}
 
 /// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
 /// read-write) the generator records over.
@@ -116,11 +116,11 @@ struct DfRun {
     caches: Vec<PackCacheStats>,
 }
 
-/// One `try_run_dataflow_with` execution on a fresh machine whose every
+/// One `try_run_parallel_with` execution on a fresh machine whose every
 /// unit executor injects from `fplan` (`FaultPlan::none()` for a clean
 /// run), under an explicit inline/threaded choice and steal seed.
 #[allow(clippy::too_many_arguments)]
-fn run_dataflow(
+fn df_run(
     g: &OpGraph,
     bufs: &Bufs,
     plan: &Schedule,
@@ -157,7 +157,7 @@ fn run_dataflow(
         steal_seed,
         inline: Some(inline),
     };
-    let result = plan.try_run_dataflow_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+    let result = plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
     drop(env);
     let caches = (0..units)
         .map(|u| {
@@ -255,9 +255,8 @@ fn check_dataflow_contract(seed: u64) {
         // inline vs threaded indistinguishable even in per-unit cache
         // counters (their per-unit op sequences are the same).
         for ss in STEAL_SEEDS {
-            let inline = run_dataflow(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, true);
-            let threaded =
-                run_dataflow(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, false);
+            let inline = df_run(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, true);
+            let threaded = df_run(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, false);
             assert_unobservable(
                 &inline,
                 &refr,
@@ -284,9 +283,9 @@ fn check_dataflow_contract(seed: u64) {
         // Transient-only faults: fully repeat-deterministic in both
         // executors (per-unit sequences are fixed, so the same plan
         // entries fire on the same ops), and still byte-unobservable.
-        let tplan = FaultPlan::seeded(seed ^ 0x7A11, units, HORIZON, 200, 0);
-        let ti = run_dataflow(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
-        let tt = run_dataflow(&g, &bufs, &plan, units, seed, tplan.clone(), 0, false);
+        let tplan = FaultPlan::seeded(seed ^ 0x7A11, units, horizon(&plan), 200, 0);
+        let ti = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
+        let tt = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, false);
         assert_unobservable(&ti, &refr, &plan, 0, &format!("transient inline u={units}"));
         assert_unobservable(
             &tt,
@@ -302,8 +301,8 @@ fn check_dataflow_contract(seed: u64) {
             units
         );
         prop_assert_eq!(ti.time, tt.time, "transient clock u={}", units);
-        let ti2 = run_dataflow(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
-        let tt2 = run_dataflow(&g, &bufs, &plan, units, seed, tplan, 0, false);
+        let ti2 = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
+        let tt2 = df_run(&g, &bufs, &plan, units, seed, tplan, 0, false);
         prop_assert_eq!(&ti2.fault_stats, &ti.fault_stats);
         prop_assert_eq!((&ti2.caches, ti2.time), (&ti.caches, ti.time));
         prop_assert_eq!(&tt2.fault_stats, &tt.fault_stats);
@@ -311,11 +310,12 @@ fn check_dataflow_contract(seed: u64) {
 
         // Recoverable permanent faults (chaos-style: at most
         // `units − 1` victims): recovery must stay byte-unobservable
-        // in both executors; the inline executor — with no dispatch
-        // timing — additionally replays its fault record exactly.
-        let pplan = FaultPlan::seeded(seed ^ 0xC44F, units, HORIZON, 150, units / 2);
-        let pi = run_dataflow(&g, &bufs, &plan, units, seed, pplan.clone(), 0, true);
-        let pt = run_dataflow(&g, &bufs, &plan, units, seed, pplan.clone(), 0, false);
+        // in both executors, the two must agree on the clock and the
+        // fault counters, and both must replay their fault record
+        // exactly.
+        let pplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
+        let pi = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, true);
+        let pt = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, false);
         assert_unobservable(&pi, &refr, &plan, 0, &format!("permanent inline u={units}"));
         assert_unobservable(
             &pt,
@@ -324,7 +324,21 @@ fn check_dataflow_contract(seed: u64) {
             0,
             &format!("permanent threaded u={units}"),
         );
-        let pi2 = run_dataflow(&g, &bufs, &plan, units, seed, pplan, 0, true);
+        prop_assert_eq!(
+            &pi.fault_stats,
+            &pt.fault_stats,
+            "permanent stats u={}",
+            units
+        );
+        prop_assert_eq!(pi.time, pt.time, "permanent clock u={}", units);
+        prop_assert_eq!(
+            &pi.caches,
+            &pt.caches,
+            "permanent cache counters u={}",
+            units
+        );
+        let pi2 = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, true);
+        let pt2 = df_run(&g, &bufs, &plan, units, seed, pplan, 0, false);
         prop_assert_eq!(
             &pi2.fault_stats,
             &pi.fault_stats,
@@ -332,6 +346,13 @@ fn check_dataflow_contract(seed: u64) {
             units
         );
         prop_assert_eq!(pi2.time, pi.time, "inline replay clock u={}", units);
+        prop_assert_eq!(
+            &pt2.fault_stats,
+            &pt.fault_stats,
+            "threaded replay u={}",
+            units
+        );
+        prop_assert_eq!(pt2.time, pt.time, "threaded replay clock u={}", units);
     }
 }
 
@@ -345,5 +366,111 @@ proptest! {
     #[test]
     fn dataflow_execution_is_byte_identical_to_serial(seed in 0u64..10_000) {
         check_dataflow_contract(seed);
+    }
+}
+
+/// A host executor that, on the unit it is armed for, scribbles over
+/// its destination and then panics with a plain payload (not an
+/// `InjectedFault`) on its `panic_at`-th execution — a stand-in for a
+/// real executor bug.
+#[derive(Clone, Debug, Default)]
+struct BuggyExecutor {
+    inner: HostExecutor,
+    executed: u64,
+    panic_at: Option<u64>,
+}
+
+impl Executor for BuggyExecutor {
+    fn name(&self) -> &'static str {
+        "buggy-host"
+    }
+
+    fn execute<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        let k = self.executed;
+        self.executed += 1;
+        if self.panic_at == Some(k) {
+            for i in 0..out.rows() {
+                out.row_mut(i).fill(T::ONE);
+            }
+            panic!("executor bug on execution {k}");
+        }
+        self.inner.execute(op, a, b, out)
+    }
+
+    fn execute_tagged<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        a_id: Option<OperandId>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        let _ = a_id;
+        self.execute(op, a, b, out)
+    }
+}
+
+/// The named deviation of the `tcu_sched::run` docs: a foreign panic on
+/// unit 0's first execution. The threaded executor computes into
+/// scratch, so it discards the torn scratch, quarantines the unit, and
+/// rebuilds the op in a recovery pass — byte-identical to the serial
+/// run. The inline executor wrote the bound destination in place and
+/// has nothing to rebuild from, so it fails the run with `UnitFault`.
+#[test]
+fn foreign_panics_recover_threaded_and_fail_inline() {
+    let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
+    for seed in 0..4u64 {
+        let (g, bufs) = random_graph(seed);
+        let refr = serial_reference(&g, &bufs, seed);
+        for units in [2usize, 4] {
+            let plan = Scheduler::new().with_units(units).plan(&g, &unit);
+            for inline in [false, true] {
+                let mut mach =
+                    ParallelTcuMachine::with_executor(unit, units, BuggyExecutor::default());
+                mach.unit_executor_mut(0).panic_at = Some(0);
+                mach.enable_trace();
+                let a = pseudo(DIM, DIM, seed as i64);
+                let b = pseudo(DIM, DIM, seed as i64 + 1);
+                let (mut c, mut d) = (
+                    Matrix::<i64>::zeros(DIM, DIM),
+                    Matrix::<i64>::zeros(DIM, DIM),
+                );
+                let mut env = ExecEnv::new(&g);
+                env.bind_input(bufs.a, a.view());
+                env.bind_input(bufs.b, b.view());
+                env.bind_output(bufs.c, c.view_mut());
+                env.bind_output(bufs.d, d.view_mut());
+                let tuning = DataflowTuning {
+                    steal_seed: 0,
+                    inline: Some(inline),
+                };
+                let result = plan.try_run_parallel_with(
+                    &mut mach,
+                    &mut env,
+                    RecoveryPolicy::default(),
+                    tuning,
+                );
+                drop(env);
+                let what = format!("seed {seed}, {units} units, inline={inline}");
+                if inline {
+                    assert!(
+                        matches!(result, Err(TcuError::UnitFault { unit: 0, .. })),
+                        "{what}: {result:?}"
+                    );
+                } else {
+                    assert!(result.is_ok(), "{what}: {result:?}");
+                    assert_eq!(mach.fault_stats().quarantined_units, 1, "{what}");
+                    assert_eq!((&c, &d), (&refr.0, &refr.1), "elements: {what}");
+                    assert_eq!(mach.stats(), &refr.2, "Stats: {what}");
+                    assert_eq!(mach.take_trace().digest(), refr.3, "digest: {what}");
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! every unit count in {1, 2, 4, 8}, both fault-free and under a seeded
 //! recoverable [`FaultPlan`], the recorder-on run must be byte-identical
 //! to the recorder-off run — while the sink itself must visibly have
-//! recorded the execution (per-op spans, one wave event per wave), so a
+//! recorded the execution (per-op spans, ready-deque dispatches), so a
 //! silently-disabled recorder can never fake the invariant.
 
 use proptest::prelude::*;
@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, FaultPlan, FaultyExecutor, HostExecutor,
-    ModelTensorUnit, PadPolicy, ParallelTcuMachine, RecoveryPolicy, TensorOp,
+    ModelTensorUnit, PadPolicy, ParallelTcuMachine, TcuMachine, TensorOp,
 };
 use tcu_linalg::Matrix;
 use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
@@ -25,9 +25,6 @@ use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Execution indices covered by seeded plans — past any unit's per-run
-/// execution count, so planned faults actually land.
-const HORIZON: u64 = 64;
 
 /// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
 /// read-write) the generator records over.
@@ -107,7 +104,7 @@ struct Observed {
 }
 
 /// One parallel run, optionally with a recorder attached through the
-/// [`ExecEnv`] opt-in path (which the driver forwards to the machine).
+/// [`ExecEnv`] opt-in path (which the driver attaches to the machine).
 fn run_once(
     g: &OpGraph,
     bufs: &Bufs,
@@ -143,7 +140,7 @@ fn run_once(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default())
+    plan.try_run_parallel(&mut mach, &mut env)
         .expect("seeded plans are recoverable");
     drop(env);
     Observed {
@@ -168,7 +165,8 @@ fn check_recorder_unobservable(seed: u64) {
             let fplan = if faulty {
                 // Recoverable by construction: no consecutive
                 // transients, at most units − 1 permanent victims.
-                FaultPlan::seeded(seed ^ 0xC44F, units, HORIZON, 150, units / 2)
+                let horizon = plan.ops().div_ceil(units) as u64;
+                FaultPlan::seeded(seed ^ 0xC44F, units, horizon, 150, units / 2)
             } else {
                 FaultPlan::none()
             };
@@ -189,25 +187,13 @@ fn check_recorder_unobservable(seed: u64) {
             prop_assert_eq!(&on.d, &off.d, "elements (D) at {:?}", label);
             prop_assert_eq!(&on.stats, &off.stats, "Stats at {:?}", label);
             prop_assert_eq!(on.digest, off.digest, "trace digest at {:?}", label);
-            // The simulated clock is recorder-independent except in the
-            // one documented gap: the threaded dataflow driver's
-            // recovery charges under *permanent* faults depend on
-            // dispatch timing, which a recorder may perturb (see the
-            // `tcu_sched::run` module docs).
-            let time_replayable = !faulty
-                || units < 2
-                || matches!(tcu_sched::exec_mode(), tcu_sched::ExecMode::Wave)
-                || tcu_sched::DataflowTuning::from_env().use_inline();
-            if time_replayable {
-                prop_assert_eq!(on.time, off.time, "simulated clock at {:?}", label);
-            }
-            // Fault-free, the clock is exactly the planned wall for
-            // the active driver (plus zero scalar work in these
-            // graphs).
+            prop_assert_eq!(on.time, off.time, "simulated clock at {:?}", label);
+            // Fault-free, the clock is exactly the placement's planned
+            // wall (plus zero scalar work in these graphs).
             if !faulty {
                 prop_assert_eq!(
                     on.time,
-                    plan.planned_parallel_time(),
+                    plan.dataflow_makespan(),
                     "planned wall at {:?}",
                     label
                 );
@@ -221,21 +207,11 @@ fn check_recorder_unobservable(seed: u64) {
                 "per-op spans recorded at {:?}",
                 label
             );
-            match tcu_sched::exec_mode() {
-                tcu_sched::ExecMode::Wave => prop_assert_eq!(
-                    m.get(tcu_obs::Metric::Waves),
-                    plan.waves() as u64,
-                    "one wave span per wave at {:?}",
-                    label
-                ),
-                // The dataflow driver has no waves; its dispatch
-                // telemetry (ready-deque depth) proves recording.
-                tcu_sched::ExecMode::Dataflow => prop_assert!(
-                    m.get(tcu_obs::Metric::ReadyDepthPeak) >= 1,
-                    "ready spans recorded at {:?}",
-                    label
-                ),
-            }
+            prop_assert!(
+                m.get(tcu_obs::Metric::ReadyDepthPeak) >= 1,
+                "ready spans recorded at {:?}",
+                label
+            );
         }
     }
 }
@@ -250,4 +226,42 @@ proptest! {
     fn recording_is_byte_unobservable(seed in 0u64..10_000) {
         check_recorder_unobservable(seed);
     }
+}
+
+/// An explicit [`ExecEnv::enable_recorder`] wins over a recorder the
+/// machine already holds — the way the `TCU_TRACE_OUT` sink is attached
+/// at construction: the environment's sink must see every op of the
+/// serial and the parallel run, the machine's earlier sink none.
+#[test]
+fn explicit_env_recorder_wins_over_the_machines() {
+    let (g, bufs) = random_graph(3);
+    let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
+    let a = pseudo(DIM, DIM, 3);
+    let b = pseudo(DIM, DIM, 4);
+    let (mut c, mut d) = (
+        Matrix::<i64>::zeros(DIM, DIM),
+        Matrix::<i64>::zeros(DIM, DIM),
+    );
+    let machine_sink = Arc::new(tcu_obs::ObsSink::new());
+    let env_sink = Arc::new(tcu_obs::ObsSink::new());
+    let mut env = ExecEnv::new(&g);
+    env.enable_recorder(env_sink.clone());
+    env.bind_input(bufs.a, a.view());
+    env.bind_input(bufs.b, b.view());
+    env.bind_output(bufs.c, c.view_mut());
+    env.bind_output(bufs.d, d.view_mut());
+
+    let serial = Scheduler::new().plan(&g, &unit);
+    let mut ser = TcuMachine::new(unit);
+    ser.enable_recorder(machine_sink.clone());
+    serial.run(&mut ser, &mut env);
+
+    let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+    let mut par = ParallelTcuMachine::new(unit, 2);
+    par.enable_recorder(machine_sink.clone());
+    plan.run_parallel(&mut par, &mut env);
+
+    let ops = |sink: &tcu_obs::ObsSink| sink.metrics().get(tcu_obs::Metric::OpsExecuted);
+    assert_eq!(ops(&env_sink), (serial.ops() + plan.ops()) as u64);
+    assert_eq!(ops(&machine_sink), 0);
 }

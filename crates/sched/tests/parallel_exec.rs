@@ -1,8 +1,8 @@
-//! Thread-count invariance of the multi-unit wave driver.
+//! Thread-count invariance of the multi-unit parallel driver.
 //!
-//! `Schedule::run_parallel` executes each wave's unit assignments on
-//! real threads, so these properties pin the determinism contract the
-//! driver claims: for random RAW-pipeline graphs and every unit count
+//! `Schedule::run_parallel` executes its per-unit queues on real
+//! threads (or inline on one core), so these properties pin the
+//! determinism contract the driver claims: for random RAW-pipeline graphs and every unit count
 //! in {1, 2, 4, 8}, the parallel run's *elements*, *Stats*, *trace*
 //! (events and digest), and aggregate pack-cache counters must be
 //! byte-identical to the serial scheduled run — and re-running at the
@@ -171,10 +171,9 @@ fn check_thread_count_invariance(seed: u64) {
             units
         );
         prop_assert_eq!(trace.digest(), trace_ref.digest());
-        // Wall-clock is the planned multi-unit wall for whichever
-        // driver `TCU_EXEC_MODE` selects, and every invocation
-        // consulted exactly one unit's cache.
-        prop_assert_eq!(time, plan.planned_parallel_time());
+        // Wall-clock is the placement's planned multi-unit wall, and
+        // every invocation consulted exactly one unit's cache.
+        prop_assert_eq!(time, plan.dataflow_makespan());
         let lookups: u64 = caches.iter().map(|s| s.lookups).sum();
         prop_assert_eq!(lookups, plan.invocations());
 
@@ -197,7 +196,7 @@ fn check_thread_count_invariance(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The wave driver's full determinism contract over random RAW
+    // The parallel driver's full determinism contract over random RAW
     // pipelines at 1/2/4/8 units.
     #[test]
     fn parallel_waves_are_byte_identical_across_unit_counts(seed in 0u64..10_000) {
