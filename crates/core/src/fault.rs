@@ -22,8 +22,10 @@
 //! parallel driver (`tcu-sched`) contains the unwind per op with
 //! `catch_unwind`. Non-injected panics (a real executor bug) are
 //! treated as permanent unit faults and recovered the same way when the
-//! op ran into scratch: the torn scratch is discarded and the op is
-//! rebuilt from its untouched destination before re-execution.
+//! op ran into a private accumulator: the torn accumulator is
+//! discarded, and every op of its chain that had completed into it
+//! re-runs with the failed op, rebuilt from the destination the chain
+//! never merged into.
 
 use crate::exec::{Executor, OperandId, PackCacheStats};
 use crate::op::TensorOp;

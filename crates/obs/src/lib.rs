@@ -88,9 +88,10 @@ pub enum EventKind {
         /// Staging directives executed.
         copies: u32,
     },
-    /// The merge pass copying per-op scratch into outputs.
+    /// The merge pass copying the chain accumulators one worker message
+    /// returned into outputs.
     Merge {
-        /// Scratch buffers merged.
+        /// Accumulators merged.
         items: u32,
     },
     /// One op executed on a unit: wall time in the span, simulated

@@ -61,13 +61,21 @@
 //!   run's; wall-clock advances once, by the placement's simulated
 //!   makespan, so `time()` lands on [`Schedule::dataflow_makespan`]
 //!   (never above [`Schedule::makespan`]);
-//! * **numerics** — workers execute into per-op scratch (accumulating
-//!   ops pre-seeded with the destination bytes); the main thread
-//!   commits finished scratches and only then releases hazard
-//!   successors, so overlapping writes retire in hazard (emission)
-//!   order and elements are bit-identical to [`Schedule::run`] for
-//!   every unit count, steal seed, and interleaving;
-//! * **dispatch** — each idle unit receives its entire ready prefix as
+//! * **numerics** — workers execute into private accumulators, one per
+//!   *chain*: a run of consecutive writers of one output rectangle in
+//!   one unit's queue, derived from each pass's queues (see `Chains`).
+//!   The chain's head seeds the accumulator once from the destination
+//!   (zeros for an overwrite), its ops run into it in queue order on
+//!   the worker, and the worker hands it back after the chain's last
+//!   op. The main thread copies it into the rectangle once and only
+//!   then releases the hazard successors of every op in the chain, so
+//!   overlapping writes retire in hazard (emission) order and elements
+//!   are bit-identical to [`Schedule::run`] for every unit count, steal
+//!   seed, and interleaving. An op no other op continues is a one-op
+//!   chain: a per-op scratch;
+//! * **dispatch** — an op is ready once every hazard predecessor outside
+//!   its own chain has committed (the chain's earlier ops run first, on
+//!   the same unit); each idle unit receives its entire ready prefix as
 //!   *one* channel message, and written-buffer reads are snapshotted
 //!   right before their first reader's dispatch. On a single-core host
 //!   (or under `TCU_DF_INLINE=1`) an inline executor skips workers,
@@ -99,9 +107,25 @@
 //! retry, and quarantine annotations are buffered per unit and flushed
 //! in unit order at each pass boundary.
 //!
+//! Chains change none of this. Injected faults fire
+//! before the executor writes, so a stopping worker hands back every
+//! open accumulator that holds a completed op and the main thread
+//! merges it: the committed set is exactly the unit's executed prefix,
+//! as on the inline executor. A foreign panic tears only the
+//! accumulator it was writing; that chain's completed ops rejoin the
+//! pass's removed set (they re-run against a destination the chain
+//! never merged into), and so do all open chains of a worker lost
+//! outside containment. A removal can also *cut* a chain whose unit
+//! lives on, leaving its accumulator open with nothing left to
+//! dispatch: when no unit can dispatch, the driver flushes every open
+//! chain, merging its completed prefix (by then each open chain's next
+//! op has provably been removed).
+//!
 //! That makes recovery a function of the schedule, the steal seed, and
 //! the fault plan alone. No removed op can have been dispatched — each
-//! one waits on an uncommitted op — so every unit's execution sequence
+//! one waits on an uncommitted op outside its chain, or on a chain op
+//! queued ahead of it on its own unit — except a torn chain's completed
+//! ops, which the plan determines. So every unit's execution sequence
 //! in a pass is its queue minus the removed set, and so is every
 //! executor's fault-plan index. `time()`, [`tcu_core::FaultStats`], and
 //! the *ordered* fault trace therefore replay exactly, and the inline
@@ -127,7 +151,7 @@
 //!    destinations in place, so a non-[`InjectedFault`] panic may have
 //!    half-written one and there is no scratch to rebuild from: the run
 //!    returns [`TcuError::UnitFault`], where the threaded executor
-//!    rebuilds the op and quarantines the unit. Pinned by
+//!    re-runs the torn chain and quarantines the unit. Pinned by
 //!    `dataflow_exec.rs`'s `foreign_panics_recover_threaded_and_fail_inline`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
@@ -658,15 +682,95 @@ fn emit_span(
     }
 }
 
+/// "No op" in [`Chains::next`].
+const NO_OP: u32 = u32::MAX;
+
+/// The accumulation chains of one pass: op `j` continues op `i` when
+///
+/// 1. `j` is `i`'s first hazard successor,
+/// 2. `j` writes exactly `i`'s output rectangle and reads nothing that
+///    overlaps it,
+/// 3. both sit in the same unit's queue of this pass, and
+/// 4. every hazard successor of `i` writes or reads that rectangle.
+///
+/// Successor lists are sorted and list every conflicting pair, so rules
+/// 1 and 4 mean no other op reads or overwrites a version between `i`
+/// and `j`, and every op but `j` that waits on `i` also waits on `j` —
+/// by induction, on the chain's last op. Holding a chain's commits back
+/// until one merge after that op therefore delays no op that does not
+/// already wait for it. A pure function of the pass's queues: placement
+/// and recovery passes fix those at plan time, so chains never depend
+/// on thread timing.
+struct Chains {
+    /// The op continuing each op's chain, or [`NO_OP`] at its tail.
+    next: Vec<u32>,
+    /// Each op's chain head.
+    head: Vec<u32>,
+    /// Chain ops ahead of each op — all of them hazard predecessors it
+    /// does not wait on to dispatch, since they run first on its unit.
+    before: Vec<u32>,
+}
+
+impl Chains {
+    fn of_pass(sched: &Schedule, plan: &ExecutablePlan, queues: &[Vec<u32>]) -> Self {
+        let nodes = sched.nodes();
+        let n = plan.ops();
+        let mut unit = vec![NO_OP; n];
+        for (u, q) in queues.iter().enumerate() {
+            for &i in q {
+                unit[i as usize] = u as u32;
+            }
+        }
+        let mut chains = Chains {
+            next: vec![NO_OP; n],
+            head: (0..n as u32).collect(),
+            before: vec![0; n],
+        };
+        // Links point forward in emission order, so an op's own head and
+        // count are final by the time it is linked onward.
+        for i in 0..n {
+            let succs = plan.successors_of(i);
+            let Some(&j) = succs.first() else {
+                continue;
+            };
+            let rect = nodes[i].node.out;
+            let next = &nodes[j as usize].node;
+            let touches = |&x: &u32| {
+                let op = &nodes[x as usize].node;
+                op.out.overlaps(&rect) || op.a.overlaps(&rect) || op.b.overlaps(&rect)
+            };
+            if unit[i] == NO_OP
+                || unit[j as usize] != unit[i]
+                || next.out != rect
+                || next.a.overlaps(&rect)
+                || next.b.overlaps(&rect)
+                || !succs.iter().all(touches)
+            {
+                continue;
+            }
+            chains.next[i] = j;
+            chains.head[j as usize] = chains.head[i];
+            chains.before[j as usize] = chains.before[i] + 1;
+        }
+        chains
+    }
+}
+
 /// One op bound for a specific unit's worker.
 struct WaveItem<'v, T: Scalar> {
     /// Compiled-op index (emission order), for the commit.
     idx: usize,
+    /// The op's chain head: the key of the worker's accumulator.
+    head: u32,
+    /// Whether the op ends its chain (the worker then hands the
+    /// accumulator back).
+    tail: bool,
     op: TensorOp,
     a: MatrixView<'v, T>,
     tag: OperandId,
     b: MatrixView<'v, T>,
-    scratch: Matrix<T>,
+    /// The chain's seeded accumulator, carried by its head alone.
+    scratch: Option<Matrix<T>>,
     /// Whether `scratch` came from the recycling pool (telemetry only).
     reused: bool,
     /// Rows the op charges (telemetry annotation for its execute span).
@@ -724,13 +828,16 @@ fn take_scratch<T: Scalar>(
 
 /// Resolve one compiled op into its executable work item: operand
 /// views (staged snapshots or bound inputs), left-operand cache tag,
-/// and a scratch destination — zeros for overwrite ops (the kernel
-/// writes every element), the exact destination bytes for accumulating
-/// ops (so the kernel performs the identical arithmetic an in-place
-/// accumulate would). Also the rebuild path for an op a recovery pass
-/// re-runs: an uncommitted op's destination is untouched (every later
-/// writer of it waits on its commit), so building the same item twice
-/// yields byte-identical operands and seed.
+/// and its place in its chain. A chain head also gets the chain's
+/// accumulator — zeros for an overwrite op (the kernel writes every
+/// element), the exact destination bytes for an accumulating op (so
+/// the chain performs the identical arithmetic in-place accumulates
+/// would); a continuation carries none and runs into its head's. Also
+/// the rebuild path for an op a recovery pass re-runs: an uncommitted
+/// op's destination is untouched (every later writer of it waits on the
+/// commit of its chain), so building the same item twice yields
+/// byte-identical operands and seed.
+#[allow(clippy::too_many_arguments)]
 fn build_item<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
@@ -738,27 +845,34 @@ fn build_item<'v, T: Scalar>(
     stamps: &[u64],
     pool: &mut Vec<Matrix<T>>,
     plan: &ExecutablePlan,
+    chains: &Chains,
     idx: usize,
 ) -> Result<WaveItem<'v, T>, TcuError> {
     let cop = &plan.ops[idx];
     let a = wave_read(arena, inputs, &cop.a)?;
     let b = wave_read(arena, inputs, &cop.b)?;
     let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-    let (mut scratch, reused) = take_scratch(pool, cop.op.rows, cop.op.width, !cop.op.accumulate);
-    if cop.op.accumulate {
-        let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
-            buffer: cop.out_buf,
-            written: true,
-        })?;
-        scratch.view_mut().copy_from(host.as_view().subview(
-            cop.out_r0,
-            cop.out_c0,
-            cop.out_rows,
-            cop.out_cols,
-        ));
+    let (mut scratch, mut reused) = (None, false);
+    if chains.before[idx] == 0 {
+        let (mut acc, pooled) = take_scratch(pool, cop.op.rows, cop.op.width, !cop.op.accumulate);
+        if cop.op.accumulate {
+            let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
+                buffer: cop.out_buf,
+                written: true,
+            })?;
+            acc.view_mut().copy_from(host.as_view().subview(
+                cop.out_r0,
+                cop.out_c0,
+                cop.out_rows,
+                cop.out_cols,
+            ));
+        }
+        (scratch, reused) = (Some(acc), pooled);
     }
     Ok(WaveItem {
         idx,
+        head: chains.head[idx],
+        tail: chains.next[idx] == NO_OP,
         op: cop.op,
         a,
         tag,
@@ -818,16 +932,41 @@ impl Terminal {
     }
 }
 
-/// Everything one unit's worker produced for one batch.
-struct UnitOutcome<'v, T: Scalar> {
-    /// Completed `(op index, filled scratch)` pairs, in batch order.
-    done: Vec<(usize, Matrix<T>)>,
+/// A chain's accumulator, held open by its unit's worker across
+/// messages until the chain's last op completes.
+struct OpenChain<T: Scalar> {
+    head: u32,
+    acc: Matrix<T>,
+    /// Ops completed into `acc`, in chain order.
+    done: Vec<usize>,
+}
+
+/// Everything one unit's worker produced for one message.
+struct UnitOutcome<T: Scalar> {
+    /// Accumulators to merge: chains whose last op completed — and, at a
+    /// stop or a flush, every open chain with a completed op.
+    closed: Vec<OpenChain<T>>,
+    /// Head of the chain a foreign panic tore after some of its ops had
+    /// completed: those ops rejoin the pass's removed set.
+    torn: Option<u32>,
     /// Fault/retry annotations, in occurrence order.
     notes: Vec<WorkerNote>,
     /// Why the worker stopped early, if it did.
     terminal: Option<Terminal>,
-    /// Items not executed (the failed item first).
-    leftover: Vec<WaveItem<'v, T>>,
+    /// Items not executed (the failed item and everything after it).
+    unexecuted: usize,
+}
+
+impl<T: Scalar> UnitOutcome<T> {
+    fn new() -> Self {
+        Self {
+            closed: Vec::new(),
+            torn: None,
+            notes: Vec::new(),
+            terminal: None,
+            unexecuted: 0,
+        }
+    }
 }
 
 /// Execute one op with per-attempt fault containment: every attempt is
@@ -875,25 +1014,46 @@ fn execute_with_retries<T: Scalar, E: Executor>(
 }
 
 /// Run one unit's batch in queue order on its executor, each op under
-/// [`execute_with_retries`]; a stop returns the unexecuted items.
-/// Injected faults fire before the executor touches the scratch, and a
-/// foreign panic's scratch is discarded — a recovery pass rebuilds the
-/// item from the environment.
-fn run_items_contained<'v, T: Scalar, E: Executor>(
+/// [`execute_with_retries`] and into its chain's accumulator in `open`;
+/// a chain's last op closes it. A continuation that overwrites zeroes
+/// the accumulator first, so an executor that skips numerics sees what
+/// a fresh scratch would hold. Injected faults fire before the executor
+/// touches the accumulator, so a stop hands back every open chain with
+/// a completed op for merging; a foreign panic's accumulator is torn
+/// and discarded instead — a recovery pass rebuilds its chain from the
+/// environment.
+fn run_items_contained<T: Scalar, E: Executor>(
     exec: &mut E,
-    items: Vec<WaveItem<'v, T>>,
+    open: &mut Vec<OpenChain<T>>,
+    items: Vec<WaveItem<'_, T>>,
     max_attempts: u32,
     rec: Option<&dyn tcu_obs::Recorder>,
     unit: u32,
-) -> UnitOutcome<'v, T> {
-    let mut out = UnitOutcome {
-        done: Vec::new(),
-        notes: Vec::new(),
-        terminal: None,
-        leftover: Vec::new(),
-    };
+) -> UnitOutcome<T> {
+    let mut out = UnitOutcome::new();
     let mut iter = items.into_iter();
-    while let Some(mut item) = iter.next() {
+    while let Some(item) = iter.next() {
+        let slot = match item.scratch {
+            Some(acc) => {
+                open.push(OpenChain {
+                    head: item.head,
+                    acc,
+                    done: Vec::new(),
+                });
+                open.len() - 1
+            }
+            None => {
+                let slot = open
+                    .iter()
+                    .position(|c| c.head == item.head)
+                    .unwrap_or_else(|| unreachable!("a continuation's chain is open on its unit"));
+                if !item.op.accumulate {
+                    open[slot].acc.as_mut_slice().fill(T::ZERO);
+                }
+                slot
+            }
+        };
+        let chain = &mut open[slot];
         let t0 = rec.map(tcu_obs::Recorder::now_ns);
         let result = execute_with_retries(
             exec,
@@ -901,14 +1061,19 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
             item.a,
             item.tag,
             item.b,
-            &mut item.scratch.view_mut(),
+            &mut chain.acc.view_mut(),
             max_attempts,
             &mut out.notes,
         );
         if let Err(terminal) = result {
+            if let Terminal::Dead { foreign: true } = terminal {
+                let torn = open.swap_remove(slot);
+                out.torn = Some(torn.head).filter(|_| !torn.done.is_empty());
+            }
+            out.closed
+                .extend(open.drain(..).filter(|c| !c.done.is_empty()));
             out.terminal = Some(terminal);
-            out.leftover.push(item);
-            out.leftover.extend(iter);
+            out.unexecuted = 1 + iter.len();
             break;
         }
         emit_span(
@@ -921,17 +1086,29 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
                 sim_cost: item.sim_cost,
             },
         );
-        out.done.push((item.idx, item.scratch));
+        chain.done.push(item.idx);
+        if item.tail {
+            out.closed.push(open.swap_remove(slot));
+        }
     }
     out
 }
 
-/// One worker→main message of the threaded executor: a batch's
+/// One main→worker message of the threaded executor.
+enum Task<'v, T: Scalar> {
+    /// Run these items, in order.
+    Run(Vec<WaveItem<'v, T>>),
+    /// Hand back every open chain: the pass stalled, so a recovery
+    /// removal cut each of them.
+    Flush,
+}
+
+/// One worker→main message of the threaded executor: a message's
 /// outcome, or a drop-guard notice that the worker died outside per-op
 /// containment (the outcome rides in a `Box` so the two variants stay
 /// close in size).
-enum DfMsg<'v, T: Scalar> {
-    Done(usize, Box<UnitOutcome<'v, T>>),
+enum DfMsg<T: Scalar> {
+    Done(usize, Box<UnitOutcome<T>>),
     Gone(usize),
 }
 
@@ -940,13 +1117,13 @@ enum DfMsg<'v, T: Scalar> {
 /// drop sends [`DfMsg::Gone`], so the main thread — which blocks on one
 /// shared result channel — can never wait forever on a reply that will
 /// not come. Disarmed on normal shutdown.
-struct GoneGuard<'v, T: Scalar> {
+struct GoneGuard<T: Scalar> {
     unit: usize,
-    tx: std::sync::mpsc::Sender<DfMsg<'v, T>>,
+    tx: std::sync::mpsc::Sender<DfMsg<T>>,
     armed: bool,
 }
 
-impl<T: Scalar> Drop for GoneGuard<'_, T> {
+impl<T: Scalar> Drop for GoneGuard<T> {
     fn drop(&mut self) {
         if self.armed {
             let _ = self.tx.send(DfMsg::Gone(self.unit));
@@ -990,8 +1167,12 @@ fn stage_pending_reads<T: Scalar>(
 
 /// Mark `seeds` and everything hazard-downstream of them in `removed`,
 /// returning how many ops were newly marked.
-fn remove_downstream(plan: &ExecutablePlan, seeds: &[u32], removed: &mut [bool]) -> usize {
-    let mut stack = seeds.to_vec();
+fn remove_downstream<'s>(
+    plan: &ExecutablePlan,
+    seeds: impl IntoIterator<Item = &'s u32>,
+    removed: &mut [bool],
+) -> usize {
+    let mut stack: Vec<u32> = seeds.into_iter().copied().collect();
     let mut marked = 0;
     while let Some(i) = stack.pop() {
         let i = i as usize;
@@ -1015,6 +1196,12 @@ struct PassLog {
     notes: Vec<Vec<WorkerNote>>,
     /// Queue position of the op each unit stopped at, if it stopped.
     stopped_at: Vec<Option<usize>>,
+    /// Per unit, the heads of chains it completed ops of but lost
+    /// unmerged — torn by a foreign panic, or held by a worker lost
+    /// outside containment. Those ops leave the pass with its queue
+    /// suffix. Which chains these are follows from the plan and the
+    /// failing op, so recovery stays replay-deterministic.
+    rejoin: Vec<Vec<u32>>,
     /// The pass's fatal stop with the smallest `(start, index)` key.
     fatal: Option<((u64, u32), TcuError)>,
 }
@@ -1024,8 +1211,17 @@ impl PassLog {
         Self {
             notes: vec![Vec::new(); units],
             stopped_at: vec![None; units],
+            rejoin: vec![Vec::new(); units],
             fatal: None,
         }
+    }
+
+    /// What unit `u`'s stop takes out of the pass: its lost chains and
+    /// its queue suffix from the stop on (the removed set is what is
+    /// hazard-downstream of these).
+    fn lost<'q>(&'q self, u: usize, queue: &'q [u32]) -> impl Iterator<Item = &'q u32> {
+        let pos = self.stopped_at[u].unwrap_or(queue.len());
+        self.rejoin[u].iter().chain(&queue[pos..])
     }
 
     /// Unit `u` stopped at position `pos` of its pass `queue`; `fatal`
@@ -1066,29 +1262,24 @@ impl PassLog {
         queues: &mut Vec<Vec<u32>>,
         alive: &mut [bool],
     ) -> Result<bool, TcuError> {
-        let PassLog {
-            notes,
-            stopped_at,
-            fatal,
-        } = self;
         let s = acct.sqrt_m();
         let mut removed = vec![false; plan.ops()];
-        for (u, notes) in notes.into_iter().enumerate() {
+        for (u, notes) in self.notes.iter().enumerate() {
             for note in notes {
-                match note {
+                match *note {
                     WorkerNote::Fault { transient } => acct.record_fault(u, transient),
                     WorkerNote::Retry { attempt, op } => {
                         let _ = acct.record_retry(u, attempt, op.charge_rows(s));
                     }
                 }
             }
-            if let (Some(pos), None) = (stopped_at[u], &fatal) {
+            if self.stopped_at[u].is_some() && self.fatal.is_none() {
                 alive[u] = false;
-                let requeued = remove_downstream(plan, &queues[u][pos..], &mut removed);
+                let requeued = remove_downstream(plan, self.lost(u, &queues[u]), &mut removed);
                 acct.record_quarantine(u, requeued);
             }
         }
-        if let Some((_, e)) = fatal {
+        if let Some((_, e)) = self.fatal {
             return Err(e);
         }
         let batch: Vec<usize> = (0..plan.ops()).filter(|&i| removed[i]).collect();
@@ -1238,11 +1429,12 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
 
 /// The threaded executor: per-unit worker threads drain each pass's
 /// fixed per-unit queues, the main thread dispatches each idle unit's
-/// maximal ready prefix as one batched message, and commits arriving
-/// scratches — releasing hazard successors — as frontiers clear. No
-/// barrier ever synchronizes units; determinism comes from the fixed
-/// queues (per-unit op sequences cannot depend on timing) and
-/// hazard-gated commits (overlapping writes retire in emission order).
+/// maximal ready prefix as one batched message, and merges each chain's
+/// accumulator as its worker hands it back — releasing the hazard
+/// successors of the chain's ops — as frontiers clear. No barrier ever
+/// synchronizes units; determinism comes from the fixed queues
+/// (per-unit op sequences cannot depend on timing) and hazard-gated
+/// commits (overlapping writes retire in emission order).
 #[allow(clippy::too_many_arguments)]
 fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
@@ -1268,11 +1460,11 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     let mut pool: Vec<Matrix<T>> = Vec::new();
 
     let run_result = std::thread::scope(|scope| {
-        let (result_tx, result_rx) = std::sync::mpsc::channel::<DfMsg<'v, T>>();
+        let (result_tx, result_rx) = std::sync::mpsc::channel::<DfMsg<T>>();
         let mut task_tx = Vec::with_capacity(units);
         let mut handles = Vec::with_capacity(units);
         for (u, exec) in execs.iter_mut().enumerate() {
-            let (ttx, trx) = std::sync::mpsc::channel::<(Vec<WaveItem<'v, T>>, u32)>();
+            let (ttx, trx) = std::sync::mpsc::channel::<Task<'v, T>>();
             let rtx = result_tx.clone();
             let rec = recorder.clone();
             handles.push(scope.spawn(move || {
@@ -1281,8 +1473,23 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                     tx: rtx,
                     armed: true,
                 };
-                while let Ok((items, max)) = trx.recv() {
-                    let outcome = run_items_contained(exec, items, max, rec.as_deref(), u as u32);
+                let mut open = Vec::new();
+                while let Ok(task) = trx.recv() {
+                    let outcome = match task {
+                        Task::Run(items) => run_items_contained(
+                            exec,
+                            &mut open,
+                            items,
+                            max_attempts,
+                            rec.as_deref(),
+                            u as u32,
+                        ),
+                        Task::Flush => {
+                            let mut out = UnitOutcome::new();
+                            out.closed.append(&mut open);
+                            out
+                        }
+                    };
                     if guard.tx.send(DfMsg::Done(u, Box::new(outcome))).is_err() {
                         break;
                     }
@@ -1294,11 +1501,15 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
 
         let run_result = (|| -> Result<(), TcuError> {
             for pass in 0.. {
+                let chains = Chains::of_pass(sched, plan, &queues);
                 let mut log = PassLog::new(units);
                 let mut cursor = vec![0usize; units];
-                // Queue positions of each unit's in-flight batch (empty
-                // = idle): at most one batch per unit is in flight.
+                // Whether each unit has a message outstanding (at most
+                // one), and the queue positions of its in-flight batch.
+                let mut busy = vec![false; units];
                 let mut in_flight: Vec<Vec<usize>> = vec![Vec::new(); units];
+                // Heads of the chains each unit's worker holds open.
+                let mut open: Vec<Vec<u32>> = vec![Vec::new(); units];
                 let mut removed = vec![false; plan.ops()];
                 let mut pending: usize = queues.iter().map(Vec::len).sum();
                 while pending > 0 {
@@ -1306,7 +1517,7 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                     // ready prefix — skipping ops this pass removed —
                     // staged, built, and sent as ONE message.
                     for u in 0..units {
-                        if log.stopped_at[u].is_some() || !in_flight[u].is_empty() {
+                        if log.stopped_at[u].is_some() || busy[u] {
                             continue;
                         }
                         let rec = recorder.as_deref();
@@ -1319,30 +1530,34 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                                 cursor[u] += 1;
                                 continue;
                             }
-                            if indeg[i] != 0 {
+                            if indeg[i] != chains.before[i] {
                                 break;
                             }
                             staged += stage_pending_reads(arena, written, outputs, plan, i)?;
-                            let mut item =
-                                build_item(arena, inputs, outputs, stamps, &mut pool, plan, i)?;
+                            let mut item = build_item(
+                                arena, inputs, outputs, stamps, &mut pool, plan, &chains, i,
+                            )?;
                             let cop = &plan.ops[i];
                             item.rows = cop.op.charge_rows(s) as u64;
                             item.sim_cost = acct.op_cost(&cop.op);
-                            if let Some(r) = rec {
-                                let t = r.now_ns();
-                                emit_span(
-                                    rec,
-                                    tcu_obs::Lane::Scheduler,
-                                    Some(t),
-                                    tcu_obs::EventKind::ScratchAcquire {
-                                        unit: u as u32,
-                                        reused: item.reused,
-                                        bytes: (cop.op.rows
-                                            * cop.op.width
-                                            * std::mem::size_of::<T>())
-                                            as u64,
-                                    },
-                                );
+                            if item.scratch.is_some() {
+                                open[u].push(idx);
+                                if let Some(r) = rec {
+                                    let t = r.now_ns();
+                                    emit_span(
+                                        rec,
+                                        tcu_obs::Lane::Scheduler,
+                                        Some(t),
+                                        tcu_obs::EventKind::ScratchAcquire {
+                                            unit: u as u32,
+                                            reused: item.reused,
+                                            bytes: (cop.op.rows
+                                                * cop.op.width
+                                                * std::mem::size_of::<T>())
+                                                as u64,
+                                        },
+                                    );
+                                }
                             }
                             let home = placement.home[i] as usize;
                             if pass == 0 && home != u {
@@ -1364,15 +1579,27 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                             );
                         }
                         acct.record_ready(u, batch.len());
+                        busy[u] = true;
                         // A failed send means the worker is already dead;
                         // its drop guard queued a `Gone`, which the
                         // receive path below recovers from.
-                        let _ = task_tx[u].send((batch, max_attempts));
+                        let _ = task_tx[u].send(Task::Run(batch));
                     }
-                    if in_flight.iter().all(Vec::is_empty) {
-                        return Err(TcuError::PlanMismatch {
-                            what: "dataflow dispatch stalled with work remaining (driver bug)",
-                        });
+                    if !busy.contains(&true) {
+                        // Nothing to dispatch and nothing in flight: every
+                        // op left was removed or completed into a chain a
+                        // removal cut. Merging those chains ends the pass.
+                        for u in 0..units {
+                            if !open[u].is_empty() {
+                                busy[u] = true;
+                                let _ = task_tx[u].send(Task::Flush);
+                            }
+                        }
+                        if !busy.contains(&true) {
+                            return Err(TcuError::PlanMismatch {
+                                what: "dataflow dispatch stalled with work remaining (driver bug)",
+                            });
+                        }
                     }
                     let Ok(msg) = result_rx.recv() else {
                         return Err(TcuError::PlanMismatch {
@@ -1380,28 +1607,28 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         });
                     };
                     // The answering unit, and — if it stopped — how many
-                    // of its batch committed first and why it stopped. A
-                    // worker lost outside containment committed nothing
-                    // (outputs are pristine), so its whole batch reruns.
+                    // of its batch it executed first and why it stopped.
+                    // A worker lost outside containment merged nothing
+                    // (its chains' rectangles are pristine), so every
+                    // chain it held re-runs with its batch.
                     let (u, stop) = match msg {
                         DfMsg::Done(u, outcome) => {
                             let UnitOutcome {
-                                done,
+                                closed,
+                                torn,
                                 notes,
                                 terminal,
-                                leftover,
+                                unexecuted,
                             } = *outcome;
                             log.notes[u].extend(notes);
-                            let committed = done.len();
-                            // Commit: merge the batch's scratches, then
-                            // release each op's hazard successors. Ops
-                            // of one batch were all ready at dispatch,
-                            // so none depends on another.
-                            if committed > 0 {
+                            // Commit: merge each closed chain's accumulator
+                            // into its rectangle once, then release the
+                            // hazard successors of every op in the chain.
+                            if !closed.is_empty() {
                                 let rec = recorder.as_deref();
                                 let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                                for (idx, scratch) in done {
-                                    let cop = &plan.ops[idx];
+                                for chain in &closed {
+                                    let cop = &plan.ops[chain.head as usize];
                                     outputs[cop.out_buf]
                                         .as_mut()
                                         .unwrap_or_else(|| {
@@ -1413,40 +1640,49 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                                             cop.out_rows,
                                             cop.out_cols,
                                         )
-                                        .copy_from(scratch.view());
-                                    pool.push(scratch);
-                                    for &succ in plan.successors_of(idx) {
-                                        indeg[succ as usize] -= 1;
+                                        .copy_from(chain.acc.view());
+                                    for &i in &chain.done {
+                                        for &succ in plan.successors_of(i) {
+                                            indeg[succ as usize] -= 1;
+                                        }
                                     }
+                                    pending -= chain.done.len();
+                                    open[u].retain(|&h| h != chain.head);
                                 }
-                                pending -= committed;
                                 emit_span(
                                     rec,
                                     tcu_obs::Lane::Scheduler,
                                     merge_t0,
                                     tcu_obs::EventKind::Merge {
-                                        items: committed as u32,
+                                        items: closed.len() as u32,
                                     },
                                 );
+                                pool.extend(closed.into_iter().map(|c| c.acc));
                             }
-                            pool.extend(leftover.into_iter().map(|it| it.scratch));
-                            (u, terminal.map(|t| (committed, t)))
+                            log.rejoin[u].extend(torn);
+                            let executed = in_flight[u].len() - unexecuted;
+                            (u, terminal.map(|t| (executed, t)))
                         }
                         DfMsg::Gone(u) => {
                             log.notes[u].push(WorkerNote::Fault { transient: false });
+                            log.rejoin[u].append(&mut open[u]);
                             (u, Some((0, Terminal::Dead { foreign: true })))
                         }
                     };
-                    if let Some((committed, terminal)) = stop {
-                        let pos = in_flight[u].get(committed).copied().unwrap_or(cursor[u]);
+                    if let Some((executed, terminal)) = stop {
+                        // A stopped worker handed back or lost every
+                        // chain it held.
+                        open[u].clear();
+                        let pos = in_flight[u].get(executed).copied().unwrap_or(cursor[u]);
                         let wave = queues[u]
                             .get(pos)
                             .map_or(0, |&i| sched.nodes()[i as usize].level);
                         let fatal = terminal.fatal(u, wave, policy, true);
                         log.stop(u, pos, &queues[u], start, fatal);
-                        pending -= remove_downstream(plan, &queues[u][pos..], &mut removed);
+                        pending -= remove_downstream(plan, log.lost(u, &queues[u]), &mut removed);
                     }
                     in_flight[u].clear();
+                    busy[u] = false;
                 }
                 if !log.finish(acct, sched, plan, start, &mut queues, &mut alive)? {
                     break;
@@ -1796,6 +2032,75 @@ mod tests {
         }
         assert_eq!(lookups, plan.invocations());
         assert!(misses < lookups, "schedule placement must enable reuse");
+    }
+
+    /// The Theorem 2 product on 2 units: each of the 32 column strips is
+    /// one 32-op chain on one unit, so a threaded call seeds and merges
+    /// 32 accumulators — per-op scratch took 1024 of each.
+    #[test]
+    fn dense_strips_seed_and_merge_once_per_chain() {
+        let (d, s) = (512usize, 16usize);
+        let q = d / s;
+        let mut g = OpGraph::new();
+        let ab = g.buffer("A", d, d);
+        let bb = g.buffer("B", d, d);
+        let cb = g.buffer("C", d, d);
+        for j in 0..q {
+            for k in 0..q {
+                g.record(
+                    TensorOp::mul_acc(d, s),
+                    crate::OperandRef::new(ab, 0, k * s, d, s),
+                    crate::OperandRef::new(bb, k * s, j * s, s, s),
+                    crate::OperandRef::new(cb, 0, j * s, d, s),
+                );
+            }
+        }
+        let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+        let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+        let compiled = plan.compiled().expect("compiles");
+        let placement = place_dataflow(&plan, compiled, 0);
+        let chains = Chains::of_pass(&plan, compiled, &placement.unit_order);
+        let lengths: Vec<usize> = (0..compiled.ops())
+            .filter(|&i| chains.before[i] == 0)
+            .map(|h| {
+                let mut len = 1;
+                let mut i = h;
+                while chains.next[i] != NO_OP {
+                    i = chains.next[i] as usize;
+                    len += 1;
+                }
+                len
+            })
+            .collect();
+        assert_eq!(lengths, vec![q; q], "32 chains of 32 ops");
+
+        let sink = std::sync::Arc::new(tcu_obs::ObsSink::new());
+        let mut mach = ParallelTcuMachine::with_executor(unit, 2, ReplayExecutor::default());
+        let (a, b) = (Matrix::<f64>::zeros(d, d), Matrix::<f64>::zeros(d, d));
+        let mut c = Matrix::<f64>::zeros(d, d);
+        let mut env = ExecEnv::new(&g);
+        env.enable_recorder(sink.clone());
+        env.bind_input(ab, a.view());
+        env.bind_input(bb, b.view());
+        env.bind_output(cb, c.view_mut());
+        let tuning = DataflowTuning {
+            steal_seed: 0,
+            inline: Some(false),
+        };
+        plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning)
+            .expect("fault-free run");
+        let m = sink.metrics();
+        let acquired = m.get(tcu_obs::Metric::ScratchFresh) + m.get(tcu_obs::Metric::ScratchReused);
+        let merged: u32 = sink
+            .lane_events(tcu_obs::Lane::Scheduler)
+            .iter()
+            .filter_map(|e| match e.kind {
+                tcu_obs::EventKind::Merge { items } => Some(items),
+                _ => None,
+            })
+            .sum();
+        assert_eq!((acquired, merged), (q as u64, q as u32));
+        assert_eq!(m.get(tcu_obs::Metric::OpsExecuted), (q * q) as u64);
     }
 
     #[test]

@@ -498,3 +498,98 @@ fn unbound_buffers_fail_typed_in_try_run() {
         other => panic!("expected Unbound, got {other:?}"),
     }
 }
+
+/// The chaos example's two-stage pipeline, `M = A·B` then `C = M·B`:
+/// every stage-1 strip of `M` is an accumulation chain that stage-2
+/// strips read.
+fn pipeline_graph(d: usize, s: usize) -> (OpGraph, Bufs) {
+    let mut g = OpGraph::new();
+    let bufs = Bufs {
+        a: g.buffer("A", d, d),
+        b: g.buffer("B", d, d),
+        c: g.buffer("M", d, d),
+        d: g.buffer("C", d, d),
+    };
+    let q = d / s;
+    for (src, dst) in [(bufs.a, bufs.c), (bufs.c, bufs.d)] {
+        for j in 0..q {
+            for k in 0..q {
+                g.record(
+                    TensorOp::mul_acc(d, s),
+                    OperandRef::new(src, 0, k * s, d, s),
+                    OperandRef::new(bufs.b, k * s, j * s, s, s),
+                    OperandRef::new(dst, 0, j * s, d, s),
+                );
+            }
+        }
+    }
+    (g, bufs)
+}
+
+/// The chaos example's pipeline (d = 128, √m = 16, ℓ = 10000, 4 units)
+/// under its seeded plan. The dead unit's removed suffix cuts chains
+/// whose units survive, so the threaded executor finishes the pass only
+/// by flushing their completed prefixes. Both executors must recover
+/// byte-identically to the fault-free run, replay exactly, and agree.
+#[test]
+fn cut_chains_flush_and_recover_like_the_fault_free_run() {
+    silence_injected_fault_panics();
+    let (d, s, units) = (128usize, 16usize, 4usize);
+    let (g, bufs) = pipeline_graph(d, s);
+    let unit = ModelTensorUnit::new(s * s, 10_000);
+    let plan = Scheduler::new().with_units(units).plan(&g, &unit);
+    let run = |fplan: FaultPlan, inline: bool| {
+        let mut mach = ParallelTcuMachine::with_executor(
+            unit,
+            units,
+            FaultyExecutor::new(HostExecutor::new(), fplan),
+        );
+        assign_unit_ids(&mut mach);
+        for u in 0..units {
+            mach.unit_executor_mut(u).inner_mut().enable_pack_cache(16);
+        }
+        mach.enable_trace();
+        let (a, b) = (pseudo(d, d, 1), pseudo(d, d, 2));
+        let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
+        let mut env = ExecEnv::new(&g);
+        env.bind_input(bufs.a, a.view());
+        env.bind_input(bufs.b, b.view());
+        env.bind_output(bufs.c, m.view_mut());
+        env.bind_output(bufs.d, c.view_mut());
+        let tuning = DataflowTuning {
+            steal_seed: 0,
+            inline: Some(inline),
+        };
+        let result =
+            plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+        drop(env);
+        ChaosRun {
+            result,
+            c: m,
+            d: c,
+            stats: mach.stats().clone(),
+            time: mach.time(),
+            fault_stats: *mach.fault_stats(),
+            trace: mach.take_trace(),
+        }
+    };
+    let clean = run(FaultPlan::none(), true);
+    assert!(clean.result.is_ok(), "{:?}", clean.result);
+    let fplan = FaultPlan::seeded(0xDECAF, units, 24, 60, 1);
+    let runs = EXECUTORS.map(|inline| run(fplan.clone(), inline));
+    for (x, inline) in runs.iter().zip(EXECUTORS) {
+        let what = format!("inline={inline}");
+        assert!(x.result.is_ok(), "{what}: {:?}", x.result);
+        assert_eq!(x.fault_stats.quarantined_units, 1, "{what}");
+        assert_eq!((&x.c, &x.d), (&clean.c, &clean.d), "elements: {what}");
+        assert_eq!(x.stats, clean.stats, "Stats: {what}");
+        assert_eq!(x.trace.digest(), clean.trace.digest(), "digest: {what}");
+        assert_eq!(
+            x.time,
+            clean.time + x.fault_stats.backoff_time + x.fault_stats.recovery_makespan,
+            "{what}"
+        );
+        assert_same_recovery(x, &run(fplan.clone(), inline), &format!("replay, {what}"));
+    }
+    assert_same_recovery(&runs[0], &runs[1], "inline vs threaded");
+}

@@ -9,9 +9,14 @@
 //! [`Schedule::dataflow_makespan_seeded`] plus the charged
 //! backoff/recovery, the placement's makespan must never exceed the
 //! wave makespan, and the two executors must agree on the clock and the
-//! fault counters under every plan. The one executor-dependent outcome,
-//! a foreign executor panic, is pinned by
-//! `foreign_panics_recover_threaded_and_fail_inline`.
+//! fault counters under every plan. Besides that generator's graphs, a
+//! chain-heavy generator records interleaved runs of same-rectangle
+//! accumulates, some reading strips other runs write, so the threaded
+//! executor's accumulation chains — and their recovery — are common
+//! rather than incidental. The one executor-dependent outcome, a
+//! foreign executor panic, is pinned by
+//! `foreign_panics_recover_threaded_and_fail_inline` and
+//! `foreign_panic_inside_a_chain_reruns_the_whole_chain`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -94,6 +99,73 @@ fn random_graph(seed: u64) -> (OpGraph, Bufs) {
             OperandRef::new(bufs.b, b_r0, b_c0, inner, width),
             OperandRef::new(out_buf, out_r0, out_c0, rows, width),
         );
+    }
+    (g, bufs)
+}
+
+/// The chain-heavy generator: interleaved runs of `mul_acc` into one
+/// 16×8 strip of C or D each (an occasional overwrite among them), whose
+/// left operands read A or — one time in three — another strip of C or
+/// D, often one another run accumulates into.
+fn chain_graph(seed: u64) -> (OpGraph, Bufs) {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut g = OpGraph::new();
+    let bufs = Bufs {
+        a: g.buffer("A", DIM, DIM),
+        b: g.buffer("B", DIM, DIM),
+        c: g.buffer("C", DIM, DIM),
+        d: g.buffer("D", DIM, DIM),
+    };
+    let (rows, s) = (16usize, SQRT_M);
+    let strip = |rng: &mut StdRng| {
+        let buf = if rng.gen_range(0..2u32) == 0 {
+            bufs.c
+        } else {
+            bufs.d
+        };
+        OperandRef::new(
+            buf,
+            rows * rng.gen_range(0..2usize),
+            s * rng.gen_range(0..DIM / s),
+            rows,
+            s,
+        )
+    };
+    let mut runs: Vec<(OperandRef, usize)> = (0..rng.gen_range(2..6usize))
+        .map(|_| (strip(&mut rng), rng.gen_range(2..7usize)))
+        .collect();
+    while !runs.is_empty() {
+        let r = rng.gen_range(0..runs.len());
+        let out = runs[r].0;
+        let written = strip(&mut rng);
+        let a = if rng.gen_range(0..3u32) == 0 && !written.overlaps(&out) {
+            written
+        } else {
+            OperandRef::new(
+                bufs.a,
+                rows * rng.gen_range(0..2usize),
+                s * rng.gen_range(0..DIM / s),
+                rows,
+                s,
+            )
+        };
+        let b = OperandRef::new(
+            bufs.b,
+            s * rng.gen_range(0..DIM / s),
+            s * rng.gen_range(0..DIM / s),
+            s,
+            s,
+        );
+        let op = if rng.gen_range(0..6u32) == 0 {
+            TensorOp::mul(rows, s)
+        } else {
+            TensorOp::mul_acc(rows, s)
+        };
+        g.record(op, a, b, out);
+        runs[r].1 -= 1;
+        if runs[r].1 == 0 {
+            runs.swap_remove(r);
+        }
     }
     (g, bufs)
 }
@@ -230,9 +302,8 @@ fn assert_unobservable(
     );
 }
 
-/// The full contract at one proptest seed.
-fn check_dataflow_contract(seed: u64) {
-    let (g, bufs) = random_graph(seed);
+/// The full contract on one generated graph (inputs from `seed`).
+fn check_dataflow_contract((g, bufs): (OpGraph, Bufs), seed: u64) {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
     let refr = serial_reference(&g, &bufs, seed);
 
@@ -365,7 +436,14 @@ proptest! {
     // run, with replay determinism exactly as documented.
     #[test]
     fn dataflow_execution_is_byte_identical_to_serial(seed in 0u64..10_000) {
-        check_dataflow_contract(seed);
+        check_dataflow_contract(random_graph(seed), seed);
+    }
+
+    // The same contract on chain-heavy graphs: accumulation chains
+    // across units, cut by recovery removals under permanent faults.
+    #[test]
+    fn chain_heavy_dataflow_is_byte_identical_to_serial(seed in 0u64..10_000) {
+        check_dataflow_contract(chain_graph(seed), seed);
     }
 }
 
@@ -472,5 +550,72 @@ fn foreign_panics_recover_threaded_and_fail_inline() {
                 }
             }
         }
+    }
+}
+
+/// A foreign panic on a chain op after some of its chain completed:
+/// two 4-op accumulation chains, one per unit, and unit 0's executor
+/// panics on its `k`-th execution (`k > 0`). The torn accumulator held
+/// the chain's completed ops unmerged, so the whole chain re-runs on
+/// the survivor — 4 ops whatever `k` — and the run is still
+/// byte-identical to serial. Which ops rejoin follows from the plan, so
+/// a replay reproduces the clock and the fault counters.
+#[test]
+fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
+    let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
+    let mut g = OpGraph::new();
+    let bufs = Bufs {
+        a: g.buffer("A", DIM, DIM),
+        b: g.buffer("B", DIM, DIM),
+        c: g.buffer("C", DIM, DIM),
+        d: g.buffer("D", DIM, DIM),
+    };
+    for c0 in [0, SQRT_M] {
+        for k in 0..4 {
+            g.record(
+                TensorOp::mul_acc(16, SQRT_M),
+                OperandRef::new(bufs.a, 0, k * SQRT_M, 16, SQRT_M),
+                OperandRef::new(bufs.b, k * SQRT_M, c0, SQRT_M, SQRT_M),
+                OperandRef::new(bufs.c, 0, c0, 16, SQRT_M),
+            );
+        }
+    }
+    let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+    let refr = serial_reference(&g, &bufs, 9);
+    for k in 1..4u64 {
+        let run = || {
+            let mut mach = ParallelTcuMachine::with_executor(unit, 2, BuggyExecutor::default());
+            mach.unit_executor_mut(0).panic_at = Some(k);
+            mach.enable_trace();
+            let (a, b) = (pseudo(DIM, DIM, 9), pseudo(DIM, DIM, 10));
+            let (mut c, mut d) = (
+                Matrix::<i64>::zeros(DIM, DIM),
+                Matrix::<i64>::zeros(DIM, DIM),
+            );
+            let mut env = ExecEnv::new(&g);
+            env.bind_input(bufs.a, a.view());
+            env.bind_input(bufs.b, b.view());
+            env.bind_output(bufs.c, c.view_mut());
+            env.bind_output(bufs.d, d.view_mut());
+            let tuning = DataflowTuning {
+                steal_seed: 0,
+                inline: Some(false),
+            };
+            let result =
+                plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+            drop(env);
+            assert!(result.is_ok(), "k={k}: {result:?}");
+            assert_eq!((&c, &d), (&refr.0, &refr.1), "elements, k={k}");
+            assert_eq!(mach.stats(), &refr.2, "Stats, k={k}");
+            assert_eq!(mach.take_trace().digest(), refr.3, "digest, k={k}");
+            (mach.time(), *mach.fault_stats())
+        };
+        let (time, faults) = run();
+        assert_eq!(faults.quarantined_units, 1, "k={k}");
+        assert_eq!(
+            faults.requeued_ops, 4,
+            "k={k}: the whole torn chain re-runs"
+        );
+        assert_eq!(run(), (time, faults), "replay, k={k}");
     }
 }
