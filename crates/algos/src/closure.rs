@@ -38,28 +38,7 @@ pub fn transitive_closure<U: TensorUnit, E: Executor>(
     let q = n / s;
 
     for kk in 0..q {
-        // A( X_kk ): in-block closure.
-        let mut xkk = d.block(kk * s, kk * s, s, s);
-        kernel_a(mach, &mut xkk);
-        d.set_block(kk * s, kk * s, &xkk);
-
-        // B( X_kj, X_kk ): pivot block row.
-        for j in 0..q {
-            if j != kk {
-                let mut xkj = d.block(kk * s, j * s, s, s);
-                kernel_b(mach, &mut xkj, &xkk);
-                d.set_block(kk * s, j * s, &xkj);
-            }
-        }
-
-        // C( X_ik, X_kk ): pivot block column.
-        for i in 0..q {
-            if i != kk {
-                let mut xik = d.block(i * s, kk * s, s, s);
-                kernel_c(mach, &mut xik, &xkk);
-                d.set_block(i * s, kk * s, &xik);
-            }
-        }
+        pivot_kernels(mach, d, kk, s);
 
         // D( X_ij, X_ik, X_kj ) on the tensor unit: stack all X_ik
         // (i ≠ k) into one tall operand, one invocation per block column.
@@ -94,22 +73,26 @@ pub fn transitive_closure<U: TensorUnit, E: Executor>(
 /// every stage's `D` updates recorded into a `tcu-sched` op graph and
 /// run as a planned, tagged stream.
 ///
-/// Per pivot block `kk`, the stacked tall operand (every `X_{i,k}`,
+/// Per pivot block `kk`, the stacked tall operand `T` (every `X_{i,k}`,
 /// `i ≠ k`) is recorded as the single left operand streamed against the
 /// `q − 1` weight blocks — so the pack cache, when enabled, packs the
-/// stack once per plan and re-uses it for every other op in that plan —
-/// while the weights `X_{k,j}` are zero-copy regions of the adjacency
-/// matrix itself (the eager path copies each block out to appease the
-/// borrow checker; the graph runtime just names the rectangle). The
-/// weight blocks are processed in chunks of [`D_CHUNK`] block-columns
-/// per plan, with the (∨-clamp) fold back into `X` run after each
-/// chunk: batching *all* `q − 1` products before folding would push the
-/// product panel out to an `(q−1)²s²`-element round-trip that evicts
-/// both `X` and the products themselves, while per-chunk folding keeps
-/// the working set near the eager path's mul-then-fold locality without
-/// giving up the planned, tagged stream. The fold stays on the CPU,
-/// charged exactly as the eager kernel `D` charges it — `Stats` and
-/// results are identical.
+/// stack once per plan and re-uses it for every other op in that plan.
+/// The weights `X_{k,j}` are gathered once per stage, side by side, into
+/// an `s × (q−1)s` panel `W`, the same way `T` is. A chunk's graph
+/// reads `W` and `T` at offsets relative to the chunk, never at the
+/// stage's position in `X`, so it depends only on `(n, s, chunk
+/// length)`: every full chunk of every stage runs one memoized plan and
+/// a short tail chunk a second. The gathers are host marshalling and
+/// uncharged, like the eager path's block copies. The weight blocks
+/// are processed in chunks of [`D_CHUNK`] block-columns per plan, with
+/// the (∨-clamp) fold back into `X` run after each chunk: batching
+/// *all* `q − 1` products before folding would push the product panel
+/// out to an `(q−1)²s²`-element round-trip that evicts both `X` and the
+/// products themselves, while per-chunk folding keeps the working set
+/// near the eager path's mul-then-fold locality without giving up the
+/// planned, tagged stream. The fold stays on the CPU, charged exactly
+/// as the eager kernel `D` charges it — `Stats` and results are
+/// identical.
 ///
 /// # Panics
 /// Panics unless `d` is square 0/1 with `√m | n`.
@@ -122,12 +105,12 @@ pub fn transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
 }
 
 // Per-thread scratch pool for `try_transitive_scheduled`: the
-// `(tall, prods)` pair of the last completed call, handed back to the
-// next call of the same shape. Dropped (not restored) on the error
-// path — a faulted run just re-allocates next time.
+// `[tall, wts, prods]` buffers of the last completed call, handed back
+// to the next call of the same shape. Dropped (not restored) on the
+// error path — a faulted run just re-allocates next time.
 #[cfg(feature = "sched")]
 thread_local! {
-    static SCRATCH: core::cell::RefCell<Option<(Matrix<i64>, Matrix<i64>)>> =
+    static SCRATCH: core::cell::RefCell<Option<[Matrix<i64>; 3]>> =
         const { core::cell::RefCell::new(None) };
 }
 
@@ -169,85 +152,65 @@ pub fn try_transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
     let q = n / s;
 
     // Stage-invariant scratch, hoisted out of the stage loop AND reused
-    // across calls on this thread: `tall` (the stacked column strip)
-    // and `prods` (the product panel) keep one shape across all stages
-    // and are fully overwritten before any read in every stage — `tall`
-    // by the q−1 block copies, `prods` by the q−1 overwriting muls into
-    // its disjoint column bands (together the bands tile the whole
-    // panel) — so neither zeroing nor a fresh allocation buys anything.
+    // across calls on this thread: `tall` (the stacked column strip),
+    // `wts` (the pivot block row's weights, side by side) and `prods`
+    // (the product panel) keep one shape across all stages and are
+    // fully overwritten before any read in every stage — `tall` and
+    // `wts` by the q−1 block copies each, `prods` by the q−1
+    // overwriting muls into its disjoint column bands (together the
+    // bands tile the whole panel) — so neither zeroing nor a fresh
+    // allocation buys anything.
     // The thread-local pool matters for the run-many shape: a fresh n²
     // buffer per call pays its first-touch page faults inside the timed
     // run, every run, which is exactly the class of per-run cost the
     // plan-once/run-many contract exists to amortize away.
     let rows = q.saturating_sub(1) * s;
     let chunk_cap = D_CHUNK.min(q.saturating_sub(1));
-    let (mut tall, mut prods) = SCRATCH.with(|c| {
-        let (t, p) = c
-            .borrow_mut()
-            .take()
-            .unwrap_or_else(|| (Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
-        let reshape = |m: Matrix<i64>, r: usize, w: usize| {
-            if (m.rows(), m.cols()) == (r, w) {
-                m
-            } else {
-                Matrix::zeros(r, w)
-            }
-        };
-        (reshape(t, rows, s), reshape(p, rows * chunk_cap, s))
-    });
+    let shapes = [(rows, s), (s, rows), (rows * chunk_cap, s)];
+    let [mut tall, mut wts, mut prods] = match SCRATCH.with(|c| c.borrow_mut().take()) {
+        Some(pool) if pool.iter().map(|m| (m.rows(), m.cols())).eq(shapes) => pool,
+        _ => shapes.map(|(r, w)| Matrix::zeros(r, w)),
+    };
 
     for kk in 0..q {
-        let mut xkk = d.block(kk * s, kk * s, s, s);
-        kernel_a(mach, &mut xkk);
-        d.set_block(kk * s, kk * s, &xkk);
-        for j in 0..q {
-            if j != kk {
-                let mut xkj = d.block(kk * s, j * s, s, s);
-                kernel_b(mach, &mut xkj, &xkk);
-                d.set_block(kk * s, j * s, &xkj);
-            }
-        }
-        for i in 0..q {
-            if i != kk {
-                let mut xik = d.block(i * s, kk * s, s, s);
-                kernel_c(mach, &mut xik, &xkk);
-                d.set_block(i * s, kk * s, &xik);
-            }
-        }
-
+        pivot_kernels(mach, d, kk, s);
         if q == 1 {
             continue;
         }
+        // Gather the stage's operands. `D` writes neither block row nor
+        // block column `kk`, so both stay valid for every chunk.
         let others: Vec<usize> = (0..q).filter(|&i| i != kk).collect();
-        for (bi, &i) in others.iter().enumerate() {
-            tall.set_block_view(bi * s, 0, d.subview(i * s, kk * s, s, s));
+        for (b, &o) in others.iter().enumerate() {
+            tall.set_block_view(b * s, 0, d.subview(o * s, kk * s, s, s));
+            wts.set_block_view(0, b * s, d.subview(kk * s, o * s, s, s));
         }
 
         for (ci, chunk) in others.chunks(D_CHUNK).enumerate() {
-            // The chunk graph depends only on (n, s, kk, ci) — memoize
-            // its plan so repeated closures at one shape skip planning
-            // altogether.
-            let planned = plan_cached("closure-d", [n, s, kk, ci], mach.unit(), 1, || {
+            // Against the gathered operands the chunk graph depends only
+            // on (n, s, chunk length): one plan for every full chunk of
+            // every stage, one more for a short tail.
+            let len = chunk.len();
+            let planned = plan_cached("closure-d", [n, s, len, 0], mach.unit(), 1, || {
                 let mut g = OpGraph::new();
                 let tb = g.buffer("T", rows, s);
-                let xb = g.buffer("X", n, n);
-                let pb = g.buffer("P", rows * chunk.len(), s);
+                let wb = g.buffer("W", s, len * s);
+                let pb = g.buffer("P", rows * len, s);
                 let t_whole = OperandRef::new(tb, 0, 0, rows, s);
-                for (bj, &j) in chunk.iter().enumerate() {
+                for bj in 0..len {
                     g.record(
                         TensorOp::mul(rows, s),
                         t_whole,
-                        OperandRef::new(xb, kk * s, j * s, s, s),
+                        OperandRef::new(wb, 0, bj * s, s, s),
                         OperandRef::new(pb, bj * rows, 0, rows, s),
                     );
                 }
-                (g, vec![tb, xb, pb])
+                (g, vec![tb, wb, pb])
             });
-            let (tb, xb, pb) = (planned.bufs[0], planned.bufs[1], planned.bufs[2]);
+            let (tb, wb, pb) = (planned.bufs[0], planned.bufs[1], planned.bufs[2]);
             let mut env = ExecEnv::new(&planned.graph);
             env.try_bind_input(tb, tall.view())?;
-            env.try_bind_input(xb, d.view())?;
-            env.try_bind_output(pb, prods.subview_mut(0, 0, rows * chunk.len(), s))?;
+            env.try_bind_input(wb, wts.subview(0, ci * D_CHUNK * s, s, len * s))?;
+            env.try_bind_output(pb, prods.subview_mut(0, 0, rows * len, s))?;
             planned.plan.try_run(mach, &mut env)?;
 
             for (bj, &j) in chunk.iter().enumerate() {
@@ -261,20 +224,69 @@ pub fn try_transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
             }
         }
     }
-    SCRATCH.with(|c| *c.borrow_mut() = Some((tall, prods)));
+    SCRATCH.with(|c| *c.borrow_mut() = Some([tall, wts, prods]));
     Ok(())
 }
 
+/// Kernels `A`, `B` and `C` of stage `kk` on the CPU, in place: close
+/// the pivot block, then fold it into the rest of its block row and
+/// block column.
+fn pivot_kernels<U: TensorUnit, E: Executor>(
+    mach: &mut TcuMachine<U, E>,
+    d: &mut Matrix<i64>,
+    kk: usize,
+    s: usize,
+) {
+    let q = d.rows() / s;
+    // A( X_kk ): in-block closure.
+    let mut xkk = d.block(kk * s, kk * s, s, s);
+    kernel_a(mach, &mut xkk);
+    d.set_block(kk * s, kk * s, &xkk);
+
+    // B( X_kj, X_kk ): pivot block row.
+    for j in (0..q).filter(|&j| j != kk) {
+        let mut xkj = d.block(kk * s, j * s, s, s);
+        kernel_b(mach, &mut xkj, &xkk);
+        d.set_block(kk * s, j * s, &xkj);
+    }
+
+    // C( X_ik, X_kk ): pivot block column.
+    for i in (0..q).filter(|&i| i != kk) {
+        let mut xik = d.block(i * s, kk * s, s, s);
+        kernel_c(mach, &mut xik, &xkk);
+        d.set_block(i * s, kk * s, &xik);
+    }
+}
+
+/// `row[j] ∨= c ∧ pivot[j]` for every `j`: one row of a Figure 7 step.
+fn or_and(row: &mut [i64], c: i64, pivot: &[i64]) {
+    for (x, &p) in row.iter_mut().zip(pivot) {
+        *x |= c & p;
+    }
+}
+
+/// Step `k` of a kernel whose pivot row is row `k` of the block it
+/// updates (`A`, `B`): `X[i,·] ∨= c_i ∧ X[k,·]` for every row `i ≠ k`,
+/// with `c_i = coef(i, X[i,k])`. Row `k` is skipped: its own update is
+/// `a ∨ (c ∧ a) = a`, so the other rows borrow it unchanged.
+fn pivot_row_step(x: &mut Matrix<i64>, k: usize, coef: impl Fn(usize, i64) -> i64) {
+    let s = x.cols();
+    let (above, rest) = x.as_mut_slice().split_at_mut(k * s);
+    let (pivot, below) = rest.split_at_mut(s);
+    let rows = (above.chunks_exact_mut(s).zip(0..)).chain(below.chunks_exact_mut(s).zip(k + 1..));
+    for (row, i) in rows {
+        let c = coef(i, row[k]);
+        or_and(row, c, pivot);
+    }
+}
+
 /// Kernel `A` (Figure 7): in-block closure with (∨, ∧); 2 ops per inner
-/// iteration.
+/// iteration. `X[i,k]` is read once per row: the step's `j = k` update
+/// leaves it unchanged.
 fn kernel_a<U: TensorUnit, E: Executor>(mach: &mut TcuMachine<U, E>, x: &mut Matrix<i64>) {
     let s = x.rows();
     for k in 0..s {
-        for i in 0..s {
-            for j in 0..s {
-                x[(i, j)] |= x[(i, k)] & x[(k, j)];
-            }
-        }
+        pivot_row_step(x, k, |_, xik| xik);
     }
     mach.charge(2 * (s * s * s) as u64);
 }
@@ -287,16 +299,13 @@ fn kernel_b<U: TensorUnit, E: Executor>(
 ) {
     let s = x.rows();
     for k in 0..s {
-        for i in 0..s {
-            for j in 0..s {
-                x[(i, j)] |= y[(i, k)] & x[(k, j)];
-            }
-        }
+        pivot_row_step(x, k, |i, _| y[(i, k)]);
     }
     mach.charge(2 * (s * s * s) as u64);
 }
 
-/// Kernel `C` (Figure 7): `X[i,j] ∨= X[i,k] ∧ Y[k,j]`.
+/// Kernel `C` (Figure 7): `X[i,j] ∨= X[i,k] ∧ Y[k,j]`. `X[i,k]` is read
+/// once per row: the step's `j = k` update leaves it unchanged.
 fn kernel_c<U: TensorUnit, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
@@ -304,10 +313,10 @@ fn kernel_c<U: TensorUnit, E: Executor>(
 ) {
     let s = x.rows();
     for k in 0..s {
-        for i in 0..s {
-            for j in 0..s {
-                x[(i, j)] |= x[(i, k)] & y[(k, j)];
-            }
+        let pivot = y.row(k);
+        for row in x.as_mut_slice().chunks_exact_mut(s) {
+            let c = row[k];
+            or_and(row, c, pivot);
         }
     }
     mach.charge(2 * (s * s * s) as u64);
@@ -464,7 +473,12 @@ mod tests {
     #[cfg(feature = "sched")]
     #[test]
     fn scheduled_closure_matches_eager_with_identical_stats() {
-        for (n, m, density) in [(16usize, 16usize, 0.1), (32, 16, 0.2), (24, 4, 0.15)] {
+        for (n, m, density) in [
+            (16usize, 16usize, 0.1),
+            (32, 16, 0.2),
+            (24, 4, 0.15),
+            (64, 16, 0.03),
+        ] {
             let mut rng = StdRng::seed_from_u64(500 + n as u64);
             let adj = random_digraph(n, density, &mut rng);
             let mut eager = TcuMachine::model(m, 7);
@@ -478,6 +492,34 @@ mod tests {
             assert_eq!(got, transitive_closure_host(&adj), "n={n} m={m}");
             assert_eq!(sched.stats(), eager.stats(), "n={n} m={m}");
         }
+    }
+
+    #[cfg(feature = "sched")]
+    #[test]
+    fn scheduled_closure_plans_once_per_chunk_length() {
+        use crate::plan_memo::plan_cache_stats;
+        // q = 32 stages × 8 chunks = 256 memo lookups per call: far past
+        // MEMO_CAP if each (stage, chunk) needed its own plan. Keyed by
+        // chunk length there are two (7 chunks of 4, a tail of 3).
+        let (n, m) = (128usize, 16usize);
+        let mut rng = StdRng::seed_from_u64(128);
+        let adj = random_digraph(n, 2.0 / n as f64, &mut rng);
+        let want = transitive_closure_host(&adj);
+        // A latency no other test uses keeps this thread's memo cold.
+        let run = || {
+            let mut mach = TcuMachine::model(m, 4_128);
+            let mut d = adj.clone();
+            let before = plan_cache_stats();
+            transitive_scheduled(&mut mach, &mut d);
+            let after = plan_cache_stats();
+            (d, after.misses - before.misses, after.hits - before.hits)
+        };
+        let (cold, cold_misses, cold_hits) = run();
+        assert_eq!(cold, want);
+        assert_eq!((cold_misses, cold_hits), (2, 254), "cold call");
+        let (warm, warm_misses, warm_hits) = run();
+        assert_eq!(warm, want);
+        assert_eq!((warm_misses, warm_hits), (0, 256), "warm call");
     }
 
     #[cfg(feature = "sched")]

@@ -142,11 +142,15 @@ pub fn multiply_rect_view<T: Scalar, U: TensorUnit, E: Executor>(
 /// out of the narrow recording, recovering the model-optimal charge
 /// from suboptimally-blocked code.
 ///
+/// The recorded graph and its schedule are memoized per `(d, blk)` and
+/// unit in [`crate::plan_memo`], so a repeated call at one shape records,
+/// plans and compiles nothing: it binds the operands and runs.
+///
 /// # Panics
 /// Panics unless operands are square of equal dimension `d` with `√m | d`.
 #[cfg(feature = "sched")]
 #[must_use]
-pub fn multiply_scheduled<T: Scalar, U: TensorUnit, E: Executor>(
+pub fn multiply_scheduled<T: Scalar, U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -168,7 +172,7 @@ pub fn multiply_scheduled<T: Scalar, U: TensorUnit, E: Executor>(
 /// `blk | d`, `blk | √m`, and `d ≥ √m`.
 #[cfg(feature = "sched")]
 #[must_use]
-pub fn multiply_scheduled_blocked<T: Scalar, U: TensorUnit, E: Executor>(
+pub fn multiply_scheduled_blocked<T: Scalar, U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -185,14 +189,15 @@ pub fn multiply_scheduled_blocked<T: Scalar, U: TensorUnit, E: Executor>(
 /// # Errors
 /// Propagates any [`tcu_core::TcuError`] from [`tcu_sched::Schedule::try_run`].
 #[cfg(feature = "sched")]
-pub fn try_multiply_scheduled_blocked<T: Scalar, U: TensorUnit, E: Executor>(
+pub fn try_multiply_scheduled_blocked<T: Scalar, U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     a: &Matrix<T>,
     b: &Matrix<T>,
     blk: usize,
 ) -> Result<Matrix<T>, tcu_core::TcuError> {
+    use crate::plan_memo::plan_cached;
     use tcu_core::{PadPolicy, TensorOp};
-    use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
+    use tcu_sched::{ExecEnv, OpGraph, OperandRef};
 
     let d = a.rows();
     assert!(
@@ -205,36 +210,41 @@ pub fn try_multiply_scheduled_blocked<T: Scalar, U: TensorUnit, E: Executor>(
         "need blk | d, blk | √m = {s}, d ≥ √m (got blk = {blk}, d = {d})"
     );
 
-    let mut g = OpGraph::new();
-    let ab = g.buffer("A", d, d);
-    let bb = g.buffer("B", d, d);
-    let cb = g.buffer("C", d, d);
-    let q = d / blk;
-    let pad = if blk == s {
-        PadPolicy::Strict
-    } else {
-        PadPolicy::ZeroPad
-    };
-    for j in 0..q {
-        for k in 0..q {
-            g.record(
-                TensorOp {
-                    rows: d,
-                    inner: blk,
-                    width: blk,
-                    accumulate: true,
-                    pad,
-                },
-                OperandRef::new(ab, 0, k * blk, d, blk),
-                OperandRef::new(bb, k * blk, j * blk, blk, blk),
-                OperandRef::new(cb, 0, j * blk, d, blk),
-            );
+    // The recording is a pure function of d, blk and √m, and √m is part
+    // of every memo key, so (d, blk) names it.
+    let planned = plan_cached("dense", [d, blk, 0, 0], mach.unit(), 1, || {
+        let mut g = OpGraph::new();
+        let ab = g.buffer("A", d, d);
+        let bb = g.buffer("B", d, d);
+        let cb = g.buffer("C", d, d);
+        let q = d / blk;
+        let pad = if blk == s {
+            PadPolicy::Strict
+        } else {
+            PadPolicy::ZeroPad
+        };
+        for j in 0..q {
+            for k in 0..q {
+                g.record(
+                    TensorOp {
+                        rows: d,
+                        inner: blk,
+                        width: blk,
+                        accumulate: true,
+                        pad,
+                    },
+                    OperandRef::new(ab, 0, k * blk, d, blk),
+                    OperandRef::new(bb, k * blk, j * blk, blk, blk),
+                    OperandRef::new(cb, 0, j * blk, d, blk),
+                );
+            }
         }
-    }
-
-    let plan = Scheduler::new().plan(&g, mach.unit());
+        (g, vec![ab, bb, cb])
+    });
+    let (ab, bb, cb) = (planned.bufs[0], planned.bufs[1], planned.bufs[2]);
+    let plan = &planned.plan;
     let mut c = Matrix::<T>::zeros(d, d);
-    let mut env = ExecEnv::new(&g);
+    let mut env = ExecEnv::new(&planned.graph);
     env.try_bind_input(ab, a.view())?;
     env.try_bind_input(bb, b.view())?;
     env.try_bind_output(cb, c.view_mut())?;
@@ -477,6 +487,30 @@ mod tests {
             let cache = sched.executor().pack_cache_stats().expect("cache on");
             assert_eq!(cache.misses, (d / 4) as u64, "d = {d}");
         }
+    }
+
+    #[cfg(feature = "sched")]
+    #[test]
+    fn repeated_scheduled_calls_reuse_one_memoized_plan() {
+        use crate::plan_memo::plan_cache_stats;
+        let (m, l) = (16usize, 4_064u64);
+        let d = 32usize;
+        let a = pseudo(d, d, 25);
+        let b = pseudo(d, d, 26);
+        let run = || {
+            let mut mach = TcuMachine::model(m, l);
+            let c = multiply_scheduled_blocked(&mut mach, &a, &b, 2);
+            (c, mach.stats().clone())
+        };
+        let (first, first_stats) = run();
+        let before = plan_cache_stats();
+        let (second, second_stats) = run();
+        let after = plan_cache_stats();
+        assert_eq!(after.misses - before.misses, 0, "no re-planning");
+        assert_eq!(after.hits - before.hits, 1, "one memo hit");
+        assert_eq!(second, first);
+        assert_eq!(second, matmul_naive(&a, &b));
+        assert_eq!(second_stats, first_stats);
     }
 
     #[cfg(feature = "sched")]

@@ -40,26 +40,7 @@ pub fn ge_forward<T: Field, U: TensorUnit, E: Executor>(
     let q = d / s;
 
     for kk in 0..q {
-        // A( X_kk ): in-block elimination.
-        let mut xkk = x.block(kk * s, kk * s, s, s);
-        kernel_a(mach, &mut xkk);
-        x.set_block(kk * s, kk * s, &xkk);
-
-        // B( X_kj, X_kk, X'_j ): eliminate the block row, emit scaled blocks.
-        let mut xprime: Vec<Matrix<T>> = Vec::with_capacity(q - kk - 1);
-        for j in kk + 1..q {
-            let mut xkj = x.block(kk * s, j * s, s, s);
-            let xp = kernel_b(mach, &mut xkj, &xkk);
-            x.set_block(kk * s, j * s, &xkj);
-            xprime.push(xp);
-        }
-
-        // C( X_ik, X_kk ): prepare the block column.
-        for i in kk + 1..q {
-            let mut xik = x.block(i * s, kk * s, s, s);
-            kernel_c(mach, &mut xik, &xkk);
-            x.set_block(i * s, kk * s, &xik);
-        }
+        let xprime = pivot_kernels(mach, x, kk, s);
 
         // D( X_ij, X_ik, X'_j ) on the tensor unit: per block column j,
         // load X'_j as weights and stream every X_ik at once. The block
@@ -137,23 +118,7 @@ pub fn try_eliminate_scheduled<T: Field, U: TensorUnit + 'static, E: Executor>(
     let q = d / s;
 
     for kk in 0..q {
-        // A, B, C: the same CPU kernels as the eager path.
-        let mut xkk = x.block(kk * s, kk * s, s, s);
-        kernel_a(mach, &mut xkk);
-        x.set_block(kk * s, kk * s, &xkk);
-
-        let mut xprime: Vec<Matrix<T>> = Vec::with_capacity(q - kk - 1);
-        for j in kk + 1..q {
-            let mut xkj = x.block(kk * s, j * s, s, s);
-            let xp = kernel_b(mach, &mut xkj, &xkk);
-            x.set_block(kk * s, j * s, &xkj);
-            xprime.push(xp);
-        }
-        for i in kk + 1..q {
-            let mut xik = x.block(i * s, kk * s, s, s);
-            kernel_c(mach, &mut xik, &xkk);
-            x.set_block(i * s, kk * s, &xik);
-        }
+        let xprime = pivot_kernels(mach, x, kk, s);
 
         let rem = q - kk - 1;
         if rem == 0 {
@@ -199,27 +164,70 @@ pub fn try_eliminate_scheduled<T: Field, U: TensorUnit + 'static, E: Executor>(
     Ok(())
 }
 
+/// Kernels `A`, `B` and `C` of stage `kk` on the CPU, in place:
+/// factorize the diagonal block, eliminate the block row (returning the
+/// scaled blocks `X'_j`, `j > kk`) and prepare the block column.
+fn pivot_kernels<T: Field, U: TensorUnit, E: Executor>(
+    mach: &mut TcuMachine<U, E>,
+    x: &mut Matrix<T>,
+    kk: usize,
+    s: usize,
+) -> Vec<Matrix<T>> {
+    let q = x.rows() / s;
+    // A( X_kk ): in-block elimination.
+    let mut xkk = x.block(kk * s, kk * s, s, s);
+    kernel_a(mach, &mut xkk);
+    x.set_block(kk * s, kk * s, &xkk);
+
+    // B( X_kj, X_kk, X'_j ): eliminate the block row, emit scaled blocks.
+    let mut xprime: Vec<Matrix<T>> = Vec::with_capacity(q - kk - 1);
+    for j in kk + 1..q {
+        let mut xkj = x.block(kk * s, j * s, s, s);
+        xprime.push(kernel_b(mach, &mut xkj, &xkk));
+        x.set_block(kk * s, j * s, &xkj);
+    }
+
+    // C( X_ik, X_kk ): prepare the block column.
+    for i in kk + 1..q {
+        let mut xik = x.block(i * s, kk * s, s, s);
+        kernel_c(mach, &mut xik, &xkk);
+        x.set_block(i * s, kk * s, &xik);
+    }
+    xprime
+}
+
+/// Split a square block's rows around pivot row `k`: row `k` itself and
+/// the rows below it, each `s` wide.
+fn pivot_and_below<T: Field>(x: &mut Matrix<T>, k: usize) -> (&[T], &mut [T]) {
+    let s = x.cols();
+    let (upper, below) = x.as_mut_slice().split_at_mut((k + 1) * s);
+    (&upper[k * s..], below)
+}
+
 /// Kernel `A` (Figure 4): unblocked no-pivot elimination inside one
-/// `√m × √m` block; 3 scalar ops per inner iteration.
+/// `√m × √m` block; 3 scalar ops per inner iteration. Step `k` writes
+/// only rows and columns past `k`, so the pivot row and `X[i,k]` are
+/// read once per step and row.
 fn kernel_a<T: Field, U: TensorUnit, E: Executor>(mach: &mut TcuMachine<U, E>, x: &mut Matrix<T>) {
     let s = x.rows();
     let mut ops = 0u64;
     for k in 0..s.saturating_sub(1) {
-        let pivot = x[(k, k)];
-        for i in k + 1..s {
-            for j in k + 1..s {
-                let delta = x[(i, k)].mul(x[(k, j)]).div(pivot);
-                x[(i, j)] = x[(i, j)].sub(delta);
-                ops += 3;
+        let (prow, below) = pivot_and_below(x, k);
+        let pivot = prow[k];
+        for row in below.chunks_exact_mut(s) {
+            let xik = row[k];
+            for (v, &r) in row[k + 1..].iter_mut().zip(&prow[k + 1..]) {
+                *v = v.sub(xik.mul(r).div(pivot));
             }
         }
+        ops += 3 * ((s - k - 1) * (s - k - 1)) as u64;
     }
     mach.charge(ops);
 }
 
 /// Kernel `B` (Figure 4): eliminate a block `X` in the pivot block row
 /// using the diagonal block `Y`, then return `X'` with
-/// `X'[i,j] = −X[i,j]/Y[i,i]`.
+/// `X'[i,j] = −X[i,j]/Y[i,i]`. Step `k` writes only rows past `k`.
 fn kernel_b<T: Field, U: TensorUnit, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<T>,
@@ -229,13 +237,14 @@ fn kernel_b<T: Field, U: TensorUnit, E: Executor>(
     let mut ops = 0u64;
     for k in 0..s.saturating_sub(1) {
         let pivot = y[(k, k)];
-        for i in k + 1..s {
+        let (prow, below) = pivot_and_below(x, k);
+        for (row, i) in below.chunks_exact_mut(s).zip(k + 1..) {
             let factor = y[(i, k)].div(pivot);
-            for j in 0..s {
-                x[(i, j)] = x[(i, j)].sub(factor.mul(x[(k, j)]));
-                ops += 3;
+            for (v, &r) in row.iter_mut().zip(prow) {
+                *v = v.sub(factor.mul(r));
             }
         }
+        ops += 3 * ((s - k - 1) * s) as u64;
     }
     let xp = Matrix::from_fn(s, s, |i, j| x[(i, j)].div(y[(i, i)]).neg());
     ops += 2 * (s * s) as u64;
@@ -245,7 +254,7 @@ fn kernel_b<T: Field, U: TensorUnit, E: Executor>(
 
 /// Kernel `C` (Figure 4): prepare a block in the pivot block column —
 /// each column `j` receives the elimination updates of the in-block
-/// pivots preceding it.
+/// pivots preceding it. Step `k` writes only columns past `k`.
 fn kernel_c<T: Field, U: TensorUnit, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<T>,
@@ -255,13 +264,14 @@ fn kernel_c<T: Field, U: TensorUnit, E: Executor>(
     let mut ops = 0u64;
     for k in 0..s {
         let pivot = y[(k, k)];
-        for i in 0..s {
-            let factor = x[(i, k)].div(pivot);
-            for j in k + 1..s {
-                x[(i, j)] = x[(i, j)].sub(factor.mul(y[(k, j)]));
-                ops += 3;
+        let yk = &y.row(k)[k + 1..];
+        for row in x.as_mut_slice().chunks_exact_mut(s) {
+            let factor = row[k].div(pivot);
+            for (v, &r) in row[k + 1..].iter_mut().zip(yk) {
+                *v = v.sub(factor.mul(r));
             }
         }
+        ops += 3 * (s * (s - k - 1)) as u64;
     }
     mach.charge(ops);
 }

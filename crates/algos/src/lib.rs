@@ -24,7 +24,8 @@
 //! the structured algorithms, the exact closed-form simulated time.
 //!
 //! [`workloads`] generates the random inputs the experiments sweep over
-//! (seeded, so every table in `EXPERIMENTS.md` is reproducible).
+//! (seeded, so every table the `tcu-bench` `exp_*` binaries print is
+//! reproducible; see the README's Quickstart).
 
 pub mod apsd;
 pub mod closure;

@@ -35,6 +35,19 @@
 //! this keeps the fast path free of locks) and FIFO-bounded at
 //! [`MEMO_CAP`] entries so pathological parameter sweeps cannot retain
 //! unbounded memory.
+//!
+//! What keeps the memo small is the builders, not the cap: each records
+//! against operands laid out relative to the graph, so a builder needs
+//! one plan per *shape*, not one per call site. The closure's `D`
+//! chunks read a gathered weight panel, never the adjacency matrix at
+//! the stage's offset, and are keyed by chunk length. One round of the
+//! four scheduled paper paths (Strassen `d = 64` base 8, dense and
+//! Gauss `d = 256`, closure `n = 256`, all on `√m = 16`) therefore
+//! needs 19 plans: 1 Strassen, 1 dense, 15 Gauss stages (one per
+//! trailing-panel height) and 2 closure chunk lengths. A warm round
+//! plans nothing. Eviction stays FIFO on purpose: nothing in that round
+//! is evicted, and on a cyclic round larger than the cap LRU and CLOCK
+//! evict every entry before its reuse, exactly as FIFO does.
 
 use std::any::TypeId;
 use std::cell::RefCell;

@@ -1,6 +1,7 @@
 //! Seeded random workload generators for the test suites and the
 //! experiment harness (`tcu-bench`). Everything takes an explicit
-//! [`rand::Rng`] so tables in `EXPERIMENTS.md` are bit-reproducible.
+//! [`rand::Rng`] so the tables the `tcu-bench` `exp_*` binaries print
+//! (see the README's Quickstart) are bit-reproducible.
 
 use rand::Rng;
 use tcu_linalg::{Complex64, Fp61, Matrix};

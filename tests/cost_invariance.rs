@@ -10,12 +10,18 @@
 //! accounting (an extra charge, a reordered tensor call, a changed row
 //! count) fails here with the first divergent counter.
 //!
+//! The same workloads also pin output *bits*: E4 over `f64` and E5
+//! through both the eager and the scheduled entry points. A CPU-kernel
+//! rewrite that reassociates a single sum keeps every charge and moves
+//! these digests.
+//!
 //! Re-capturing (only legitimate after an *intentional* model change):
 //! `TCU_CAPTURE_BASELINE=1 cargo test --test cost_invariance -- --nocapture`
 //! prints the current constants instead of asserting.
 
 use tcu::algos::{closure, dense, fft, gauss, strassen};
 use tcu::core::{Stats, TcuMachine, TraceLog};
+use tcu::linalg::decomp::{augmented_from, diag_dominant};
 use tcu::linalg::{Complex64, Fp61, Matrix};
 
 /// `TraceLog::digest` hashes the seed trace schema (event tag + rows /
@@ -57,6 +63,26 @@ fn check(name: &str, got: &Pin, want: &Pin) {
         return;
     }
     assert_eq!(got, want, "{name}: simulated accounting diverged from seed");
+}
+
+/// FNV-1a over the little-endian bytes of each element's 64-bit image.
+fn element_digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn check_bits(name: &str, got: u64, want: u64) {
+    if std::env::var_os("TCU_CAPTURE_BASELINE").is_some() {
+        println!("{name}: {got}");
+        return;
+    }
+    assert_eq!(got, want, "{name}: output bits diverged from the pin");
 }
 
 /// The deterministic integer workload generator shared by the pins (same
@@ -181,4 +207,54 @@ fn e7_dft_accounting_pinned() {
         trace_digest: 3_216_342_104_721_461_981,
     };
     check("e7_dft", &got, &want);
+}
+
+#[test]
+fn e4_gauss_f64_output_bits_pinned() {
+    // d = 64 on √m = 4: a diagonally dominant system of dimension 63.
+    let a = diag_dominant(63, 64);
+    let b: Vec<f64> = (0..63).map(|i| f64::from((i * i) % 7) - 2.5).collect();
+    let c0 = augmented_from(&a, &b);
+    let mut eager = c0.clone();
+    gauss::ge_forward(&mut TcuMachine::model(16, 55), &mut eager);
+    let mut sched = c0;
+    gauss::eliminate_scheduled(&mut TcuMachine::model(16, 55), &mut sched);
+    assert_eq!(
+        eager
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>(),
+        sched
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>(),
+        "scheduled elimination must be bit-identical to eager"
+    );
+    // The tensor products round once per multiply-add where the target
+    // has FMA (`Scalar::mul_add`) and twice where it does not, so the
+    // pinned bits depend on that one target feature.
+    let want = if cfg!(target_feature = "fma") {
+        13_688_591_968_787_266_352
+    } else {
+        6_746_017_692_896_460_491
+    };
+    let got = element_digest(eager.as_slice().iter().map(|x| x.to_bits()));
+    check_bits("e4_gauss_f64_bits", got, want);
+}
+
+#[test]
+fn e5_closure_output_pinned() {
+    // The e5_closure_accounting_pinned workload.
+    let d0 = Matrix::from_fn(64, 64, |i, j| {
+        i64::from((i * 67 + j * 29 + (i * j) % 13) % 7 == 0)
+    });
+    let mut eager = d0.clone();
+    closure::transitive_closure(&mut TcuMachine::model(16, 21), &mut eager);
+    let mut sched = d0;
+    closure::transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched);
+    assert_eq!(eager, sched, "scheduled closure must equal eager");
+    let got = element_digest(eager.as_slice().iter().map(|&x| x as u64));
+    check_bits("e5_closure_bits", got, 6_115_052_828_594_300_709);
 }
