@@ -24,6 +24,7 @@
 use crate::cost::{Stats, StatsSummary};
 use crate::exec::{Executor, HostExecutor, OperandId};
 use crate::op::{PadPolicy, TensorOp};
+use crate::parallel::WaveAccountant;
 use crate::tensor_unit::{ModelTensorUnit, TensorUnit, WeakTensorUnit};
 use crate::trace::TraceLog;
 use std::sync::Arc;
@@ -315,7 +316,7 @@ impl<U: TensorUnit, E: Executor> TcuMachine<U, E> {
             (op.rows, op.width),
             "matmul_acc: output shape mismatch"
         );
-        let sim_cost = self.charge_op(&op);
+        let sim_cost = self.wave_parts().0.charge_wave_op(&op);
         let start = self.recorder.as_ref().map(|r| r.now_ns());
         let _ = self.exec.execute_tagged(&op, a, a_id, b, out);
         if let (Some(rec), Some(t0)) = (self.recorder.as_ref(), start) {
@@ -449,42 +450,25 @@ impl<U: TensorUnit, E: Executor> TcuMachine<U, E> {
         self.issue(TensorOp::padded(a.rows(), a.cols(), b.cols()), a, b)
     }
 
-    /// Meter one logical op: one native invocation on units with tall
-    /// support, `⌈n/√m⌉` square invocations otherwise. Trace events
-    /// record the *per-invocation* descriptor (rows as charged).
-    /// Returns the total simulated cost charged, for telemetry.
-    fn charge_op(&mut self, op: &TensorOp) -> u64 {
-        let kind = match (op.pad, op.accumulate) {
-            (PadPolicy::Strict, false) => 0,
-            (PadPolicy::Strict, true) => 1,
-            (PadPolicy::ZeroPad, false) => 2,
-            (PadPolicy::ZeroPad, true) => 3,
-        };
-        self.issued_kinds[kind] += 1;
-        let s = self.sqrt_m();
-        let n = op.charge_rows(s);
-        let mut charged = 0u64;
-        if self.unit.supports_tall() {
-            let cost = self.unit.invocation_cost(n);
-            let lat = self.unit.invocation_latency(n);
-            self.stats.record_tensor(n as u64, cost, lat);
-            charged += cost;
-            if let Some(t) = &mut self.trace {
-                t.push_tensor(TensorOp { rows: n, ..*op }, cost);
-            }
-        } else {
-            let tiles = n.div_ceil(s);
-            for _ in 0..tiles {
-                let cost = self.unit.invocation_cost(s);
-                let lat = self.unit.invocation_latency(s);
-                self.stats.record_tensor(s as u64, cost, lat);
-                charged += cost;
-                if let Some(t) = &mut self.trace {
-                    t.push_tensor(TensorOp { rows: s, ..*op }, cost);
-                }
-            }
-        }
-        charged
+    /// Split the machine into its accounting half and its executor, as
+    /// a one-unit slice: the serial counterpart of
+    /// [`crate::ParallelTcuMachine::wave_parts`], through which every
+    /// op is charged (eagerly by [`Self::issue_into`], up front by a
+    /// scheduled run). The accountant counts logical-op kinds and keeps
+    /// no makespan clock or fault counters — a serial machine's time is
+    /// its `Stats`.
+    pub fn wave_parts(&mut self) -> (WaveAccountant<'_, U>, &mut [E]) {
+        (
+            WaveAccountant {
+                unit: &self.unit,
+                stats: &mut self.stats,
+                trace: &mut self.trace,
+                clock: None,
+                kinds: Some(&mut self.issued_kinds),
+                recorder: self.recorder.as_deref(),
+            },
+            std::slice::from_mut(&mut self.exec),
+        )
     }
 }
 

@@ -101,6 +101,22 @@ impl TensorOp {
         }
     }
 
+    /// The hardware invocations this op decomposes into on `unit`, as
+    /// `(count, rows each)`: one tall invocation of
+    /// [`Self::charge_rows`] rows, or `⌈n/√m⌉` square `√m`-row tiles
+    /// when the unit has no native tall support. Every charge, cost and
+    /// schedule in the workspace splits ops by this one rule.
+    #[must_use]
+    pub fn invocations<U: crate::TensorUnit + ?Sized>(&self, unit: &U) -> (usize, usize) {
+        let s = unit.sqrt_m();
+        let n = self.charge_rows(s);
+        if unit.supports_tall() {
+            (1, n)
+        } else {
+            (n.div_ceil(s), s)
+        }
+    }
+
     /// Check the descriptor against a unit of the given `√m`, returning
     /// [`crate::TcuError::OpInvalid`] with the model's shape-contract
     /// message on violation. [`Self::validate`] is the panicking form.

@@ -21,7 +21,7 @@
 use crate::cost::{Stats, StatsSummary};
 use crate::exec::{Executor, HostExecutor, PackCacheStats};
 use crate::fault::FaultStats;
-use crate::op::TensorOp;
+use crate::op::{PadPolicy, TensorOp};
 use crate::tensor_unit::TensorUnit;
 use crate::trace::TraceLog;
 use std::sync::Arc;
@@ -253,32 +253,19 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
         }
     }
 
-    /// The hardware invocations one logical op decomposes into: a single
-    /// `charge_rows`-row invocation on units with native tall support,
-    /// `⌈n/√m⌉` independent square tiles otherwise — the same split the
-    /// serial machine's charge path applies, so parallel and serial
-    /// accounting agree per op (tiles also schedule independently, which
-    /// is exactly what a partitioned tall operand allows).
-    fn invocation_rows(&self, op: &TensorOp) -> Vec<usize> {
-        let s = self.sqrt_m();
-        let n = op.charge_rows(s);
-        if self.unit.supports_tall() {
-            vec![n]
-        } else {
-            vec![s; n.div_ceil(s)]
-        }
-    }
-
     /// The deterministic schedule this machine would use for a batch of
     /// ops, without executing anything: per-invocation unit assignment
     /// and per-unit loads under the unit's costing policy (an op that
-    /// tall-splits contributes one schedulable invocation per tile).
+    /// tall-splits contributes one schedulable invocation per tile, as
+    /// [`TensorOp::invocations`] splits it).
     #[must_use]
     pub fn plan(&self, ops: &[TensorOp]) -> Partition {
         let costs: Vec<u64> = ops
             .iter()
-            .flat_map(|op| self.invocation_rows(op))
-            .map(|rows| self.unit.invocation_cost(rows))
+            .flat_map(|op| {
+                let (count, rows) = op.invocations(&self.unit);
+                std::iter::repeat_n(self.unit.invocation_cost(rows), count)
+            })
             .collect();
         partition_lpt(&costs, self.units())
     }
@@ -304,9 +291,9 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
                 unit: &self.unit,
                 stats: &mut self.stats,
                 trace: &mut self.trace,
-                makespan_time: &mut self.makespan_time,
-                fault_stats: &mut self.fault_stats,
-                recorder: self.recorder.clone(),
+                clock: Some((&mut self.makespan_time, &mut self.fault_stats)),
+                kinds: None,
+                recorder: self.recorder.as_deref(),
             },
             &mut self.execs,
         )
@@ -343,9 +330,10 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
             );
             op.validate(s);
             first_inv.push(costs.len());
-            for rows in self.invocation_rows(op) {
-                let cost = self.unit.invocation_cost(rows);
-                let lat = self.unit.invocation_latency(rows);
+            let (count, rows) = op.invocations(&self.unit);
+            let cost = self.unit.invocation_cost(rows);
+            let lat = self.unit.invocation_latency(rows);
+            for _ in 0..count {
                 self.stats.record_tensor(rows as u64, cost, lat);
                 costs.push(cost);
             }
@@ -402,25 +390,33 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
     }
 }
 
-/// The accounting half of a [`ParallelTcuMachine`], borrowed apart from
-/// its executors via [`ParallelTcuMachine::wave_parts`].
+/// The accounting half of a machine, borrowed apart from its executors
+/// via [`ParallelTcuMachine::wave_parts`] or
+/// [`crate::TcuMachine::wave_parts`].
 ///
-/// Parallel execution needs two disjoint capabilities at once: worker
-/// threads need exclusive, long-lived access to *their unit's* executor,
-/// and the main thread needs to keep metering charges, recovery
-/// annotations, and makespans in canonical order. This split makes that
-/// borrow structure explicit — every method here touches only the
-/// shared costing policy and the accounting state, never an executor.
+/// Scheduled execution needs two disjoint capabilities at once: worker
+/// threads (or the single-thread walk) need exclusive access to each
+/// unit's executor, and the main thread needs to keep metering charges,
+/// recovery annotations, and makespans in canonical order. This split
+/// makes that borrow structure explicit — every method here touches
+/// only the shared costing policy and the accounting state, never an
+/// executor.
 #[derive(Debug)]
 pub struct WaveAccountant<'m, U: TensorUnit> {
-    unit: &'m U,
-    stats: &'m mut Stats,
-    trace: &'m mut Option<TraceLog>,
-    makespan_time: &'m mut u64,
-    fault_stats: &'m mut FaultStats,
-    /// Cloned from the machine: fault/retry/quarantine annotations gain
-    /// scheduler-lane instant events when a recorder is attached.
-    recorder: Option<Arc<dyn tcu_obs::Recorder>>,
+    pub(crate) unit: &'m U,
+    pub(crate) stats: &'m mut Stats,
+    pub(crate) trace: &'m mut Option<TraceLog>,
+    /// A parallel machine's makespan clock and recovery counters. `None`
+    /// on a serial machine, whose clock is its `Stats`: its scheduled
+    /// runs neither retry nor quarantine, so there is nothing to count.
+    pub(crate) clock: Option<(&'m mut u64, &'m mut FaultStats)>,
+    /// A serial machine's logical-op kind counters (its
+    /// [`StatsSummary`] breakdown), indexed `2·padded + accumulate`; a
+    /// parallel machine keeps none.
+    pub(crate) kinds: Option<&'m mut [u64; 4]>,
+    /// The machine's recorder: fault/retry/quarantine annotations gain
+    /// scheduler-lane instant events when one is attached.
+    pub(crate) recorder: Option<&'m dyn tcu_obs::Recorder>,
 }
 
 impl<U: TensorUnit> WaveAccountant<'_, U> {
@@ -448,19 +444,14 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// Panics if `op` violates the model's shape contract.
     #[must_use]
     pub fn op_cost(&self, op: &TensorOp) -> u64 {
-        let s = self.sqrt_m();
-        op.validate(s);
-        let n = op.charge_rows(s);
-        if self.unit.supports_tall() {
-            self.unit.invocation_cost(n)
-        } else {
-            n.div_ceil(s) as u64 * self.unit.invocation_cost(s)
-        }
+        op.validate(self.sqrt_m());
+        let (count, rows) = op.invocations(self.unit);
+        count as u64 * self.unit.invocation_cost(rows)
     }
 
     /// Emit an instant scheduler-lane telemetry event, when recording.
     fn record_instant(&self, kind: tcu_obs::EventKind) {
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = self.recorder {
             let t = rec.now_ns();
             rec.record(
                 tcu_obs::Lane::Scheduler,
@@ -473,53 +464,54 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         }
     }
 
-    /// Meter one scheduled op without executing it: validate against the
-    /// model, then record its hardware invocations into `Stats` and the
-    /// trace exactly as the serial machine's charge path does (one event
-    /// per invocation, `rows` set to what each invocation streams;
-    /// units without native tall support split an op into `⌈n/√m⌉`
-    /// square invocations). The parallel driver charges every op in
-    /// canonical order on the main thread *before* any numerics run on
-    /// worker threads — accounting is therefore deterministic and
-    /// byte-identical to a serial scheduled run regardless of thread
-    /// interleaving. Wall-clock is not advanced here; see
-    /// [`Self::complete_wave`].
+    /// Meter one op without executing it: validate against the model,
+    /// then record its hardware invocations ([`TensorOp::invocations`])
+    /// into `Stats` and the trace, one event per invocation with `rows`
+    /// set to what each invocation streams. The serial machine's issue
+    /// path charges through here too, so a scheduled driver that charges
+    /// every op in canonical order *before* any numerics run produces
+    /// `Stats` and a trace byte-identical to eager issue, whatever the
+    /// execution interleaving. Wall-clock is not advanced here; see
+    /// [`Self::complete_wave`]. Returns the total simulated cost charged.
     ///
     /// # Panics
     /// Panics if `op` violates the model's shape contract.
-    pub fn charge_wave_op(&mut self, op: &TensorOp) {
-        let s = self.sqrt_m();
-        op.validate(s);
-        let n = op.charge_rows(s);
-        let (count, rows) = if self.unit.supports_tall() {
-            (1, n)
-        } else {
-            (n.div_ceil(s), s)
-        };
+    pub fn charge_wave_op(&mut self, op: &TensorOp) -> u64 {
+        op.validate(self.sqrt_m());
+        if let Some(kinds) = self.kinds.as_deref_mut() {
+            kinds[2 * usize::from(op.pad == PadPolicy::ZeroPad) + usize::from(op.accumulate)] += 1;
+        }
+        let (count, rows) = op.invocations(self.unit);
+        let cost = self.unit.invocation_cost(rows);
+        let lat = self.unit.invocation_latency(rows);
         for _ in 0..count {
-            let cost = self.unit.invocation_cost(rows);
-            let lat = self.unit.invocation_latency(rows);
             self.stats.record_tensor(rows as u64, cost, lat);
             if let Some(t) = self.trace.as_mut() {
                 t.push_tensor(TensorOp { rows, ..*op }, cost);
             }
         }
+        count as u64 * cost
     }
 
     /// Advance simulated wall-clock by a completed schedule's makespan
     /// (the charge [`Self::charge_wave_op`] leaves out).
     pub fn complete_wave(&mut self, makespan: u64) {
-        *self.makespan_time += makespan;
+        if let Some((time, _)) = &mut self.clock {
+            **time += makespan;
+        }
     }
 
     /// Record a contained unit fault (transient or permanent) as a
-    /// trace annotation plus a [`FaultStats`] counter. Never touches
-    /// `Stats` — recovery must be unobservable there.
+    /// trace annotation plus, on a parallel machine, a [`FaultStats`]
+    /// counter. Never touches `Stats` — recovery must be unobservable
+    /// there.
     pub fn record_fault(&mut self, unit: usize, transient: bool) {
-        if transient {
-            self.fault_stats.transient_faults += 1;
-        } else {
-            self.fault_stats.permanent_faults += 1;
+        if let Some((_, faults)) = &mut self.clock {
+            if transient {
+                faults.transient_faults += 1;
+            } else {
+                faults.permanent_faults += 1;
+            }
         }
         if let Some(t) = self.trace.as_mut() {
             t.push_fault(unit, transient);
@@ -541,9 +533,11 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
             .unit
             .invocation_cost(rows)
             .wrapping_shl(attempt.saturating_sub(2));
-        self.fault_stats.retries += 1;
-        self.fault_stats.backoff_time += backoff;
-        *self.makespan_time += backoff;
+        if let Some((time, faults)) = &mut self.clock {
+            faults.retries += 1;
+            faults.backoff_time += backoff;
+            **time += backoff;
+        }
         if let Some(t) = self.trace.as_mut() {
             t.push_retry(unit, attempt, backoff);
         }
@@ -558,8 +552,10 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// Record the quarantine of `unit` with `requeued` ops moved onto
     /// survivors.
     pub fn record_quarantine(&mut self, unit: usize, requeued: usize) {
-        self.fault_stats.quarantined_units += 1;
-        self.fault_stats.requeued_ops += requeued as u64;
+        if let Some((_, faults)) = &mut self.clock {
+            faults.quarantined_units += 1;
+            faults.requeued_ops += requeued as u64;
+        }
         if let Some(t) = self.trace.as_mut() {
             t.push_quarantine(unit, requeued);
         }
@@ -573,8 +569,10 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// makespan of the requeued ops over the surviving units). Like
     /// backoff, this lands in wall-clock only.
     pub fn charge_recovery(&mut self, makespan: u64) {
-        self.fault_stats.recovery_makespan += makespan;
-        *self.makespan_time += makespan;
+        if let Some((time, faults)) = &mut self.clock {
+            faults.recovery_makespan += makespan;
+            **time += makespan;
+        }
     }
 
     /// Record one ready-deque dispatch of the dataflow driver: `depth`

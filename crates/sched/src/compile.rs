@@ -5,30 +5,27 @@
 //! Planning resolves *what* to execute (coalesced ops, canonical order,
 //! wave partitions); compilation resolves *how*: every operand read is
 //! interned into a slot of a run-local snapshot arena keyed by
-//! `(buffer, rectangle, generation)`, every staging decision — does this
-//! read need a snapshot, and exactly before which op must it be taken —
-//! is precomputed into sorted directive lists, and the wave structure is
-//! flattened into index ranges. The result is structural (no data, no
-//! scalar type): one compiled plan serves every environment whose buffer
+//! `(buffer, rectangle, generation)`, the hazard structure is flattened
+//! into predecessor counts and successor lists, and the wave structure
+//! into index ranges. The result is structural (no data, no scalar
+//! type): one compiled plan serves every environment whose buffer
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! Two directive classes, plus one count, cover every binding pattern:
+//! The single-thread walk needs no staging directive: it snapshots a
+//! slot on first use, and only when an op reads the buffer it writes
+//! (see the `tcu_sched::run` module docs). The threaded executor stages
+//! two classes of read key, both into the same slots:
 //!
-//! * **`serial_stages`** — reads of written buffers that some op reads
-//!   *while writing the same buffer*. Safe Rust cannot hold the output
-//!   binding mutably and read it at once, so the serial runtime
-//!   snapshots these (only these — every other read is zero-copy) right
-//!   before their first reader.
-//! * **written reads** — every read of a written buffer. Parallel
-//!   workers run while the main thread retains mutable access to the
-//!   outputs, so the parallel runtime snapshots each such region once,
-//!   right before its first reader's dispatch; only their number is
-//!   stored ([`ExecutablePlan::staged_reads`]).
+//! * **written reads** — every read of a written buffer. Workers run
+//!   while the main thread retains mutable access to the outputs, so
+//!   each such region is snapshotted once, right before its first
+//!   reader's dispatch; only their number is stored
+//!   ([`ExecutablePlan::staged_reads`]).
 //! * **`cond_stages`** — reads of buffers the graph never writes.
 //!   Normally input-bound and zero-copy; if the caller bound one as an
-//!   output instead, the parallel runtime snapshots it once at run
-//!   start (its content cannot change during the run).
+//!   output instead, it is snapshotted once at run start (its content
+//!   cannot change during the run).
 //!
 //! Compilation happens implicitly on first execution and is cached in
 //! the schedule (see [`Schedule::compile`]), so `run`/`try_run*` are
@@ -47,9 +44,7 @@ use tcu_obs::Recorder as _;
 type ReadKey = (usize, usize, usize, usize, usize, u32);
 
 /// One compiled operand read: the resolved rectangle, its content
-/// version, its snapshot slot, and whether the *serial* runtime serves
-/// it from the snapshot (the parallel runtime decides per slot at run
-/// time instead, since staging there also depends on input bindings).
+/// version, and its snapshot slot (one per distinct read key).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CompiledRead {
     pub(crate) buf: usize,
@@ -59,7 +54,6 @@ pub(crate) struct CompiledRead {
     pub(crate) cols: usize,
     pub(crate) gen: u32,
     pub(crate) slot: u32,
-    pub(crate) serial_staged: bool,
 }
 
 /// One emitted op with every operand resolved to concrete offsets.
@@ -75,35 +69,20 @@ pub(crate) struct CompiledOp {
     pub(crate) b: CompiledRead,
 }
 
-/// A precomputed staging decision: snapshot `(buf, rectangle)` into
-/// `slot` before op `before_op` (the key's first reader) executes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StageDirective {
-    pub(crate) buf: usize,
-    pub(crate) r0: usize,
-    pub(crate) c0: usize,
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) slot: u32,
-    pub(crate) before_op: u32,
-}
-
 /// A [`Schedule`] lowered to its executable form: dense op array,
-/// sorted staging directives, and flattened wave ranges. Structural —
-/// it references logical buffers and slots, never data — so one
-/// compiled plan is re-runnable against any rebound environment of the
-/// same buffer shapes.
+/// staging directives, hazard structure, and flattened wave ranges.
+/// Structural — it references logical buffers and slots, never data —
+/// so one compiled plan is re-runnable against any rebound environment
+/// of the same buffer shapes.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutablePlan {
     pub(crate) ops: Vec<CompiledOp>,
-    /// Written-buffer keys with a same-buffer reader, by `before_op`.
-    pub(crate) serial_stages: Vec<StageDirective>,
-    /// Written-buffer keys (each snapshotted once by the parallel
-    /// runtime).
+    /// Written-buffer keys (each snapshotted once by the threaded
+    /// executor).
     pub(crate) written_reads: usize,
-    /// Never-written-buffer keys (staged at run start if not
-    /// input-bound; parallel runtime only).
-    pub(crate) cond_stages: Vec<StageDirective>,
+    /// Never-written-buffer keys (staged at run start by the threaded
+    /// executor if not input-bound).
+    pub(crate) cond_stages: Vec<CompiledRead>,
     /// Snapshot-arena size (one slot per distinct read key).
     pub(crate) slots: usize,
     /// `ops` index range of each wave, in wave order.
@@ -134,25 +113,11 @@ impl ExecutablePlan {
         self.wave_ranges.len()
     }
 
-    /// Distinct read keys (the snapshot arena's size). Most are never
-    /// materialized: only [`Self::staged_reads`] snapshot on the
-    /// parallel path, and strictly fewer on the serial path.
-    #[must_use]
-    pub fn read_slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Read keys the parallel runtime snapshots (written-buffer reads).
+    /// Read keys the threaded executor snapshots (written-buffer
+    /// reads).
     #[must_use]
     pub fn staged_reads(&self) -> usize {
         self.written_reads
-    }
-
-    /// Read keys the serial runtime snapshots (same-buffer
-    /// read-while-write only — everything else is zero-copy).
-    #[must_use]
-    pub fn serial_staged_reads(&self) -> usize {
-        self.serial_stages.len()
     }
 
     /// Hazard edges between compiled ops (the dependency count the
@@ -168,18 +133,12 @@ impl ExecutablePlan {
     }
 }
 
-/// Intern one operand read: find-or-create its arena slot, record the
-/// first reader and whether any reader also writes the buffer.
-#[allow(clippy::too_many_arguments)]
+/// Intern one operand read: find-or-create its arena slot.
 fn intern_read(
     region: &OperandRef,
     gen: u32,
-    op_index: usize,
-    out_buf: usize,
     slot_of: &mut HashMap<ReadKey, u32>,
     keys: &mut Vec<ReadKey>,
-    first_reader: &mut Vec<u32>,
-    same_buf: &mut Vec<bool>,
 ) -> CompiledRead {
     let key = (
         region.buf.0,
@@ -191,13 +150,8 @@ fn intern_read(
     );
     let slot = *slot_of.entry(key).or_insert_with(|| {
         keys.push(key);
-        first_reader.push(op_index as u32);
-        same_buf.push(false);
         (keys.len() - 1) as u32
     });
-    if region.buf.0 == out_buf {
-        same_buf[slot as usize] = true;
-    }
     CompiledRead {
         buf: region.buf.0,
         r0: region.r0,
@@ -206,16 +160,13 @@ fn intern_read(
         cols: region.cols,
         gen,
         slot,
-        serial_staged: false,
     }
 }
 
 /// Lower `sched` into its executable form. Validates every op against
 /// the planned `√m` once (execution re-checks nothing), resolves each
-/// read to a slot of the snapshot arena, and classifies every slot into
-/// the directive lists described in the module docs. Directive lists
-/// come out sorted by `before_op` for free: slots are created in
-/// first-reader order.
+/// read to a slot of the snapshot arena, and classifies every slot as
+/// the module docs describe.
 ///
 /// # Panics
 /// Panics if an emitted node's operand or output rectangles disagree
@@ -234,8 +185,6 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
 
     let mut slot_of: HashMap<ReadKey, u32> = HashMap::new();
     let mut keys: Vec<ReadKey> = Vec::new();
-    let mut first_reader: Vec<u32> = Vec::new();
-    let mut same_buf: Vec<bool> = Vec::new();
     let mut ops: Vec<CompiledOp> = Vec::with_capacity(nodes.len());
     let mut wave_ranges: Vec<(usize, usize)> = Vec::new();
     let mut wstart = 0usize;
@@ -246,27 +195,8 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
             wave_ranges.push((wstart, i));
             wstart = i;
         }
-        let out_buf = node.out.buf.0;
-        let a = intern_read(
-            &node.a,
-            sn.a_gen,
-            i,
-            out_buf,
-            &mut slot_of,
-            &mut keys,
-            &mut first_reader,
-            &mut same_buf,
-        );
-        let b = intern_read(
-            &node.b,
-            sn.b_gen,
-            i,
-            out_buf,
-            &mut slot_of,
-            &mut keys,
-            &mut first_reader,
-            &mut same_buf,
-        );
+        let a = intern_read(&node.a, sn.a_gen, &mut slot_of, &mut keys);
+        let b = intern_read(&node.b, sn.b_gen, &mut slot_of, &mut keys);
         assert!(
             node.op
                 .matches((node.a.rows, node.a.cols), (node.b.rows, node.b.cols)),
@@ -279,7 +209,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         );
         ops.push(CompiledOp {
             op: node.op,
-            out_buf,
+            out_buf: node.out.buf.0,
             out_r0: node.out.r0,
             out_c0: node.out.c0,
             out_rows: node.out.rows,
@@ -292,37 +222,21 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         wave_ranges.push((wstart, nodes.len()));
     }
 
-    let mut serial_stages = Vec::new();
     let mut written_reads = 0;
     let mut cond_stages = Vec::new();
-    for (slot, key) in keys.iter().enumerate() {
-        let d = StageDirective {
-            buf: key.0,
-            r0: key.1,
-            c0: key.2,
-            rows: key.3,
-            cols: key.4,
-            slot: slot as u32,
-            before_op: first_reader[slot],
-        };
-        if written[d.buf] {
+    for (slot, &(buf, r0, c0, rows, cols, gen)) in keys.iter().enumerate() {
+        if written[buf] {
             written_reads += 1;
-            if same_buf[slot] {
-                serial_stages.push(d);
-            }
         } else {
-            cond_stages.push(d);
-        }
-    }
-    // A key with *any* same-buffer reader serves *all* its serial
-    // readers from the snapshot — one snapshot, one code path, and the
-    // bytes are identical either way (the snapshot is taken at the
-    // region's exact content version).
-    for cop in &mut ops {
-        for r in [&mut cop.a, &mut cop.b] {
-            if written[r.buf] && same_buf[r.slot as usize] {
-                r.serial_staged = true;
-            }
+            cond_stages.push(CompiledRead {
+                buf,
+                r0,
+                c0,
+                rows,
+                cols,
+                gen,
+                slot: slot as u32,
+            });
         }
     }
 
@@ -349,7 +263,6 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
 
     Ok(ExecutablePlan {
         ops,
-        serial_stages,
         written_reads,
         cond_stages,
         slots: keys.len(),

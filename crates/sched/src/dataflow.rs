@@ -104,8 +104,22 @@ pub(crate) struct DataflowPlacement {
     pub(crate) makespan: u64,
     /// Ops placed off their home unit.
     pub(crate) steals: u64,
-    /// Whether the wave placement was kept (the simulation lost).
-    pub(crate) fallback: bool,
+}
+
+impl DataflowPlacement {
+    /// The one-queue partition a serial run walks: every op on unit 0
+    /// in emission order (`start` is the op index). No simulation runs
+    /// and no makespan is charged — a serial machine's clock is its
+    /// `Stats`.
+    pub(crate) fn one_queue(ops: usize) -> Self {
+        Self {
+            home: vec![0; ops],
+            start: (0..ops as u64).collect(),
+            unit_order: vec![(0..ops as u32).collect()],
+            makespan: 0,
+            steals: 0,
+        }
+    }
 }
 
 /// `splitmix64` step — the standard 64-bit mix, enough PRNG for a
@@ -217,7 +231,6 @@ pub(crate) fn place_dataflow(
             unit_order,
             makespan: sched.makespan(),
             steals: 0,
-            fallback: true,
             home,
         };
     }
@@ -228,7 +241,6 @@ pub(crate) fn place_dataflow(
         unit_order,
         makespan,
         steals,
-        fallback: false,
     }
 }
 
@@ -262,18 +274,6 @@ impl Schedule {
         match self.compiled() {
             Ok(plan) => place_dataflow(self, plan, DataflowTuning::from_env().steal_seed).steals,
             Err(_) => 0,
-        }
-    }
-
-    /// Whether the dataflow placement fell back to the wave assignment
-    /// because the barrier-free simulation did not beat the wave
-    /// makespan (rare; the fallback keeps
-    /// `dataflow_makespan ≤ makespan` unconditional).
-    #[must_use]
-    pub fn dataflow_fallback(&self) -> bool {
-        match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, DataflowTuning::from_env().steal_seed).fallback,
-            Err(_) => true,
         }
     }
 

@@ -27,11 +27,12 @@
 //!   multi-unit dispatch charge identical `Stats` and differ only in
 //!   makespan.
 //! * **[`ExecEnv`] / [`Schedule::run`]** — binds buffers to borrowed
-//!   matrix views and issues the stream through
-//!   `TcuMachine::issue_into_tagged`, tagging every left operand with
-//!   its buffer/generation/region identity so `HostExecutor`'s pack
-//!   cache reuses packed strips across invocations (the blocked flow
-//!   packs each strip once per run instead of once per block column).
+//!   matrix views, charges the stream up front through the machine's
+//!   [`tcu_core::WaveAccountant`] and executes it on the machine's
+//!   executor, tagging every left operand with its
+//!   buffer/generation/region identity so `HostExecutor`'s pack cache
+//!   reuses packed strips across invocations (the blocked flow packs
+//!   each strip once per run instead of once per block column).
 //!
 //! Scheduling is strictly opt-in: nothing in the eager
 //! `TcuMachine::tensor_mul*` path changes, and with coalescing disabled
@@ -39,9 +40,9 @@
 //!
 //! Execution is fallible end to end: [`Schedule::try_run`] and
 //! [`Schedule::try_run_parallel`] surface binding, validation, and unit
-//! faults as [`tcu_core::TcuError`]s, and the parallel path retries or
-//! quarantines faulty units (see the [`run`] module docs for the fault
-//! model). The panicking `run`/`run_parallel` forms are thin unwrapping
+//! faults as [`tcu_core::TcuError`]s — a serial run contains executor
+//! panics too — and the parallel path retries or quarantines faulty
+//! units (see the [`run`] module docs for the fault model). The panicking `run`/`run_parallel` forms are thin unwrapping
 //! wrappers kept for callers that treat faults as bugs.
 
 pub mod compile;

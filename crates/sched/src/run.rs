@@ -7,9 +7,9 @@
 //! buffers it writes. Execution itself runs off the schedule's compiled
 //! form (see [`crate::compile`]): the first run lowers the schedule
 //! into an [`crate::ExecutablePlan`] whose ops carry concrete buffer
-//! offsets, precomputed staging directives, and flattened wave ranges,
-//! so the per-op hot loop does no hash lookups, no environment scans,
-//! and no staging decisions — it indexes dense arrays. Each left
+//! offsets, snapshot slots, and the hazard structure, so the per-op hot
+//! loop does no hash lookups and no environment scans — it indexes
+//! dense arrays. Each left
 //! operand is tagged with an [`OperandId`] whose generation combines a
 //! process-unique stamp (the environment's *epoch* for frozen
 //! input-bound reads, a fresh per-run stamp for reads of written
@@ -30,20 +30,44 @@
 //! version `gen` executes, the region holds exactly the bytes that
 //! version names — so *direct* reads of written buffers are always
 //! correct, and snapshots exist only where safe-Rust borrows force
-//! them: on the serial path, solely the same-buffer read-while-write
-//! case (one gather per `(region, generation)`, the same marshalling
-//! the eager blocked algorithms perform — every cross-buffer read is
-//! zero-copy); on the parallel path, every written-buffer read (worker
-//! threads cannot borrow the outputs the main thread retains mutable
-//! access to). Which reads snapshot, and before which op, is decided at
-//! compile time; the run-time arena just fills the precomputed slots.
+//! them. The two execution loops need different ones:
+//!
+//! * the **single-thread walk** (every serial run, and the inline
+//!   dataflow executor) holds an op's destination binding mutably while
+//!   the op runs, so it snapshots a read key on first use, and only when
+//!   an op reads it from the buffer that op writes: one gather per
+//!   `(region, generation)`, the same marshalling the eager blocked
+//!   algorithms perform. Every other read — of inputs and of other
+//!   written buffers alike — is zero-copy;
+//! * the **threaded executor**'s workers cannot borrow the outputs the
+//!   main thread retains mutable access to, so it snapshots every
+//!   written-buffer read key once, right before its first reader's
+//!   dispatch, and a never-written buffer bound as an output once at
+//!   run start (the compiled plan lists those).
+//!
 //! (Simulated cost is untouched either way: in the model, operand
 //! marshalling is covered by the invocation charge.)
 //!
-//! Accounting flows through the machine exactly as eager execution
-//! does: per-op model charges into `Stats` and the trace. What changes
-//! with scheduling is *which* (coalesced) ops are issued and in what
-//! (canonical) order — never how an issued op is charged.
+//! Accounting is eager execution's: every driver first runs one shared
+//! prologue — plan and machine checks, every binding the stream
+//! touches, then the whole stream charged in emission order through
+//! the machine's [`WaveAccountant`], the path eager issue charges
+//! through. What changes with scheduling is *which* (coalesced) ops are
+//! issued and in what (canonical) order — never how an issued op is
+//! charged — and a run the prologue rejects has charged and written
+//! nothing.
+//!
+//! # One single-thread loop
+//!
+//! The paper's machine is a RAM with one tensor unit, and its parallel
+//! machine has `p`: a serial run is the one-unit case of a parallel
+//! one. [`Schedule::try_run`] is therefore the inline dataflow walk
+//! over one queue — every op in emission order (its `start` is its
+//! index) on the machine's own executor — with no placement computed,
+//! under a fixed policy of one attempt and no quarantine (one unit has
+//! no survivor to hand work to). An executor panic comes back as a
+//! typed error, as on the parallel driver. The only other loop is the
+//! threaded executor below.
 //!
 //! # Multi-unit execution
 //!
@@ -78,10 +102,11 @@
 //!   the same unit); each idle unit receives its entire ready prefix as
 //!   *one* channel message, and written-buffer reads are snapshotted
 //!   right before their first reader's dispatch. On a single-core host
-//!   (or under `TCU_DF_INLINE=1`) an inline executor skips workers,
-//!   channels, and scratch entirely and walks the same queues
-//!   serial-style in `(start, index)` order — same bytes, same per-unit
-//!   cache counters, same clock, no dispatch overhead.
+//!   (or under `TCU_DF_INLINE=1`) the single-thread walk — the loop
+//!   every serial run uses — skips workers, channels, and scratch
+//!   entirely and walks the same queues in `(start, index)` order,
+//!   writing destinations in place: same bytes, same per-unit cache
+//!   counters, same clock, no dispatch overhead.
 //!
 //! # Fault tolerance
 //!
@@ -90,13 +115,17 @@
 //! contract violations come back as values; the `bind_*`/`run*` names
 //! are thin wrappers that panic with the error's `Display`. On top of
 //! that, [`Schedule::try_run_parallel`] *recovers* from unit faults.
-//! Every execution is wrapped in `catch_unwind`:
+//! Every execution, serial ones included, is wrapped in
+//! `catch_unwind`:
 //!
 //! * a transient [`InjectedFault`] (as injected by
 //!   [`tcu_core::FaultyExecutor`]) is retried in place, each retry
 //!   charging simulated backoff into wall-clock;
 //! * a permanent fault — or any other panic payload, i.e. a real
 //!   executor bug — quarantines the unit for the rest of the run.
+//!
+//! A serial run's fixed policy turns both into typed failures:
+//! [`TcuError::RetriesExhausted`] and [`TcuError::UnitFault`].
 //!
 //! Recovery is **pass-based**. When a unit dies, its unexecuted queue
 //! suffix and everything hazard-downstream of that suffix leave the
@@ -143,11 +172,14 @@
 //!
 //! Each is deterministic and pinned by a test:
 //!
-//! 1. **A failed run's `Stats` carry the full charge.** Charges are
-//!    recorded up front, so a run that returns `Err` still holds the
-//!    whole schedule's `Stats` (its simulated makespan is not charged).
-//!    Pinned by `chaos.rs`'s `all_units_quarantined_fails_typed_not_hanging`.
-//! 2. **The inline executor fails on a foreign panic.** It writes
+//! 1. **A failed run's `Stats` carry the full charge.** Every driver,
+//!    [`Schedule::try_run`] included, charges the whole stream once the
+//!    prologue has passed, so a run that then fails in execution still
+//!    holds the whole schedule's `Stats` (a parallel run's simulated
+//!    makespan is not charged). Pinned by `chaos.rs`'s
+//!    `all_units_quarantined_fails_typed_not_hanging` and
+//!    `dataflow_exec.rs`'s `serial_executor_panic_fails_typed`.
+//! 2. **The single-thread walk fails on a foreign panic.** It writes
 //!    destinations in place, so a non-[`InjectedFault`] panic may have
 //!    half-written one and there is no scratch to rebuild from: the run
 //!    returns [`TcuError::UnitFault`], where the threaded executor
@@ -344,43 +376,44 @@ fn read_tag(r: &CompiledRead, stamp: u64) -> OperandId {
     }
 }
 
-/// Resolve a compiled read on the serial path: the staged snapshot for
-/// same-buffer reads, otherwise zero-copy from the bound input or
-/// output view (callers check bindings first — see `try_run`).
-fn serial_read<'s, T: Scalar>(
+/// Resolve a compiled read on the single-thread walk: its snapshot if
+/// the slot holds one (a read of the op's own destination buffer always
+/// does), otherwise zero-copy from the bound input or output view —
+/// bindings are validated up front, and the destination's own binding
+/// is taken out for the op's duration.
+fn inline_read<'s, T: Scalar>(
     arena: &'s [Option<Matrix<T>>],
     inputs: &'s [Option<MatrixView<'_, T>>],
     outputs: &'s [Option<MatrixViewMut<'_, T>>],
     r: &CompiledRead,
 ) -> MatrixView<'s, T> {
-    if r.serial_staged {
-        return arena[r.slot as usize]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("snapshot staged before use"))
-            .view();
+    if let Some(snap) = &arena[r.slot as usize] {
+        return snap.view();
     }
-    match inputs[r.buf].as_ref() {
-        Some(v) => v.subview(r.r0, r.c0, r.rows, r.cols),
-        None => outputs[r.buf]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("direct read checked bound"))
-            .as_view()
-            .subview(r.r0, r.c0, r.rows, r.cols),
+    match (&inputs[r.buf], &outputs[r.buf]) {
+        (Some(v), _) => v.subview(r.r0, r.c0, r.rows, r.cols),
+        (None, Some(v)) => v.as_view().subview(r.r0, r.c0, r.rows, r.cols),
+        (None, None) => unreachable!("read bound (validated up front)"),
     }
 }
 
+/// The fixed policy of a serial run: one attempt and no quarantine —
+/// one unit has no survivor to hand work to.
+const SERIAL_POLICY: RecoveryPolicy = RecoveryPolicy {
+    max_attempts: 1,
+    quarantine: false,
+};
+
 impl Schedule {
     /// Execute the planned stream on `mach` with `env`'s bindings: each
-    /// emitted node issues one tagged tensor instruction (charged and
-    /// traced by the machine exactly like an eager call), outputs land
-    /// in the bound views. The serial order is the schedule's canonical
-    /// order; on a pack-caching host executor, repeated left-operand
-    /// regions are packed once per content version per environment.
+    /// emitted node issues one tagged tensor instruction, charged and
+    /// traced exactly like an eager call; outputs land in the bound
+    /// views. The serial order is the schedule's canonical order; on a
+    /// pack-caching host executor, repeated left-operand regions are
+    /// packed once per content version per environment.
     ///
     /// # Panics
-    /// Panics if the machine's `√m` differs from the one the schedule
-    /// was planned for, if the environment's buffer shapes disagree
-    /// with the planned graph's, or if a referenced buffer is unbound.
+    /// Panics with the [`TcuError`] of [`Schedule::try_run`].
     pub fn run<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut TcuMachine<U, E>,
@@ -389,95 +422,45 @@ impl Schedule {
         self.try_run(mach, env).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// [`Schedule::run`], returning errors instead of panicking:
-    /// plan/machine mismatches, op contract violations, and unbound
-    /// buffers come back as [`TcuError`]s. Compilation errors (an op
-    /// violating the planned unit's contract) surface before anything
-    /// executes; on a mid-stream `Err` (an unbound buffer), the bound
-    /// outputs hold whatever the already-issued prefix of the stream
-    /// wrote (an error aborts mid-stream, it does not roll back). Fault
-    /// *recovery* (retry, quarantine) is a property of the parallel
-    /// driver — see [`Schedule::try_run_parallel`]; the serial
-    /// path has no worker threads to contain, so an executor panic here
-    /// propagates.
+    /// [`Schedule::run`], returning errors instead of panicking. A
+    /// serial run is the one-queue case of the single-thread walk (see
+    /// the [module docs](self)): the whole stream in emission order on
+    /// the machine's own executor.
+    ///
+    /// Everything that can be checked is checked up front, before
+    /// anything is charged or written: the machine's `√m` and tall
+    /// support against the planning unit's, the environment's buffer
+    /// shapes, every op's contract, and every binding the stream
+    /// touches. A failure there returns [`TcuError`] with outputs and
+    /// `Stats` untouched. Then the whole stream is charged and executed
+    /// under a fixed policy — one attempt, no quarantine — so an
+    /// executor panic comes back typed instead of unwinding:
+    /// [`TcuError::RetriesExhausted`] for an injected transient fault,
+    /// [`TcuError::UnitFault`] for anything else. Such a run keeps the
+    /// full charge, and the outputs hold what the ops before the
+    /// failing one wrote (named deviation 1).
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut TcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
     ) -> Result<(), TcuError> {
-        if mach.sqrt_m() != self.sqrt_m {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different tensor-unit size",
-            });
-        }
-        if env.shapes != self.buffer_shapes {
-            return Err(TcuError::PlanMismatch {
-                what: "environment built for a different graph (buffer shapes disagree)",
-            });
-        }
-        let plan = self.compiled()?;
         if let Some(rec) = env.recorder.clone() {
             mach.enable_recorder(rec);
         }
-        let stamps = tag_stamps(env);
-        let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
-        let mut next_stage = 0usize;
-        for (i, cop) in plan.ops.iter().enumerate() {
-            let mut host = env.outputs[cop.out_buf].take().ok_or(TcuError::Unbound {
-                buffer: cop.out_buf,
-                written: true,
-            })?;
-            // Snapshot every same-buffer-read key whose first reader is
-            // this op. The snapshot is taken before the op executes —
-            // exactly the content version the key names, by the hazard
-            // order — and an error must not leave the output binding
-            // moved out.
-            while next_stage < plan.serial_stages.len()
-                && plan.serial_stages[next_stage].before_op as usize == i
-            {
-                let d = plan.serial_stages[next_stage];
-                let snap = if d.buf == cop.out_buf {
-                    host.as_view()
-                        .subview(d.r0, d.c0, d.rows, d.cols)
-                        .to_matrix()
-                } else {
-                    match env.outputs[d.buf].as_ref() {
-                        Some(v) => v.as_view().subview(d.r0, d.c0, d.rows, d.cols).to_matrix(),
-                        None => {
-                            env.outputs[cop.out_buf] = Some(host);
-                            return Err(TcuError::Unbound {
-                                buffer: d.buf,
-                                written: false,
-                            });
-                        }
-                    }
-                };
-                arena[d.slot as usize] = Some(snap);
-                next_stage += 1;
-            }
-            // Direct (zero-copy) reads fail *before* any view is taken,
-            // so the output binding can be restored on the way out.
-            for r in [&cop.a, &cop.b] {
-                if !r.serial_staged
-                    && env.inputs[r.buf].is_none()
-                    && env.outputs[r.buf].is_none()
-                    && r.buf != cop.out_buf
-                {
-                    env.outputs[cop.out_buf] = Some(host);
-                    return Err(TcuError::Unbound {
-                        buffer: r.buf,
-                        written: false,
-                    });
-                }
-            }
-            let a = serial_read(&arena, &env.inputs, &env.outputs, &cop.a);
-            let b = serial_read(&arena, &env.inputs, &env.outputs, &cop.b);
-            let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-            let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
-            mach.issue_into_tagged(cop.op, a, Some(tag), b, &mut out_view);
-            env.outputs[cop.out_buf] = Some(host);
-        }
-        Ok(())
+        let recorder = mach.recorder_handle();
+        let (mut acct, execs) = mach.wave_parts();
+        let plan = self.prologue(&mut acct, env)?;
+        let one_queue = DataflowPlacement::one_queue(plan.ops());
+        run_inline(
+            self,
+            plan,
+            &one_queue,
+            &mut acct,
+            execs,
+            env,
+            SERIAL_POLICY,
+            recorder.as_deref(),
+        )
     }
 
     /// Execute the planned stream *across the units* of a parallel
@@ -520,14 +503,15 @@ impl Schedule {
     }
 
     /// The fault-tolerant parallel driver under explicit `policy` and
-    /// `tuning`. Resolves the deterministic placement, validates every
-    /// op's bindings, charges the whole stream up front in emission
-    /// order (so `Stats` and the digest equal the serial run's even
-    /// under recovery), then executes it inline or on the worker pool
-    /// per `tuning`. Neither that choice nor the steal seed is
-    /// observable in elements, `Stats`, or digest, and the
-    /// inline/threaded choice is not observable in `time()` or
-    /// [`tcu_core::FaultStats`] either. Wall-clock advances by
+    /// `tuning`. Runs the prologue every driver shares (plan, machine
+    /// and binding checks, then the whole stream charged in emission
+    /// order, so `Stats` and the digest equal the serial run's even
+    /// under recovery), resolves the deterministic placement, then
+    /// executes it on the single-thread walk or the worker pool per
+    /// `tuning`. Neither that choice nor the steal seed is observable
+    /// in elements, `Stats`, or digest, and the inline/threaded choice
+    /// is not observable in `time()` or [`tcu_core::FaultStats`]
+    /// either. Wall-clock advances by
     /// [`Schedule::dataflow_makespan_seeded`] of the tuning's seed plus
     /// the charged backoff and recovery passes.
     ///
@@ -547,14 +531,53 @@ impl Schedule {
         policy: RecoveryPolicy,
         tuning: DataflowTuning,
     ) -> Result<(), TcuError> {
-        if mach.sqrt_m() != self.sqrt_m {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different tensor-unit size",
-            });
-        }
         if mach.units() != self.units() {
             return Err(TcuError::PlanMismatch {
                 what: "schedule was planned for a different unit count",
+            });
+        }
+        if let Some(rec) = env.recorder.clone() {
+            mach.enable_recorder(rec);
+        }
+        let recorder = mach.recorder_handle();
+        let (mut acct, execs) = mach.wave_parts();
+        let plan = self.prologue(&mut acct, env)?;
+        let placement = place_dataflow(self, plan, tuning.steal_seed);
+        if tuning.use_inline() {
+            run_inline(
+                self,
+                plan,
+                &placement,
+                &mut acct,
+                execs,
+                env,
+                policy,
+                recorder.as_deref(),
+            )?;
+        } else {
+            run_threaded(
+                self, plan, &placement, &mut acct, execs, env, policy, &recorder,
+            )?;
+        }
+        acct.complete_wave(placement.makespan);
+        Ok(())
+    }
+
+    /// The prologue every driver runs before it charges or writes
+    /// anything: the machine's `√m`, the environment's buffer shapes,
+    /// compilation (every op's contract), every op's output and read
+    /// bindings, and the machine splitting every op exactly as the
+    /// planning unit did. Then the whole stream is charged in emission
+    /// order on the calling thread, so `Stats` and the trace come out
+    /// byte-identical to eager issue however execution interleaves.
+    fn prologue<T: Scalar, U: TensorUnit>(
+        &self,
+        acct: &mut WaveAccountant<'_, U>,
+        env: &ExecEnv<'_, T>,
+    ) -> Result<&ExecutablePlan, TcuError> {
+        if acct.sqrt_m() != self.sqrt_m {
+            return Err(TcuError::PlanMismatch {
+                what: "schedule was planned for a different tensor-unit size",
             });
         }
         if env.shapes != self.buffer_shapes {
@@ -563,100 +586,32 @@ impl Schedule {
             });
         }
         let plan = self.compiled()?;
-        if let Some(rec) = env.recorder.clone() {
-            mach.enable_recorder(rec);
-        }
-        let recorder = mach.recorder_handle();
-        let stamps = tag_stamps(env);
-        let placement = place_dataflow(self, plan, tuning.steal_seed);
-
-        // Snapshot arena, with never-written output-bound reads staged
-        // up front (their content cannot change during the run).
-        let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-        for d in &plan.cond_stages {
-            if env.inputs[d.buf].is_some() {
-                continue;
-            }
-            let snap = env.outputs[d.buf]
-                .as_ref()
-                .ok_or(TcuError::Unbound {
-                    buffer: d.buf,
-                    written: false,
-                })?
-                .as_view()
-                .subview(d.r0, d.c0, d.rows, d.cols)
-                .to_matrix();
-            let _ = arena[d.slot as usize].set(snap);
-        }
-
-        let arena = &arena;
-        let written = &env.written;
-        let inputs = &env.inputs;
-        let outputs = &mut env.outputs;
-        let (mut acct, execs) = mach.wave_parts();
-
-        // Upfront validation: every output bound, every read resolvable
-        // (input-bound, or output-bound and hence stageable), and the
-        // machine splitting ops exactly as the planning unit did —
-        // checked for the *whole* stream before anything is charged or
-        // executed, since charging happens up front below.
-        let s = acct.sqrt_m();
-        let tall = acct.unit().supports_tall();
         for (i, cop) in plan.ops.iter().enumerate() {
-            if outputs[cop.out_buf].is_none() {
+            if env.outputs[cop.out_buf].is_none() {
                 return Err(TcuError::Unbound {
                     buffer: cop.out_buf,
                     written: true,
                 });
             }
             for r in [&cop.a, &cop.b] {
-                if inputs[r.buf].is_none() && outputs[r.buf].is_none() {
+                if env.inputs[r.buf].is_none() && env.outputs[r.buf].is_none() {
                     return Err(TcuError::Unbound {
                         buffer: r.buf,
                         written: false,
                     });
                 }
             }
-            let inv = if tall {
-                1
-            } else {
-                cop.op.charge_rows(s).div_ceil(s)
-            } as u32;
-            if inv != self.node_invocations[i] {
+            if cop.op.invocations(acct.unit()).0 as u32 != self.node_invocations[i] {
                 return Err(TcuError::PlanMismatch {
                     what: "machine splits ops differently than the schedule planned \
                            (tall-operand support must match the planning unit)",
                 });
             }
         }
-        // Charge the entire stream in emission order on the main
-        // thread: byte-identical `Stats` and trace to the serial run,
-        // no matter how execution interleaves below.
         for cop in &plan.ops {
             acct.charge_wave_op(&cop.op);
         }
-
-        if tuning.use_inline() {
-            run_inline(
-                self,
-                plan,
-                &placement,
-                &mut acct,
-                execs,
-                arena,
-                written,
-                inputs,
-                outputs,
-                &stamps,
-                policy,
-                recorder.as_deref(),
-            )
-        } else {
-            run_threaded(
-                self, plan, &placement, &mut acct, execs, arena, written, inputs, outputs, &stamps,
-                policy, &recorder,
-            )
-        }
+        Ok(plan)
     }
 }
 
@@ -1311,31 +1266,31 @@ impl PassLog {
     }
 }
 
-/// The inline executor: walk each pass's queues in global
-/// `(start, index)` order serial-style — no workers, no channels, no
-/// scratch — executing each op on its queue's unit directly into the
-/// bound destination. That order is topological (hazard edges point to
-/// strictly larger keys) and keeps every queue's own order, so per-unit
-/// op sequences — each queue minus the ops the pass removes — are
-/// exactly the threaded executor's: pack-cache counters, fault-plan
-/// outcomes, and recovery match it op for op. The hot loop is the
-/// serial runtime's (on-demand staging, zero-copy reads, in-place
-/// writes), which is what makes single-core dispatch overhead ~zero.
+/// The single-thread walk: every serial run (one queue, emission order)
+/// and the inline dataflow executor. Each pass's queues run in global
+/// `(start, index)` order on the calling thread — no workers, no
+/// channels, no scratch — each op on its queue's unit, under
+/// [`execute_with_retries`], straight into the bound destination. That
+/// order is topological (hazard edges point to strictly larger keys)
+/// and keeps every queue's own order, so per-unit op sequences — each
+/// queue minus the ops the pass removes — are exactly the threaded
+/// executor's: pack-cache counters, fault-plan outcomes, and recovery
+/// match it op for op. Reads are zero-copy except an op's reads of the
+/// buffer it writes, snapshotted on first use (see the
+/// [module docs](self)).
 #[allow(clippy::too_many_arguments)]
-fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
+fn run_inline<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
     placement: &DataflowPlacement,
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
-    arena: &'v [OnceLock<Matrix<T>>],
-    written: &[bool],
-    inputs: &'v [Option<MatrixView<'_, T>>],
-    outputs: &mut [Option<MatrixViewMut<'_, T>>],
-    stamps: &[u64],
+    env: &mut ExecEnv<'_, T>,
     policy: RecoveryPolicy,
     recorder: Option<&dyn tcu_obs::Recorder>,
 ) -> Result<(), TcuError> {
+    let stamps = tag_stamps(env);
+    let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
     let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
     let start = &placement.start;
@@ -1363,8 +1318,26 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
                 continue;
             }
             let cop = &plan.ops[i];
+            // The destination's binding leaves the environment while the
+            // op runs, so its reads of its own buffer come from
+            // snapshots, each taken on the key's first such use, before
+            // any write: by the hazard order, the version the key names.
+            let mut host = env.outputs[cop.out_buf]
+                .take()
+                .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
             let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
-            let staged = stage_pending_reads(arena, written, outputs, plan, i)?;
+            let mut staged = 0;
+            for r in [&cop.a, &cop.b] {
+                let slot = &mut arena[r.slot as usize];
+                if r.buf == cop.out_buf && slot.is_none() {
+                    *slot = Some(
+                        host.as_view()
+                            .subview(r.r0, r.c0, r.rows, r.cols)
+                            .to_matrix(),
+                    );
+                    staged += 1;
+                }
+            }
             if staged > 0 {
                 emit_span(
                     recorder,
@@ -1378,12 +1351,9 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
             if pass == 0 && home != u {
                 acct.record_steal(home, u);
             }
-            let a = wave_read(arena, inputs, &cop.a)?;
-            let b = wave_read(arena, inputs, &cop.b)?;
+            let a = inline_read(&arena, &env.inputs, &env.outputs, &cop.a);
+            let b = inline_read(&arena, &env.inputs, &env.outputs, &cop.b);
             let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-            let host = outputs[cop.out_buf]
-                .as_mut()
-                .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
             let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
             let t0 = recorder.map(tcu_obs::Recorder::now_ns);
             let result = execute_with_retries(
@@ -1396,6 +1366,7 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
                 max_attempts,
                 &mut log.notes[u],
             );
+            env.outputs[cop.out_buf] = Some(host);
             match result {
                 Ok(()) => {
                     emit_span(
@@ -1423,7 +1394,6 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
             break;
         }
     }
-    acct.complete_wave(placement.makespan);
     Ok(())
 }
 
@@ -1436,20 +1406,30 @@ fn run_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
 /// (per-unit op sequences cannot depend on timing) and hazard-gated
 /// commits (overlapping writes retire in emission order).
 #[allow(clippy::too_many_arguments)]
-fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
+fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
     placement: &DataflowPlacement,
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
-    arena: &'v [OnceLock<Matrix<T>>],
-    written: &[bool],
-    inputs: &'v [Option<MatrixView<'_, T>>],
-    outputs: &mut [Option<MatrixViewMut<'_, T>>],
-    stamps: &[u64],
+    env: &mut ExecEnv<'_, T>,
     policy: RecoveryPolicy,
     recorder: &Option<std::sync::Arc<dyn tcu_obs::Recorder>>,
 ) -> Result<(), TcuError> {
+    let stamps = &tag_stamps(env);
+    // Snapshot arena, with never-written output-bound reads staged up
+    // front (their content cannot change during the run).
+    let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
+    for d in &plan.cond_stages {
+        if let (None, Some(v)) = (&env.inputs[d.buf], &env.outputs[d.buf]) {
+            let snap = v.as_view().subview(d.r0, d.c0, d.rows, d.cols).to_matrix();
+            let _ = arena[d.slot as usize].set(snap);
+        }
+    }
+    let arena = &arena;
+    let written = &env.written;
+    let inputs = &env.inputs;
+    let outputs = &mut env.outputs;
     let units = execs.len();
     let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
@@ -1464,7 +1444,7 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         let mut task_tx = Vec::with_capacity(units);
         let mut handles = Vec::with_capacity(units);
         for (u, exec) in execs.iter_mut().enumerate() {
-            let (ttx, trx) = std::sync::mpsc::channel::<Task<'v, T>>();
+            let (ttx, trx) = std::sync::mpsc::channel::<Task<'_, T>>();
             let rtx = result_tx.clone();
             let rec = recorder.clone();
             handles.push(scope.spawn(move || {
@@ -1523,7 +1503,7 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         let rec = recorder.as_deref();
                         let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
                         let mut staged = 0u32;
-                        let mut batch: Vec<WaveItem<'v, T>> = Vec::new();
+                        let mut batch: Vec<WaveItem<'_, T>> = Vec::new();
                         while let Some(&idx) = queues[u].get(cursor[u]) {
                             let i = idx as usize;
                             if removed[i] {
@@ -1698,9 +1678,6 @@ fn run_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         }
         run_result
     });
-    if run_result.is_ok() {
-        acct.complete_wave(placement.makespan);
-    }
     run_result
 }
 

@@ -158,10 +158,8 @@ impl Scheduler {
         let node_costs: Vec<u64> = nodes
             .iter()
             .map(|n| {
-                invocation_rows(n, unit)
-                    .into_iter()
-                    .map(|rows| unit.invocation_cost(rows))
-                    .sum()
+                let (count, rows) = n.op.invocations(unit);
+                count as u64 * unit.invocation_cost(rows)
             })
             .collect();
         let critical_path = tcu_obs::critical_path(&node_costs, &succs);
@@ -199,18 +197,14 @@ impl Scheduler {
                 a_gen,
                 b_gen,
             });
-            let rows_list = invocation_rows(&node, unit);
-            emitted_invs.push(rows_list.len() as u32);
-            let mut ncost = 0u64;
-            for rows in rows_list {
-                invocations += 1;
-                charged_rows += rows as u64;
-                let cost = unit.invocation_cost(rows);
-                tensor_time += cost;
-                ncost += cost;
-                wave_costs.push(cost);
-            }
-            emitted_costs.push(ncost);
+            let (count, rows) = node.op.invocations(unit);
+            let cost = unit.invocation_cost(rows);
+            emitted_invs.push(count as u32);
+            emitted_costs.push(count as u64 * cost);
+            invocations += count as u64;
+            charged_rows += (count * rows) as u64;
+            tensor_time += count as u64 * cost;
+            wave_costs.extend(std::iter::repeat_n(cost, count));
             let wave_ends = pos + 1 == order.len() || lv[order[pos + 1]] != lv[i];
             if wave_ends {
                 let partition = partition_lpt(&wave_costs, self.units);
@@ -238,19 +232,6 @@ impl Scheduler {
             node_invocations: emitted_invs,
             compiled: std::sync::OnceLock::new(),
         }
-    }
-}
-
-/// The hardware invocations one node decomposes into under `unit`: one
-/// tall call, or `⌈n/√m⌉` square tiles without native tall support —
-/// the same split the serial machine's charge path applies.
-fn invocation_rows<U: TensorUnit>(node: &Node, unit: &U) -> Vec<usize> {
-    let s = unit.sqrt_m();
-    let n = node.op.charge_rows(s);
-    if unit.supports_tall() {
-        vec![n]
-    } else {
-        vec![s; n.div_ceil(s)]
     }
 }
 

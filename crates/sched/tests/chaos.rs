@@ -499,6 +499,55 @@ fn unbound_buffers_fail_typed_in_try_run() {
     }
 }
 
+/// A serial run validates every binding before it charges or writes:
+/// `C = A·B`, then (a later wave) `C += D·B` with `D` left unbound.
+/// The run fails typed on `D`, the first op never runs, and nothing is
+/// charged.
+#[test]
+fn try_run_rejects_a_later_unbound_read_before_running_anything() {
+    let mut g = OpGraph::new();
+    let bufs = Bufs {
+        a: g.buffer("A", DIM, DIM),
+        b: g.buffer("B", DIM, DIM),
+        c: g.buffer("C", DIM, DIM),
+        d: g.buffer("D", DIM, DIM),
+    };
+    let strip = |buf| OperandRef::new(buf, 0, 0, DIM, SQRT_M);
+    let weights = OperandRef::new(bufs.b, 0, 0, SQRT_M, SQRT_M);
+    g.record(
+        TensorOp::mul(DIM, SQRT_M),
+        strip(bufs.a),
+        weights,
+        strip(bufs.c),
+    );
+    g.record(
+        TensorOp::mul_acc(DIM, SQRT_M),
+        strip(bufs.d),
+        weights,
+        strip(bufs.c),
+    );
+    let plan = plan_at(&g, 1);
+    assert_eq!(plan.waves(), 2, "the unbound read sits in a later wave");
+    let mut ser = TcuMachine::new(ModelTensorUnit::new(SQRT_M * SQRT_M, 13));
+    let (a, b) = (pseudo(DIM, DIM, 1), pseudo(DIM, DIM, 2));
+    let mut c = Matrix::from_fn(DIM, DIM, |_, _| 7i64);
+    let mut env = ExecEnv::new(&g);
+    env.bind_input(bufs.a, a.view());
+    env.bind_input(bufs.b, b.view());
+    env.bind_output(bufs.c, c.view_mut());
+    let result = plan.try_run(&mut ser, &mut env);
+    drop(env);
+    assert_eq!(
+        result,
+        Err(TcuError::Unbound {
+            buffer: bufs.d.index(),
+            written: false
+        })
+    );
+    assert_eq!(c, Matrix::from_fn(DIM, DIM, |_, _| 7i64), "C untouched");
+    assert_eq!(ser.stats(), &tcu_core::Stats::default(), "nothing charged");
+}
+
 /// The chaos example's two-stage pipeline, `M = A·B` then `C = M·B`:
 /// every stage-1 strip of `M` is an accumulation chain that stage-2
 /// strips read.

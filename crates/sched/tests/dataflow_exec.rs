@@ -16,7 +16,9 @@
 //! rather than incidental. The one executor-dependent outcome, a
 //! foreign executor panic, is pinned by
 //! `foreign_panics_recover_threaded_and_fail_inline` and
-//! `foreign_panic_inside_a_chain_reruns_the_whole_chain`.
+//! `foreign_panic_inside_a_chain_reruns_the_whole_chain`; a serial run,
+//! the inline walk's one-queue case, fails typed on it too
+//! (`serial_executor_panic_fails_typed`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -618,4 +620,36 @@ fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
         );
         assert_eq!(run(), (time, faults), "replay, k={k}");
     }
+}
+
+/// A serial run is the one-queue case of the single-thread walk, so an
+/// executor panic comes back as a typed error instead of unwinding
+/// through `try_run`: unit 0, in the failing op's wave. Charges precede
+/// execution, so the failed run holds the whole stream's charge (named
+/// deviation 1).
+#[test]
+fn serial_executor_panic_fails_typed() {
+    let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
+    let (g, bufs) = random_graph(3);
+    let plan = Scheduler::new().plan(&g, &unit);
+    let mut ser = TcuMachine::with_executor(unit, BuggyExecutor::default());
+    ser.executor_mut().panic_at = Some(0);
+    let (a, b) = (pseudo(DIM, DIM, 3), pseudo(DIM, DIM, 4));
+    let (mut c, mut d) = (
+        Matrix::<i64>::zeros(DIM, DIM),
+        Matrix::<i64>::zeros(DIM, DIM),
+    );
+    let mut env = ExecEnv::new(&g);
+    env.bind_input(bufs.a, a.view());
+    env.bind_input(bufs.b, b.view());
+    env.bind_output(bufs.c, c.view_mut());
+    env.bind_output(bufs.d, d.view_mut());
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        plan.try_run(&mut ser, &mut env)
+    }));
+    assert!(
+        matches!(result, Ok(Err(TcuError::UnitFault { unit: 0, wave: 0 }))),
+        "expected a typed UnitFault, got {result:?}"
+    );
+    assert_eq!(ser.stats().tensor_calls, plan.invocations());
 }

@@ -258,3 +258,26 @@ fn e5_closure_output_pinned() {
     let got = element_digest(eager.as_slice().iter().map(|&x| x as u64));
     check_bits("e5_closure_bits", got, 6_115_052_828_594_300_709);
 }
+
+#[test]
+fn e5_sparse_closure_output_pinned() {
+    // The E5 workload above closes to 4032 of 4096 ones, so a wrong
+    // `D`-stage weight can leave its bits unchanged. This input has arc
+    // density ≈ 0.03 and leaves over a quarter of all pairs unreachable
+    // (binding the weight panel at the wrong chunk offset moves it).
+    let d0 = Matrix::from_fn(64, 64, |i, j| {
+        i64::from((i * 67 + j * 29 + (i * j) % 13) % 37 == 0)
+    });
+    let mut eager = d0.clone();
+    closure::transitive_closure(&mut TcuMachine::model(16, 21), &mut eager);
+    let mut sched = d0;
+    closure::transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched);
+    assert_eq!(eager, sched, "scheduled closure must equal eager");
+    let ones = eager.as_slice().iter().filter(|&&x| x == 1).count();
+    assert!(
+        4096 - ones >= 4096 / 4,
+        "the closure saturates: {ones} of 4096 ones"
+    );
+    let got = element_digest(eager.as_slice().iter().map(|&x| x as u64));
+    check_bits("e5_sparse_closure_bits", got, 3_384_711_405_679_926_725);
+}
