@@ -84,7 +84,7 @@ pub fn transitive_closure<U: TensorUnit, E: Executor>(
 /// length)`: every full chunk of every stage runs one memoized plan and
 /// a short tail chunk a second. The gathers are host marshalling and
 /// uncharged, like the eager path's block copies. The weight blocks
-/// are processed in chunks of [`D_CHUNK`] block-columns per plan, with
+/// are processed in chunks of `D_CHUNK` block-columns per plan, with
 /// the (∨-clamp) fold back into `X` run after each chunk: batching
 /// *all* `q − 1` products before folding would push the product panel
 /// out to an `(q−1)²s²`-element round-trip that evicts both `X` and the

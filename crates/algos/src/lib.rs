@@ -24,7 +24,7 @@
 //! the structured algorithms, the exact closed-form simulated time.
 //!
 //! [`workloads`] generates the random inputs the experiments sweep over
-//! (seeded, so every table the `tcu-bench` `exp_*` binaries print is
+//! (seeded, so every table `tcu-bench`'s `exp` binary prints is
 //! reproducible; see the README's Quickstart).
 
 pub mod apsd;

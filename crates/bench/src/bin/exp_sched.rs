@@ -46,11 +46,10 @@
 //!   column-block chains). Results are asserted bit-identical before
 //!   timing; the `speedup_wall` of these cases is what `bench_diff`
 //!   gates on runners whose core count matches the committed
-//!   baseline's (a 1-core runner resolves to the inline executor, so
-//!   `sched ns/op` collapses to ≈ the serial run). Their
-//!   `sched_efficiency` (the structural bound over the dataflow
-//!   makespan) is a *hard* `bench_diff` gate — deterministic, so >10%
-//!   drops fail even in informational mode.
+//!   baseline's (every core count runs the threaded executor, one
+//!   worker per unit). Their `sched_efficiency` (the structural bound
+//!   over the dataflow makespan) is a *hard* `bench_diff` gate —
+//!   deterministic, so >10% drops fail even in informational mode.
 //! * `faults d=<d> units=<p> rate=<r>` — `run_parallel` on plain
 //!   executors versus the fault-tolerant `try_run_parallel` on
 //!   `FaultyExecutor`s injecting `r` transient faults per mille (plus a
@@ -650,11 +649,11 @@ fn bench_strassen(d: usize, quick: bool) -> Case {
 /// driver, on `units`. The graph is the packcache accumulation flow:
 /// `q` independent column-block chains of `q` products each. The
 /// placement is resolved at plan time; at run time ops dispatch as
-/// their hazard predecessors commit, with batching elided entirely on
-/// one core (the inline executor walks the placement serial-style).
-/// Results are asserted bit-identical to the serial scheduled run
-/// before timing; `speedup_wall` is the number `bench_diff` gates when
-/// the runner's core count matches the baseline's. `sched_efficiency`
+/// their hazard predecessors commit, on one worker thread per unit at
+/// every core count. Results are asserted bit-identical to the serial
+/// scheduled run before timing; `speedup_wall` is the number
+/// `bench_diff` gates when the runner's core count matches the
+/// baseline's. `sched_efficiency`
 /// here is `dataflow_efficiency` — the structural lower bound over the
 /// *dataflow* makespan — and is a hard lower-is-worse `bench_diff`
 /// gate.
@@ -739,7 +738,7 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
 }
 
 /// The fault-tolerance overhead and recovery-cost case: `run_parallel`
-/// on plain executors versus `try_run_parallel` on [`FaultyExecutor`]s
+/// on plain executors versus `try_run_parallel` on `FaultyExecutor`s
 /// injecting a seeded plan at `rate` transient faults per mille (plus
 /// one permanent victim when `rate > 0`). At `rate = 0` the injector is
 /// a pure counted pass-through, so `speedup_wall` *is* the fault-free

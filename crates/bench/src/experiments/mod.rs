@@ -1,6 +1,7 @@
-//! One module per experiment in `DESIGN.md`'s index. Each exposes
-//! `run(quick: bool)`: `quick` shrinks the sweeps for smoke tests; the
-//! full sweeps are what `EXPERIMENTS.md` records.
+//! One module per experiment, each opening with the paper claim it
+//! checks. Each exposes `run(quick: bool)`: `quick` shrinks the sweeps
+//! for smoke tests. [`EXPERIMENTS`] is the index the `exp` binary runs
+//! them by.
 
 pub mod e10_karatsuba;
 pub mod e11_poly;
@@ -20,23 +21,33 @@ pub mod ep2_precision;
 pub mod f1_systolic;
 pub mod val_cycles;
 
-/// Run every experiment in index order (the `run_all` binary).
+/// An experiment's name, as `exp` takes it, and its `run`.
+pub type Experiment = (&'static str, fn(bool));
+
+/// Every experiment, in index order: the order `exp all` runs them.
+pub const EXPERIMENTS: [Experiment; 17] = [
+    ("f1_systolic", f1_systolic::run),
+    ("e1_strassen", e1_strassen::run),
+    ("e2_dense", e2_dense::run),
+    ("e2_rect", e2_rect::run),
+    ("e3_sparse", e3_sparse::run),
+    ("e4_gauss", e4_gauss::run),
+    ("e5_closure", e5_closure::run),
+    ("e6_apsd", e6_apsd::run),
+    ("e7_dft", e7_dft::run),
+    ("e8_stencil", e8_stencil::run),
+    ("e9_intmul", e9_intmul::run),
+    ("e10_karatsuba", e10_karatsuba::run),
+    ("e11_poly", e11_poly::run),
+    ("e12_extmem", e12_extmem::run),
+    ("val_cycles", val_cycles::run),
+    ("ep1_parallel", ep1_parallel::run),
+    ("ep2_precision", ep2_precision::run),
+];
+
+/// Run every experiment in index order (`exp all`).
 pub fn run_all(quick: bool) {
-    f1_systolic::run(quick);
-    e1_strassen::run(quick);
-    e2_dense::run(quick);
-    e2_rect::run(quick);
-    e3_sparse::run(quick);
-    e4_gauss::run(quick);
-    e5_closure::run(quick);
-    e6_apsd::run(quick);
-    e7_dft::run(quick);
-    e8_stencil::run(quick);
-    e9_intmul::run(quick);
-    e10_karatsuba::run(quick);
-    e11_poly::run(quick);
-    e12_extmem::run(quick);
-    val_cycles::run(quick);
-    ep1_parallel::run(quick);
-    ep2_precision::run(quick);
+    for (_, run) in EXPERIMENTS {
+        run(quick);
+    }
 }

@@ -1,34 +1,57 @@
 //! # tcu-bench — experiment harness for the TCU reproduction
 //!
-//! Shared plumbing for the `exp_*` binaries (one per paper claim — see
-//! `DESIGN.md`'s per-experiment index): aligned table rendering, log-log
-//! slope fitting (the scaling-exponent check every theorem-validation
-//! experiment performs), and geometric-mean ratio summaries.
+//! Shared plumbing for the `exp` binary, which runs the experiments of
+//! [`experiments::EXPERIMENTS`] (one per paper claim) by name: aligned
+//! table rendering, log-log slope fitting (the scaling-exponent check
+//! every theorem-validation experiment performs), and geometric-mean
+//! ratio summaries.
 //!
-//! Every binary prints its table to stdout; `EXPERIMENTS.md` is a
-//! snapshot of those outputs with commentary. All workloads are seeded,
-//! so reruns reproduce the tables bit-for-bit.
+//! Every experiment prints its table to stdout. All workloads are
+//! seeded, so reruns reproduce the tables bit-for-bit.
 
 pub mod experiments;
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by [`experiment_main`] when `--stats` (or `TCU_STATS=1`) asks
-/// for per-machine summaries; read by [`report_stats`].
+/// Set by [`experiment_main`] when `--stats` asks for per-machine
+/// summaries; read by [`report_stats`].
 static STATS_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Shared CLI entry point for every experiment binary: parses the flags
-/// the harness supports (`--quick`, the reduced smoke-test sweep;
-/// `--stats`, per-machine [`tcu_core::StatsSummary`] lines) and invokes
-/// the experiment. The `exp_*` binaries and `run_all` are one-line
-/// wrappers over this, so flag handling and any future harness plumbing
-/// live in exactly one place.
-pub fn experiment_main(run: fn(bool)) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    if std::env::args().any(|a| a == "--stats") || std::env::var_os("TCU_STATS").is_some() {
-        STATS_ENABLED.store(true, Ordering::Relaxed);
+/// The `exp` binary: `exp <name>|all [--quick] [--stats]` runs one
+/// experiment of [`experiments::EXPERIMENTS`] by name, or all of them
+/// in index order. `--quick` is the reduced smoke-test sweep; `--stats`
+/// adds per-machine [`tcu_core::StatsSummary`] lines. Anything but one
+/// known name or `all` prints the usage and the names, and exits with
+/// status 2.
+pub fn experiment_main(args: impl IntoIterator<Item = String>) -> ExitCode {
+    let mut quick = false;
+    let mut names = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--stats" => STATS_ENABLED.store(true, Ordering::Relaxed),
+            _ => names.push(arg),
+        }
     }
+    let run = match names.as_slice() {
+        [all] if all == "all" => Some(experiments::run_all as fn(bool)),
+        [name] => experiments::EXPERIMENTS
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, run)| run),
+        _ => None,
+    };
+    let Some(run) = run else {
+        let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "usage: exp <name>|all [--quick] [--stats]\nexperiments: {}",
+            known.join(" ")
+        );
+        return ExitCode::from(2);
+    };
     run(quick);
+    ExitCode::SUCCESS
 }
 
 /// `true` when the harness was asked for per-machine stats summaries.
@@ -37,11 +60,11 @@ pub fn stats_enabled() -> bool {
     STATS_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Print `mach`'s [`tcu_core::StatsSummary`] under `label` when the
-/// binary ran with `--stats` (or `TCU_STATS=1`); no-op otherwise.
-/// Experiments call this after each workload, which is how scheduler
-/// wins (fewer invocations, fewer charged rows) become visible in any
-/// `exp_*` table without changing the tables themselves.
+/// Print `mach`'s [`tcu_core::StatsSummary`] under `label` when `exp`
+/// ran with `--stats`; no-op otherwise. Experiments call this after
+/// each workload, which is how scheduler wins (fewer invocations, fewer
+/// charged rows) become visible in any experiment's table without
+/// changing the tables themselves.
 pub fn report_stats<U: tcu_core::TensorUnit, E: tcu_core::Executor>(
     label: &str,
     mach: &tcu_core::TcuMachine<U, E>,

@@ -53,3 +53,18 @@ fn extensions_run() {
     exp::ep1_parallel::run(true);
     exp::ep2_precision::run(true);
 }
+
+/// `exp` runs experiments by name: an unknown name exits with status 2
+/// and lists every name it knows.
+#[test]
+fn exp_rejects_an_unknown_name_with_the_list() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp"))
+        .arg("e0_unknown")
+        .output()
+        .expect("exp starts");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    for (name, _) in exp::EXPERIMENTS {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
+}

@@ -60,7 +60,7 @@ impl Stats {
 /// tall-split into hardware invocations). Produced by
 /// `TcuMachine::stats_summary`; the experiment harness prints it behind
 /// `--stats` so scheduler wins (fewer invocations, fewer rows) are
-/// visible in every `exp_*` bin.
+/// visible in every experiment's table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSummary {
     /// Logical tensor ops issued (`issue`/`issue_into` calls).

@@ -126,19 +126,8 @@ pub trait Executor: Send {
 /// `⌈2·⌈cols/√m⌉ / units⌉`, clamped to `[2, 1024]` — at least a working
 /// pair so ping-pong reuse never thrashes, and a hard ceiling so a huge
 /// operand cannot turn the cache into an unbounded retainer.
-///
-/// The environment variable `TCU_PACK_CACHE_CAP`, when set to a
-/// positive integer, overrides the derivation entirely (benchmark
-/// ablations sweep it without recompiling).
 #[must_use]
 pub fn pack_cache_capacity(dims: (usize, usize), sqrt_m: usize, units: usize) -> usize {
-    if let Some(cap) = std::env::var("TCU_PACK_CACHE_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-    {
-        return cap;
-    }
     let strips = dims.1.div_ceil(sqrt_m.max(1));
     (2 * strips).div_ceil(units.max(1)).clamp(2, 1024)
 }
@@ -671,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_capacity_bounds_the_cache_and_env_overrides_it() {
+    fn derived_capacity_bounds_the_cache() {
         // d = 32, √m = 4, 1 unit: ⌈32/4⌉ = 8 strips, two stages → 16.
         assert_eq!(pack_cache_capacity((32, 32), 4, 1), 16);
         // Split across 4 units: ⌈16/4⌉ = 4 per-unit strips.
@@ -722,18 +711,6 @@ mod tests {
             1,
             "one strip past the derived bound evicts exactly once"
         );
-
-        // The env override wins over the derivation (checked in-test to
-        // keep the process-global variable scoped to one test).
-        std::env::set_var("TCU_PACK_CACHE_CAP", "7");
-        assert_eq!(pack_cache_capacity((32, 32), 4, 1), 7);
-        std::env::set_var("TCU_PACK_CACHE_CAP", "not-a-number");
-        assert_eq!(
-            pack_cache_capacity((32, 32), 4, 1),
-            16,
-            "bad values fall back"
-        );
-        std::env::remove_var("TCU_PACK_CACHE_CAP");
     }
 
     #[test]

@@ -394,9 +394,10 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
 /// via [`ParallelTcuMachine::wave_parts`] or
 /// [`crate::TcuMachine::wave_parts`].
 ///
-/// Scheduled execution needs two disjoint capabilities at once: worker
-/// threads (or the single-thread walk) need exclusive access to each
-/// unit's executor, and the main thread needs to keep metering charges,
+/// Scheduled execution needs two disjoint capabilities at once: the
+/// parallel driver's worker threads (or the serial run, on a serial
+/// machine's one executor) need exclusive access to each unit's
+/// executor, and the main thread needs to keep metering charges,
 /// recovery annotations, and makespans in canonical order. This split
 /// makes that borrow structure explicit — every method here touches
 /// only the shared costing policy and the accounting state, never an

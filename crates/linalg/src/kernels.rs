@@ -5,7 +5,7 @@
 //! oracle), while the kernels here compute the *same sum in the same
 //! per-element order* but organized for the cache and the register file:
 //!
-//! * [`pack_b`] copies the right operand once per invocation into
+//! * `pack_b` copies the right operand once per invocation into
 //!   column panels of width `NR`, so the micro-kernel reads `B` as
 //!   contiguous, reusable rows regardless of the source view's stride;
 //! * the `MR × NR` register-blocked micro-kernel keeps a full tile of
@@ -140,7 +140,7 @@ pub fn matmul_into<T: Scalar>(
     }
 }
 
-/// A left operand packed once into contiguous [`MR`]-row panels:
+/// A left operand packed once into contiguous `MR`-row panels:
 /// `panel t`, covering rows `[t·MR, t·MR + MR)`, stores those rows
 /// back-to-back, each as its `k` values in column order (rows past the
 /// ragged bottom edge are zero). Keeping the rows *row-major inside the
@@ -185,7 +185,7 @@ impl<T: Scalar> PackedA<T> {
     }
 }
 
-/// Pack `a` into [`MR`]-row interleaved panels (see [`PackedA`]).
+/// Pack `a` into `MR`-row interleaved panels (see [`PackedA`]).
 #[must_use]
 pub fn pack_a<T: Scalar>(a: MatrixView<'_, T>) -> PackedA<T> {
     let (n, k) = (a.rows(), a.cols());

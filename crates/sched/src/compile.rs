@@ -12,9 +12,9 @@
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! The single-thread walk needs no staging directive: it snapshots a
-//! slot on first use, and only when an op reads the buffer it writes
-//! (see the `tcu_sched::run` module docs). The threaded executor stages
+//! The serial run needs no staging directive: it snapshots a slot on
+//! first use, and only when an op reads the buffer it writes (see the
+//! `tcu_sched::run` module docs). The threaded executor stages
 //! two classes of read key, both into the same slots:
 //!
 //! * **written reads** — every read of a written buffer. Workers run

@@ -39,47 +39,34 @@ use crate::scheduler::Schedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Knobs of the parallel driver that do not affect results: the steal
-/// tie-break seed (any seed yields byte-identical elements, `Stats`,
-/// and digest — it only moves which unit runs what, hence per-unit
-/// cache counters, fault outcomes, and `time()`), and the
-/// inline/threaded choice (also unobservable in `time()`, cache
-/// counters, and fault counters; the one exception, a foreign executor
-/// panic, is a named deviation in the `run` module docs).
+/// The parallel driver's one knob, which does not affect results: the
+/// steal tie-break seed. Any seed yields byte-identical elements,
+/// `Stats`, and digest; it only moves which unit runs what, hence
+/// per-unit cache counters, fault outcomes, and `time()`. The default
+/// (seed 0) is what [`Schedule::try_run_parallel`] and
+/// [`Schedule::dataflow_makespan`] use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataflowTuning {
     /// Seed of the steal tie-break permutation (0 = lowest-index-first
     /// after the home unit).
     pub steal_seed: u64,
-    /// `Some(true)` forces the single-threaded inline executor,
-    /// `Some(false)` forces the worker-pool executor, `None` picks
-    /// inline exactly when the host has one core (where worker threads
-    /// only add dispatch overhead).
-    pub inline: Option<bool>,
 }
 
 impl DataflowTuning {
-    /// Tuning from the environment: `TCU_STEAL_SEED` (integer, default
-    /// 0) and `TCU_DF_INLINE` (`1`/`0`, default auto).
+    /// The default tuning. Reads no environment; perfbench still calls
+    /// it. Delete in the next benchmark change.
+    #[doc(hidden)]
     #[must_use]
     pub fn from_env() -> Self {
-        let steal_seed = std::env::var("TCU_STEAL_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let inline = match std::env::var("TCU_DF_INLINE").as_deref() {
-            Ok("1") => Some(true),
-            Ok("0") => Some(false),
-            _ => None,
-        };
-        Self { steal_seed, inline }
+        Self::default()
     }
 
-    /// Resolve the inline/threaded choice.
+    /// Always `false`: every parallel run uses the threaded executor.
+    /// perfbench still records it. Delete in the next benchmark change.
+    #[doc(hidden)]
     #[must_use]
     pub fn use_inline(&self) -> bool {
-        self.inline
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(true, |p| p.get() <= 1))
+        false
     }
 }
 
@@ -104,22 +91,6 @@ pub(crate) struct DataflowPlacement {
     pub(crate) makespan: u64,
     /// Ops placed off their home unit.
     pub(crate) steals: u64,
-}
-
-impl DataflowPlacement {
-    /// The one-queue partition a serial run walks: every op on unit 0
-    /// in emission order (`start` is the op index). No simulation runs
-    /// and no makespan is charged — a serial machine's clock is its
-    /// `Stats`.
-    pub(crate) fn one_queue(ops: usize) -> Self {
-        Self {
-            home: vec![0; ops],
-            start: (0..ops as u64).collect(),
-            unit_order: vec![(0..ops as u32).collect()],
-            makespan: 0,
-            steals: 0,
-        }
-    }
 }
 
 /// `splitmix64` step — the standard 64-bit mix, enough PRNG for a
@@ -245,16 +216,15 @@ pub(crate) fn place_dataflow(
 }
 
 impl Schedule {
-    /// The simulated makespan of the dataflow driver under the
-    /// environment's steal seed (`TCU_STEAL_SEED`, default 0): what a
-    /// dataflow run charges into `time()` as its tensor wall-clock.
-    /// Never exceeds [`Schedule::makespan`] — the placement falls back
-    /// to the wave assignment when the barrier-free simulation loses —
-    /// and never undercuts
-    /// `max(critical_path, ⌈tensor_time / units⌉)`.
+    /// The simulated makespan of the dataflow driver under the default
+    /// steal seed (0): what [`Schedule::try_run_parallel`] charges into
+    /// `time()` as its tensor wall-clock. Never exceeds
+    /// [`Schedule::makespan`] — the placement falls back to the wave
+    /// assignment when the barrier-free simulation loses — and never
+    /// undercuts `max(critical_path, ⌈tensor_time / units⌉)`.
     #[must_use]
     pub fn dataflow_makespan(&self) -> u64 {
-        self.dataflow_makespan_seeded(DataflowTuning::from_env().steal_seed)
+        self.dataflow_makespan_seeded(DataflowTuning::default().steal_seed)
     }
 
     /// [`Schedule::dataflow_makespan`] under an explicit steal seed.
@@ -267,21 +237,21 @@ impl Schedule {
     }
 
     /// Deterministic steals in the dataflow placement under the
-    /// environment's steal seed: ops the simulation moved off their
+    /// default steal seed (0): ops the simulation moved off their
     /// wave-LPT home unit.
     #[must_use]
     pub fn dataflow_steals(&self) -> u64 {
         match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, DataflowTuning::from_env().steal_seed).steals,
+            Ok(plan) => place_dataflow(self, plan, DataflowTuning::default().steal_seed).steals,
             Err(_) => 0,
         }
     }
 
-    /// [`Schedule::sched_efficiency`] for the dataflow driver:
-    /// `lower_bound / dataflow_makespan`. At least the wave efficiency
-    /// (the dataflow makespan never exceeds the wave makespan), and
-    /// `1.0` means the barrier-free schedule is provably optimal for
-    /// the cost model.
+    /// [`Schedule::sched_efficiency`] for the dataflow driver under the
+    /// default steal seed: `lower_bound / dataflow_makespan`. At least
+    /// the wave efficiency (the dataflow makespan never exceeds the
+    /// wave makespan), and `1.0` means the barrier-free schedule is
+    /// provably optimal for the cost model.
     #[must_use]
     pub fn dataflow_efficiency(&self) -> f64 {
         let df = self.dataflow_makespan();
@@ -350,7 +320,7 @@ mod tests {
         let plan = Scheduler::new().with_units(3).plan(&pipeline(32, 8), &unit);
         let compiled = plan.compiled().expect("compiles");
         for seed in [0u64, 1, 0xDEAD_BEEF] {
-            // The global `(start, index)` order the executors walk.
+            // The `(start, index)` keys every queue is sorted by.
             let p = place_dataflow(&plan, compiled, seed);
             let key = |i: usize| (p.start[i], i);
             for i in 0..plan.ops() {

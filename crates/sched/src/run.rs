@@ -13,7 +13,7 @@
 //! operand is tagged with an [`OperandId`] whose generation combines a
 //! process-unique stamp (the environment's *epoch* for frozen
 //! input-bound reads, a fresh per-run stamp for reads of written
-//! buffers — see [`tag_stamps`]) with the operand's emission-order
+//! buffers — see `tag_stamps`) with the operand's emission-order
 //! content version from the schedule — so a pack-caching executor
 //! reuses packed strips across every invocation that streams the same
 //! region *at the same version*, a write in a pipeline retires the
@@ -32,8 +32,7 @@
 //! correct, and snapshots exist only where safe-Rust borrows force
 //! them. The two execution loops need different ones:
 //!
-//! * the **single-thread walk** (every serial run, and the inline
-//!   dataflow executor) holds an op's destination binding mutably while
+//! * the **serial run** holds an op's destination binding mutably while
 //!   the op runs, so it snapshots a read key on first use, and only when
 //!   an op reads it from the buffer that op writes: one gather per
 //!   `(region, generation)`, the same marshalling the eager blocked
@@ -57,17 +56,17 @@
 //! charged — and a run the prologue rejects has charged and written
 //! nothing.
 //!
-//! # One single-thread loop
+//! # One serial loop, one parallel executor
 //!
 //! The paper's machine is a RAM with one tensor unit, and its parallel
-//! machine has `p`: a serial run is the one-unit case of a parallel
-//! one. [`Schedule::try_run`] is therefore the inline dataflow walk
-//! over one queue — every op in emission order (its `start` is its
-//! index) on the machine's own executor — with no placement computed,
-//! under a fixed policy of one attempt and no quarantine (one unit has
-//! no survivor to hand work to). An executor panic comes back as a
-//! typed error, as on the parallel driver. The only other loop is the
-//! threaded executor below.
+//! machine has `p`, so a compiled plan has two executors.
+//! [`Schedule::try_run`] is the serial loop: one pass over the stream
+//! in emission order on the machine's own executor, each op writing its
+//! bound destination in place, under a fixed policy of one attempt and
+//! no quarantine (one unit has no survivor to hand work to). It
+//! computes no placement and keeps no recovery state; an executor panic
+//! comes back as a typed error. Every parallel run, at every core
+//! count, goes to the threaded executor below.
 //!
 //! # Multi-unit execution
 //!
@@ -101,12 +100,7 @@
 //!   its own chain has committed (the chain's earlier ops run first, on
 //!   the same unit); each idle unit receives its entire ready prefix as
 //!   *one* channel message, and written-buffer reads are snapshotted
-//!   right before their first reader's dispatch. On a single-core host
-//!   (or under `TCU_DF_INLINE=1`) the single-thread walk — the loop
-//!   every serial run uses — skips workers, channels, and scratch
-//!   entirely and walks the same queues in `(start, index)` order,
-//!   writing destinations in place: same bytes, same per-unit cache
-//!   counters, same clock, no dispatch overhead.
+//!   right before their first reader's dispatch.
 //!
 //! # Fault tolerance
 //!
@@ -139,8 +133,8 @@
 //! Chains change none of this. Injected faults fire
 //! before the executor writes, so a stopping worker hands back every
 //! open accumulator that holds a completed op and the main thread
-//! merges it: the committed set is exactly the unit's executed prefix,
-//! as on the inline executor. A foreign panic tears only the
+//! merges it: the committed set is exactly the unit's executed prefix.
+//! A foreign panic tears only the
 //! accumulator it was writing; that chain's completed ops rejoin the
 //! pass's removed set (they re-run against a destination the chain
 //! never merged into), and so do all open chains of a worker lost
@@ -157,8 +151,9 @@
 //! ops, which the plan determines. So every unit's execution sequence
 //! in a pass is its queue minus the removed set, and so is every
 //! executor's fault-plan index. `time()`, [`tcu_core::FaultStats`], and
-//! the *ordered* fault trace therefore replay exactly, and the inline
-//! and threaded executors agree on all of them. Recovery stays
+//! the *ordered* fault trace therefore replay exactly under any thread
+//! interleaving (the chaos and dataflow suites check this by replaying
+//! each plan under jittered executors). Recovery stays
 //! unobservable in results: charges precede numerics, faulted ops
 //! re-execute against an untouched destination, and the annotations
 //! are excluded from the digest — so a recoverable faulty run's
@@ -170,21 +165,15 @@
 //!
 //! # Known deviations
 //!
-//! Each is deterministic and pinned by a test:
+//! The one left is deterministic and pinned by tests:
 //!
-//! 1. **A failed run's `Stats` carry the full charge.** Every driver,
-//!    [`Schedule::try_run`] included, charges the whole stream once the
-//!    prologue has passed, so a run that then fails in execution still
-//!    holds the whole schedule's `Stats` (a parallel run's simulated
-//!    makespan is not charged). Pinned by `chaos.rs`'s
+//! 1. **A failed run's `Stats` carry the full charge.** Both executors
+//!    charge the whole stream once the prologue has passed, so a run
+//!    that then fails in execution still holds the whole schedule's
+//!    `Stats` (a parallel run's simulated makespan is not charged).
+//!    Pinned by `chaos.rs`'s
 //!    `all_units_quarantined_fails_typed_not_hanging` and
 //!    `dataflow_exec.rs`'s `serial_executor_panic_fails_typed`.
-//! 2. **The single-thread walk fails on a foreign panic.** It writes
-//!    destinations in place, so a non-[`InjectedFault`] panic may have
-//!    half-written one and there is no scratch to rebuild from: the run
-//!    returns [`TcuError::UnitFault`], where the threaded executor
-//!    re-runs the torn chain and quarantines the unit. Pinned by
-//!    `dataflow_exec.rs`'s `foreign_panics_recover_threaded_and_fail_inline`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
 use crate::dataflow::{place_dataflow, DataflowPlacement, DataflowTuning};
@@ -376,12 +365,12 @@ fn read_tag(r: &CompiledRead, stamp: u64) -> OperandId {
     }
 }
 
-/// Resolve a compiled read on the single-thread walk: its snapshot if
+/// Resolve a compiled read on the serial run: its snapshot if
 /// the slot holds one (a read of the op's own destination buffer always
 /// does), otherwise zero-copy from the bound input or output view —
 /// bindings are validated up front, and the destination's own binding
 /// is taken out for the op's duration.
-fn inline_read<'s, T: Scalar>(
+fn serial_read<'s, T: Scalar>(
     arena: &'s [Option<Matrix<T>>],
     inputs: &'s [Option<MatrixView<'_, T>>],
     outputs: &'s [Option<MatrixViewMut<'_, T>>],
@@ -422,10 +411,9 @@ impl Schedule {
         self.try_run(mach, env).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// [`Schedule::run`], returning errors instead of panicking. A
-    /// serial run is the one-queue case of the single-thread walk (see
-    /// the [module docs](self)): the whole stream in emission order on
-    /// the machine's own executor.
+    /// [`Schedule::run`], returning errors instead of panicking: one
+    /// pass over the stream in emission order on the machine's own
+    /// executor (see the [module docs](self)).
     ///
     /// Everything that can be checked is checked up front, before
     /// anything is charged or written: the machine's `√m` and tall
@@ -450,15 +438,12 @@ impl Schedule {
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
-        let one_queue = DataflowPlacement::one_queue(plan.ops());
-        run_inline(
+        run_serial(
             self,
             plan,
-            &one_queue,
             &mut acct,
-            execs,
+            &mut execs[0],
             env,
-            SERIAL_POLICY,
             recorder.as_deref(),
         )
     }
@@ -486,8 +471,8 @@ impl Schedule {
     }
 
     /// [`Schedule::run_parallel`] with fault recovery under the default
-    /// [`RecoveryPolicy`] (3 attempts per op, quarantine on) and tuning
-    /// read from the environment ([`DataflowTuning::from_env`]). See
+    /// [`RecoveryPolicy`] (3 attempts per op, quarantine on) and the
+    /// default [`DataflowTuning`] (steal seed 0). See
     /// [`Schedule::try_run_parallel_with`].
     pub fn try_run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
@@ -498,20 +483,19 @@ impl Schedule {
             mach,
             env,
             RecoveryPolicy::default(),
-            DataflowTuning::from_env(),
+            DataflowTuning::default(),
         )
     }
 
     /// The fault-tolerant parallel driver under explicit `policy` and
-    /// `tuning`. Runs the prologue every driver shares (plan, machine
+    /// `tuning`. Runs the prologue both executors share (plan, machine
     /// and binding checks, then the whole stream charged in emission
     /// order, so `Stats` and the digest equal the serial run's even
     /// under recovery), resolves the deterministic placement, then
-    /// executes it on the single-thread walk or the worker pool per
-    /// `tuning`. Neither that choice nor the steal seed is observable
-    /// in elements, `Stats`, or digest, and the inline/threaded choice
-    /// is not observable in `time()` or [`tcu_core::FaultStats`]
-    /// either. Wall-clock advances by
+    /// executes it on the threaded executor, one worker per unit. The
+    /// steal seed is not observable in elements, `Stats`, or digest,
+    /// and thread interleaving is not observable in `time()` or
+    /// [`tcu_core::FaultStats`] either. Wall-clock advances by
     /// [`Schedule::dataflow_makespan_seeded`] of the tuning's seed plus
     /// the charged backoff and recovery passes.
     ///
@@ -543,27 +527,14 @@ impl Schedule {
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
         let placement = place_dataflow(self, plan, tuning.steal_seed);
-        if tuning.use_inline() {
-            run_inline(
-                self,
-                plan,
-                &placement,
-                &mut acct,
-                execs,
-                env,
-                policy,
-                recorder.as_deref(),
-            )?;
-        } else {
-            run_threaded(
-                self, plan, &placement, &mut acct, execs, env, policy, &recorder,
-            )?;
-        }
+        run_threaded(
+            self, plan, &placement, &mut acct, execs, env, policy, &recorder,
+        )?;
         acct.complete_wave(placement.makespan);
         Ok(())
     }
 
-    /// The prologue every driver runs before it charges or writes
+    /// The prologue both executors run before they charge or write
     /// anything: the machine's `√m`, the environment's buffer shapes,
     /// compilation (every op's contract), every op's output and read
     /// bindings, and the machine splitting every op exactly as the
@@ -865,23 +836,15 @@ enum Terminal {
 
 impl Terminal {
     /// The error this stop fails the run with, or `None` when the unit
-    /// is quarantined and its work recovered. `scratch` says whether the
-    /// failed attempt wrote a private scratch (rebuildable) rather than
-    /// the bound destination itself.
-    fn fatal(
-        self,
-        unit: usize,
-        wave: usize,
-        policy: RecoveryPolicy,
-        scratch: bool,
-    ) -> Option<TcuError> {
+    /// is quarantined and its work recovered.
+    fn fatal(self, unit: usize, wave: usize, policy: RecoveryPolicy) -> Option<TcuError> {
         match self {
             Terminal::Exhausted { attempts } => Some(TcuError::RetriesExhausted {
                 unit,
                 wave,
                 attempts,
             }),
-            Terminal::Dead { foreign } if policy.quarantine && (scratch || !foreign) => None,
+            Terminal::Dead { .. } if policy.quarantine => None,
             Terminal::Dead { .. } => Some(TcuError::UnitFault { unit, wave }),
         }
     }
@@ -920,6 +883,20 @@ impl<T: Scalar> UnitOutcome<T> {
             notes: Vec::new(),
             terminal: None,
             unexecuted: 0,
+        }
+    }
+}
+
+/// Record unit `u`'s buffered fault/retry annotations into the
+/// accountant, in occurrence order.
+fn record_notes<U: TensorUnit>(acct: &mut WaveAccountant<'_, U>, u: usize, notes: &[WorkerNote]) {
+    let s = acct.sqrt_m();
+    for note in notes {
+        match *note {
+            WorkerNote::Fault { transient } => acct.record_fault(u, transient),
+            WorkerNote::Retry { attempt, op } => {
+                let _ = acct.record_retry(u, attempt, op.charge_rows(s));
+            }
         }
     }
 }
@@ -1140,12 +1117,12 @@ fn remove_downstream<'s>(
     marked
 }
 
-/// What one execution pass observed, per unit, until its boundary.
+/// What one execution pass of the threaded executor observed, per
+/// unit, until its boundary.
 ///
-/// Both executors fill it in the same per-unit order — each unit's
-/// queue minus the ops the pass removes — so closing it yields the
-/// same annotations, quarantines, and recovery pass regardless of how
-/// units interleaved.
+/// Each unit's entries follow its own queue minus the ops the pass
+/// removes, so closing it yields the same annotations, quarantines,
+/// and recovery pass regardless of how units interleaved.
 struct PassLog {
     /// Buffered fault/retry annotations, per unit, in occurrence order.
     notes: Vec<Vec<WorkerNote>>,
@@ -1217,17 +1194,9 @@ impl PassLog {
         queues: &mut Vec<Vec<u32>>,
         alive: &mut [bool],
     ) -> Result<bool, TcuError> {
-        let s = acct.sqrt_m();
         let mut removed = vec![false; plan.ops()];
         for (u, notes) in self.notes.iter().enumerate() {
-            for note in notes {
-                match *note {
-                    WorkerNote::Fault { transient } => acct.record_fault(u, transient),
-                    WorkerNote::Retry { attempt, op } => {
-                        let _ = acct.record_retry(u, attempt, op.charge_rows(s));
-                    }
-                }
-            }
+            record_notes(acct, u, notes);
             if self.stopped_at[u].is_some() && self.fatal.is_none() {
                 alive[u] = false;
                 let requeued = remove_downstream(plan, self.lost(u, &queues[u]), &mut removed);
@@ -1266,132 +1235,88 @@ impl PassLog {
     }
 }
 
-/// The single-thread walk: every serial run (one queue, emission order)
-/// and the inline dataflow executor. Each pass's queues run in global
-/// `(start, index)` order on the calling thread — no workers, no
-/// channels, no scratch — each op on its queue's unit, under
-/// [`execute_with_retries`], straight into the bound destination. That
-/// order is topological (hazard edges point to strictly larger keys)
-/// and keeps every queue's own order, so per-unit op sequences — each
-/// queue minus the ops the pass removes — are exactly the threaded
-/// executor's: pack-cache counters, fault-plan outcomes, and recovery
-/// match it op for op. Reads are zero-copy except an op's reads of the
-/// buffer it writes, snapshotted on first use (see the
-/// [module docs](self)).
-#[allow(clippy::too_many_arguments)]
-fn run_inline<T: Scalar, U: TensorUnit, E: Executor>(
+/// The serial run: one pass over the stream in emission order on the
+/// machine's own executor, each op under [`execute_with_retries`] with
+/// one attempt, straight into the bound destination. Reads are
+/// zero-copy except an op's reads of the buffer it writes, snapshotted
+/// on first use (see the [module docs](self)). The first failing op
+/// ends the run: its fault annotation (digest-exempt) is recorded and
+/// the error comes back typed.
+fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
-    placement: &DataflowPlacement,
     acct: &mut WaveAccountant<'_, U>,
-    execs: &mut [E],
+    exec: &mut E,
     env: &mut ExecEnv<'_, T>,
-    policy: RecoveryPolicy,
     recorder: Option<&dyn tcu_obs::Recorder>,
 ) -> Result<(), TcuError> {
     let stamps = tag_stamps(env);
     let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
-    let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
-    let start = &placement.start;
-    let mut queues = placement.unit_order.clone();
-    let mut indeg = plan.preds.clone();
-    let mut alive = vec![true; execs.len()];
-    for pass in 0.. {
-        let mut order: Vec<(u64, u32, usize, usize)> = queues
-            .iter()
-            .enumerate()
-            .flat_map(|(u, q)| {
-                q.iter()
-                    .enumerate()
-                    .map(move |(pos, &i)| (start[i as usize], i, u, pos))
-            })
-            .collect();
-        order.sort_unstable();
-        let mut log = PassLog::new(execs.len());
-        for (_, idx, u, pos) in order {
-            let i = idx as usize;
-            // A stopped unit's remaining ops, and every op downstream of
-            // an op this pass removed (a predecessor never committed),
-            // wait for the recovery pass.
-            if log.stopped_at[u].is_some() || indeg[i] != 0 {
-                continue;
-            }
-            let cop = &plan.ops[i];
-            // The destination's binding leaves the environment while the
-            // op runs, so its reads of its own buffer come from
-            // snapshots, each taken on the key's first such use, before
-            // any write: by the hazard order, the version the key names.
-            let mut host = env.outputs[cop.out_buf]
-                .take()
-                .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
-            let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
-            let mut staged = 0;
-            for r in [&cop.a, &cop.b] {
-                let slot = &mut arena[r.slot as usize];
-                if r.buf == cop.out_buf && slot.is_none() {
-                    *slot = Some(
-                        host.as_view()
-                            .subview(r.r0, r.c0, r.rows, r.cols)
-                            .to_matrix(),
-                    );
-                    staged += 1;
-                }
-            }
-            if staged > 0 {
-                emit_span(
-                    recorder,
-                    tcu_obs::Lane::Scheduler,
-                    stage_t0,
-                    tcu_obs::EventKind::Stage { copies: staged },
+    for (i, cop) in plan.ops.iter().enumerate() {
+        // The destination's binding leaves the environment while the op
+        // runs, so its reads of its own buffer come from snapshots, each
+        // taken on the key's first such use, before any write: by the
+        // hazard order, the version the key names.
+        let mut host = env.outputs[cop.out_buf]
+            .take()
+            .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
+        let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
+        let mut staged = 0;
+        for r in [&cop.a, &cop.b] {
+            let slot = &mut arena[r.slot as usize];
+            if r.buf == cop.out_buf && slot.is_none() {
+                *slot = Some(
+                    host.as_view()
+                        .subview(r.r0, r.c0, r.rows, r.cols)
+                        .to_matrix(),
                 );
-            }
-            acct.record_ready(u, 1);
-            let home = placement.home[i] as usize;
-            if pass == 0 && home != u {
-                acct.record_steal(home, u);
-            }
-            let a = inline_read(&arena, &env.inputs, &env.outputs, &cop.a);
-            let b = inline_read(&arena, &env.inputs, &env.outputs, &cop.b);
-            let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-            let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
-            let t0 = recorder.map(tcu_obs::Recorder::now_ns);
-            let result = execute_with_retries(
-                &mut execs[u],
-                &cop.op,
-                a,
-                tag,
-                b,
-                &mut out_view,
-                max_attempts,
-                &mut log.notes[u],
-            );
-            env.outputs[cop.out_buf] = Some(host);
-            match result {
-                Ok(()) => {
-                    emit_span(
-                        recorder,
-                        tcu_obs::Lane::Unit(u as u32),
-                        t0,
-                        tcu_obs::EventKind::OpExec {
-                            unit: u as u32,
-                            rows: cop.op.charge_rows(s) as u64,
-                            sim_cost: acct.op_cost(&cop.op),
-                        },
-                    );
-                    for &succ in plan.successors_of(i) {
-                        indeg[succ as usize] -= 1;
-                    }
-                }
-                Err(terminal) => {
-                    // In-place execution: a foreign panic is fatal here.
-                    let fatal = terminal.fatal(u, sched.nodes()[i].level, policy, false);
-                    log.stop(u, pos, &queues[u], start, fatal);
-                }
+                staged += 1;
             }
         }
-        if !log.finish(acct, sched, plan, start, &mut queues, &mut alive)? {
-            break;
+        if staged > 0 {
+            emit_span(
+                recorder,
+                tcu_obs::Lane::Scheduler,
+                stage_t0,
+                tcu_obs::EventKind::Stage { copies: staged },
+            );
+        }
+        let a = serial_read(&arena, &env.inputs, &env.outputs, &cop.a);
+        let b = serial_read(&arena, &env.inputs, &env.outputs, &cop.b);
+        let tag = read_tag(&cop.a, stamps[cop.a.buf]);
+        let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
+        let t0 = recorder.map(tcu_obs::Recorder::now_ns);
+        let mut notes = Vec::new();
+        let result = execute_with_retries(
+            exec,
+            &cop.op,
+            a,
+            tag,
+            b,
+            &mut out_view,
+            SERIAL_POLICY.max_attempts,
+            &mut notes,
+        );
+        env.outputs[cop.out_buf] = Some(host);
+        if let Err(terminal) = result {
+            record_notes(acct, 0, &notes);
+            let wave = sched.nodes()[i].level;
+            return Err(terminal
+                .fatal(0, wave, SERIAL_POLICY)
+                .unwrap_or_else(|| unreachable!("the serial policy quarantines nothing")));
+        }
+        if t0.is_some() {
+            emit_span(
+                recorder,
+                tcu_obs::Lane::Unit(0),
+                t0,
+                tcu_obs::EventKind::OpExec {
+                    unit: 0,
+                    rows: cop.op.charge_rows(s) as u64,
+                    sim_cost: acct.op_cost(&cop.op),
+                },
+            );
         }
     }
     Ok(())
@@ -1657,7 +1582,7 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                         let wave = queues[u]
                             .get(pos)
                             .map_or(0, |&i| sched.nodes()[i as usize].level);
-                        let fatal = terminal.fatal(u, wave, policy, true);
+                        let fatal = terminal.fatal(u, wave, policy);
                         log.stop(u, pos, &queues[u], start, fatal);
                         pending -= remove_downstream(plan, log.lost(u, &queues[u]), &mut removed);
                     }
@@ -2060,11 +1985,7 @@ mod tests {
         env.bind_input(ab, a.view());
         env.bind_input(bb, b.view());
         env.bind_output(cb, c.view_mut());
-        let tuning = DataflowTuning {
-            steal_seed: 0,
-            inline: Some(false),
-        };
-        plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning)
+        plan.try_run_parallel(&mut mach, &mut env)
             .expect("fault-free run");
         let m = sink.metrics();
         let acquired = m.get(tcu_obs::Metric::ScratchFresh) + m.get(tcu_obs::Metric::ScratchReused);

@@ -38,7 +38,7 @@
 //! to the earlier one's position crosses nothing it must stay ordered
 //! with — an interposed write to an overlapping region blocks the merge
 //! unless both sides accumulate, which commutes exactly over rings
-//! (see [`width_merge_pass`]). The fused instruction itself computes
+//! (see `width_merge_pass`). The fused instruction itself computes
 //! each output column's inner product untouched; when a hoist crosses
 //! an interposed accumulate, float sums into that region reassociate
 //! (rings stay exact). This is the ROADMAP's "E2 re-streamed strips"

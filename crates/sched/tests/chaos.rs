@@ -6,34 +6,108 @@
 //! a seeded *recoverable* [`FaultPlan`] — transient faults never
 //! consecutive on a unit, permanent faults on at most `units − 1` units
 //! — must leave the run's *elements*, *Stats*, and *trace digest*
-//! byte-identical to the fault-free run, under both the inline and the
-//! threaded executor. Recovery is observable only in `time()` (retry
-//! backoff, recovery-pass makespans), in [`FaultStats`], and in the
-//! digest-exempt fault/retry/quarantine trace annotations — and those
-//! must replay: the same plan run twice yields the same clock, counters,
-//! and *ordered* fault trace, and the two executors agree on all of
-//! them. Seeded plans draw their fault indices from a horizon derived
-//! from the plan's per-unit op count, so permanent faults land inside a
-//! unit's executions and quarantine actually happens.
+//! byte-identical to the fault-free run. Recovery is observable only in
+//! `time()` (retry backoff, recovery-pass makespans), in
+//! [`FaultStats`], and in the digest-exempt fault/retry/quarantine trace
+//! annotations — and those must replay. Every run's executors sleep a
+//! salted pseudo-random 0–50 µs before each execution, so replays of
+//! one plan under different salts interleave the worker threads
+//! differently, and they must agree on the clock, the counters, the
+//! *ordered* fault trace, and every unit's pack-cache counters. Seeded
+//! plans draw their fault indices from a horizon derived from the
+//! plan's per-unit op count, so permanent faults land inside a unit's
+//! executions and quarantine actually happens.
 //!
 //! Unrecoverable plans must come back as typed [`TcuError`]s — never a
-//! panic, never an abort — and identically from both executors.
+//! panic, never an abort — under every salt.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcu_core::{
-    assign_unit_ids, silence_injected_fault_panics, FaultKind, FaultPlan, FaultStats,
-    FaultyExecutor, HostExecutor, ModelTensorUnit, PadPolicy, ParallelTcuMachine, RecoveryPolicy,
-    TcuError, TcuMachine, TensorOp, TraceLog,
+    assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
+    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
+    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp, TraceLog,
 };
-use tcu_linalg::Matrix;
-use tcu_sched::{BufferId, DataflowTuning, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
+use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
+use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const EXECUTORS: [bool; 2] = [true, false];
+/// Jitter salts: each replay of a plan runs under its own.
+const SALTS: [u64; 3] = [1, 2, 3];
+
+/// A host executor that sleeps a pseudo-random 0–50 µs drawn from its
+/// salted state before each execution, so runs under different salts
+/// interleave the units' workers differently. It sits inside
+/// [`FaultyExecutor`], which counts an execution before delegating, so
+/// the sleeps move no fault index.
+#[derive(Clone, Debug, Default)]
+struct Jittered {
+    host: HostExecutor,
+    state: u64,
+}
+
+impl Jittered {
+    fn sleep(&mut self) {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.state ^ (self.state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        std::thread::sleep(std::time::Duration::from_micros((z >> 33) % 51));
+    }
+}
+
+impl Executor for Jittered {
+    fn name(&self) -> &'static str {
+        "jittered-host"
+    }
+
+    fn execute<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        self.sleep();
+        self.host.execute(op, a, b, out)
+    }
+
+    fn execute_tagged<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        a_id: Option<OperandId>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        self.sleep();
+        self.host.execute_tagged(op, a, a_id, b, out)
+    }
+}
+
+type JitteredMachine = ParallelTcuMachine<ModelTensorUnit, FaultyExecutor<Jittered>>;
+
+/// A traced `units`-unit machine whose every unit injects from `fplan`
+/// around a jittered host executor with a 16-strip pack cache; unit
+/// `u`'s sleeps are drawn from `salt` and `u`.
+fn jittered_machine(
+    unit: ModelTensorUnit,
+    units: usize,
+    fplan: FaultPlan,
+    salt: u64,
+) -> JitteredMachine {
+    let exec = FaultyExecutor::new(Jittered::default(), fplan);
+    let mut mach = ParallelTcuMachine::with_executor(unit, units, exec);
+    assign_unit_ids(&mut mach);
+    for u in 0..units {
+        let jittered = mach.unit_executor_mut(u).inner_mut();
+        jittered.host.enable_pack_cache(16);
+        jittered.state = salt.wrapping_mul(0xA076_1D64_78BD_642F) ^ u as u64;
+    }
+    mach.enable_trace();
+    mach
+}
 
 /// Execution indices seeded plans draw faults from: a unit's share of
 /// the plan's ops, so a planned permanent fault usually lands before the
@@ -118,34 +192,51 @@ struct ChaosRun {
     trace: TraceLog,
     time: u64,
     fault_stats: FaultStats,
+    caches: Vec<PackCacheStats>,
 }
 
-/// One `try_run_parallel_with` execution on a fresh machine whose
-/// every unit executor injects from `fplan`, on the inline or the
-/// threaded executor (steal seed 0).
-#[allow(clippy::too_many_arguments)]
+impl ChaosRun {
+    /// What `mach` observed after a run that returned `result` and left
+    /// `c` and `d` in the two written buffers.
+    fn observe(
+        result: Result<(), TcuError>,
+        c: Matrix<i64>,
+        d: Matrix<i64>,
+        mach: &mut JitteredMachine,
+    ) -> Self {
+        Self {
+            result,
+            c,
+            d,
+            stats: mach.stats().clone(),
+            time: mach.time(),
+            fault_stats: *mach.fault_stats(),
+            trace: mach.take_trace(),
+            caches: (0..mach.units())
+                .map(|u| {
+                    let host = &mach.unit_executor(u).inner().host;
+                    host.pack_cache_stats().expect("cache on")
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One `try_run_parallel_with` execution (steal seed 0) on a fresh
+/// jittered machine of the plan's unit count whose every unit executor
+/// injects from `fplan`.
 fn run_faulty(
     g: &OpGraph,
     bufs: &Bufs,
     plan: &Schedule,
-    units: usize,
     seed: u64,
     fplan: FaultPlan,
     policy: RecoveryPolicy,
-    inline: bool,
+    salt: u64,
 ) -> ChaosRun {
     silence_injected_fault_panics();
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
-    let mut mach = ParallelTcuMachine::with_executor(
-        unit,
-        units,
-        FaultyExecutor::new(HostExecutor::new(), fplan),
-    );
-    assign_unit_ids(&mut mach);
-    for u in 0..units {
-        mach.unit_executor_mut(u).inner_mut().enable_pack_cache(16);
-    }
-    mach.enable_trace();
+    let mut mach = jittered_machine(unit, plan.units(), fplan, salt);
     let a = pseudo(DIM, DIM, seed as i64);
     let b = pseudo(DIM, DIM, seed as i64 + 1);
     let (mut c, mut d) = (
@@ -157,21 +248,9 @@ fn run_faulty(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let tuning = DataflowTuning {
-        steal_seed: 0,
-        inline: Some(inline),
-    };
-    let result = plan.try_run_parallel_with(&mut mach, &mut env, policy, tuning);
+    let result = plan.try_run_parallel_with(&mut mach, &mut env, policy, Default::default());
     drop(env);
-    ChaosRun {
-        result,
-        c,
-        d,
-        stats: mach.stats().clone(),
-        time: mach.time(),
-        fault_stats: *mach.fault_stats(),
-        trace: mach.take_trace(),
-    }
+    ChaosRun::observe(result, c, d, &mut mach)
 }
 
 /// The fault-free serial scheduled reference: elements, Stats, trace.
@@ -202,7 +281,8 @@ fn serial_reference(
 }
 
 /// Two runs observed the same recovery: identical elements, `Stats`,
-/// digest, clock, fault counters, and *ordered* fault trace.
+/// digest, clock, fault counters, *ordered* fault trace, and per-unit
+/// pack-cache counters.
 fn assert_same_recovery(x: &ChaosRun, y: &ChaosRun, what: &str) {
     prop_assert_eq!(&x.result, &y.result, "result: {}", what);
     prop_assert_eq!((&x.c, &x.d), (&y.c, &y.d), "elements: {}", what);
@@ -216,6 +296,7 @@ fn assert_same_recovery(x: &ChaosRun, y: &ChaosRun, what: &str) {
         "ordered fault trace: {}",
         what
     );
+    prop_assert_eq!(&x.caches, &y.caches, "pack-cache counters: {}", what);
 }
 
 /// The recovery contract at every unit count under one seeded plan.
@@ -230,10 +311,10 @@ fn check_recovery_unobservable(seed: u64) {
         // most units − 1 permanent victims (and none at 1 unit).
         let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
         let policy = RecoveryPolicy::default();
-        let runs = EXECUTORS
-            .map(|inline| run_faulty(&g, &bufs, &plan, units, seed, fplan.clone(), policy, inline));
-        for (run, inline) in runs.iter().zip(EXECUTORS) {
-            let what = format!("{units} units, inline={inline}");
+        let runs =
+            SALTS.map(|salt| run_faulty(&g, &bufs, &plan, seed, fplan.clone(), policy, salt));
+        for (run, salt) in runs.iter().zip(SALTS) {
+            let what = format!("{units} units, salt {salt}");
             prop_assert!(
                 run.result.is_ok(),
                 "recoverable plan failed ({}): {:?}",
@@ -269,17 +350,10 @@ fn check_recovery_unobservable(seed: u64) {
                 what
             );
 
-            // Replay: the same plan gives the same recovery, clock and
-            // ordered fault trace included.
-            let again = run_faulty(&g, &bufs, &plan, units, seed, fplan.clone(), policy, inline);
-            assert_same_recovery(&again, run, &format!("replay, {what}"));
+            // Replay: the same plan under another interleaving gives the
+            // same recovery, clock and ordered fault trace included.
+            assert_same_recovery(run, &runs[0], &format!("replay, {what}"));
         }
-        // And the executor choice is unobservable in all of it.
-        assert_same_recovery(
-            &runs[0],
-            &runs[1],
-            &format!("inline vs threaded, {units} units"),
-        );
     }
 }
 
@@ -287,9 +361,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Random RAW pipelines × seeded recoverable fault plans at
-    // 1/2/4/8 units × both executors: recovery must be unobservable in
-    // elements, Stats, and digest, and the clock, counters, and ordered
-    // fault trace must replay exactly and agree across executors.
+    // 1/2/4/8 units × jitter salts: recovery must be unobservable in
+    // elements, Stats, and digest, and the clock, counters, ordered
+    // fault trace, and cache counters must replay exactly under every
+    // interleaving.
     #[test]
     fn recoverable_faults_are_unobservable_and_replayable(seed in 0u64..10_000) {
         check_recovery_unobservable(seed);
@@ -309,7 +384,7 @@ fn seeded_plans_quarantine_most_multi_unit_runs() {
             let plan = Scheduler::new().with_units(units).plan(&g, &unit);
             let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
             let policy = RecoveryPolicy::default();
-            let run = run_faulty(&g, &bufs, &plan, units, seed, fplan, policy, true);
+            let run = run_faulty(&g, &bufs, &plan, seed, fplan, policy, SALTS[0]);
             assert!(run.result.is_ok(), "{:?}", run.result);
             runs += 1;
             quarantined += u32::from(run.fault_stats.quarantined_units > 0);
@@ -359,9 +434,9 @@ fn exhausted_retries_fail_typed_not_panicking() {
         .fail(0, 0, FaultKind::Transient)
         .fail(0, 1, FaultKind::Transient)
         .fail(0, 2, FaultKind::Transient);
-    for inline in EXECUTORS {
+    for salt in SALTS {
         let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan.clone(), policy, inline);
+        let run = run_faulty(&g, &bufs, &plan, 3, fplan.clone(), policy, salt);
         match run.result {
             Err(TcuError::RetriesExhausted { unit, attempts, .. }) => {
                 assert_eq!(unit, 0);
@@ -387,8 +462,8 @@ fn raising_max_attempts_recovers_the_same_plan() {
         quarantine: true,
     };
     let (c_ref, ..) = serial_reference(&g, &bufs, 3);
-    for inline in EXECUTORS {
-        let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan.clone(), policy, inline);
+    for salt in SALTS {
+        let run = run_faulty(&g, &bufs, &plan, 3, fplan.clone(), policy, salt);
         assert!(run.result.is_ok(), "{:?}", run.result);
         assert_eq!(run.fault_stats.transient_faults, 3);
         assert_eq!(run.fault_stats.retries, 3);
@@ -406,9 +481,9 @@ fn all_units_quarantined_fails_typed_not_hanging() {
         .fail(0, 0, FaultKind::Permanent)
         .fail(1, 0, FaultKind::Permanent);
     let (_, _, stats_ref, _) = serial_reference(&g, &bufs, 5);
-    for inline in EXECUTORS {
+    for salt in SALTS {
         let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
         match run.result {
             Err(TcuError::AllUnitsQuarantined { pending, .. }) => assert_eq!(pending, 2),
             other => panic!("expected AllUnitsQuarantined, got {other:?}"),
@@ -428,8 +503,8 @@ fn quarantine_off_makes_permanent_faults_fatal() {
         max_attempts: 3,
         quarantine: false,
     };
-    for inline in EXECUTORS {
-        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+    for salt in SALTS {
+        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
         match run.result {
             Err(TcuError::UnitFault { unit, .. }) => assert_eq!(unit, 0),
             other => panic!("expected UnitFault, got {other:?}"),
@@ -443,9 +518,9 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
     let plan = plan_at(&g, 2);
     let fplan = FaultPlan::none().fail(0, 0, FaultKind::Permanent);
     let (c_ref, _, stats_ref, trace_ref) = serial_reference(&g, &bufs, 5);
-    for inline in EXECUTORS {
+    for salt in SALTS {
         let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan.clone(), policy, inline);
+        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
         assert!(run.result.is_ok(), "{:?}", run.result);
         assert_eq!(run.fault_stats.quarantined_units, 1);
         assert_eq!(run.fault_stats.permanent_faults, 1);
@@ -578,8 +653,8 @@ fn pipeline_graph(d: usize, s: usize) -> (OpGraph, Bufs) {
 /// The chaos example's pipeline (d = 128, √m = 16, ℓ = 10000, 4 units)
 /// under its seeded plan. The dead unit's removed suffix cuts chains
 /// whose units survive, so the threaded executor finishes the pass only
-/// by flushing their completed prefixes. Both executors must recover
-/// byte-identically to the fault-free run, replay exactly, and agree.
+/// by flushing their completed prefixes. Every salt's run must recover
+/// byte-identically to the fault-free run, and all must agree.
 #[test]
 fn cut_chains_flush_and_recover_like_the_fault_free_run() {
     silence_injected_fault_panics();
@@ -587,17 +662,8 @@ fn cut_chains_flush_and_recover_like_the_fault_free_run() {
     let (g, bufs) = pipeline_graph(d, s);
     let unit = ModelTensorUnit::new(s * s, 10_000);
     let plan = Scheduler::new().with_units(units).plan(&g, &unit);
-    let run = |fplan: FaultPlan, inline: bool| {
-        let mut mach = ParallelTcuMachine::with_executor(
-            unit,
-            units,
-            FaultyExecutor::new(HostExecutor::new(), fplan),
-        );
-        assign_unit_ids(&mut mach);
-        for u in 0..units {
-            mach.unit_executor_mut(u).inner_mut().enable_pack_cache(16);
-        }
-        mach.enable_trace();
+    let run = |fplan: FaultPlan, salt: u64| {
+        let mut mach = jittered_machine(unit, units, fplan, salt);
         let (a, b) = (pseudo(d, d, 1), pseudo(d, d, 2));
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
@@ -605,29 +671,16 @@ fn cut_chains_flush_and_recover_like_the_fault_free_run() {
         env.bind_input(bufs.b, b.view());
         env.bind_output(bufs.c, m.view_mut());
         env.bind_output(bufs.d, c.view_mut());
-        let tuning = DataflowTuning {
-            steal_seed: 0,
-            inline: Some(inline),
-        };
-        let result =
-            plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+        let result = plan.try_run_parallel(&mut mach, &mut env);
         drop(env);
-        ChaosRun {
-            result,
-            c: m,
-            d: c,
-            stats: mach.stats().clone(),
-            time: mach.time(),
-            fault_stats: *mach.fault_stats(),
-            trace: mach.take_trace(),
-        }
+        ChaosRun::observe(result, m, c, &mut mach)
     };
-    let clean = run(FaultPlan::none(), true);
+    let clean = run(FaultPlan::none(), SALTS[0]);
     assert!(clean.result.is_ok(), "{:?}", clean.result);
     let fplan = FaultPlan::seeded(0xDECAF, units, 24, 60, 1);
-    let runs = EXECUTORS.map(|inline| run(fplan.clone(), inline));
-    for (x, inline) in runs.iter().zip(EXECUTORS) {
-        let what = format!("inline={inline}");
+    let runs = SALTS.map(|salt| run(fplan.clone(), salt));
+    for (x, salt) in runs.iter().zip(SALTS) {
+        let what = format!("salt {salt}");
         assert!(x.result.is_ok(), "{what}: {:?}", x.result);
         assert_eq!(x.fault_stats.quarantined_units, 1, "{what}");
         assert_eq!((&x.c, &x.d), (&clean.c, &clean.d), "elements: {what}");
@@ -638,7 +691,6 @@ fn cut_chains_flush_and_recover_like_the_fault_free_run() {
             clean.time + x.fault_stats.backoff_time + x.fault_stats.recovery_makespan,
             "{what}"
         );
-        assert_same_recovery(x, &run(fplan.clone(), inline), &format!("replay, {what}"));
+        assert_same_recovery(x, &runs[0], &format!("replay, {what}"));
     }
-    assert_same_recovery(&runs[0], &runs[1], "inline vs threaded");
 }

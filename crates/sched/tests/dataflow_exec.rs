@@ -1,24 +1,25 @@
 //! Determinism contract of the barrier-free parallel driver.
 //!
 //! For random RAW-pipeline graphs (the chaos / thread-count-invariance
-//! generator) at every unit count in {1, 2, 4, 8}, both executors —
-//! inline and threaded — must be byte-identical to the serial scheduled
-//! run in *elements*, *Stats*, and *trace digest*, under every steal
-//! seed, under seeded transient fault plans, and under seeded permanent
+//! generator) at every unit count in {1, 2, 4, 8}, the threaded
+//! executor must be byte-identical to the serial scheduled run in
+//! *elements*, *Stats*, and *trace digest*, under every steal seed,
+//! under seeded transient fault plans, and under seeded permanent
 //! (quarantine) fault plans. The simulated clock must land exactly on
 //! [`Schedule::dataflow_makespan_seeded`] plus the charged
-//! backoff/recovery, the placement's makespan must never exceed the
-//! wave makespan, and the two executors must agree on the clock and the
-//! fault counters under every plan. Besides that generator's graphs, a
+//! backoff/recovery, and the placement's makespan must never exceed the
+//! wave makespan. Every run's executors sleep a salted pseudo-random
+//! 0–50 µs before each execution, so replays of one plan under
+//! different salts interleave the worker threads differently; they must
+//! agree on the clock, the fault counters, the ordered fault trace, and
+//! every unit's pack-cache counters. Besides that generator's graphs, a
 //! chain-heavy generator records interleaved runs of same-rectangle
 //! accumulates, some reading strips other runs write, so the threaded
 //! executor's accumulation chains — and their recovery — are common
-//! rather than incidental. The one executor-dependent outcome, a
-//! foreign executor panic, is pinned by
-//! `foreign_panics_recover_threaded_and_fail_inline` and
-//! `foreign_panic_inside_a_chain_reruns_the_whole_chain`; a serial run,
-//! the inline walk's one-queue case, fails typed on it too
-//! (`serial_executor_panic_fails_typed`).
+//! rather than incidental. A foreign executor panic is pinned by
+//! `foreign_panics_recover_on_the_threaded_executor` and
+//! `foreign_panic_inside_a_chain_reruns_the_whole_chain`; a serial run
+//! fails typed on it (`serial_executor_panic_fails_typed`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, Executor, FaultPlan, FaultStats,
     FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
-    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp,
+    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp, TraceEvent,
 };
 use tcu_linalg::Matrix;
 use tcu_linalg::{MatrixView, MatrixViewMut, Scalar};
@@ -36,6 +37,56 @@ const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const STEAL_SEEDS: [u64; 3] = [0, 1, 0xDEAD];
+/// Jitter salts: each replay of a plan runs under its own.
+const SALTS: [u64; 3] = [1, 2, 3];
+
+/// A host executor that sleeps a pseudo-random 0–50 µs drawn from its
+/// salted state before each execution, so runs under different salts
+/// interleave the units' workers differently. It sits inside
+/// [`FaultyExecutor`], which counts an execution before delegating, so
+/// the sleeps move no fault index.
+#[derive(Clone, Debug, Default)]
+struct Jittered {
+    host: HostExecutor,
+    state: u64,
+}
+
+impl Jittered {
+    fn sleep(&mut self) {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.state ^ (self.state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        std::thread::sleep(std::time::Duration::from_micros((z >> 33) % 51));
+    }
+}
+
+impl Executor for Jittered {
+    fn name(&self) -> &'static str {
+        "jittered-host"
+    }
+
+    fn execute<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        self.sleep();
+        self.host.execute(op, a, b, out)
+    }
+
+    fn execute_tagged<T: Scalar>(
+        &mut self,
+        op: &TensorOp,
+        a: MatrixView<'_, T>,
+        a_id: Option<OperandId>,
+        b: MatrixView<'_, T>,
+        out: &mut MatrixViewMut<'_, T>,
+    ) -> u64 {
+        self.sleep();
+        self.host.execute_tagged(op, a, a_id, b, out)
+    }
+}
 
 /// Execution indices seeded fault plans draw from: a unit's share of
 /// the plan's ops, so planned faults land inside its executions.
@@ -185,6 +236,7 @@ struct DfRun {
     d: Matrix<i64>,
     stats: tcu_core::Stats,
     digest: u64,
+    fault_events: Vec<TraceEvent>,
     time: u64,
     fault_stats: FaultStats,
     caches: Vec<PackCacheStats>,
@@ -192,28 +244,27 @@ struct DfRun {
 
 /// One `try_run_parallel_with` execution on a fresh machine whose every
 /// unit executor injects from `fplan` (`FaultPlan::none()` for a clean
-/// run), under an explicit inline/threaded choice and steal seed.
-#[allow(clippy::too_many_arguments)]
+/// run) around a jittered host executor, under an explicit steal seed;
+/// unit `u`'s sleeps are drawn from `salt` and `u`.
 fn df_run(
     g: &OpGraph,
     bufs: &Bufs,
     plan: &Schedule,
-    units: usize,
     seed: u64,
     fplan: FaultPlan,
     steal_seed: u64,
-    inline: bool,
+    salt: u64,
 ) -> DfRun {
     silence_injected_fault_panics();
+    let units = plan.units();
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
-    let mut mach = ParallelTcuMachine::with_executor(
-        unit,
-        units,
-        FaultyExecutor::new(HostExecutor::new(), fplan),
-    );
+    let exec = FaultyExecutor::new(Jittered::default(), fplan);
+    let mut mach = ParallelTcuMachine::with_executor(unit, units, exec);
     assign_unit_ids(&mut mach);
     for u in 0..units {
-        mach.unit_executor_mut(u).inner_mut().enable_pack_cache(16);
+        let jittered = mach.unit_executor_mut(u).inner_mut();
+        jittered.host.enable_pack_cache(16);
+        jittered.state = salt.wrapping_mul(0xA076_1D64_78BD_642F) ^ u as u64;
     }
     mach.enable_trace();
     let a = pseudo(DIM, DIM, seed as i64);
@@ -227,26 +278,23 @@ fn df_run(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let tuning = DataflowTuning {
-        steal_seed,
-        inline: Some(inline),
-    };
+    let tuning = DataflowTuning { steal_seed };
     let result = plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
     drop(env);
     let caches = (0..units)
         .map(|u| {
-            mach.unit_executor(u)
-                .inner()
-                .pack_cache_stats()
-                .expect("cache on")
+            let host = &mach.unit_executor(u).inner().host;
+            host.pack_cache_stats().expect("cache on")
         })
         .collect();
+    let trace = mach.take_trace();
     DfRun {
         result,
         c,
         d,
         stats: mach.stats().clone(),
-        digest: mach.take_trace().digest(),
+        digest: trace.digest(),
+        fault_events: trace.fault_events(),
         time: mach.time(),
         fault_stats: *mach.fault_stats(),
         caches,
@@ -323,109 +371,63 @@ fn check_dataflow_contract((g, bufs): (OpGraph, Bufs), seed: u64) {
             prop_assert!(df >= bound, "df under lower bound at {units} units");
         }
 
-        // Fault-free: inline and threaded, every steal seed — byte
-        // identical to serial, clock on the placement makespan, and
-        // inline vs threaded indistinguishable even in per-unit cache
-        // counters (their per-unit op sequences are the same).
+        // Fault-free, every steal seed.
         for ss in STEAL_SEEDS {
-            let inline = df_run(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, true);
-            let threaded = df_run(&g, &bufs, &plan, units, seed, FaultPlan::none(), ss, false);
-            assert_unobservable(
-                &inline,
-                &refr,
-                &plan,
-                ss,
-                &format!("inline u={units} ss={ss}"),
-            );
-            assert_unobservable(
-                &threaded,
-                &refr,
-                &plan,
-                ss,
-                &format!("threaded u={units} ss={ss}"),
-            );
-            prop_assert_eq!(
-                &inline.caches,
-                &threaded.caches,
-                "cache counters u={}",
-                units
-            );
-            prop_assert_eq!(inline.time, threaded.time);
+            let label = format!("u={units} ss={ss}");
+            check_replays(&g, &bufs, &plan, seed, FaultPlan::none(), ss, &refr, &label);
         }
 
-        // Transient-only faults: fully repeat-deterministic in both
-        // executors (per-unit sequences are fixed, so the same plan
-        // entries fire on the same ops), and still byte-unobservable.
+        // Transient-only faults: per-unit sequences are fixed, so the
+        // same plan entries fire on the same ops under every salt.
         let tplan = FaultPlan::seeded(seed ^ 0x7A11, units, horizon(&plan), 200, 0);
-        let ti = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
-        let tt = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, false);
-        assert_unobservable(&ti, &refr, &plan, 0, &format!("transient inline u={units}"));
-        assert_unobservable(
-            &tt,
-            &refr,
-            &plan,
-            0,
-            &format!("transient threaded u={units}"),
-        );
-        prop_assert_eq!(
-            &ti.fault_stats,
-            &tt.fault_stats,
-            "transient stats u={}",
-            units
-        );
-        prop_assert_eq!(ti.time, tt.time, "transient clock u={}", units);
-        let ti2 = df_run(&g, &bufs, &plan, units, seed, tplan.clone(), 0, true);
-        let tt2 = df_run(&g, &bufs, &plan, units, seed, tplan, 0, false);
-        prop_assert_eq!(&ti2.fault_stats, &ti.fault_stats);
-        prop_assert_eq!((&ti2.caches, ti2.time), (&ti.caches, ti.time));
-        prop_assert_eq!(&tt2.fault_stats, &tt.fault_stats);
-        prop_assert_eq!((&tt2.caches, tt2.time), (&tt.caches, tt.time));
+        let label = format!("transient u={units}");
+        check_replays(&g, &bufs, &plan, seed, tplan, 0, &refr, &label);
 
         // Recoverable permanent faults (chaos-style: at most
-        // `units − 1` victims): recovery must stay byte-unobservable
-        // in both executors, the two must agree on the clock and the
-        // fault counters, and both must replay their fault record
-        // exactly.
+        // `units − 1` victims): recovery must stay byte-unobservable and
+        // replay its fault record exactly.
         let pplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
-        let pi = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, true);
-        let pt = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, false);
-        assert_unobservable(&pi, &refr, &plan, 0, &format!("permanent inline u={units}"));
-        assert_unobservable(
-            &pt,
-            &refr,
-            &plan,
-            0,
-            &format!("permanent threaded u={units}"),
+        let label = format!("permanent u={units}");
+        check_replays(&g, &bufs, &plan, seed, pplan, 0, &refr, &label);
+    }
+}
+
+/// Runs of one plan under every jitter salt: each succeeds
+/// byte-identical to the serial reference (so all agree on the result,
+/// the elements, `Stats`, and digest) with its clock on the placement
+/// makespan plus what recovery charged, and all agree on the clock, the
+/// fault counters, the ordered fault trace, and every unit's pack-cache
+/// counters.
+#[allow(clippy::too_many_arguments)]
+fn check_replays(
+    g: &OpGraph,
+    bufs: &Bufs,
+    plan: &Schedule,
+    seed: u64,
+    fplan: FaultPlan,
+    steal_seed: u64,
+    refr: &(Matrix<i64>, Matrix<i64>, tcu_core::Stats, u64),
+    label: &str,
+) {
+    let runs = SALTS.map(|salt| df_run(g, bufs, plan, seed, fplan.clone(), steal_seed, salt));
+    for (run, salt) in runs.iter().zip(SALTS) {
+        let what = format!("{label} salt={salt}");
+        assert_unobservable(run, refr, plan, steal_seed, &what);
+        let first = &runs[0];
+        prop_assert_eq!(run.time, first.time, "time(): {}", what);
+        prop_assert_eq!(
+            &run.fault_stats,
+            &first.fault_stats,
+            "fault_stats(): {}",
+            what
         );
         prop_assert_eq!(
-            &pi.fault_stats,
-            &pt.fault_stats,
-            "permanent stats u={}",
-            units
+            &run.fault_events,
+            &first.fault_events,
+            "ordered fault trace: {}",
+            what
         );
-        prop_assert_eq!(pi.time, pt.time, "permanent clock u={}", units);
-        prop_assert_eq!(
-            &pi.caches,
-            &pt.caches,
-            "permanent cache counters u={}",
-            units
-        );
-        let pi2 = df_run(&g, &bufs, &plan, units, seed, pplan.clone(), 0, true);
-        let pt2 = df_run(&g, &bufs, &plan, units, seed, pplan, 0, false);
-        prop_assert_eq!(
-            &pi2.fault_stats,
-            &pi.fault_stats,
-            "inline replay u={}",
-            units
-        );
-        prop_assert_eq!(pi2.time, pi.time, "inline replay clock u={}", units);
-        prop_assert_eq!(
-            &pt2.fault_stats,
-            &pt.fault_stats,
-            "threaded replay u={}",
-            units
-        );
-        prop_assert_eq!(pt2.time, pt.time, "threaded replay clock u={}", units);
+        prop_assert_eq!(&run.caches, &first.caches, "pack-cache counters: {}", what);
     }
 }
 
@@ -433,9 +435,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Random RAW pipelines × 1/2/4/8 units × {fault-free, transient,
-    // permanent} × {inline, threaded} × steal seeds: the dataflow
-    // driver must be byte-unobservable against the serial scheduled
-    // run, with replay determinism exactly as documented.
+    // permanent} × steal seeds × jitter salts: the dataflow driver must
+    // be byte-unobservable against the serial scheduled run, with replay
+    // determinism exactly as documented.
     #[test]
     fn dataflow_execution_is_byte_identical_to_serial(seed in 0u64..10_000) {
         check_dataflow_contract(random_graph(seed), seed);
@@ -496,61 +498,40 @@ impl Executor for BuggyExecutor {
     }
 }
 
-/// The named deviation of the `tcu_sched::run` docs: a foreign panic on
-/// unit 0's first execution. The threaded executor computes into
-/// scratch, so it discards the torn scratch, quarantines the unit, and
-/// rebuilds the op in a recovery pass — byte-identical to the serial
-/// run. The inline executor wrote the bound destination in place and
-/// has nothing to rebuild from, so it fails the run with `UnitFault`.
+/// A foreign panic on unit 0's first execution: the threaded executor
+/// computes into scratch, so it discards the torn scratch, quarantines
+/// the unit, and rebuilds the op in a recovery pass — byte-identical to
+/// the serial run.
 #[test]
-fn foreign_panics_recover_threaded_and_fail_inline() {
+fn foreign_panics_recover_on_the_threaded_executor() {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
     for seed in 0..4u64 {
         let (g, bufs) = random_graph(seed);
         let refr = serial_reference(&g, &bufs, seed);
         for units in [2usize, 4] {
             let plan = Scheduler::new().with_units(units).plan(&g, &unit);
-            for inline in [false, true] {
-                let mut mach =
-                    ParallelTcuMachine::with_executor(unit, units, BuggyExecutor::default());
-                mach.unit_executor_mut(0).panic_at = Some(0);
-                mach.enable_trace();
-                let a = pseudo(DIM, DIM, seed as i64);
-                let b = pseudo(DIM, DIM, seed as i64 + 1);
-                let (mut c, mut d) = (
-                    Matrix::<i64>::zeros(DIM, DIM),
-                    Matrix::<i64>::zeros(DIM, DIM),
-                );
-                let mut env = ExecEnv::new(&g);
-                env.bind_input(bufs.a, a.view());
-                env.bind_input(bufs.b, b.view());
-                env.bind_output(bufs.c, c.view_mut());
-                env.bind_output(bufs.d, d.view_mut());
-                let tuning = DataflowTuning {
-                    steal_seed: 0,
-                    inline: Some(inline),
-                };
-                let result = plan.try_run_parallel_with(
-                    &mut mach,
-                    &mut env,
-                    RecoveryPolicy::default(),
-                    tuning,
-                );
-                drop(env);
-                let what = format!("seed {seed}, {units} units, inline={inline}");
-                if inline {
-                    assert!(
-                        matches!(result, Err(TcuError::UnitFault { unit: 0, .. })),
-                        "{what}: {result:?}"
-                    );
-                } else {
-                    assert!(result.is_ok(), "{what}: {result:?}");
-                    assert_eq!(mach.fault_stats().quarantined_units, 1, "{what}");
-                    assert_eq!((&c, &d), (&refr.0, &refr.1), "elements: {what}");
-                    assert_eq!(mach.stats(), &refr.2, "Stats: {what}");
-                    assert_eq!(mach.take_trace().digest(), refr.3, "digest: {what}");
-                }
-            }
+            let mut mach = ParallelTcuMachine::with_executor(unit, units, BuggyExecutor::default());
+            mach.unit_executor_mut(0).panic_at = Some(0);
+            mach.enable_trace();
+            let a = pseudo(DIM, DIM, seed as i64);
+            let b = pseudo(DIM, DIM, seed as i64 + 1);
+            let (mut c, mut d) = (
+                Matrix::<i64>::zeros(DIM, DIM),
+                Matrix::<i64>::zeros(DIM, DIM),
+            );
+            let mut env = ExecEnv::new(&g);
+            env.bind_input(bufs.a, a.view());
+            env.bind_input(bufs.b, b.view());
+            env.bind_output(bufs.c, c.view_mut());
+            env.bind_output(bufs.d, d.view_mut());
+            let result = plan.try_run_parallel(&mut mach, &mut env);
+            drop(env);
+            let what = format!("seed {seed}, {units} units");
+            assert!(result.is_ok(), "{what}: {result:?}");
+            assert_eq!(mach.fault_stats().quarantined_units, 1, "{what}");
+            assert_eq!((&c, &d), (&refr.0, &refr.1), "elements: {what}");
+            assert_eq!(mach.stats(), &refr.2, "Stats: {what}");
+            assert_eq!(mach.take_trace().digest(), refr.3, "digest: {what}");
         }
     }
 }
@@ -599,12 +580,7 @@ fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
             env.bind_input(bufs.b, b.view());
             env.bind_output(bufs.c, c.view_mut());
             env.bind_output(bufs.d, d.view_mut());
-            let tuning = DataflowTuning {
-                steal_seed: 0,
-                inline: Some(false),
-            };
-            let result =
-                plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+            let result = plan.try_run_parallel(&mut mach, &mut env);
             drop(env);
             assert!(result.is_ok(), "k={k}: {result:?}");
             assert_eq!((&c, &d), (&refr.0, &refr.1), "elements, k={k}");
@@ -622,9 +598,9 @@ fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
     }
 }
 
-/// A serial run is the one-queue case of the single-thread walk, so an
-/// executor panic comes back as a typed error instead of unwinding
-/// through `try_run`: unit 0, in the failing op's wave. Charges precede
+/// A serial run contains executor panics under its fixed policy, so
+/// one comes back as a typed error instead of unwinding through
+/// `try_run`: unit 0, in the failing op's wave. Charges precede
 /// execution, so the failed run holds the whole stream's charge (named
 /// deviation 1).
 #[test]

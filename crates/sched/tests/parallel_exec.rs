@@ -1,7 +1,7 @@
 //! Thread-count invariance of the multi-unit parallel driver.
 //!
 //! `Schedule::run_parallel` executes its per-unit queues on real
-//! threads (or inline on one core), so these properties pin the
+//! threads, one per unit, so these properties pin the
 //! determinism contract the driver claims: for random RAW-pipeline graphs and every unit count
 //! in {1, 2, 4, 8}, the parallel run's *elements*, *Stats*, *trace*
 //! (events and digest), and aggregate pack-cache counters must be

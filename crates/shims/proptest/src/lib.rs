@@ -160,7 +160,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,
