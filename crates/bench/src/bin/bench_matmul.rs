@@ -4,7 +4,7 @@
 //! `BENCH_matmul.json` next to the working directory (override with
 //! `--out <path>`); `--quick` shrinks sizes/reps for the CI smoke run.
 //!
-//! Two families are measured:
+//! Two families are measured, over `f64` and over `i64`:
 //!
 //! * `tensor_mul n=<n>` — one tensor instruction: `A (n × √m) · B
 //!   (√m × √m)`, the host work behind every simulated invocation.
@@ -16,31 +16,75 @@
 //!   `d × d` operands (the E2 hot path), seed flow (block copies +
 //!   `matmul_naive` + copy-back) versus the view flow.
 //!
-//! All variants are checked element-equal against `matmul_naive` before
-//! timing, so the numbers can never come from a wrong kernel.
+//! The `i64` cases draw operands that fit 32 bits, so the tiled kernels
+//! take their narrow multiplier, and additionally time the tiled
+//! variant on operands past 32 bits (`wide_ns_per_op`), which take the
+//! wide one.
+//!
+//! All variants are checked against `matmul_naive` before timing (to a
+//! rounding tolerance for the seed and blocked `f64` flows, exactly
+//! otherwise), so the numbers can never come from a wrong kernel.
 
 use tcu_linalg::kernels;
-use tcu_linalg::ops::matmul_naive;
+use tcu_linalg::ops::{matmul_naive, max_abs_diff};
 use tcu_linalg::{Matrix, Scalar};
 
 const SQRT_M: usize = 16;
+
+/// Magnitude bits `(A, B)` of the `i64` operands that fit 32 bits.
+const NARROW_BITS: (u32, u32) = (20, 20);
+/// Magnitude bits `(A, B)` of the `i64` operands past 32 bits: `B`
+/// stays small enough that no sum of the blocked `d = 256` case
+/// overflows.
+const WIDE_BITS: (u32, u32) = (40, 12);
+
+/// Element types the cases run over.
+trait Elem: Scalar {
+    /// Suffix of the case name (empty for `f64`, the original cases).
+    const SUFFIX: &'static str;
+    /// Element from the hash `x`; integers fall in `[-2^bits, 2^bits)`.
+    fn from_hash(x: u64, bits: u32) -> Self;
+    /// Whether `got` equals `want` to within `tol` (exactly, for
+    /// integers).
+    fn agrees(got: &Matrix<Self>, want: &Matrix<Self>, tol: f64) -> bool;
+}
+
+impl Elem for f64 {
+    const SUFFIX: &'static str = "";
+    fn from_hash(x: u64, _bits: u32) -> Self {
+        (x % 4096) as f64 / 2048.0 - 1.0
+    }
+    fn agrees(got: &Matrix<Self>, want: &Matrix<Self>, tol: f64) -> bool {
+        max_abs_diff(got, want) < tol
+    }
+}
+
+impl Elem for i64 {
+    const SUFFIX: &'static str = " i64";
+    fn from_hash(x: u64, bits: u32) -> Self {
+        (x % (2u64 << bits)) as i64 - (1i64 << bits)
+    }
+    fn agrees(got: &Matrix<Self>, want: &Matrix<Self>, _tol: f64) -> bool {
+        got == want
+    }
+}
 
 /// Frozen replica of the seed `matmul_naive` inner loop (separate
 /// multiply and add, zero-skip), so the baseline stays the *seed* kernel
 /// even though the live `matmul_naive` oracle now shares `mul_add` with
 /// the tiled kernels.
-fn matmul_seed(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
+fn matmul_seed<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
     let (n, k, p) = (a.rows(), a.cols(), b.cols());
     let mut c = Matrix::zeros(n, p);
     for i in 0..n {
         for l in 0..k {
             let ail = a[(i, l)];
-            if ail == f64::ZERO {
+            if ail == T::ZERO {
                 continue;
             }
             let brow = b.row(l);
-            let crow: &mut [f64] = c.row_mut(i);
+            let crow: &mut [T] = c.row_mut(i);
             for j in 0..p {
                 crow[j] = crow[j].add(ail.mul(brow[j]));
             }
@@ -57,6 +101,8 @@ struct Case {
     seed_ns: f64,
     tiled_ns: f64,
     par_ns: f64,
+    /// The tiled variant on operands past 32 bits (integer cases only).
+    wide_ns: Option<f64>,
 }
 
 fn main() {
@@ -76,11 +122,13 @@ fn main() {
 
     let mut cases = Vec::new();
     for &n in tall_sizes {
-        cases.push(bench_tensor_mul(n, quick, threads));
+        cases.push(bench_tensor_mul::<f64>(n, quick, threads));
     }
+    cases.push(bench_tensor_mul::<i64>(512, quick, threads));
     for &d in blocked_sizes {
-        cases.push(bench_blocked(d, quick, threads));
+        cases.push(bench_blocked::<f64>(d, quick, threads));
     }
+    cases.push(bench_blocked::<i64>(256, quick, threads));
 
     let mut table = tcu_bench::Table::new(
         "BENCH matmul — seed naive vs tiled view kernel (host wall-clock)",
@@ -90,6 +138,7 @@ fn main() {
             "seed ns/op",
             "tiled ns/op",
             "par ns/op",
+            "wide ns/op",
             "speedup",
             "par speedup",
         ],
@@ -101,6 +150,8 @@ fn main() {
             tcu_bench::fmt_f(c.seed_ns, 0),
             tcu_bench::fmt_f(c.tiled_ns, 0),
             tcu_bench::fmt_f(c.par_ns, 0),
+            c.wide_ns
+                .map_or_else(|| "-".to_string(), |ns| tcu_bench::fmt_f(ns, 0)),
             tcu_bench::fmt_f(c.seed_ns / c.tiled_ns, 2),
             tcu_bench::fmt_f(c.seed_ns / c.par_ns, 2),
         ]);
@@ -112,52 +163,70 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-fn workload(r: usize, c: usize, seed: u64) -> Matrix<f64> {
+fn workload<T: Elem>(r: usize, c: usize, seed: u64, bits: u32) -> Matrix<T> {
     Matrix::from_fn(r, c, |i, j| {
         let x = (i as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((j as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9))
             .wrapping_add(seed);
-        (x % 4096) as f64 / 2048.0 - 1.0
+        T::from_hash(x, bits)
     })
 }
 
 /// One simulated tensor instruction: `A (n × √m) · B (√m × √m)`. The
 /// seed path includes the caller-side `block` copy that marshalled the
 /// strip out of a wider matrix (as `dense::multiply` did).
-fn bench_tensor_mul(n: usize, quick: bool, threads: usize) -> Case {
+fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
     let s = SQRT_M;
     // A lives inside a wider matrix, as in the blocked algorithms.
-    let wide = workload(n, 4 * s, 1);
-    let b = workload(s, s, 2);
+    let operands = |(a_bits, b_bits): (u32, u32)| {
+        (
+            workload::<T>(n, 4 * s, 1, a_bits),
+            workload::<T>(s, s, 2, b_bits),
+        )
+    };
+    let (wide, b) = operands(NARROW_BITS);
+    let tiled =
+        |wide: &Matrix<T>, b: &Matrix<T>| kernels::matmul(wide.subview(0, s, n, s), b.view());
 
     // The tiled kernels must equal the live oracle exactly; the frozen
     // seed replica differs from a fused-FMA build only in the last ulp.
     let want = matmul_naive(&wide.block(0, s, n, s), &b);
-    assert_eq!(kernels::matmul(wide.subview(0, s, n, s), b.view()), want);
+    assert_eq!(tiled(&wide, &b), want);
     assert_eq!(
         kernels::matmul_threads(wide.subview(0, s, n, s), b.view(), threads),
         want
     );
-    assert!(tcu_linalg::ops::max_abs_diff(&matmul_seed(&wide.block(0, s, n, s), &b), &want) < 1e-9);
+    assert!(T::agrees(
+        &matmul_seed(&wide.block(0, s, n, s), &b),
+        &want,
+        1e-9
+    ));
+    // A type with a narrow multiplier also times its wide one.
+    let past_32_bits = T::NARROW_MUL.then(|| operands(WIDE_BITS));
+    if let Some((wide, b)) = &past_32_bits {
+        assert_eq!(tiled(wide, b), matmul_naive(&wide.block(0, s, n, s), b));
+    }
 
     let reps: u32 = if quick { 20 } else { 200 };
     let seed_ns = tcu_bench::time_ns(reps, || {
         let strip = wide.block(0, s, n, s);
         matmul_seed(&strip, &b)
     });
-    let tiled_ns = tcu_bench::time_ns(reps, || kernels::matmul(wide.subview(0, s, n, s), b.view()));
+    let tiled_ns = tcu_bench::time_ns(reps, || tiled(&wide, &b));
     let par_ns = tcu_bench::time_ns(reps, || {
         kernels::matmul_threads(wide.subview(0, s, n, s), b.view(), threads)
     });
+    let wide_ns = past_32_bits.map(|(wide, b)| tcu_bench::time_ns(reps, || tiled(&wide, &b)));
     Case {
-        name: format!("tensor_mul n={n}"),
+        name: format!("tensor_mul n={n}{}", T::SUFFIX),
         n,
         sqrt_m: s,
         reps,
         seed_ns,
         tiled_ns,
         par_ns,
+        wide_ns,
     }
 }
 
@@ -167,80 +236,106 @@ fn bench_tensor_mul(n: usize, quick: bool, threads: usize) -> Case {
 /// and re-uses it across all block columns (`kernels::pack_a` +
 /// `matmul_acc_packed`); the parallel flow runs the unpacked row-band
 /// threaded kernel. All three produce the same matrix.
-fn bench_blocked(d: usize, quick: bool, threads: usize) -> Case {
+fn bench_blocked<T: Elem>(d: usize, quick: bool, threads: usize) -> Case {
     let s = SQRT_M;
-    let a = workload(d, d, 3);
-    let b = workload(d, d, 4);
-    let q = d / s;
+    let operands = |(a_bits, b_bits): (u32, u32)| {
+        (
+            workload::<T>(d, d, 3, a_bits),
+            workload::<T>(d, d, 4, b_bits),
+        )
+    };
+    let (a, b) = operands(NARROW_BITS);
 
-    let seed_flow = || {
-        let mut c = Matrix::<f64>::zeros(d, d);
-        for j in 0..q {
-            let mut acc: Option<Matrix<f64>> = None;
-            for k in 0..q {
-                let strip = a.block(0, k * s, d, s);
-                let blk = b.block(k * s, j * s, s, s);
-                let prod = matmul_seed(&strip, &blk);
-                match &mut acc {
-                    None => acc = Some(prod),
-                    Some(sum) => sum.add_assign(&prod),
-                }
-            }
-            c.set_block(0, j * s, &acc.expect("q >= 1"));
-        }
-        c
-    };
-    // The packed flow is the ROADMAP's "pack `A` strips once" lever:
-    // strip `k` is packed into contiguous row panels once and re-used
-    // for every block column `j` (the loop order is `k` outer, `j`
-    // inner), so the full `A` is no longer re-streamed per block column
-    // through page-strided views. Each output column strip still
-    // accumulates its `k` contributions in ascending order, so results
-    // are bit-identical to the unpacked `j`-outer flow.
-    let packed_flow = || {
-        let mut c = Matrix::<f64>::zeros(d, d);
-        for k in 0..q {
-            let pa = kernels::pack_a(a.subview(0, k * s, d, s));
-            for j in 0..q {
-                let mut out = c.subview_mut(0, j * s, d, s);
-                kernels::matmul_acc_packed(&mut out, &pa, b.subview(k * s, j * s, s, s));
-            }
-        }
-        c
-    };
-    let view_flow = |threads: usize| {
-        let mut c = Matrix::<f64>::zeros(d, d);
-        for j in 0..q {
-            for k in 0..q {
-                let mut out = c.subview_mut(0, j * s, d, s);
-                kernels::matmul_acc_threads(
-                    &mut out,
-                    a.subview(0, k * s, d, s),
-                    b.subview(k * s, j * s, s, s),
-                    threads,
-                );
-            }
-        }
-        c
-    };
-
-    assert_eq!(view_flow(1), packed_flow());
-    assert_eq!(view_flow(1), view_flow(threads));
-    assert!(tcu_linalg::ops::max_abs_diff(&seed_flow(), &packed_flow()) < 1e-6 * d as f64);
+    // Blocked sums round differently from the oracle's single ascending
+    // sum, so the f64 flows agree with it to a tolerance; the tiled flows
+    // agree with each other exactly.
+    let want = matmul_naive(&a, &b);
+    let tol = 1e-6 * d as f64;
+    assert!(T::agrees(&seed_flow(&a, &b), &want, tol));
+    assert!(T::agrees(&packed_flow(&a, &b), &want, tol));
+    assert_eq!(view_flow(&a, &b, 1), packed_flow(&a, &b));
+    assert_eq!(view_flow(&a, &b, threads), packed_flow(&a, &b));
+    // A type with a narrow multiplier also times its wide one.
+    let past_32_bits = T::NARROW_MUL.then(|| operands(WIDE_BITS));
+    if let Some((a, b)) = &past_32_bits {
+        assert_eq!(packed_flow(a, b), matmul_naive(a, b));
+    }
 
     let reps: u32 = if quick { 3 } else { 10 };
-    let seed_ns = tcu_bench::time_ns(reps, seed_flow);
-    let tiled_ns = tcu_bench::time_ns(reps, packed_flow);
-    let par_ns = tcu_bench::time_ns(reps, || view_flow(threads));
+    let seed_ns = tcu_bench::time_ns(reps, || seed_flow(&a, &b));
+    let tiled_ns = tcu_bench::time_ns(reps, || packed_flow(&a, &b));
+    let par_ns = tcu_bench::time_ns(reps, || view_flow(&a, &b, threads));
+    let wide_ns = past_32_bits.map(|(a, b)| tcu_bench::time_ns(reps, || packed_flow(&a, &b)));
     Case {
-        name: format!("blocked d={d}"),
+        name: format!("blocked d={d}{}", T::SUFFIX),
         n: d,
         sqrt_m: s,
         reps,
         seed_ns,
         tiled_ns,
         par_ns,
+        wide_ns,
     }
+}
+
+/// The seed flow: per (block column, step), copy the strip and block out
+/// and accumulate their seed-kernel product.
+fn seed_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    let (d, s) = (a.rows(), SQRT_M);
+    let q = d / s;
+    let mut c = Matrix::<T>::zeros(d, d);
+    for j in 0..q {
+        let mut acc: Option<Matrix<T>> = None;
+        for k in 0..q {
+            let strip = a.block(0, k * s, d, s);
+            let blk = b.block(k * s, j * s, s, s);
+            let prod = matmul_seed(&strip, &blk);
+            match &mut acc {
+                None => acc = Some(prod),
+                Some(sum) => sum.add_assign(&prod),
+            }
+        }
+        c.set_block(0, j * s, &acc.expect("q >= 1"));
+    }
+    c
+}
+
+/// The packed flow is the ROADMAP's "pack `A` strips once" lever: strip
+/// `k` is packed into contiguous row panels once and re-used for every
+/// block column `j` (the loop order is `k` outer, `j` inner), so the
+/// full `A` is no longer re-streamed per block column through
+/// page-strided views. Each output column strip still accumulates its
+/// `k` contributions in ascending order, so results are bit-identical to
+/// the unpacked `j`-outer flow.
+fn packed_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    let (d, s) = (a.rows(), SQRT_M);
+    let mut c = Matrix::<T>::zeros(d, d);
+    for k in 0..d / s {
+        let pa = kernels::pack_a(a.subview(0, k * s, d, s));
+        for j in 0..d / s {
+            let mut out = c.subview_mut(0, j * s, d, s);
+            kernels::matmul_acc_packed(&mut out, &pa, b.subview(k * s, j * s, s, s));
+        }
+    }
+    c
+}
+
+/// The unpacked flow through the row-band threaded kernel.
+fn view_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
+    let (d, s) = (a.rows(), SQRT_M);
+    let mut c = Matrix::<T>::zeros(d, d);
+    for j in 0..d / s {
+        for k in 0..d / s {
+            let mut out = c.subview_mut(0, j * s, d, s);
+            kernels::matmul_acc_threads(
+                &mut out,
+                a.subview(0, k * s, d, s),
+                b.subview(k * s, j * s, s, s),
+                threads,
+            );
+        }
+    }
+    c
 }
 
 fn render_json(cases: &[Case], quick: bool, threads: usize) -> String {
@@ -269,6 +364,9 @@ fn render_json(cases: &[Case], quick: bool, threads: usize) -> String {
             c.seed_ns / c.tiled_ns,
             c.seed_ns / c.par_ns,
         ));
+        if let Some(wide_ns) = c.wide_ns {
+            out.push_str(&format!(", \"wide_ns_per_op\": {wide_ns:.1}"));
+        }
         out.push('}');
         if i + 1 < cases.len() {
             out.push(',');

@@ -31,6 +31,21 @@
 //! results agree under IEEE `==` (the only divergence is the sign of a
 //! zero, which `==` ignores). Determinism of the *simulated* machine is
 //! untouched — these kernels never see `Stats` or traces.
+//!
+//! **Narrow multiplier.** For scalar types with [`Scalar::NARROW_MUL`]
+//! (`i64`, `u64`), a call whose `A` and `B` elements all pass
+//! [`Scalar::is_narrow`] — they fit 32 bits — runs the micro-kernels on
+//! [`Scalar::mul_add_narrow`]: the operands' 32-bit values, sign- (or
+//! zero-) extended, multiplied into the same 64-bit accumulators in the
+//! same ascending-`k` order. The product of two 32-bit values is exact
+//! in 64 bits, so it equals the wide `a * b`, and every accumulator step
+//! is the same add: the result is bit-identical to the wide path for
+//! every input, with no bound on the sums and no rounding involved. The
+//! choice is a property of the input alone. [`PackedA`] records it when
+//! it packs, `pack_b` checks `B` as it copies it, and the view path
+//! scans `A` once per call, before [`matmul_threads`] splits bands, so
+//! every band runs the same multiplier. One element past 32 bits in
+//! either operand sends the whole call down the wide path.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -158,6 +173,9 @@ pub struct PackedA<T> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
+    /// Every element is [`Scalar::is_narrow`]; recorded once, at pack
+    /// time, so each product against the strip skips the scan.
+    narrow: bool,
 }
 
 impl<T: Scalar> PackedA<T> {
@@ -191,18 +209,22 @@ pub fn pack_a<T: Scalar>(a: MatrixView<'_, T>) -> PackedA<T> {
     let (n, k) = (a.rows(), a.cols());
     let tiles = n.div_ceil(MR);
     let mut data = vec![T::ZERO; tiles * k * MR];
+    let mut narrow = T::NARROW_MUL;
     for t in 0..tiles {
         let i0 = t * MR;
         let h = MR.min(n - i0);
         let panel = &mut data[t * k * MR..(t + 1) * k * MR];
         for r in 0..h {
-            panel[r * k..(r + 1) * k].copy_from_slice(a.row(i0 + r));
+            let row = a.row(i0 + r);
+            narrow = narrow && all_narrow(row);
+            panel[r * k..(r + 1) * k].copy_from_slice(row);
         }
     }
     PackedA {
         rows: n,
         cols: k,
         data,
+        narrow,
     }
 }
 
@@ -256,17 +278,18 @@ pub fn matmul_packed_into<T: Scalar>(
         }
         return;
     }
-    let packed_b = pack_b(b);
-    if accumulate {
-        packed_band::<T, true>(a, &packed_b, k, p, c);
-    } else {
-        packed_band::<T, false>(a, &packed_b, k, p, c);
+    let (packed_b, b_narrow) = pack_b(b);
+    match (accumulate, T::NARROW_MUL && a.narrow && b_narrow) {
+        (true, true) => packed_band::<T, true, true>(a, &packed_b, k, p, c),
+        (true, false) => packed_band::<T, true, false>(a, &packed_b, k, p, c),
+        (false, true) => packed_band::<T, false, true>(a, &packed_b, k, p, c),
+        (false, false) => packed_band::<T, false, false>(a, &packed_b, k, p, c),
     }
 }
 
 /// Const-dimension dispatch for the packed band (same hot square shapes
 /// as `mul_band`: fully unrolled inner products).
-fn packed_band<T: Scalar, const ACC: bool>(
+fn packed_band<T: Scalar, const ACC: bool, const NARROW: bool>(
     a: &PackedA<T>,
     packed_b: &[T],
     k: usize,
@@ -274,16 +297,16 @@ fn packed_band<T: Scalar, const ACC: bool>(
     c: &mut MatrixViewMut<'_, T>,
 ) {
     match (k, p) {
-        (4, 4) => packed_band_impl::<T, ACC>(a, packed_b, 4, 4, c),
-        (8, 8) => packed_band_impl::<T, ACC>(a, packed_b, 8, 8, c),
-        (16, 16) => packed_band_impl::<T, ACC>(a, packed_b, 16, 16, c),
-        (32, 32) => packed_band_impl::<T, ACC>(a, packed_b, 32, 32, c),
-        _ => packed_band_impl::<T, ACC>(a, packed_b, k, p, c),
+        (4, 4) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 4, 4, c),
+        (8, 8) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 8, 8, c),
+        (16, 16) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 16, 16, c),
+        (32, 32) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 32, 32, c),
+        _ => packed_band_impl::<T, ACC, NARROW>(a, packed_b, k, p, c),
     }
 }
 
 #[inline(always)]
-fn packed_band_impl<T: Scalar, const ACC: bool>(
+fn packed_band_impl<T: Scalar, const ACC: bool, const NARROW: bool>(
     a: &PackedA<T>,
     packed_b: &[T],
     k: usize,
@@ -300,10 +323,10 @@ fn packed_band_impl<T: Scalar, const ACC: bool>(
             let w = NR.min(p - j0);
             let bpanel = &packed_b[q * k * NR..(q + 1) * k * NR];
             match mr {
-                1 => micro_kernel_packed::<T, 1, ACC>(apanel, bpanel, k, j0, w, i0, c),
-                2 => micro_kernel_packed::<T, 2, ACC>(apanel, bpanel, k, j0, w, i0, c),
-                3 => micro_kernel_packed::<T, 3, ACC>(apanel, bpanel, k, j0, w, i0, c),
-                _ => micro_kernel_packed::<T, MR, ACC>(apanel, bpanel, k, j0, w, i0, c),
+                1 => micro_kernel_packed::<T, 1, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
+                2 => micro_kernel_packed::<T, 2, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
+                3 => micro_kernel_packed::<T, 3, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
+                _ => micro_kernel_packed::<T, MR, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
             }
         }
     }
@@ -317,7 +340,7 @@ fn packed_band_impl<T: Scalar, const ACC: bool>(
 /// the view-reading kernel (spilling by add when `ACC`, by overwrite
 /// else).
 #[inline(always)]
-fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool>(
+fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool, const NARROW: bool>(
     apanel: &[T],
     bpanel: &[T],
     k: usize,
@@ -337,7 +360,7 @@ fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool>(
             let av = arows[r][kk];
             let accr = &mut acc[r];
             for jj in 0..NR {
-                accr[jj] = accr[jj].mul_add(av, brow[jj]);
+                accr[jj] = mac::<T, NARROW>(accr[jj], av, brow[jj]);
             }
         }
     }
@@ -353,19 +376,38 @@ fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool>(
     }
 }
 
-/// Shared driver: pack `B`, then run the band kernel serially or over
-/// deterministic row bands. `ACC` selects accumulate-into vs overwrite.
+/// Shared body of the view entries: pack `B`, choose the multiplier,
+/// then run the band kernel serially or over deterministic row bands.
+/// `ACC` selects accumulate-into vs overwrite.
 fn run<T: Scalar, const ACC: bool>(
     c: &mut MatrixViewMut<'_, T>,
     a: MatrixView<'_, T>,
     b: MatrixView<'_, T>,
     threads: usize,
 ) {
-    let (n, k, p) = (a.rows(), a.cols(), b.cols());
-    if n == 0 || p == 0 {
+    if a.rows() == 0 || b.cols() == 0 {
         return;
     }
-    let packed = pack_b(b);
+    let (packed, b_narrow) = pack_b(b);
+    // One scan of `A` decides the whole call before any band split, so
+    // every band, at every thread count, runs the same multiplier.
+    if T::NARROW_MUL && b_narrow && (0..a.rows()).all(|i| all_narrow(a.row(i))) {
+        run_bands::<T, ACC, true>(c, a, &packed, threads);
+    } else {
+        run_bands::<T, ACC, false>(c, a, &packed, threads);
+    }
+}
+
+/// Run the band kernel over packed `B`, serially or over deterministic
+/// row bands.
+fn run_bands<T: Scalar, const ACC: bool, const NARROW: bool>(
+    c: &mut MatrixViewMut<'_, T>,
+    a: MatrixView<'_, T>,
+    packed: &[T],
+    threads: usize,
+) {
+    let (n, k) = (a.rows(), a.cols());
+    let p = c.cols();
     // Spawning scoped threads costs ~10µs each; a band below
     // MIN_BAND_ROWS rows is cheaper to compute than to dispatch, so
     // small invocations (every √m × √m base case, for one) stay serial
@@ -373,7 +415,7 @@ fn run<T: Scalar, const ACC: bool>(
     // bit-identical either way, so the threshold is pure policy.
     let threads = threads.clamp(1, (n / MIN_BAND_ROWS).max(1));
     if threads == 1 {
-        mul_band::<T, ACC>(a, &packed, k, p, &mut c.reborrow());
+        mul_band::<T, ACC, NARROW>(a, packed, k, p, &mut c.reborrow());
         return;
     }
 
@@ -393,8 +435,7 @@ fn run<T: Scalar, const ACC: bool>(
             let (mut band_out, tail) = rest.split_at_row(h);
             rest = tail;
             let band_in = a.subview(row, 0, h, k);
-            let packed_ref = &packed;
-            scope.spawn(move || mul_band::<T, ACC>(band_in, packed_ref, k, p, &mut band_out));
+            scope.spawn(move || mul_band::<T, ACC, NARROW>(band_in, packed, k, p, &mut band_out));
             row += h;
         }
     });
@@ -403,11 +444,13 @@ fn run<T: Scalar, const ACC: bool>(
 /// Pack `b` into column panels of width [`NR`]: panel `q` holds columns
 /// `[q·NR, q·NR + NR)` as `k` consecutive rows of `NR` elements
 /// (zero-padded on the ragged right edge). One pack per invocation makes
-/// every micro-kernel `B` access a contiguous forward scan.
-fn pack_b<T: Scalar>(b: MatrixView<'_, T>) -> Vec<T> {
+/// every micro-kernel `B` access a contiguous forward scan. Also returns
+/// whether every element of `b` is narrow, checked as it is copied.
+fn pack_b<T: Scalar>(b: MatrixView<'_, T>) -> (Vec<T>, bool) {
     let (k, p) = (b.rows(), b.cols());
     let panels = p.div_ceil(NR).max(1);
     let mut packed = vec![T::ZERO; panels * k * NR];
+    let mut narrow = T::NARROW_MUL;
     for q in 0..panels {
         let j0 = q * NR;
         let w = NR.min(p.saturating_sub(j0));
@@ -416,10 +459,31 @@ fn pack_b<T: Scalar>(b: MatrixView<'_, T>) -> Vec<T> {
         }
         let panel = &mut packed[q * k * NR..(q + 1) * k * NR];
         for kk in 0..k {
-            panel[kk * NR..kk * NR + w].copy_from_slice(&b.row(kk)[j0..j0 + w]);
+            let src = &b.row(kk)[j0..j0 + w];
+            narrow = narrow && all_narrow(src);
+            panel[kk * NR..kk * NR + w].copy_from_slice(src);
         }
     }
-    packed
+    (packed, narrow)
+}
+
+/// Whether every element of `s` takes the narrow multiplier. A
+/// branch-free fold, so the scan vectorizes.
+#[inline]
+fn all_narrow<T: Scalar>(s: &[T]) -> bool {
+    s.iter().fold(true, |ok, x| ok & x.is_narrow())
+}
+
+/// The micro-kernels' multiply-add: [`Scalar::mul_add_narrow`] when the
+/// call's operands are all narrow, [`Scalar::mul_add`] otherwise. Both
+/// give the same bits on narrow operands.
+#[inline(always)]
+fn mac<T: Scalar, const NARROW: bool>(acc: T, a: T, b: T) -> T {
+    if NARROW {
+        acc.mul_add_narrow(a, b)
+    } else {
+        acc.mul_add(a, b)
+    }
 }
 
 /// Serial tiled kernel over one row band: `c` is the band's `h × p`
@@ -430,7 +494,7 @@ fn pack_b<T: Scalar>(b: MatrixView<'_, T>) -> Vec<T> {
 /// compiler fully unroll the inner product and keep the register tile
 /// clean (the runtime-dimension fallback is ~2× slower on the `√m = 16`
 /// shape). All arms run identical code, so results are identical.
-fn mul_band<T: Scalar, const ACC: bool>(
+fn mul_band<T: Scalar, const ACC: bool, const NARROW: bool>(
     a: MatrixView<'_, T>,
     packed: &[T],
     k: usize,
@@ -438,16 +502,16 @@ fn mul_band<T: Scalar, const ACC: bool>(
     c: &mut MatrixViewMut<'_, T>,
 ) {
     match (k, p) {
-        (4, 4) => mul_band_impl::<T, ACC>(a, packed, 4, 4, c),
-        (8, 8) => mul_band_impl::<T, ACC>(a, packed, 8, 8, c),
-        (16, 16) => mul_band_impl::<T, ACC>(a, packed, 16, 16, c),
-        (32, 32) => mul_band_impl::<T, ACC>(a, packed, 32, 32, c),
-        _ => mul_band_impl::<T, ACC>(a, packed, k, p, c),
+        (4, 4) => mul_band_impl::<T, ACC, NARROW>(a, packed, 4, 4, c),
+        (8, 8) => mul_band_impl::<T, ACC, NARROW>(a, packed, 8, 8, c),
+        (16, 16) => mul_band_impl::<T, ACC, NARROW>(a, packed, 16, 16, c),
+        (32, 32) => mul_band_impl::<T, ACC, NARROW>(a, packed, 32, 32, c),
+        _ => mul_band_impl::<T, ACC, NARROW>(a, packed, k, p, c),
     }
 }
 
 #[inline(always)]
-fn mul_band_impl<T: Scalar, const ACC: bool>(
+fn mul_band_impl<T: Scalar, const ACC: bool, const NARROW: bool>(
     a: MatrixView<'_, T>,
     packed: &[T],
     k: usize,
@@ -465,12 +529,12 @@ fn mul_band_impl<T: Scalar, const ACC: bool>(
             let w = NR.min(p - j0);
             let panel = &packed[q * k * NR..(q + 1) * k * NR];
             if mr == MR {
-                micro_kernel::<T, MR, ACC>(a, i0, panel, k, j0, w, c);
+                micro_kernel::<T, MR, ACC, NARROW>(a, i0, panel, k, j0, w, c);
             } else {
                 match mr {
-                    1 => micro_kernel::<T, 1, ACC>(a, i0, panel, k, j0, w, c),
-                    2 => micro_kernel::<T, 2, ACC>(a, i0, panel, k, j0, w, c),
-                    _ => micro_kernel::<T, 3, ACC>(a, i0, panel, k, j0, w, c),
+                    1 => micro_kernel::<T, 1, ACC, NARROW>(a, i0, panel, k, j0, w, c),
+                    2 => micro_kernel::<T, 2, ACC, NARROW>(a, i0, panel, k, j0, w, c),
+                    _ => micro_kernel::<T, 3, ACC, NARROW>(a, i0, panel, k, j0, w, c),
                 }
             }
         }
@@ -481,9 +545,10 @@ fn mul_band_impl<T: Scalar, const ACC: bool>(
 /// `RB × NR` register tile: accumulate rows `[i0, i0 + RB)` of the band
 /// against one packed panel, then spill to `c` (overwriting, or adding
 /// when `ACC`). The `kk` loop ascends from zero accumulators — the exact
-/// per-element order of `matmul_naive`.
+/// per-element order of `matmul_naive` — and `NARROW` picks the
+/// multiply-add ([`mac`]).
 #[inline(always)]
-fn micro_kernel<T: Scalar, const RB: usize, const ACC: bool>(
+fn micro_kernel<T: Scalar, const RB: usize, const ACC: bool, const NARROW: bool>(
     a: MatrixView<'_, T>,
     i0: usize,
     panel: &[T],
@@ -503,7 +568,7 @@ fn micro_kernel<T: Scalar, const RB: usize, const ACC: bool>(
             let av = arows[r][kk];
             let accr = &mut acc[r];
             for jj in 0..NR {
-                accr[jj] = accr[jj].mul_add(av, brow[jj]);
+                accr[jj] = mac::<T, NARROW>(accr[jj], av, brow[jj]);
             }
         }
     }
@@ -727,6 +792,48 @@ mod tests {
         let before = c2.clone();
         matmul_packed_into(&mut c2.view_mut(), &pack_a(a.view()), b.view(), true);
         assert_eq!(c2, before);
+    }
+
+    #[test]
+    fn narrow_products_are_exact_at_the_i32_extremes() {
+        // Products of the i32 range's ends, with sums that come within
+        // 2^33 of i64's limits: exact in i64, so the narrow path must
+        // equal the wide oracle bit for bit.
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let a = Matrix::from_vec(5, 2, vec![lo, hi, hi, hi, lo, 0, -1, lo, hi, lo]);
+        let b = Matrix::from_vec(2, 3, vec![lo, hi, lo, hi, hi, 1]);
+        assert!(pack_a(a.view()).narrow && pack_b(b.view()).1);
+        let want = matmul_naive(&a, &b);
+        assert_eq!(want[(1, 1)], 2 * hi * hi);
+        assert_eq!(matmul(a.view(), b.view()), want);
+        let mut got = Matrix::<i64>::zeros(5, 3);
+        matmul_packed_into(&mut got.view_mut(), &pack_a(a.view()), b.view(), true);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn one_wide_element_sends_the_call_down_the_wide_path() {
+        // A narrow-path product would keep only the low 32 bits of the
+        // wide entry and get every element in its row (or column) wrong.
+        let a = pseudo(7, 5, 61);
+        let b = pseudo(5, 18, 62);
+        for (i, j, v) in [
+            (6, 4, 1i64 << 31),
+            (0, 0, -(1i64 << 31) - 1),
+            (3, 2, 1 << 40),
+        ] {
+            let mut wa = a.clone();
+            wa[(i, j)] = v;
+            assert!(!pack_a(wa.view()).narrow);
+            assert_eq!(matmul(wa.view(), b.view()), matmul_naive(&wa, &b));
+            let mut got = pseudo(7, 18, 63);
+            matmul_packed_into(&mut got.view_mut(), &pack_a(wa.view()), b.view(), false);
+            assert_eq!(got, matmul_naive(&wa, &b));
+            let mut wb = b.clone();
+            wb[(j, 17 - i)] = v;
+            assert!(!pack_b(wb.view()).1);
+            assert_eq!(matmul(a.view(), wb.view()), matmul_naive(&a, &wb));
+        }
     }
 
     #[test]

@@ -50,6 +50,39 @@ pub trait Scalar: Copy + PartialEq + Debug + Send + Sync + 'static {
     fn mul_add(self, a: Self, b: Self) -> Self {
         self.add(a.mul(b))
     }
+
+    /// Whether this type has a narrow multiplier: values that pass
+    /// [`is_narrow`](Scalar::is_narrow) have an exact product from their
+    /// low 32 bits. The tiled kernels (`crate::kernels`) take
+    /// [`mul_add_narrow`](Scalar::mul_add_narrow) for a call whose `A`
+    /// and `B` elements are all narrow, so the choice is a property of
+    /// the operand values alone; nothing configures it. The default
+    /// (`false`) compiles that check away, so every other type (`f64`,
+    /// `f32`, complex, `Fp61`, `i32`, `i128`, …) runs the one wide path.
+    const NARROW_MUL: bool = false;
+
+    /// Whether `self` fits the narrow width. For `i64` that is
+    /// `self == self as i32 as i64`; for `u64`, `self < 2^32`. Only
+    /// consulted when [`NARROW_MUL`](Scalar::NARROW_MUL) is `true`.
+    #[must_use]
+    #[inline]
+    fn is_narrow(self) -> bool {
+        false
+    }
+
+    /// `self + a * b` with `a` and `b` narrowed to their low 32 bits and
+    /// extended back before the multiply. Callers guarantee both
+    /// operands are [`is_narrow`](Scalar::is_narrow); then the extension
+    /// restores each operand's exact value, the product of two 32-bit
+    /// values is exact in 64 bits, and the result is bit-identical to
+    /// [`mul_add`](Scalar::mul_add). The gain is the instruction: one
+    /// 32×32→64 multiply (`pmuldq`/`pmuludq`) where the wide product is
+    /// a full 64-bit multiply.
+    #[must_use]
+    #[inline]
+    fn mul_add_narrow(self, a: Self, b: Self) -> Self {
+        self.mul_add(a, b)
+    }
 }
 
 /// A [`Scalar`] with exact or approximate division: needed by Gaussian
@@ -60,8 +93,13 @@ pub trait Field: Scalar {
     fn div(self, rhs: Self) -> Self;
 }
 
+// `$t => $n` gives `$t` the narrow multiplier over the half-width `$n`:
+// `x as $n as $t` sign-extends the low half (zero-extends, for the
+// unsigned types below), which is the identity on narrow values and is
+// the form LLVM lowers to `pmuldq` (`pmuludq`). The product of two
+// half-width values cannot overflow `$t`.
 macro_rules! impl_scalar_prim {
-    ($($t:ty),*) => {$(
+    ($($t:ty $(=> $n:ty)?),*) => {$(
         impl Scalar for $t {
             const ZERO: Self = 0 as $t;
             const ONE: Self = 1 as $t;
@@ -71,11 +109,20 @@ macro_rules! impl_scalar_prim {
             fn sub(self, rhs: Self) -> Self { self - rhs }
             #[inline]
             fn mul(self, rhs: Self) -> Self { self * rhs }
+            $(
+            const NARROW_MUL: bool = true;
+            #[inline]
+            fn is_narrow(self) -> bool { self == self as $n as $t }
+            #[inline]
+            fn mul_add_narrow(self, a: Self, b: Self) -> Self {
+                self + (a as $n as $t) * (b as $n as $t)
+            }
+            )?
         }
     )*};
 }
 
-impl_scalar_prim!(i32, i64, i128);
+impl_scalar_prim!(i32, i64 => i32, i128);
 
 // Floats: when the target has hardware FMA, fuse the multiply-add the
 // matrix kernels are built from (one rounding, and the instruction the
@@ -114,7 +161,7 @@ impl_scalar_float!(f32, f64);
 // far below 2^64, and never on subtraction, but Strassen-style kernels may
 // form temporary differences that cancel; wrapping keeps them exact.
 macro_rules! impl_scalar_uint {
-    ($($t:ty),*) => {$(
+    ($($t:ty $(=> $n:ty)?),*) => {$(
         impl Scalar for $t {
             const ZERO: Self = 0;
             const ONE: Self = 1;
@@ -124,11 +171,20 @@ macro_rules! impl_scalar_uint {
             fn sub(self, rhs: Self) -> Self { self.wrapping_sub(rhs) }
             #[inline]
             fn mul(self, rhs: Self) -> Self { self.wrapping_mul(rhs) }
+            $(
+            const NARROW_MUL: bool = true;
+            #[inline]
+            fn is_narrow(self) -> bool { self == self as $n as $t }
+            #[inline]
+            fn mul_add_narrow(self, a: Self, b: Self) -> Self {
+                self.wrapping_add((a as $n as $t) * (b as $n as $t))
+            }
+            )?
         }
     )*};
 }
 
-impl_scalar_uint!(u32, u64, u128);
+impl_scalar_uint!(u32, u64 => u32, u128);
 
 impl Field for f64 {
     #[inline]
@@ -163,6 +219,24 @@ mod tests {
     fn i64_ring_ops() {
         assert_eq!(7i64.mul_add(2, -3), 1);
         assert_eq!(Scalar::neg(5i64), -5);
+    }
+
+    #[test]
+    fn narrow_range_ends_at_32_bits() {
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        assert!(lo.is_narrow() && hi.is_narrow() && (-1i64).is_narrow());
+        assert!(!(hi + 1).is_narrow() && !(lo - 1).is_narrow());
+        assert!(u64::from(u32::MAX).is_narrow() && !(1u64 << 32).is_narrow());
+        // Products of the extremes: exact, hence equal to the wide form.
+        for (x, y) in [(lo, lo), (lo, hi), (hi, hi), (-1, lo)] {
+            assert_eq!(7i64.mul_add_narrow(x, y), 7i64.mul_add(x, y));
+        }
+        let m = u64::from(u32::MAX);
+        assert_eq!(u64::MAX.mul_add_narrow(m, m), u64::MAX.mul_add(m, m));
+        // Types without the hook keep the wide path only.
+        assert_eq!([i64::NARROW_MUL, u64::NARROW_MUL], [true; 2]);
+        let wide_only = [f64::NARROW_MUL, i32::NARROW_MUL, crate::Fp61::NARROW_MUL];
+        assert_eq!(wide_only, [false; 3]);
     }
 
     #[test]

@@ -15,6 +15,87 @@ fn fp_matrix(d: usize) -> impl Strategy<Value = Matrix<Fp61>> {
         .prop_map(move |v| Matrix::from_vec(d, d, v.into_iter().map(Fp61::new).collect()))
 }
 
+/// `i64` entries at the ends of the `i32` range (narrow: the tiled
+/// kernels' 32-bit multiplier applies), then entries past it (wide).
+const I64_EDGES: [i64; 9] = [
+    i32::MIN as i64,
+    i32::MAX as i64,
+    i32::MIN as i64 + 1,
+    -1,
+    0,
+    1 << 31,
+    -(1 << 31) - 1,
+    1 << 32,
+    -(3 << 37),
+];
+/// `u64` entries at the top of the `u32` range, then past it.
+const U64_EDGES: [u64; 9] = [
+    u32::MAX as u64,
+    u32::MAX as u64 - 1,
+    1 << 31,
+    1,
+    0,
+    1 << 32,
+    (1 << 32) + 1,
+    1 << 63,
+    u64::MAX,
+];
+/// How many leading entries of each edge table are narrow.
+const NARROW_EDGES: usize = 5;
+
+/// Half the entries from `edges` (its narrow prefix alone unless
+/// `wide`), the rest from `small`.
+fn edge_matrix<T: Scalar>(
+    r: usize,
+    c: usize,
+    edges: &[T],
+    wide: bool,
+    rng: &mut rand::rngs::StdRng,
+    mut small: impl FnMut(&mut rand::rngs::StdRng) -> T,
+) -> Matrix<T> {
+    use rand::Rng;
+    let edges = if wide { edges } else { &edges[..NARROW_EDGES] };
+    Matrix::from_fn(r, c, |_, _| {
+        if rng.gen_bool(0.5) {
+            edges[rng.gen_range(0..edges.len())]
+        } else {
+            small(rng)
+        }
+    })
+}
+
+/// `a · b` through every tiled-kernel entry (views into larger matrices
+/// at 1 and 3 threads, and the packed strip; each overwriting `c0` and
+/// accumulating onto it) equals `matmul_naive`.
+fn assert_kernels_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matrix<T>) {
+    let (n, k, p) = (a.rows(), a.cols(), b.cols());
+    let want = matmul_naive(a, b);
+    let mut want_acc = c0.clone();
+    want_acc.add_assign(&want);
+    let mut host_a = Matrix::zeros(n + 2, k + 3);
+    host_a.set_block_view(1, 2, a.view());
+    let mut host_b = Matrix::zeros(k + 1, p + 2);
+    host_b.set_block_view(1, 1, b.view());
+    let (av, bv) = (host_a.subview(1, 2, n, k), host_b.subview(1, 1, k, p));
+    let packed = kernels::pack_a(av);
+    for (accumulate, want) in [(false, &want), (true, &want_acc)] {
+        for threads in [1, 3] {
+            let mut c = c0.clone();
+            kernels::matmul_into(&mut c.view_mut(), av, bv, accumulate, threads);
+            prop_assert_eq!(
+                &c,
+                want,
+                "views, threads {}, accumulate {}",
+                threads,
+                accumulate
+            );
+        }
+        let mut c = c0.clone();
+        kernels::matmul_packed_into(&mut c.view_mut(), &packed, bv, accumulate);
+        prop_assert_eq!(&c, want, "packed, accumulate {}", accumulate);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -191,6 +272,59 @@ proptest! {
         let a = Matrix::from_fn(n, k, |_, _| Fp61::new(rand::Rng::gen(&mut rng)));
         let b = Matrix::from_fn(k, p, |_, _| Fp61::new(rand::Rng::gen(&mut rng)));
         prop_assert_eq!(kernels::matmul(a.view(), b.view()), matmul_naive(&a, &b));
+    }
+
+    #[test]
+    fn tiled_kernel_equals_naive_across_the_32_bit_boundary_i64(seed in any::<u64>(), n in 1usize..420, k in 1usize..24, p in 1usize..24) {
+        // Layouts: 0 narrow edges only; 1 wide edges too; 2 narrow plus
+        // one entry just past 32 bits in `B`; 3 the same in the last row
+        // of an odd-height `A`, inside its ragged last row tile. One side
+        // draws the edges and the other stays within ±2^15, so no sum
+        // overflows in a debug build.
+        use rand::Rng;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        for layout in 0..4 {
+            let n = if layout == 3 { n | 1 } else { n };
+            let big = |r, c, rng: &mut rand::rngs::StdRng| {
+                edge_matrix(r, c, &I64_EDGES, layout == 1, rng, |rng| rng.gen_range(-1000..=1000))
+            };
+            let small = |r, c, rng: &mut rand::rngs::StdRng| workloads::random_matrix_i64(r, c, 1 << 15, rng);
+            let (mut a, mut b) = if rng.gen_bool(0.5) {
+                (big(n, k, &mut rng), small(k, p, &mut rng))
+            } else {
+                (small(n, k, &mut rng), big(k, p, &mut rng))
+            };
+            let past = if rng.gen_bool(0.5) { 1i64 << 31 } else { -(1i64 << 31) - 1 };
+            match layout {
+                2 => b[(rng.gen_range(0..k), rng.gen_range(0..p))] = past,
+                3 => a[(n - 1, rng.gen_range(0..k))] = past,
+                _ => {}
+            }
+            let c0 = workloads::random_matrix_i64(n, p, 100, &mut rng);
+            assert_kernels_match_naive(&a, &b, &c0);
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_equals_naive_across_the_32_bit_boundary_u64(seed in any::<u64>(), n in 1usize..420, k in 1usize..24, p in 1usize..24) {
+        // The i64 layouts over `u64`, whose sums wrap, so both sides may
+        // draw the edges `u32::MAX` and 2^32.
+        use rand::Rng;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        for layout in 0..4 {
+            let n = if layout == 3 { n | 1 } else { n };
+            let mut edges = |r, c| {
+                edge_matrix(r, c, &U64_EDGES, layout == 1, &mut rng, |rng| rng.gen_range(0..=1000u64))
+            };
+            let (mut a, mut b) = (edges(n, k), edges(k, p));
+            match layout {
+                2 => b[(rng.gen_range(0..k), rng.gen_range(0..p))] = 1 << 32,
+                3 => a[(n - 1, rng.gen_range(0..k))] = 1 << 32,
+                _ => {}
+            }
+            let c0 = Matrix::from_fn(n, p, |_, _| rng.gen::<u64>());
+            assert_kernels_match_naive(&a, &b, &c0);
+        }
     }
 
     #[test]
