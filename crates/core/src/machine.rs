@@ -519,15 +519,16 @@ mod tests {
 
     #[test]
     fn host_threads_change_nothing_observable() {
-        // 300 rows: enough for a real multi-band split (threads are
-        // clamped so every band has at least the kernel's minimum rows).
-        let a = iota(300, 4);
-        let b = iota(4, 4);
-        let mut serial = TcuMachine::model(16, 3);
+        // 2049 × 64 × 64 multiply-adds: just over two bands' minimum
+        // work, so 4 host threads split it into two real bands (threads
+        // are clamped so every band gets the kernel's minimum work).
+        let a = iota(2049, 64);
+        let b = iota(64, 64);
+        let mut serial = TcuMachine::model(64 * 64, 3);
         serial.enable_trace();
         let cs = serial.tensor_mul(&a, &b);
 
-        let mut parallel = TcuMachine::model(16, 3);
+        let mut parallel = TcuMachine::model(64 * 64, 3);
         parallel.set_host_threads(4);
         assert_eq!(parallel.host_threads(), 4);
         parallel.enable_trace();

@@ -13,7 +13,8 @@
 //!   the per-`k` round trips through `C` that dominate the naive triple
 //!   loop;
 //! * [`matmul_threads`] adds an opt-in parallel path that splits the
-//!   tall left operand into **deterministic row bands** — band
+//!   tall left operand of a large enough product (`MIN_BAND_WORK`
+//!   multiply-adds per band) into **deterministic row bands** — band
 //!   boundaries depend only on `(rows, threads)`, each band is written
 //!   by exactly one worker via disjoint `split_at_mut` chunks, and every
 //!   element is accumulated in the same `k` order as the serial kernel —
@@ -51,9 +52,13 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::view::{MatrixView, MatrixViewMut};
 
-/// Minimum rows per parallel band: below this, a band's kernel work is
-/// cheaper than spawning the thread that would run it.
-const MIN_BAND_ROWS: usize = 128;
+/// Minimum multiply-adds (`rows × inner × width`) per parallel band.
+/// Measured on a 2-vCPU box, a scoped spawn and join of two bands costs
+/// 45–60 µs, and two bands first match the serial kernel at about 2^21
+/// multiply-adds each (f64 and i64, inner and width 16 or 64; at 2^20
+/// they still lost by 2–28%). At 2^22 each, they beat it by 8–36%. Every
+/// `bench_matmul` shape, at most 2^19 per call, stays serial.
+const MIN_BAND_WORK: usize = 1 << 22;
 
 /// Micro-kernel height: rows of `C` kept in accumulators per tile.
 const MR: usize = 4;
@@ -74,9 +79,9 @@ pub fn matmul<T: Scalar>(a: MatrixView<'_, T>, b: MatrixView<'_, T>) -> Matrix<T
 
 /// `C = A·B` through the tiled kernel, splitting the left operand's rows
 /// into `threads` deterministic bands executed under
-/// [`std::thread::scope`]. `threads ≤ 1` (or too few rows) runs the
-/// serial kernel on the calling thread; results are identical either
-/// way, element for element.
+/// [`std::thread::scope`]. `threads ≤ 1`, or too little work to give
+/// each band its minimum, runs the serial kernel on the calling thread;
+/// results are identical either way, element for element.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -408,12 +413,12 @@ fn run_bands<T: Scalar, const ACC: bool, const NARROW: bool>(
 ) {
     let (n, k) = (a.rows(), a.cols());
     let p = c.cols();
-    // Spawning scoped threads costs ~10µs each; a band below
-    // MIN_BAND_ROWS rows is cheaper to compute than to dispatch, so
-    // small invocations (every √m × √m base case, for one) stay serial
+    // A band below MIN_BAND_WORK multiply-adds is cheaper to compute
+    // than to spawn, so every call short of two such bands (each tensor
+    // instruction of the simulated algorithms, for one) stays serial
     // even when the caller opted into more workers. Results are
     // bit-identical either way, so the threshold is pure policy.
-    let threads = threads.clamp(1, (n / MIN_BAND_ROWS).max(1));
+    let threads = threads.min(n * k * p / MIN_BAND_WORK).min(n).max(1);
     if threads == 1 {
         mul_band::<T, ACC, NARROW>(a, packed, k, p, &mut c.reborrow());
         return;
@@ -632,10 +637,11 @@ mod tests {
 
     #[test]
     fn parallel_bands_are_bit_identical() {
-        // 517 rows: 4 real bands (≥ MIN_BAND_ROWS each) with a ragged
-        // remainder spread over the leading ones.
-        let a = pseudo(517, 16, 5);
-        let b = pseudo(16, 16, 6);
+        // 4101 × 64 × 64: 4 real bands (≥ MIN_BAND_WORK each) with a
+        // ragged remainder spread over the leading ones.
+        let a = pseudo(4101, 64, 5);
+        let b = pseudo(64, 64, 6);
+        assert_eq!(4101 * 64 * 64 / MIN_BAND_WORK, 4);
         let serial = matmul(a.view(), b.view());
         for threads in [2usize, 3, 4, 7, 64] {
             assert_eq!(
@@ -645,7 +651,7 @@ mod tests {
             );
         }
         // Small operands fall back to the serial kernel regardless.
-        let small = pseudo(37, 16, 7);
+        let small = pseudo(37, 64, 7);
         assert_eq!(
             matmul_threads(small.view(), b.view(), 8),
             matmul(small.view(), b.view())

@@ -12,20 +12,13 @@
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! The serial run needs no staging directive: it snapshots a slot on
-//! first use, and only when an op reads the buffer it writes (see the
-//! `tcu_sched::run` module docs). The threaded executor stages
-//! two classes of read key, both into the same slots:
-//!
-//! * **written reads** — every read of a written buffer. Workers run
-//!   while the main thread retains mutable access to the outputs, so
-//!   each such region is snapshotted once, right before its first
-//!   reader's dispatch; only their number is stored
-//!   ([`ExecutablePlan::staged_reads`]).
-//! * **`cond_stages`** — reads of buffers the graph never writes.
-//!   Normally input-bound and zero-copy; if the caller bound one as an
-//!   output instead, it is snapshotted once at run start (its content
-//!   cannot change during the run).
+//! Neither executor needs a staging directive. The serial run
+//! snapshots a slot on first use, and only when an op reads the buffer
+//! it writes; the threaded executor, whose workers run while the main
+//! thread retains mutable access to the outputs, snapshots every read
+//! key no input binding serves, once, right before its first reader's
+//! dispatch (see the `tcu_sched::run` module docs). Only the number of
+//! written-buffer keys is stored ([`ExecutablePlan::staged_reads`]).
 //!
 //! Compilation happens implicitly on first execution and is cached in
 //! the schedule (see [`Schedule::compile`]), so `run`/`try_run*` are
@@ -70,7 +63,7 @@ pub(crate) struct CompiledOp {
 }
 
 /// A [`Schedule`] lowered to its executable form: dense op array,
-/// staging directives, hazard structure, and flattened wave ranges.
+/// snapshot slots, hazard structure, and flattened wave ranges.
 /// Structural — it references logical buffers and slots, never data —
 /// so one compiled plan is re-runnable against any rebound environment
 /// of the same buffer shapes.
@@ -80,9 +73,6 @@ pub struct ExecutablePlan {
     /// Written-buffer keys (each snapshotted once by the threaded
     /// executor).
     pub(crate) written_reads: usize,
-    /// Never-written-buffer keys (staged at run start by the threaded
-    /// executor if not input-bound).
-    pub(crate) cond_stages: Vec<CompiledRead>,
     /// Snapshot-arena size (one slot per distinct read key).
     pub(crate) slots: usize,
     /// `ops` index range of each wave, in wave order.
@@ -165,8 +155,8 @@ fn intern_read(
 
 /// Lower `sched` into its executable form. Validates every op against
 /// the planned `√m` once (execution re-checks nothing), resolves each
-/// read to a slot of the snapshot arena, and classifies every slot as
-/// the module docs describe.
+/// read to a slot of the snapshot arena, and counts the written-buffer
+/// keys.
 ///
 /// # Panics
 /// Panics if an emitted node's operand or output rectangles disagree
@@ -222,23 +212,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         wave_ranges.push((wstart, nodes.len()));
     }
 
-    let mut written_reads = 0;
-    let mut cond_stages = Vec::new();
-    for (slot, &(buf, r0, c0, rows, cols, gen)) in keys.iter().enumerate() {
-        if written[buf] {
-            written_reads += 1;
-        } else {
-            cond_stages.push(CompiledRead {
-                buf,
-                r0,
-                c0,
-                rows,
-                cols,
-                gen,
-                slot: slot as u32,
-            });
-        }
-    }
+    let written_reads = keys.iter().filter(|k| written[k.0]).count();
 
     // Hazard dependency structure over the *emission-ordered* ops:
     // per-op predecessor counts and CSR successor lists. Conflicting
@@ -264,7 +238,6 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     Ok(ExecutablePlan {
         ops,
         written_reads,
-        cond_stages,
         slots: keys.len(),
         wave_ranges,
         preds,

@@ -38,6 +38,8 @@ use crate::compile::ExecutablePlan;
 use crate::scheduler::Schedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex, PoisonError};
+use tcu_core::TcuError;
 
 /// The parallel driver's one knob, which does not affect results: the
 /// steal tie-break seed. Any seed yields byte-identical elements,
@@ -91,6 +93,26 @@ pub(crate) struct DataflowPlacement {
     pub(crate) makespan: u64,
     /// Ops placed off their home unit.
     pub(crate) steals: u64,
+}
+
+/// Steal seeds whose placements one schedule keeps; a further seed
+/// evicts the oldest.
+const CACHED_SEEDS: usize = 4;
+
+/// A schedule's dataflow placements by steal seed, each computed once by
+/// [`place_dataflow`] and kept next to the compiled plan. Runs and
+/// queries take the default seed unless told otherwise, so one entry
+/// usually serves them all. Every update leaves the list valid (a panic
+/// in `place_dataflow` happens before any), so a poisoned lock is taken
+/// over as is.
+#[derive(Debug, Default)]
+pub(crate) struct PlacementCache(Mutex<Vec<(u64, Arc<DataflowPlacement>)>>);
+
+impl Clone for PlacementCache {
+    fn clone(&self) -> Self {
+        let cached = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        Self(Mutex::new(cached.clone()))
+    }
 }
 
 /// `splitmix64` step — the standard 64-bit mix, enough PRNG for a
@@ -216,6 +238,34 @@ pub(crate) fn place_dataflow(
 }
 
 impl Schedule {
+    /// The dataflow placement of this schedule under `steal_seed`, over
+    /// its compiled `plan`: computed on first use, then cached.
+    pub(crate) fn placement(
+        &self,
+        plan: &ExecutablePlan,
+        steal_seed: u64,
+    ) -> Arc<DataflowPlacement> {
+        let mut cached = self
+            .placements
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, p)) = cached.iter().find(|(seed, _)| *seed == steal_seed) {
+            return Arc::clone(p);
+        }
+        let p = Arc::new(place_dataflow(self, plan, steal_seed));
+        if cached.len() == CACHED_SEEDS {
+            cached.remove(0);
+        }
+        cached.push((steal_seed, Arc::clone(&p)));
+        p
+    }
+
+    /// [`Schedule::placement`] over the compiled plan.
+    fn compiled_placement(&self, steal_seed: u64) -> Result<Arc<DataflowPlacement>, TcuError> {
+        self.compiled().map(|plan| self.placement(plan, steal_seed))
+    }
+
     /// The simulated makespan of the dataflow driver under the default
     /// steal seed (0): what [`Schedule::try_run_parallel`] charges into
     /// `time()` as its tensor wall-clock. Never exceeds
@@ -230,10 +280,8 @@ impl Schedule {
     /// [`Schedule::dataflow_makespan`] under an explicit steal seed.
     #[must_use]
     pub fn dataflow_makespan_seeded(&self, steal_seed: u64) -> u64 {
-        match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, steal_seed).makespan,
-            Err(_) => self.makespan(),
-        }
+        self.compiled_placement(steal_seed)
+            .map_or(self.makespan(), |p| p.makespan)
     }
 
     /// Deterministic steals in the dataflow placement under the
@@ -241,10 +289,8 @@ impl Schedule {
     /// wave-LPT home unit.
     #[must_use]
     pub fn dataflow_steals(&self) -> u64 {
-        match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, DataflowTuning::default().steal_seed).steals,
-            Err(_) => 0,
-        }
+        self.compiled_placement(DataflowTuning::default().steal_seed)
+            .map_or(0, |p| p.steals)
     }
 
     /// [`Schedule::sched_efficiency`] for the dataflow driver under the
@@ -337,6 +383,26 @@ mod tests {
                     .all(|w| key(w[0] as usize) < key(w[1] as usize)));
             }
         }
+    }
+
+    #[test]
+    fn placements_are_computed_once_per_seed() {
+        let unit = tcu_core::ModelTensorUnit::new(64, 13);
+        let plan = Scheduler::new().with_units(2).plan(&pipeline(32, 8), &unit);
+        let compiled = plan.compiled().expect("compiles");
+        let first = plan.placement(compiled, 0);
+        assert!(Arc::ptr_eq(&first, &plan.placement(compiled, 0)));
+        assert_eq!(
+            first.unit_order,
+            place_dataflow(&plan, compiled, 0).unit_order
+        );
+        assert_eq!(plan.dataflow_makespan(), first.makespan);
+        // Other seeds get their own entries; a fifth evicts the oldest.
+        for seed in 1..=CACHED_SEEDS as u64 {
+            let p = plan.placement(compiled, seed);
+            assert_eq!(p.start, place_dataflow(&plan, compiled, seed).start);
+        }
+        assert!(!Arc::ptr_eq(&first, &plan.placement(compiled, 0)));
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //!   algorithms perform. Every other read — of inputs and of other
 //!   written buffers alike — is zero-copy;
 //! * the **threaded executor**'s workers cannot borrow the outputs the
-//!   main thread retains mutable access to, so it snapshots every
-//!   written-buffer read key once, right before its first reader's
-//!   dispatch, and a never-written buffer bound as an output once at
-//!   run start (the compiled plan lists those).
+//!   main thread retains mutable access to, so it snapshots every read
+//!   key no input binding serves (every written-buffer read, and reads
+//!   of a never-written buffer bound as an output) once, right before
+//!   its first reader's dispatch.
 //!
 //! (Simulated cost is untouched either way: in the model, operand
 //! marshalling is covered by the invocation charge.)
@@ -99,8 +99,18 @@
 //! * **dispatch** — an op is ready once every hazard predecessor outside
 //!   its own chain has committed (the chain's earlier ops run first, on
 //!   the same unit); each idle unit receives its entire ready prefix as
-//!   *one* channel message, and written-buffer reads are snapshotted
-//!   right before their first reader's dispatch.
+//!   *one* channel message, and reads are snapshotted right before
+//!   their first reader's dispatch;
+//! * **buffers** — a run's placement is computed once per schedule and
+//!   steal seed, and kept next to the compiled plan. Its chain
+//!   accumulators and snapshots come from a pool the calling thread
+//!   keeps per scalar type, and every merged accumulator and every
+//!   snapshot returns to it when the run ends, so a warm run on the
+//!   same thread allocates no data-sized buffer. The pool lives as long
+//!   as the thread and holds only the buffers the thread's last
+//!   threaded run held, so it never keeps more than one run's working
+//!   set. Every pooled buffer is fully overwritten before it is read:
+//!   a seed copy, a zero fill for an overwrite, or a snapshot copy.
 //!
 //! # Fault tolerance
 //!
@@ -176,9 +186,11 @@
 //!    `dataflow_exec.rs`'s `serial_executor_panic_fails_typed`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
-use crate::dataflow::{place_dataflow, DataflowPlacement, DataflowTuning};
+use crate::dataflow::{DataflowPlacement, DataflowTuning};
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
+use std::any::Any;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tcu_core::{
@@ -526,7 +538,7 @@ impl Schedule {
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
-        let placement = place_dataflow(self, plan, tuning.steal_seed);
+        let placement = self.placement(plan, tuning.steal_seed);
         run_threaded(
             self, plan, &placement, &mut acct, execs, env, policy, &recorder,
         )?;
@@ -697,8 +709,6 @@ struct WaveItem<'v, T: Scalar> {
     b: MatrixView<'v, T>,
     /// The chain's seeded accumulator, carried by its head alone.
     scratch: Option<Matrix<T>>,
-    /// Whether `scratch` came from the recycling pool (telemetry only).
-    reused: bool,
     /// Rows the op charges (telemetry annotation for its execute span).
     rows: u64,
     /// Simulated cost charged for the op (telemetry annotation).
@@ -706,9 +716,8 @@ struct WaveItem<'v, T: Scalar> {
 }
 
 /// Resolve a compiled read on the parallel path: the staged snapshot
-/// if its slot is filled (written-buffer reads always, never-written
-/// output-bound reads at run start), otherwise zero-copy from the
-/// bound input.
+/// if its slot is filled (every read no input binding serves),
+/// otherwise zero-copy from the bound input.
 fn wave_read<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
@@ -726,39 +735,105 @@ fn wave_read<'v, T: Scalar>(
     }
 }
 
-/// An exactly-shaped scratch matrix from the recycling pool, or a
-/// fresh zeroed one. Recycled scratch is re-zeroed when the op needs
-/// zeros (`zero`): an executor is allowed to skip numerics entirely
-/// (replay), so a recycled buffer must present the same bytes a fresh
-/// allocation would. Accumulating callers skip the zeroing and seed
-/// every element from the destination instead.
-fn take_scratch<T: Scalar>(
-    pool: &mut Vec<Matrix<T>>,
-    rows: usize,
-    cols: usize,
-    zero: bool,
-) -> (Matrix<T>, bool) {
-    if let Some(pos) = pool
-        .iter()
-        .position(|m| m.rows() == rows && m.cols() == cols)
-    {
-        let mut m = pool.swap_remove(pos);
-        if zero {
-            m.as_mut_slice().fill(T::ZERO);
+thread_local! {
+    /// Per scalar type, the buffers the last threaded run on this thread
+    /// held: each entry a `Vec<Matrix<T>>` (see [`Scratch`]).
+    static POOLS: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The data-sized buffers of one threaded run — chain accumulators and
+/// staged snapshots — drawn from, and at the end returned to, the
+/// calling thread's pool for `T`. That thread allocates and frees every
+/// one of them, so a warm run on it reuses the last run's buffers
+/// instead of page-faulting fresh ones; and since the run leaves behind
+/// only the buffers it held, the pool never outgrows one run's working
+/// set.
+struct Scratch<T: Scalar> {
+    /// The last run's buffers this run has not taken.
+    spare: Vec<Matrix<T>>,
+    /// Buffers this run took and has handed back.
+    free: Vec<Matrix<T>>,
+}
+
+impl<T: Scalar> Scratch<T> {
+    /// Take the calling thread's pool for `T` out of the thread.
+    fn claim() -> Self {
+        let spare = POOLS.with_borrow_mut(|pools| {
+            let pos = pools.iter().position(|p| p.is::<Vec<Matrix<T>>>());
+            pos.and_then(|i| pools.swap_remove(i).downcast().ok())
+                .map_or_else(Vec::new, |pool| *pool)
+        });
+        Self {
+            spare,
+            free: Vec::new(),
         }
-        (m, true)
-    } else {
-        (Matrix::zeros(rows, cols), false)
+    }
+
+    /// An exactly-shaped buffer for unit `unit`'s op — one this run
+    /// handed back, else one the last run left, else fresh zeros — with
+    /// the acquisition recorded when a recorder is attached. A pooled
+    /// buffer is re-zeroed when the op needs zeros (`zero`): an executor
+    /// is allowed to skip numerics entirely (replay), so it must present
+    /// the bytes a fresh allocation would. Every other caller overwrites
+    /// each element (a seed or a snapshot copy) instead.
+    fn take(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        zero: bool,
+        rec: Option<&dyn tcu_obs::Recorder>,
+        unit: u32,
+    ) -> Matrix<T> {
+        let pooled = [&mut self.free, &mut self.spare]
+            .into_iter()
+            .find_map(|pool| {
+                let pos = pool
+                    .iter()
+                    .position(|m| m.rows() == rows && m.cols() == cols)?;
+                Some(pool.swap_remove(pos))
+            });
+        let reused = pooled.is_some();
+        let m = match pooled {
+            Some(mut m) => {
+                if zero {
+                    m.as_mut_slice().fill(T::ZERO);
+                }
+                m
+            }
+            None => Matrix::zeros(rows, cols),
+        };
+        if let Some(r) = rec {
+            emit_span(
+                rec,
+                tcu_obs::Lane::Scheduler,
+                Some(r.now_ns()),
+                tcu_obs::EventKind::ScratchAcquire {
+                    unit,
+                    reused,
+                    bytes: (rows * cols * std::mem::size_of::<T>()) as u64,
+                },
+            );
+        }
+        m
+    }
+
+    /// End the run: the buffers it handed back plus `held` (its
+    /// snapshots) become the thread's pool for `T`; the last run's
+    /// buffers this run did not take are freed.
+    fn release(mut self, held: impl IntoIterator<Item = Matrix<T>>) {
+        self.free.extend(held);
+        POOLS.with_borrow_mut(|pools| pools.push(Box::new(self.free)));
     }
 }
 
 /// Resolve one compiled op into its executable work item: operand
 /// views (staged snapshots or bound inputs), left-operand cache tag,
 /// and its place in its chain. A chain head also gets the chain's
-/// accumulator — zeros for an overwrite op (the kernel writes every
-/// element), the exact destination bytes for an accumulating op (so
-/// the chain performs the identical arithmetic in-place accumulates
-/// would); a continuation carries none and runs into its head's. Also
+/// accumulator from `pool`, acquired for `unit` — zeros for an
+/// overwrite op (the kernel writes every element), the exact
+/// destination bytes for an accumulating op (so the chain performs the
+/// identical arithmetic in-place accumulates would); a continuation
+/// carries none and runs into its head's. Also
 /// the rebuild path for an op a recovery pass re-runs: an uncommitted
 /// op's destination is untouched (every later writer of it waits on the
 /// commit of its chain), so building the same item twice yields
@@ -769,18 +844,20 @@ fn build_item<'v, T: Scalar>(
     inputs: &'v [Option<MatrixView<'_, T>>],
     outputs: &[Option<MatrixViewMut<'_, T>>],
     stamps: &[u64],
-    pool: &mut Vec<Matrix<T>>,
+    pool: &mut Scratch<T>,
     plan: &ExecutablePlan,
     chains: &Chains,
     idx: usize,
+    rec: Option<&dyn tcu_obs::Recorder>,
+    unit: u32,
 ) -> Result<WaveItem<'v, T>, TcuError> {
     let cop = &plan.ops[idx];
     let a = wave_read(arena, inputs, &cop.a)?;
     let b = wave_read(arena, inputs, &cop.b)?;
     let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-    let (mut scratch, mut reused) = (None, false);
+    let mut scratch = None;
     if chains.before[idx] == 0 {
-        let (mut acc, pooled) = take_scratch(pool, cop.op.rows, cop.op.width, !cop.op.accumulate);
+        let mut acc = pool.take(cop.op.rows, cop.op.width, !cop.op.accumulate, rec, unit);
         if cop.op.accumulate {
             let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
                 buffer: cop.out_buf,
@@ -793,7 +870,7 @@ fn build_item<'v, T: Scalar>(
                 cop.out_cols,
             ));
         }
-        (scratch, reused) = (Some(acc), pooled);
+        scratch = Some(acc);
     }
     Ok(WaveItem {
         idx,
@@ -804,7 +881,6 @@ fn build_item<'v, T: Scalar>(
         tag,
         b,
         scratch,
-        reused,
         // Telemetry annotations the dispatcher stamps from the
         // accountant.
         rows: 0,
@@ -1063,34 +1139,38 @@ impl<T: Scalar> Drop for GoneGuard<T> {
     }
 }
 
-/// Stage op `idx`'s written-buffer reads whose snapshot slots are still
-/// empty. Sound at first-reader dispatch time: the reader's hazard
+/// Stage op `idx`'s reads that no input binding serves and whose
+/// snapshot slots are still empty, each into a buffer from `pool`.
+/// Sound at first-reader dispatch time: the reader's hazard
 /// predecessors (every generation-`gen` writer among them) have
 /// committed, and any later writer is hazard-gated behind this reader's
 /// own commit, so the region holds exactly the bytes the read's key
-/// names.
+/// names — and a buffer the graph never writes, bound as an output,
+/// holds the same bytes all run.
+#[allow(clippy::too_many_arguments)]
 fn stage_pending_reads<T: Scalar>(
     arena: &[OnceLock<Matrix<T>>],
-    written: &[bool],
+    inputs: &[Option<MatrixView<'_, T>>],
     outputs: &[Option<MatrixViewMut<'_, T>>],
+    pool: &mut Scratch<T>,
     plan: &ExecutablePlan,
     idx: usize,
+    rec: Option<&dyn tcu_obs::Recorder>,
+    unit: u32,
 ) -> Result<u32, TcuError> {
     let cop = &plan.ops[idx];
     let mut staged = 0;
     for r in [&cop.a, &cop.b] {
-        if !written[r.buf] || arena[r.slot as usize].get().is_some() {
+        if inputs[r.buf].is_some() || arena[r.slot as usize].get().is_some() {
             continue;
         }
-        let snap = outputs[r.buf]
-            .as_ref()
-            .ok_or(TcuError::Unbound {
-                buffer: r.buf,
-                written: false,
-            })?
-            .as_view()
-            .subview(r.r0, r.c0, r.rows, r.cols)
-            .to_matrix();
+        let host = outputs[r.buf].as_ref().ok_or(TcuError::Unbound {
+            buffer: r.buf,
+            written: false,
+        })?;
+        let mut snap = pool.take(r.rows, r.cols, false, rec, unit);
+        snap.view_mut()
+            .copy_from(host.as_view().subview(r.r0, r.c0, r.rows, r.cols));
         let _ = arena[r.slot as usize].set(snap);
         staged += 1;
     }
@@ -1342,17 +1422,8 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     recorder: &Option<std::sync::Arc<dyn tcu_obs::Recorder>>,
 ) -> Result<(), TcuError> {
     let stamps = &tag_stamps(env);
-    // Snapshot arena, with never-written output-bound reads staged up
-    // front (their content cannot change during the run).
-    let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-    for d in &plan.cond_stages {
-        if let (None, Some(v)) = (&env.inputs[d.buf], &env.outputs[d.buf]) {
-            let snap = v.as_view().subview(d.r0, d.c0, d.rows, d.cols).to_matrix();
-            let _ = arena[d.slot as usize].set(snap);
-        }
-    }
-    let arena = &arena;
-    let written = &env.written;
+    let snapshots: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
+    let arena = &snapshots;
     let inputs = &env.inputs;
     let outputs = &mut env.outputs;
     let units = execs.len();
@@ -1362,7 +1433,7 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     let mut queues = placement.unit_order.clone();
     let mut indeg = plan.preds.clone();
     let mut alive = vec![true; units];
-    let mut pool: Vec<Matrix<T>> = Vec::new();
+    let mut pool = Scratch::<T>::claim();
 
     let run_result = std::thread::scope(|scope| {
         let (result_tx, result_rx) = std::sync::mpsc::channel::<DfMsg<T>>();
@@ -1438,31 +1509,18 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                             if indeg[i] != chains.before[i] {
                                 break;
                             }
-                            staged += stage_pending_reads(arena, written, outputs, plan, i)?;
+                            staged += stage_pending_reads(
+                                arena, inputs, outputs, &mut pool, plan, i, rec, u as u32,
+                            )?;
                             let mut item = build_item(
-                                arena, inputs, outputs, stamps, &mut pool, plan, &chains, i,
+                                arena, inputs, outputs, stamps, &mut pool, plan, &chains, i, rec,
+                                u as u32,
                             )?;
                             let cop = &plan.ops[i];
                             item.rows = cop.op.charge_rows(s) as u64;
                             item.sim_cost = acct.op_cost(&cop.op);
                             if item.scratch.is_some() {
                                 open[u].push(idx);
-                                if let Some(r) = rec {
-                                    let t = r.now_ns();
-                                    emit_span(
-                                        rec,
-                                        tcu_obs::Lane::Scheduler,
-                                        Some(t),
-                                        tcu_obs::EventKind::ScratchAcquire {
-                                            unit: u as u32,
-                                            reused: item.reused,
-                                            bytes: (cop.op.rows
-                                                * cop.op.width
-                                                * std::mem::size_of::<T>())
-                                                as u64,
-                                        },
-                                    );
-                                }
                             }
                             let home = placement.home[i] as usize;
                             if pass == 0 && home != u {
@@ -1562,7 +1620,7 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                                         items: closed.len() as u32,
                                     },
                                 );
-                                pool.extend(closed.into_iter().map(|c| c.acc));
+                                pool.free.extend(closed.into_iter().map(|c| c.acc));
                             }
                             log.rejoin[u].extend(torn);
                             let executed = in_flight[u].len() - unexecuted;
@@ -1603,12 +1661,14 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
         }
         run_result
     });
+    pool.release(snapshots.into_iter().filter_map(OnceLock::into_inner));
     run_result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::place_dataflow;
     use crate::{OpGraph, Scheduler};
     use tcu_core::{ReplayExecutor, TensorOp};
     use tcu_linalg::ops::matmul_naive;
@@ -1936,6 +1996,84 @@ mod tests {
         assert!(misses < lookups, "schedule placement must enable reuse");
     }
 
+    /// The Theorem 2 product `C (+)= A·B`, one op per `(column strip,
+    /// step)`: accumulating ops chain per strip, overwriting ones each
+    /// stand alone.
+    fn dense_graph(d: usize, s: usize, accumulate: bool) -> (OpGraph, [crate::BufferId; 3]) {
+        let q = d / s;
+        let mut g = OpGraph::new();
+        let ab = g.buffer("A", d, d);
+        let bb = g.buffer("B", d, d);
+        let cb = g.buffer("C", d, d);
+        let steps = if accumulate { q } else { 1 };
+        for j in 0..q {
+            for k in 0..steps {
+                g.record(
+                    TensorOp {
+                        accumulate,
+                        ..TensorOp::padded(d, s, s)
+                    },
+                    crate::OperandRef::new(ab, 0, k * s, d, s),
+                    crate::OperandRef::new(bb, k * s, j * s, s, s),
+                    crate::OperandRef::new(cb, 0, j * s, d, s),
+                );
+            }
+        }
+        (g, [ab, bb, cb])
+    }
+
+    /// One `try_run_parallel` of `plan` over `g`'s buffers on `mach`,
+    /// recorded: the sink, and the written buffers as the run left
+    /// them (each bound from `init`).
+    fn traced_run<T: Scalar, E: Executor>(
+        g: &OpGraph,
+        plan: &Schedule,
+        mach: &mut ParallelTcuMachine<tcu_core::ModelTensorUnit, E>,
+        inputs: &[(crate::BufferId, &Matrix<T>)],
+        init: &[(crate::BufferId, &Matrix<T>)],
+    ) -> (std::sync::Arc<tcu_obs::ObsSink>, Vec<Matrix<T>>) {
+        let sink = std::sync::Arc::new(tcu_obs::ObsSink::new());
+        let mut outs: Vec<Matrix<T>> = init.iter().map(|(_, m)| (*m).clone()).collect();
+        let mut env = ExecEnv::new(g);
+        env.enable_recorder(sink.clone());
+        for (id, m) in inputs {
+            env.bind_input(*id, m.view());
+        }
+        for ((id, _), m) in init.iter().zip(&mut outs) {
+            env.bind_output(*id, m.view_mut());
+        }
+        plan.try_run_parallel(mach, &mut env)
+            .expect("fault-free run");
+        drop(env);
+        (sink, outs)
+    }
+
+    /// A run's pool acquisitions: `(fresh, reused)`.
+    fn acquisitions(sink: &tcu_obs::ObsSink) -> (u64, u64) {
+        let m = sink.metrics();
+        (
+            m.get(tcu_obs::Metric::ScratchFresh),
+            m.get(tcu_obs::Metric::ScratchReused),
+        )
+    }
+
+    /// The shapes of the buffers this thread's pools for `T` hold.
+    fn pooled_shapes<T: Scalar>() -> Vec<(usize, usize)> {
+        POOLS.with_borrow(|pools| {
+            pools
+                .iter()
+                .filter_map(|p| p.downcast_ref::<Vec<Matrix<T>>>())
+                .flatten()
+                .map(|m| (m.rows(), m.cols()))
+                .collect()
+        })
+    }
+
+    /// Run `body` on a thread of its own, so it starts with empty pools.
+    fn on_fresh_thread<R: Send>(body: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|scope| scope.spawn(body).join().expect("test body"))
+    }
+
     /// The Theorem 2 product on 2 units: each of the 32 column strips is
     /// one 32-op chain on one unit, so a threaded call seeds and merges
     /// 32 accumulators — per-op scratch took 1024 of each.
@@ -1943,20 +2081,7 @@ mod tests {
     fn dense_strips_seed_and_merge_once_per_chain() {
         let (d, s) = (512usize, 16usize);
         let q = d / s;
-        let mut g = OpGraph::new();
-        let ab = g.buffer("A", d, d);
-        let bb = g.buffer("B", d, d);
-        let cb = g.buffer("C", d, d);
-        for j in 0..q {
-            for k in 0..q {
-                g.record(
-                    TensorOp::mul_acc(d, s),
-                    crate::OperandRef::new(ab, 0, k * s, d, s),
-                    crate::OperandRef::new(bb, k * s, j * s, s, s),
-                    crate::OperandRef::new(cb, 0, j * s, d, s),
-                );
-            }
-        }
+        let (g, [ab, bb, cb]) = dense_graph(d, s, true);
         let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
         let plan = Scheduler::new().with_units(2).plan(&g, &unit);
         let compiled = plan.compiled().expect("compiles");
@@ -1976,19 +2101,11 @@ mod tests {
             .collect();
         assert_eq!(lengths, vec![q; q], "32 chains of 32 ops");
 
-        let sink = std::sync::Arc::new(tcu_obs::ObsSink::new());
         let mut mach = ParallelTcuMachine::with_executor(unit, 2, ReplayExecutor::default());
         let (a, b) = (Matrix::<f64>::zeros(d, d), Matrix::<f64>::zeros(d, d));
-        let mut c = Matrix::<f64>::zeros(d, d);
-        let mut env = ExecEnv::new(&g);
-        env.enable_recorder(sink.clone());
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.try_run_parallel(&mut mach, &mut env)
-            .expect("fault-free run");
-        let m = sink.metrics();
-        let acquired = m.get(tcu_obs::Metric::ScratchFresh) + m.get(tcu_obs::Metric::ScratchReused);
+        let c = Matrix::<f64>::zeros(d, d);
+        let (sink, _) = traced_run(&g, &plan, &mut mach, &[(ab, &a), (bb, &b)], &[(cb, &c)]);
+        let (fresh, reused) = acquisitions(&sink);
         let merged: u32 = sink
             .lane_events(tcu_obs::Lane::Scheduler)
             .iter()
@@ -1997,8 +2114,123 @@ mod tests {
                 _ => None,
             })
             .sum();
-        assert_eq!((acquired, merged), (q as u64, q as u32));
-        assert_eq!(m.get(tcu_obs::Metric::OpsExecuted), (q * q) as u64);
+        assert_eq!((fresh + reused, merged), (q as u64, q as u32));
+        assert_eq!(
+            sink.metrics().get(tcu_obs::Metric::OpsExecuted),
+            (q * q) as u64
+        );
+    }
+
+    /// A warm run on the thread of an earlier run of the same plan takes
+    /// every accumulator and every staged snapshot from the pool.
+    #[test]
+    fn warm_runs_take_every_accumulator_and_snapshot_from_the_pool() {
+        on_fresh_thread(|| {
+            // The dense product: every chain head dispatches up front,
+            // so both runs hold all 32 accumulators at once.
+            let (d, s) = (512usize, 16usize);
+            let (g, [ab, bb, cb]) = dense_graph(d, s, true);
+            let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+            let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+            let mut mach = ParallelTcuMachine::with_executor(unit, 2, ReplayExecutor::default());
+            let zeros = Matrix::<f64>::zeros(d, d);
+            let inputs = [(ab, &zeros), (bb, &zeros)];
+            let mut run =
+                || acquisitions(&traced_run(&g, &plan, &mut mach, &inputs, &[(cb, &zeros)]).0);
+            assert_eq!(run(), (32, 0), "cold");
+            assert_eq!(run(), (0, 32), "warm");
+
+            // The pipeline on one unit (one dispatch order, so both runs
+            // hold the same buffers at once): q accumulators per stage,
+            // and q snapshots of stage 1's strips for stage 2.
+            let (d, s) = (32usize, 8usize);
+            let q = (d / s) as u64;
+            let (g, [ab, bb, mb, cb]) = pipeline_graph(d, s);
+            let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+            let plan = Scheduler::new().with_units(1).plan(&g, &unit);
+            let mut mach = ParallelTcuMachine::new(unit, 1);
+            let (a, b) = (pseudo(d, d, 51), pseudo(d, d, 52));
+            let zeros = Matrix::<i64>::zeros(d, d);
+            let inputs = [(ab, &a), (bb, &b)];
+            let outputs = [(mb, &zeros), (cb, &zeros)];
+            let staged = |sink: &tcu_obs::ObsSink| -> u32 {
+                sink.lane_events(tcu_obs::Lane::Scheduler)
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        tcu_obs::EventKind::Stage { copies } => Some(copies),
+                        _ => None,
+                    })
+                    .sum()
+            };
+            let (cold, cold_out) = traced_run(&g, &plan, &mut mach, &inputs, &outputs);
+            let (warm, warm_out) = traced_run(&g, &plan, &mut mach, &inputs, &outputs);
+            assert_eq!((staged(&cold), staged(&warm)), (q as u32, q as u32));
+            let (fresh, reused) = acquisitions(&cold);
+            assert_eq!(fresh + reused, 3 * q, "2q accumulators and q snapshots");
+            assert_eq!(acquisitions(&warm), (0, 3 * q), "warm");
+            let want_m = matmul_naive(&a, &b);
+            assert_eq!(cold_out, vec![want_m.clone(), matmul_naive(&want_m, &b)]);
+            assert_eq!(warm_out, cold_out);
+        });
+    }
+
+    /// A run that skips numerics after one that computed products on the
+    /// same thread: the pooled accumulators it takes for overwrite heads
+    /// are zeroed, so it leaves what it leaves on a fresh thread.
+    #[test]
+    fn pooled_overwrite_accumulators_start_from_zeros() {
+        let (d, s) = (64usize, 8usize);
+        let (g, [ab, bb, cb]) = dense_graph(d, s, false);
+        let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+        let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+        let (a, b, c0) = (pseudo(d, d, 71), pseudo(d, d, 72), pseudo(d, d, 73));
+        let inputs = [(ab, &a), (bb, &b)];
+        let replay = || {
+            let mut mach = ParallelTcuMachine::with_executor(unit, 2, ReplayExecutor::default());
+            traced_run(&g, &plan, &mut mach, &inputs, &[(cb, &c0)]).1
+        };
+        let after_host = on_fresh_thread(|| {
+            let mut mach = ParallelTcuMachine::new(unit, 2);
+            let (_, host) = traced_run(&g, &plan, &mut mach, &inputs, &[(cb, &c0)]);
+            let strip_products = matmul_naive(&a.block(0, 0, d, s), &b.block(0, 0, s, d));
+            assert_eq!(host, vec![strip_products]);
+            assert!(
+                !pooled_shapes::<i64>().is_empty(),
+                "the host run filled the pool"
+            );
+            replay()
+        });
+        let fresh = on_fresh_thread(replay);
+        assert_eq!(after_host, fresh);
+        // Every strip of `C` is one overwrite head's, merged as zeros.
+        assert_eq!(fresh, vec![Matrix::zeros(d, d)]);
+    }
+
+    /// The pool keeps only the buffers of the thread's last threaded
+    /// run: a run of another strip shape frees the earlier run's.
+    #[test]
+    fn the_pool_holds_only_the_last_runs_buffers() {
+        on_fresh_thread(|| {
+            let d = 64usize;
+            let strips = |s: usize| {
+                let (g, [ab, bb, cb]) = dense_graph(d, s, true);
+                let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+                let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+                let mut mach = ParallelTcuMachine::new(unit, 2);
+                let (a, b) = (pseudo(d, d, 81), pseudo(d, d, 82));
+                let c = Matrix::<i64>::zeros(d, d);
+                let (_, out) = traced_run(&g, &plan, &mut mach, &[(ab, &a), (bb, &b)], &[(cb, &c)]);
+                assert_eq!(out, vec![matmul_naive(&a, &b)], "s = {s}");
+            };
+            strips(16);
+            assert_eq!(pooled_shapes::<i64>(), vec![(d, 16); d / 16]);
+            strips(8);
+            assert_eq!(pooled_shapes::<i64>(), vec![(d, 8); d / 8]);
+            assert!(
+                pooled_shapes::<f64>().is_empty(),
+                "one pool per scalar type"
+            );
+        });
     }
 
     #[test]

@@ -231,6 +231,7 @@ impl Scheduler {
             node_costs: emitted_costs,
             node_invocations: emitted_invs,
             compiled: std::sync::OnceLock::new(),
+            placements: crate::dataflow::PlacementCache::default(),
         }
     }
 }
@@ -283,6 +284,9 @@ pub struct Schedule {
     /// Lazily compiled executable form (first run, or an explicit
     /// [`Schedule::compile`], fills it; every later run reuses it).
     pub(crate) compiled: std::sync::OnceLock<crate::compile::ExecutablePlan>,
+    /// Dataflow placements of the compiled form, by steal seed (the
+    /// first parallel run or dataflow query under a seed fills it).
+    pub(crate) placements: crate::dataflow::PlacementCache,
 }
 
 impl Schedule {

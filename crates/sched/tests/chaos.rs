@@ -24,12 +24,14 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
     FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
     ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp, TraceLog,
 };
 use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
+use tcu_obs::{EventKind, Lane, ObsSink};
 use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
@@ -650,34 +652,70 @@ fn pipeline_graph(d: usize, s: usize) -> (OpGraph, Bufs) {
     (g, bufs)
 }
 
-/// The chaos example's pipeline (d = 128, √m = 16, ℓ = 10000, 4 units)
-/// under its seeded plan. The dead unit's removed suffix cuts chains
-/// whose units survive, so the threaded executor finishes the pass only
-/// by flushing their completed prefixes. Every salt's run must recover
-/// byte-identically to the fault-free run, and all must agree.
+/// The chaos example's pipeline: d = 128, √m = 16, ℓ = 10000, 4 units.
+struct ExamplePipeline {
+    g: OpGraph,
+    bufs: Bufs,
+    unit: ModelTensorUnit,
+    plan: Schedule,
+}
+
+impl ExamplePipeline {
+    const D: usize = 128;
+    const UNITS: usize = 4;
+
+    fn new() -> Self {
+        let s = 16;
+        let (g, bufs) = pipeline_graph(Self::D, s);
+        let unit = ModelTensorUnit::new(s * s, 10_000);
+        let plan = Scheduler::new().with_units(Self::UNITS).plan(&g, &unit);
+        Self {
+            g,
+            bufs,
+            unit,
+            plan,
+        }
+    }
+
+    /// The example's seeded fault plan: one permanent victim.
+    fn faults() -> FaultPlan {
+        FaultPlan::seeded(0xDECAF, Self::UNITS, 24, 60, 1)
+    }
+
+    /// One `try_run_parallel` on a fresh jittered machine injecting from
+    /// `fplan`, observed through `sink` when one is given.
+    fn run(&self, fplan: FaultPlan, salt: u64, sink: Option<Arc<ObsSink>>) -> ChaosRun {
+        let d = Self::D;
+        let mut mach = jittered_machine(self.unit, Self::UNITS, fplan, salt);
+        let (a, b) = (pseudo(d, d, 1), pseudo(d, d, 2));
+        let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
+        let mut env = ExecEnv::new(&self.g);
+        if let Some(sink) = sink {
+            env.enable_recorder(sink);
+        }
+        env.bind_input(self.bufs.a, a.view());
+        env.bind_input(self.bufs.b, b.view());
+        env.bind_output(self.bufs.c, m.view_mut());
+        env.bind_output(self.bufs.d, c.view_mut());
+        let result = self.plan.try_run_parallel(&mut mach, &mut env);
+        drop(env);
+        ChaosRun::observe(result, m, c, &mut mach)
+    }
+}
+
+/// The chaos example's pipeline under its seeded plan. The dead unit's
+/// removed suffix cuts chains whose units survive, so the threaded
+/// executor finishes the pass only by flushing their completed
+/// prefixes. Every salt's run must recover byte-identically to the
+/// fault-free run, and all must agree.
 #[test]
 fn cut_chains_flush_and_recover_like_the_fault_free_run() {
     silence_injected_fault_panics();
-    let (d, s, units) = (128usize, 16usize, 4usize);
-    let (g, bufs) = pipeline_graph(d, s);
-    let unit = ModelTensorUnit::new(s * s, 10_000);
-    let plan = Scheduler::new().with_units(units).plan(&g, &unit);
-    let run = |fplan: FaultPlan, salt: u64| {
-        let mut mach = jittered_machine(unit, units, fplan, salt);
-        let (a, b) = (pseudo(d, d, 1), pseudo(d, d, 2));
-        let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
-        let mut env = ExecEnv::new(&g);
-        env.bind_input(bufs.a, a.view());
-        env.bind_input(bufs.b, b.view());
-        env.bind_output(bufs.c, m.view_mut());
-        env.bind_output(bufs.d, c.view_mut());
-        let result = plan.try_run_parallel(&mut mach, &mut env);
-        drop(env);
-        ChaosRun::observe(result, m, c, &mut mach)
-    };
+    let pipeline = ExamplePipeline::new();
+    let run = |fplan: FaultPlan, salt: u64| pipeline.run(fplan, salt, None);
     let clean = run(FaultPlan::none(), SALTS[0]);
     assert!(clean.result.is_ok(), "{:?}", clean.result);
-    let fplan = FaultPlan::seeded(0xDECAF, units, 24, 60, 1);
+    let fplan = ExamplePipeline::faults();
     let runs = SALTS.map(|salt| run(fplan.clone(), salt));
     for (x, salt) in runs.iter().zip(SALTS) {
         let what = format!("salt {salt}");
@@ -693,4 +731,40 @@ fn cut_chains_flush_and_recover_like_the_fault_free_run() {
         );
         assert_same_recovery(x, &runs[0], &format!("replay, {what}"));
     }
+}
+
+/// The same recovery with a warm buffer pool: a second run on the
+/// thread of the first takes its accumulators and snapshots from the
+/// buffers the first left, and must recover exactly as the cold run
+/// did — the flushed prefixes of cut chains included.
+#[test]
+fn a_warm_pool_recovers_like_a_cold_one() {
+    silence_injected_fault_panics();
+    let pipeline = ExamplePipeline::new();
+    let (cold, warm, first_reused) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let cold = pipeline.run(ExamplePipeline::faults(), SALTS[0], None);
+                let sink = Arc::new(ObsSink::new());
+                let warm = pipeline.run(ExamplePipeline::faults(), SALTS[0], Some(sink.clone()));
+                let first_reused =
+                    sink.lane_events(Lane::Scheduler)
+                        .iter()
+                        .find_map(|e| match e.kind {
+                            EventKind::ScratchAcquire { reused, .. } => Some(reused),
+                            _ => None,
+                        });
+                (cold, warm, first_reused)
+            })
+            .join()
+            .expect("both runs return")
+    });
+    assert!(cold.result.is_ok(), "{:?}", cold.result);
+    assert_eq!(cold.fault_stats.quarantined_units, 1);
+    assert_eq!(
+        first_reused,
+        Some(true),
+        "the warm run starts from the pool"
+    );
+    assert_same_recovery(&warm, &cold, "warm pool vs cold");
 }

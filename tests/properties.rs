@@ -96,6 +96,32 @@ fn assert_kernels_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matr
     }
 }
 
+/// `a · b` accumulated onto `c0` at 2 host threads, in a product of at
+/// least 2^23 multiply-adds: two real row bands at the kernels' minimum
+/// of 2^22 each. `a` is widened to `t` copies side by side against `t`
+/// copies of `b` down the diagonal (zeros elsewhere) until inner and
+/// width reach 16, then its rows are stacked until the work suffices;
+/// every block of the result is `c0 + a · b`, exactly.
+fn assert_bands_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matrix<T>) {
+    let (n, k, p) = (a.rows(), a.cols(), b.cols());
+    let t = 16usize.div_ceil(k.min(p));
+    let rows = n * (1usize << 23).div_ceil(n * t * k * t * p);
+    let wide_a = Matrix::from_fn(rows, t * k, |i, j| a[(i % n, j % k)]);
+    let diag_b = Matrix::from_fn(t * k, t * p, |i, j| {
+        if i / k == j / p {
+            b[(i % k, j % p)]
+        } else {
+            T::ZERO
+        }
+    });
+    let tiled = |m: &Matrix<T>| Matrix::from_fn(rows, t * p, |i, j| m[(i % n, j % p)]);
+    let mut want = c0.clone();
+    want.add_assign(&matmul_naive(a, b));
+    let mut c = tiled(c0);
+    kernels::matmul_into(&mut c.view_mut(), wide_a.view(), diag_b.view(), true, 2);
+    prop_assert_eq!(&c, &tiled(&want), "two row bands");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -302,6 +328,9 @@ proptest! {
             }
             let c0 = workloads::random_matrix_i64(n, p, 100, &mut rng);
             assert_kernels_match_naive(&a, &b, &c0);
+            if layout == (seed % 4) as usize {
+                assert_bands_match_naive(&a, &b, &c0);
+            }
         }
     }
 
@@ -324,6 +353,9 @@ proptest! {
             }
             let c0 = Matrix::from_fn(n, p, |_, _| rng.gen::<u64>());
             assert_kernels_match_naive(&a, &b, &c0);
+            if layout == (seed % 4) as usize {
+                assert_bands_match_naive(&a, &b, &c0);
+            }
         }
     }
 
