@@ -5,24 +5,21 @@
 //! Usage: `bench_diff <fresh.json> <baseline.json> [--threshold <pct>]
 //! [--informational]`
 //!
-//! Three per-case metrics are diffed, each only when present in both
+//! These per-case metrics are diffed, each only when present in both
 //! files (matched by case name):
 //!
 //! * `speedup_tiled` — the seed-kernel-vs-tiled-kernel ratio measured
 //!   on the *same* machine in the same run, so the check is meaningful
 //!   across hosts of different absolute speed. Regression = fresh ratio
 //!   more than `threshold` percent *below* baseline.
-//! * `speedup_parallel` — compared **only when both files were measured
-//!   with the same `available_parallelism`**: a parallel-path ratio
-//!   from a 1-core runner says nothing about a multi-core baseline, so
-//!   mismatched core counts skip the comparison entirely rather than
-//!   annotating noise.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
 //!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow` and
-//!   `faults` `run_parallel` cases), and like `speedup_parallel` only
-//!   when core counts match; otherwise an explicit "skipped (cores N vs
-//!   M)" line is printed instead of a silent skip. Serial cases' wall
-//!   ratios remain informational table columns, not gates.
+//!   `faults` `run_parallel` cases), and **only when both files were
+//!   measured with the same `available_parallelism`**: a parallel ratio
+//!   from a 1-core runner says nothing about a multi-core baseline, so
+//!   mismatched core counts print an explicit "skipped (cores N vs M)"
+//!   line instead of a silent skip. Serial cases' wall ratios remain
+//!   informational table columns, not gates.
 //! * `plan_ms` — scheduler planning wall time (the `exp_sched` cases).
 //!   Lower is better: regression = fresh time more than `threshold`
 //!   percent *above* baseline. This is the gate that pins the
@@ -63,7 +60,6 @@ const EFFICIENCY_DROP_PCT: f64 = 10.0;
 struct CaseSpeedup {
     name: String,
     speedup_tiled: Option<f64>,
-    speedup_parallel: Option<f64>,
     /// Wall-clock speedup of the case's fast path over its reference.
     /// Gated only for thread-parallel cases (`threads > 1`), and only
     /// when core counts match — serial wall ratios stay informational.
@@ -86,8 +82,7 @@ impl CaseSpeedup {
 }
 
 /// One parsed bench file: its cases plus the core count it ran with
-/// (`available_parallelism`, falling back to the pre-PR-4 field
-/// `host_threads` for older baselines).
+/// (`available_parallelism`).
 struct BenchFile {
     cases: Vec<CaseSpeedup>,
     cores: Option<f64>,
@@ -102,8 +97,7 @@ fn parse_file(text: &str) -> BenchFile {
     let mut cores = None;
     for line in text.lines() {
         if cores.is_none() {
-            cores = field_num(line, "available_parallelism")
-                .or_else(|| field_num(line, "host_threads"));
+            cores = field_num(line, "available_parallelism");
         }
         let Some(name) = field_str(line, "name") else {
             continue;
@@ -127,7 +121,6 @@ fn parse_file(text: &str) -> BenchFile {
         cases.push(CaseSpeedup {
             name,
             speedup_tiled,
-            speedup_parallel: field_num(line, "speedup_parallel"),
             speedup_wall,
             threads,
             plan_ms,
@@ -253,15 +246,6 @@ fn main() -> ExitCode {
                 show(base_file.cores)
             )
         };
-        match (f.speedup_parallel, b.speedup_parallel) {
-            (Some(fp), Some(bp)) if same_cores => {
-                checks.push(("parallel speedup", fp, bp, true, "x"));
-            }
-            (Some(_), Some(_)) => {
-                println!("{:<20}  parallel comparison {}", f.name, cores_note());
-            }
-            _ => {}
-        }
         // Thread-parallel cases (exp_sched's `dataflow`/`faults`): their
         // wall ratio is the tentpole metric, gated exactly like any
         // other when the runner matches the baseline's core count.

@@ -1,8 +1,10 @@
 //! Host-kernel wall-clock benchmark: the seed `matmul_naive` execution
-//! path versus the tiled (and optionally threaded) view kernels, at the
-//! simulator's hot-path shapes. Emits machine-readable
-//! `BENCH_matmul.json` next to the working directory (override with
-//! `--out <path>`); `--quick` shrinks sizes/reps for the CI smoke run.
+//! path versus the tiled view kernels, at the simulator's hot-path
+//! shapes. Emits machine-readable `BENCH_matmul.json` next to the
+//! working directory (override with `--out <path>`); `--quick` shrinks
+//! sizes/reps for the CI smoke run. The header names the core count and
+//! the vector features the binary was compiled with, since the tiled
+//! kernels' speed depends on the latter.
 //!
 //! Two families are measured, over `f64` and over `i64`:
 //!
@@ -100,7 +102,6 @@ struct Case {
     reps: u32,
     seed_ns: f64,
     tiled_ns: f64,
-    par_ns: f64,
     /// The tiled variant on operands past 32 bits (integer cases only).
     wide_ns: Option<f64>,
 }
@@ -113,7 +114,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or_else(|| "BENCH_matmul.json".to_string(), Clone::clone);
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     let tall_sizes: &[usize] = if quick { &[64, 512] } else { &[64, 512, 2048] };
     // Quick mode keeps `d = 256` so the CI bench-diff step has a blocked
@@ -122,13 +123,13 @@ fn main() {
 
     let mut cases = Vec::new();
     for &n in tall_sizes {
-        cases.push(bench_tensor_mul::<f64>(n, quick, threads));
+        cases.push(bench_tensor_mul::<f64>(n, quick));
     }
-    cases.push(bench_tensor_mul::<i64>(512, quick, threads));
+    cases.push(bench_tensor_mul::<i64>(512, quick));
     for &d in blocked_sizes {
-        cases.push(bench_blocked::<f64>(d, quick, threads));
+        cases.push(bench_blocked::<f64>(d, quick));
     }
-    cases.push(bench_blocked::<i64>(256, quick, threads));
+    cases.push(bench_blocked::<i64>(256, quick));
 
     let mut table = tcu_bench::Table::new(
         "BENCH matmul — seed naive vs tiled view kernel (host wall-clock)",
@@ -137,10 +138,8 @@ fn main() {
             "reps",
             "seed ns/op",
             "tiled ns/op",
-            "par ns/op",
             "wide ns/op",
             "speedup",
-            "par speedup",
         ],
     );
     for c in &cases {
@@ -149,16 +148,14 @@ fn main() {
             c.reps.to_string(),
             tcu_bench::fmt_f(c.seed_ns, 0),
             tcu_bench::fmt_f(c.tiled_ns, 0),
-            tcu_bench::fmt_f(c.par_ns, 0),
             c.wide_ns
                 .map_or_else(|| "-".to_string(), |ns| tcu_bench::fmt_f(ns, 0)),
             tcu_bench::fmt_f(c.seed_ns / c.tiled_ns, 2),
-            tcu_bench::fmt_f(c.seed_ns / c.par_ns, 2),
         ]);
     }
     table.print();
 
-    let json = render_json(&cases, quick, threads);
+    let json = render_json(&cases, quick, cores);
     std::fs::write(&out_path, &json).expect("write BENCH_matmul.json");
     println!("wrote {out_path}");
 }
@@ -176,7 +173,7 @@ fn workload<T: Elem>(r: usize, c: usize, seed: u64, bits: u32) -> Matrix<T> {
 /// One simulated tensor instruction: `A (n × √m) · B (√m × √m)`. The
 /// seed path includes the caller-side `block` copy that marshalled the
 /// strip out of a wider matrix (as `dense::multiply` did).
-fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
+fn bench_tensor_mul<T: Elem>(n: usize, quick: bool) -> Case {
     let s = SQRT_M;
     // A lives inside a wider matrix, as in the blocked algorithms.
     let operands = |(a_bits, b_bits): (u32, u32)| {
@@ -193,10 +190,6 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
     // seed replica differs from a fused-FMA build only in the last ulp.
     let want = matmul_naive(&wide.block(0, s, n, s), &b);
     assert_eq!(tiled(&wide, &b), want);
-    assert_eq!(
-        kernels::matmul_threads(wide.subview(0, s, n, s), b.view(), threads),
-        want
-    );
     assert!(T::agrees(
         &matmul_seed(&wide.block(0, s, n, s), &b),
         &want,
@@ -214,9 +207,6 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
         matmul_seed(&strip, &b)
     });
     let tiled_ns = tcu_bench::time_ns(reps, || tiled(&wide, &b));
-    let par_ns = tcu_bench::time_ns(reps, || {
-        kernels::matmul_threads(wide.subview(0, s, n, s), b.view(), threads)
-    });
     let wide_ns = past_32_bits.map(|(wide, b)| tcu_bench::time_ns(reps, || tiled(&wide, &b)));
     Case {
         name: format!("tensor_mul n={n}{}", T::SUFFIX),
@@ -225,7 +215,6 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
         reps,
         seed_ns,
         tiled_ns,
-        par_ns,
         wide_ns,
     }
 }
@@ -234,9 +223,8 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool, threads: usize) -> Case {
 /// The seed flow copies each strip per (column, step) pair and
 /// accumulates naive products; the tiled flow packs each `A` strip once
 /// and re-uses it across all block columns (`kernels::pack_a` +
-/// `matmul_acc_packed`); the parallel flow runs the unpacked row-band
-/// threaded kernel. All three produce the same matrix.
-fn bench_blocked<T: Elem>(d: usize, quick: bool, threads: usize) -> Case {
+/// `matmul_acc_packed`). Both produce the same matrix.
+fn bench_blocked<T: Elem>(d: usize, quick: bool) -> Case {
     let s = SQRT_M;
     let operands = |(a_bits, b_bits): (u32, u32)| {
         (
@@ -247,14 +235,11 @@ fn bench_blocked<T: Elem>(d: usize, quick: bool, threads: usize) -> Case {
     let (a, b) = operands(NARROW_BITS);
 
     // Blocked sums round differently from the oracle's single ascending
-    // sum, so the f64 flows agree with it to a tolerance; the tiled flows
-    // agree with each other exactly.
+    // sum, so the f64 flows agree with it to a tolerance.
     let want = matmul_naive(&a, &b);
     let tol = 1e-6 * d as f64;
     assert!(T::agrees(&seed_flow(&a, &b), &want, tol));
     assert!(T::agrees(&packed_flow(&a, &b), &want, tol));
-    assert_eq!(view_flow(&a, &b, 1), packed_flow(&a, &b));
-    assert_eq!(view_flow(&a, &b, threads), packed_flow(&a, &b));
     // A type with a narrow multiplier also times its wide one.
     let past_32_bits = T::NARROW_MUL.then(|| operands(WIDE_BITS));
     if let Some((a, b)) = &past_32_bits {
@@ -264,7 +249,6 @@ fn bench_blocked<T: Elem>(d: usize, quick: bool, threads: usize) -> Case {
     let reps: u32 = if quick { 3 } else { 10 };
     let seed_ns = tcu_bench::time_ns(reps, || seed_flow(&a, &b));
     let tiled_ns = tcu_bench::time_ns(reps, || packed_flow(&a, &b));
-    let par_ns = tcu_bench::time_ns(reps, || view_flow(&a, &b, threads));
     let wide_ns = past_32_bits.map(|(a, b)| tcu_bench::time_ns(reps, || packed_flow(&a, &b)));
     Case {
         name: format!("blocked d={d}{}", T::SUFFIX),
@@ -273,7 +257,6 @@ fn bench_blocked<T: Elem>(d: usize, quick: bool, threads: usize) -> Case {
         reps,
         seed_ns,
         tiled_ns,
-        par_ns,
         wide_ns,
     }
 }
@@ -320,49 +303,44 @@ fn packed_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// The unpacked flow through the row-band threaded kernel.
-fn view_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, threads: usize) -> Matrix<T> {
-    let (d, s) = (a.rows(), SQRT_M);
-    let mut c = Matrix::<T>::zeros(d, d);
-    for j in 0..d / s {
-        for k in 0..d / s {
-            let mut out = c.subview_mut(0, j * s, d, s);
-            kernels::matmul_acc_threads(
-                &mut out,
-                a.subview(0, k * s, d, s),
-                b.subview(k * s, j * s, s, s),
-                threads,
-            );
-        }
-    }
-    c
+/// The x86 vector features this binary was compiled with, comma
+/// separated (empty for none of them).
+fn target_features() -> String {
+    [
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+    ]
+    .iter()
+    .filter(|(_, on)| *on)
+    .map(|(name, _)| *name)
+    .collect::<Vec<_>>()
+    .join(",")
 }
 
-fn render_json(cases: &[Case], quick: bool, threads: usize) -> String {
+fn render_json(cases: &[Case], quick: bool, cores: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"matmul\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"host_threads\": {threads},\n"));
-    // Core count of the measuring box: bench_diff refuses to compare
-    // parallel-path speedups across runs with different counts.
-    out.push_str(&format!("  \"available_parallelism\": {threads},\n"));
+    out.push_str(&format!(
+        "  \"target_features\": \"{}\",\n",
+        target_features()
+    ));
+    out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     out.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         out.push_str("    {");
         out.push_str(&format!(
             "\"name\": \"{}\", \"n\": {}, \"sqrt_m\": {}, \"reps\": {}, \
              \"seed_ns_per_op\": {:.1}, \"tiled_ns_per_op\": {:.1}, \
-             \"parallel_ns_per_op\": {:.1}, \"speedup_tiled\": {:.3}, \
-             \"speedup_parallel\": {:.3}",
+             \"speedup_tiled\": {:.3}",
             c.name,
             c.n,
             c.sqrt_m,
             c.reps,
             c.seed_ns,
             c.tiled_ns,
-            c.par_ns,
             c.seed_ns / c.tiled_ns,
-            c.seed_ns / c.par_ns,
         ));
         if let Some(wide_ns) = c.wide_ns {
             out.push_str(&format!(", \"wide_ns_per_op\": {wide_ns:.1}"));

@@ -919,10 +919,9 @@ fn main() {
     table.print();
 
     // Run metadata, mirrored into the Perfetto trace header when
-    // `TCU_TRACE_OUT` is set (see the flush below): executor worker
-    // threads, the headline pack-cache capacity, and total plan-memo
-    // hits across every case.
-    let host_threads = tcu_core::HostExecutor::new().threads();
+    // `TCU_TRACE_OUT` is set (see the flush below): the core count, the
+    // headline pack-cache capacity, and total plan-memo hits across
+    // every case.
     let pack_cache_cap = tcu_core::pack_cache_capacity((d_block, d_block), SQRT_M, 1);
     let memo_hits: u64 = cases.iter().map(|c| c.memo.plan_cache_hits).sum();
 
@@ -930,7 +929,6 @@ fn main() {
     json.push_str("  \"bench\": \"sched\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"available_parallelism\": {threads},\n"));
-    json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str(&format!("  \"pack_cache_cap\": {pack_cache_cap},\n"));
     json.push_str(&format!("  \"memo_hits\": {memo_hits},\n"));
     json.push_str("  \"cases\": [\n");
@@ -991,8 +989,7 @@ fn main() {
     // with the same run metadata the JSON header carries.
     let meta = tcu_obs::RunMeta {
         units: Some(cases.iter().map(|c| c.threads as u64).max().unwrap_or(1)),
-        host_threads: Some(host_threads as u64),
-        ci_cores: std::env::var("CI_CORES").ok().and_then(|v| v.parse().ok()),
+        ci_cores: Some(threads as u64),
         pack_cache_capacity: Some(pack_cache_cap as u64),
         memo_hits: Some(memo_hits),
         extra: vec![("bench".to_string(), "sched".to_string())],

@@ -67,8 +67,9 @@ pub enum TcuError {
         /// The contract violation, in the model's own words.
         reason: String,
     },
-    /// A tensor unit failed permanently and the recovery policy forbids
-    /// quarantining it.
+    /// A tensor unit failed permanently on a run that cannot quarantine
+    /// it: the serial run, whose one unit has no survivor to hand work
+    /// to.
     UnitFault {
         /// The failed unit.
         unit: usize,
@@ -82,7 +83,7 @@ pub enum TcuError {
         unit: usize,
         /// Wave index of the failure.
         wave: usize,
-        /// Attempts made (the policy's `max_attempts`).
+        /// Attempts made: 1 on the serial run, 3 on a parallel run.
         attempts: u32,
     },
     /// Every unit has been quarantined with work still pending —
@@ -131,7 +132,7 @@ impl fmt::Display for TcuError {
             Self::UnitFault { unit, wave } => write!(
                 f,
                 "tensor unit {unit} failed permanently in wave {wave} and the \
-                 recovery policy does not quarantine"
+                 run cannot quarantine it"
             ),
             Self::RetriesExhausted {
                 unit,

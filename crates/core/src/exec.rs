@@ -257,14 +257,12 @@ impl PackCache {
 }
 
 /// The default backend: the tiled, register-blocked host kernels of
-/// `tcu-linalg` (packed `B` panels, deterministic row-band parallelism).
-///
-/// Worker count starts at 1 (or `TCU_HOST_THREADS`); it affects host
-/// wall-clock only — the row-band split is deterministic, so results are
-/// bit-identical for every setting.
-#[derive(Clone, Debug)]
+/// `tcu-linalg` (packed `B` panels, an optional pack cache for `A`
+/// strips), run on the calling thread. A parallel machine gets its
+/// parallelism from its units, one executor each, not from inside an
+/// invocation.
+#[derive(Clone, Debug, Default)]
 pub struct HostExecutor {
-    threads: usize,
     cache: Option<PackCache>,
     /// Telemetry sink plus the unit id this executor records as; set by
     /// [`Executor::attach_recorder`], never consulted unless present.
@@ -272,29 +270,10 @@ pub struct HostExecutor {
 }
 
 impl HostExecutor {
-    /// Single-threaded unless `TCU_HOST_THREADS` requests more workers.
+    /// A host executor with no pack cache and no recorder.
     #[must_use]
     pub fn new() -> Self {
-        let threads = std::env::var("TCU_HOST_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        Self {
-            threads,
-            cache: None,
-            recorder: None,
-        }
-    }
-
-    /// Fixed worker count (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            cache: None,
-            recorder: None,
-        }
+        Self::default()
     }
 
     /// Turn on executor-level strip caching for tagged ops: the packed
@@ -304,11 +283,7 @@ impl HostExecutor {
     /// strip against many weight blocks packs it once instead of once
     /// per invocation. At most `capacity` strips are held (FIFO
     /// eviction, clamped to ≥ 1). Untagged ops are unaffected; results
-    /// are bit-identical either way. Note the trade: the packed-strip
-    /// kernel is serial, so tagged ops bypass the row-band threaded
-    /// path — a multi-threaded executor exchanges its parallelism for
-    /// pack reuse on those ops (untagged ops keep their threading).
-    /// Resets any previous cache state.
+    /// are bit-identical either way. Resets any previous cache state.
     pub fn enable_pack_cache(&mut self, capacity: usize) {
         self.cache = Some(PackCache::new(capacity));
     }
@@ -325,22 +300,12 @@ impl HostExecutor {
         self.cache.as_ref().map(|c| c.stats)
     }
 
-    /// Current worker count.
-    #[inline]
+    /// Always 1: the kernels run on the calling thread. perfbench still
+    /// records it; delete in the next benchmark change.
+    #[doc(hidden)]
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Change the worker count (clamped to ≥ 1).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-}
-
-impl Default for HostExecutor {
-    fn default() -> Self {
-        Self::new()
+        1
     }
 }
 
@@ -356,7 +321,7 @@ impl Executor for HostExecutor {
         b: MatrixView<'_, T>,
         out: &mut MatrixViewMut<'_, T>,
     ) -> u64 {
-        kernels::matmul_into(out, a, b, op.accumulate, self.threads);
+        kernels::matmul_into(out, a, b, op.accumulate, 1);
         // Native cost: scalar multiply-adds performed.
         (op.rows * op.inner * op.width) as u64
     }
@@ -371,9 +336,8 @@ impl Executor for HostExecutor {
     ) -> u64 {
         match (a_id, self.cache.as_mut()) {
             (Some(id), Some(cache)) => {
-                // The packed band runs serially; that's bit-identical
-                // to every threaded band split, so nothing observable
-                // changes — only the pack traffic.
+                // Bit-identical to the unpacked kernel: only the pack
+                // traffic changes.
                 let before = cache.stats;
                 let start = self.recorder.as_ref().map(|(r, _)| r.now_ns());
                 let packed = cache.get_or_pack(id, a);
@@ -532,7 +496,7 @@ mod tests {
         let b = pseudo(4, 4, 2);
         let want = matmul_naive(&a, &b);
 
-        let mut exec = HostExecutor::with_threads(1);
+        let mut exec = HostExecutor::new();
         let mut out = Matrix::from_fn(8, 4, |_, _| 99i64);
         let flops = exec.execute(
             &TensorOp::mul(8, 4),
@@ -583,8 +547,8 @@ mod tests {
             extent: (24, 4),
         };
 
-        let mut plain = HostExecutor::with_threads(1);
-        let mut cached = HostExecutor::with_threads(1);
+        let mut plain = HostExecutor::new();
+        let mut cached = HostExecutor::new();
         cached.enable_pack_cache(8);
         for (i, blk) in [&b1, &b2, &b1].iter().enumerate() {
             let op = if i == 0 {
@@ -633,7 +597,7 @@ mod tests {
     fn pack_cache_evicts_fifo_at_capacity() {
         let a = pseudo(8, 4, 9);
         let b = pseudo(4, 4, 10);
-        let mut exec = HostExecutor::with_threads(1);
+        let mut exec = HostExecutor::new();
         exec.enable_pack_cache(2);
         let mut out = Matrix::<i64>::zeros(8, 4);
         let id = |buf: u64| OperandId {
@@ -676,7 +640,7 @@ mod tests {
         assert_eq!(cap, 4);
         let a = pseudo(8, 4, 11);
         let b = pseudo(4, 4, 12);
-        let mut exec = HostExecutor::with_threads(1);
+        let mut exec = HostExecutor::new();
         exec.enable_pack_cache(cap);
         let mut out = Matrix::<i64>::zeros(8, 4);
         let id = |buf: u64| OperandId {
@@ -715,9 +679,7 @@ mod tests {
 
     #[test]
     fn env_free_constructors() {
-        assert_eq!(HostExecutor::with_threads(0).threads(), 1);
-        assert_eq!(HostExecutor::with_threads(7).threads(), 7);
-        assert_eq!(HostExecutor::with_threads(7).name(), "host");
+        assert_eq!(HostExecutor::new().name(), "host");
         assert_eq!(ReplayExecutor::default().name(), "replay");
     }
 }

@@ -39,11 +39,11 @@ use tcu_linalg::{MatrixView, MatrixViewMut, Scalar};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// One execution fails; the next attempt may succeed. Models a
-    /// dropped invocation — the recovery policy retries in place with
+    /// dropped invocation — a parallel run retries in place with
     /// simulated backoff.
     Transient,
     /// The unit fails this execution and every one after it. Models a
-    /// dead engine — the recovery policy quarantines the unit.
+    /// dead engine — a parallel run quarantines the unit.
     Permanent,
 }
 
@@ -87,12 +87,13 @@ impl FaultPlan {
     }
 
     /// A seeded random plan over `units` units and execution indices
-    /// `0..horizon`, guaranteed *recoverable* under the default policy:
+    /// `0..horizon`, guaranteed *recoverable* by a parallel run (3
+    /// attempts per op, quarantine on):
     ///
     /// * transient faults fire with probability
     ///   `transient_per_mille / 1000` per execution index, but never at
     ///   two consecutive indices of one unit — so a retried op always
-    ///   succeeds by its second attempt (within any `max_attempts ≥ 2`);
+    ///   succeeds by its second attempt;
     /// * at most `permanent_units` units (capped at `units − 1`, so at
     ///   least one unit always survives) additionally receive one
     ///   permanent fault at a random index.
@@ -293,28 +294,6 @@ pub fn assign_unit_ids<U: TensorUnit, E: Executor>(
 ) {
     for u in 0..mach.units() {
         mach.unit_executor_mut(u).set_unit(u);
-    }
-}
-
-/// Bounds on the parallel driver's recovery behaviour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Total attempts per op on one unit (the first try plus retries).
-    /// An op still faulting transiently after this many attempts fails
-    /// the run with [`crate::TcuError::RetriesExhausted`].
-    pub max_attempts: u32,
-    /// Quarantine permanently failing units and re-run their remaining
-    /// work on the survivors. When `false`, a permanent fault fails the
-    /// run with [`crate::TcuError::UnitFault`].
-    pub quarantine: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            quarantine: true,
-        }
     }
 }
 

@@ -70,7 +70,7 @@ pub use exec::{
 };
 pub use fault::{
     assign_unit_ids, silence_injected_fault_panics, FaultKind, FaultPlan, FaultStats,
-    FaultyExecutor, InjectedFault, RecoveryPolicy,
+    FaultyExecutor, InjectedFault,
 };
 pub use machine::TcuMachine;
 pub use op::{PadPolicy, TensorOp};

@@ -76,26 +76,10 @@ impl TcuMachine<WeakTensorUnit> {
 
 impl<U: TensorUnit> TcuMachine<U> {
     /// Wrap an arbitrary costing policy over the default host-kernel
-    /// backend. Host execution starts single-threaded unless
-    /// `TCU_HOST_THREADS` requests more workers.
+    /// backend.
     #[must_use]
     pub fn new(unit: U) -> Self {
         Self::with_executor(unit, HostExecutor::new())
-    }
-
-    /// Opt in to (or back out of) parallel host execution of tensor
-    /// instructions. Affects wall-clock only: simulated time, `Stats`,
-    /// traces, and numeric results are identical for every value — the
-    /// kernel's row-band split is deterministic.
-    pub fn set_host_threads(&mut self, threads: usize) {
-        self.exec.set_threads(threads);
-    }
-
-    /// Current host worker count for tensor-instruction execution.
-    #[inline]
-    #[must_use]
-    pub fn host_threads(&self) -> usize {
-        self.exec.threads()
     }
 }
 
@@ -515,28 +499,6 @@ mod tests {
         assert_eq!(c_owned, c_viewed);
         assert_eq!(owned.stats(), viewed.stats());
         assert_eq!(c_owned, matmul_naive(&a, &b));
-    }
-
-    #[test]
-    fn host_threads_change_nothing_observable() {
-        // 2049 × 64 × 64 multiply-adds: just over two bands' minimum
-        // work, so 4 host threads split it into two real bands (threads
-        // are clamped so every band gets the kernel's minimum work).
-        let a = iota(2049, 64);
-        let b = iota(64, 64);
-        let mut serial = TcuMachine::model(64 * 64, 3);
-        serial.enable_trace();
-        let cs = serial.tensor_mul(&a, &b);
-
-        let mut parallel = TcuMachine::model(64 * 64, 3);
-        parallel.set_host_threads(4);
-        assert_eq!(parallel.host_threads(), 4);
-        parallel.enable_trace();
-        let cp = parallel.tensor_mul(&a, &b);
-
-        assert_eq!(cs, cp);
-        assert_eq!(serial.stats(), parallel.stats());
-        assert_eq!(serial.take_trace(), parallel.take_trace());
     }
 
     #[test]

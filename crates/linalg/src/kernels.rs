@@ -12,13 +12,6 @@
 //!   `C` in accumulators across the entire inner (`k`) loop, eliminating
 //!   the per-`k` round trips through `C` that dominate the naive triple
 //!   loop;
-//! * [`matmul_threads`] adds an opt-in parallel path that splits the
-//!   tall left operand of a large enough product (`MIN_BAND_WORK`
-//!   multiply-adds per band) into **deterministic row bands** — band
-//!   boundaries depend only on `(rows, threads)`, each band is written
-//!   by exactly one worker via disjoint `split_at_mut` chunks, and every
-//!   element is accumulated in the same `k` order as the serial kernel —
-//!   so results are bit-identical for every thread count;
 //! * [`matmul_into`] is the runtime-dispatch entry the executor layer
 //!   keys off a `TensorOp`'s accumulate flag;
 //! * [`pack_a`] / [`matmul_acc_packed`] pack a tall strip once into
@@ -44,21 +37,16 @@
 //! every input, with no bound on the sums and no rounding involved. The
 //! choice is a property of the input alone. [`PackedA`] records it when
 //! it packs, `pack_b` checks `B` as it copies it, and the view path
-//! scans `A` once per call, before [`matmul_threads`] splits bands, so
-//! every band runs the same multiplier. One element past 32 bits in
-//! either operand sends the whole call down the wide path.
+//! scans `A` once per call. One element past 32 bits in either operand
+//! sends the whole call down the wide path.
+//!
+//! The kernels run on the calling thread. Parallelism lives one level
+//! up, where the paper puts it: `p` tensor units, each invocation one
+//! atomic charge.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::view::{MatrixView, MatrixViewMut};
-
-/// Minimum multiply-adds (`rows × inner × width`) per parallel band.
-/// Measured on a 2-vCPU box, a scoped spawn and join of two bands costs
-/// 45–60 µs, and two bands first match the serial kernel at about 2^21
-/// multiply-adds each (f64 and i64, inner and width 16 or 64; at 2^20
-/// they still lost by 2–28%). At 2^22 each, they beat it by 8–36%. Every
-/// `bench_matmul` shape, at most 2^19 per call, stays serial.
-const MIN_BAND_WORK: usize = 1 << 22;
 
 /// Micro-kernel height: rows of `C` kept in accumulators per tile.
 const MR: usize = 4;
@@ -68,32 +56,15 @@ const MR: usize = 4;
 /// panel, so the left operand is traversed once per invocation.
 const NR: usize = 16;
 
-/// `C = A·B` through the tiled kernel, single-threaded.
+/// `C = A·B` through the tiled kernel.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 #[must_use]
 pub fn matmul<T: Scalar>(a: MatrixView<'_, T>, b: MatrixView<'_, T>) -> Matrix<T> {
-    matmul_threads(a, b, 1)
-}
-
-/// `C = A·B` through the tiled kernel, splitting the left operand's rows
-/// into `threads` deterministic bands executed under
-/// [`std::thread::scope`]. `threads ≤ 1`, or too little work to give
-/// each band its minimum, runs the serial kernel on the calling thread;
-/// results are identical either way, element for element.
-///
-/// # Panics
-/// Panics if `a.cols() != b.rows()`.
-#[must_use]
-pub fn matmul_threads<T: Scalar>(
-    a: MatrixView<'_, T>,
-    b: MatrixView<'_, T>,
-    threads: usize,
-) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
     let mut c = Matrix::<T>::zeros(a.rows(), b.cols());
-    run::<T, false>(&mut c.view_mut(), a, b, threads);
+    run::<T, false>(&mut c.view_mut(), a, b);
     c
 }
 
@@ -111,32 +82,15 @@ pub fn matmul_acc<T: Scalar>(
     a: MatrixView<'_, T>,
     b: MatrixView<'_, T>,
 ) {
-    matmul_acc_threads(c, a, b, 1);
-}
-
-/// [`matmul_acc`] with the deterministic row-band parallel path.
-///
-/// # Panics
-/// Panics if `a.cols() != b.rows()` or `c` is not `a.rows × b.cols`.
-pub fn matmul_acc_threads<T: Scalar>(
-    c: &mut MatrixViewMut<'_, T>,
-    a: MatrixView<'_, T>,
-    b: MatrixView<'_, T>,
-    threads: usize,
-) {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (a.rows(), b.cols()),
-        "matmul_acc: output shape mismatch"
-    );
-    run::<T, true>(c, a, b, threads);
+    matmul_into(c, a, b, true, 1);
 }
 
 /// Unified entry point for the executor layer: `C (+)= A·B` with the
 /// accumulate flag decided at runtime (the `TensorOp.accumulate` bit of
 /// `tcu-core`'s IR dispatches here). Overwrite mode writes every element
-/// of `c`, so the destination needs no pre-zeroing.
+/// of `c`, so the destination needs no pre-zeroing. The last argument
+/// is ignored: it stays only because perfbench still passes it, until
+/// the next benchmark change drops it.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()` or `c` is not `a.rows × b.cols`.
@@ -145,7 +99,7 @@ pub fn matmul_into<T: Scalar>(
     a: MatrixView<'_, T>,
     b: MatrixView<'_, T>,
     accumulate: bool,
-    threads: usize,
+    _unused: usize,
 ) {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
     assert_eq!(
@@ -154,9 +108,9 @@ pub fn matmul_into<T: Scalar>(
         "matmul_acc: output shape mismatch"
     );
     if accumulate {
-        run::<T, true>(c, a, b, threads);
+        run::<T, true>(c, a, b);
     } else {
-        run::<T, false>(c, a, b, threads);
+        run::<T, false>(c, a, b);
     }
 }
 
@@ -382,68 +336,24 @@ fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool, const NARROW
 }
 
 /// Shared body of the view entries: pack `B`, choose the multiplier,
-/// then run the band kernel serially or over deterministic row bands.
-/// `ACC` selects accumulate-into vs overwrite.
+/// then run the tiled kernel over all of `A`'s rows. `ACC` selects
+/// accumulate-into vs overwrite.
 fn run<T: Scalar, const ACC: bool>(
     c: &mut MatrixViewMut<'_, T>,
     a: MatrixView<'_, T>,
     b: MatrixView<'_, T>,
-    threads: usize,
 ) {
     if a.rows() == 0 || b.cols() == 0 {
         return;
     }
     let (packed, b_narrow) = pack_b(b);
-    // One scan of `A` decides the whole call before any band split, so
-    // every band, at every thread count, runs the same multiplier.
+    let (k, p) = (a.cols(), c.cols());
+    // One scan of `A` decides the multiplier for the whole call.
     if T::NARROW_MUL && b_narrow && (0..a.rows()).all(|i| all_narrow(a.row(i))) {
-        run_bands::<T, ACC, true>(c, a, &packed, threads);
+        mul_band::<T, ACC, true>(a, &packed, k, p, c);
     } else {
-        run_bands::<T, ACC, false>(c, a, &packed, threads);
+        mul_band::<T, ACC, false>(a, &packed, k, p, c);
     }
-}
-
-/// Run the band kernel over packed `B`, serially or over deterministic
-/// row bands.
-fn run_bands<T: Scalar, const ACC: bool, const NARROW: bool>(
-    c: &mut MatrixViewMut<'_, T>,
-    a: MatrixView<'_, T>,
-    packed: &[T],
-    threads: usize,
-) {
-    let (n, k) = (a.rows(), a.cols());
-    let p = c.cols();
-    // A band below MIN_BAND_WORK multiply-adds is cheaper to compute
-    // than to spawn, so every call short of two such bands (each tensor
-    // instruction of the simulated algorithms, for one) stays serial
-    // even when the caller opted into more workers. Results are
-    // bit-identical either way, so the threshold is pure policy.
-    let threads = threads.min(n * k * p / MIN_BAND_WORK).min(n).max(1);
-    if threads == 1 {
-        mul_band::<T, ACC, NARROW>(a, packed, k, p, &mut c.reborrow());
-        return;
-    }
-
-    // Deterministic row bands: ⌈n/threads⌉-sized from the top, remainder
-    // spread over the leading bands. Boundaries depend only on
-    // (n, threads); each band's output is a disjoint mutable view.
-    let base = n / threads;
-    let extra = n % threads;
-    std::thread::scope(|scope| {
-        let mut rest = c.reborrow();
-        let mut row = 0usize;
-        for t in 0..threads {
-            let h = base + usize::from(t < extra);
-            if h == 0 {
-                continue;
-            }
-            let (mut band_out, tail) = rest.split_at_row(h);
-            rest = tail;
-            let band_in = a.subview(row, 0, h, k);
-            scope.spawn(move || mul_band::<T, ACC, NARROW>(band_in, packed, k, p, &mut band_out));
-            row += h;
-        }
-    });
 }
 
 /// Pack `b` into column panels of width [`NR`]: panel `q` holds columns
@@ -491,8 +401,8 @@ fn mac<T: Scalar, const NARROW: bool>(acc: T, a: T, b: T) -> T {
     }
 }
 
-/// Serial tiled kernel over one row band: `c` is the band's `h × p`
-/// output view (possibly strided), `packed` the full packed `B`.
+/// Serial tiled kernel over `a`'s `h` rows: `c` is the `h × p` output
+/// view (possibly strided), `packed` the full packed `B`.
 ///
 /// The hot shapes are square `√m × √m` right operands; dispatching them
 /// to inlined copies of the band loop with *literal* dimensions lets the
@@ -636,34 +546,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bands_are_bit_identical() {
-        // 4101 × 64 × 64: 4 real bands (≥ MIN_BAND_WORK each) with a
-        // ragged remainder spread over the leading ones.
-        let a = pseudo(4101, 64, 5);
-        let b = pseudo(64, 64, 6);
-        assert_eq!(4101 * 64 * 64 / MIN_BAND_WORK, 4);
-        let serial = matmul(a.view(), b.view());
-        for threads in [2usize, 3, 4, 7, 64] {
-            assert_eq!(
-                matmul_threads(a.view(), b.view(), threads),
-                serial,
-                "threads = {threads}"
-            );
-        }
-        // Small operands fall back to the serial kernel regardless.
-        let small = pseudo(37, 64, 7);
-        assert_eq!(
-            matmul_threads(small.view(), b.view(), 8),
-            matmul(small.view(), b.view())
-        );
-    }
-
-    #[test]
     fn float_results_equal_naive() {
         let a = Matrix::from_fn(23, 12, |i, j| (i as f64 - 3.5) * 0.25 + j as f64 * 0.125);
         let b = Matrix::from_fn(12, 17, |i, j| (j as f64 - 8.0) * 0.5 - i as f64 * 0.0625);
         assert_eq!(matmul(a.view(), b.view()), matmul_naive(&a, &b));
-        assert_eq!(matmul_threads(a.view(), b.view(), 3), matmul_naive(&a, &b));
     }
 
     #[test]
@@ -686,12 +572,10 @@ mod tests {
         // Unfused reference: C0 + A·B.
         let mut want = pseudo(21, 16, 13);
         want.add_assign(&matmul(a, b));
-        // Fused, serial and threaded, must agree exactly.
-        for threads in [1usize, 3, 5] {
-            let mut c = pseudo(21, 16, 13);
-            matmul_acc_threads(&mut c.view_mut(), a, b, threads);
-            assert_eq!(c, want, "threads = {threads}");
-        }
+        // Fused must agree exactly.
+        let mut c = pseudo(21, 16, 13);
+        matmul_acc(&mut c.view_mut(), a, b);
+        assert_eq!(c, want);
     }
 
     #[test]
@@ -732,7 +616,7 @@ mod tests {
         let mut acc = pseudo(21, 16, 33);
         let mut want_acc = pseudo(21, 16, 33);
         want_acc.add_assign(&want);
-        matmul_into(&mut acc.view_mut(), a.view(), b.view(), true, 2);
+        matmul_into(&mut acc.view_mut(), a.view(), b.view(), true, 1);
         assert_eq!(acc, want_acc);
     }
 

@@ -11,8 +11,7 @@
 //! the kernels in [`crate::kernels`] touch the elements.
 //!
 //! [`MatrixViewMut`] is the writable counterpart used for in-place block
-//! updates (Schur complements, closure accumulation) and for handing
-//! disjoint row bands to the parallel kernel.
+//! updates (Schur complements, closure accumulation).
 //!
 //! Simulated cost is unaffected by any of this: in the (m, ℓ)-TCU model
 //! operand marshalling is part of the tensor instruction's `O(n√m + ℓ)`
@@ -186,8 +185,7 @@ impl<T: Scalar> std::fmt::Debug for MatrixView<'_, T> {
 }
 
 /// A mutable `rows × cols` strided view; the writable counterpart of
-/// [`MatrixView`] used for in-place block updates and disjoint row-band
-/// writes.
+/// [`MatrixView`] used for in-place block updates.
 pub struct MatrixViewMut<'a, T> {
     rows: usize,
     cols: usize,
@@ -255,18 +253,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
     #[must_use]
     pub fn as_view(&self) -> MatrixView<'_, T> {
         MatrixView {
-            rows: self.rows,
-            cols: self.cols,
-            row_stride: self.row_stride,
-            data: self.data,
-        }
-    }
-
-    /// Reborrow mutably with a shorter lifetime (e.g. to feed
-    /// [`Self::split_at_row`], which consumes its receiver).
-    #[must_use]
-    pub fn reborrow(&mut self) -> MatrixViewMut<'_, T> {
-        MatrixViewMut {
             rows: self.rows,
             cols: self.cols,
             row_stride: self.row_stride,
@@ -345,33 +331,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
             row_stride: self.row_stride,
             data: &mut self.data[base..end],
         }
-    }
-
-    /// Split into two disjoint mutable views at row `r`: `[0, r)` and
-    /// `[r, rows)`. Repeated splits carve a matrix into the disjoint row
-    /// bands handed to parallel workers.
-    ///
-    /// # Panics
-    /// Panics if `r > rows`.
-    #[must_use]
-    pub fn split_at_row(self, r: usize) -> (MatrixViewMut<'a, T>, MatrixViewMut<'a, T>) {
-        assert!(r <= self.rows, "split row out of bounds");
-        let boundary = (r * self.row_stride).min(self.data.len());
-        let (top, bottom) = self.data.split_at_mut(boundary);
-        (
-            MatrixViewMut {
-                rows: r,
-                cols: self.cols,
-                row_stride: self.row_stride,
-                data: top,
-            },
-            MatrixViewMut {
-                rows: self.rows - r,
-                cols: self.cols,
-                row_stride: self.row_stride,
-                data: bottom,
-            },
-        )
     }
 }
 
@@ -563,18 +522,6 @@ mod tests {
         assert_eq!(dst[(1, 1)], src[(2, 2)]);
         assert_eq!(dst[(3, 3)], src[(4, 4)]);
         assert_eq!(dst[(0, 0)], 0);
-    }
-
-    #[test]
-    fn split_at_row_gives_disjoint_bands() {
-        let mut m = iota(6, 3);
-        let v = m.view_mut();
-        let (mut top, mut bottom) = v.split_at_row(2);
-        assert_eq!((top.rows(), bottom.rows()), (2, 4));
-        top.set(0, 0, -1);
-        bottom.set(3, 2, -2);
-        assert_eq!(m[(0, 0)], -1);
-        assert_eq!(m[(5, 2)], -2);
     }
 
     #[test]

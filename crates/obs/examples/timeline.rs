@@ -13,7 +13,7 @@
 //! `chrome://tracing`) to see the per-unit timelines.
 
 use std::sync::Arc;
-use tcu_core::{HostExecutor, ModelTensorUnit, ParallelTcuMachine, TensorOp};
+use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TensorOp};
 use tcu_linalg::Matrix;
 use tcu_obs::{ObsSink, RunMeta};
 use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
@@ -76,8 +76,9 @@ fn main() -> std::io::Result<()> {
 
     let meta = RunMeta {
         units: Some(units as u64),
-        host_threads: Some(HostExecutor::new().threads() as u64),
-        ci_cores: std::env::var("CI_CORES").ok().and_then(|v| v.parse().ok()),
+        ci_cores: Some(
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as u64,
+        ),
         pack_cache_capacity: None,
         memo_hits: None,
         extra: vec![

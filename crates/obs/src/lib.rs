@@ -342,9 +342,8 @@ impl Metrics {
 pub struct RunMeta {
     /// Tensor units the run executed on.
     pub units: Option<u64>,
-    /// Host worker threads per executor (`TCU_HOST_THREADS`).
-    pub host_threads: Option<u64>,
-    /// CPU cores of the recording machine.
+    /// CPU cores of the recording machine
+    /// (`std::thread::available_parallelism`).
     pub ci_cores: Option<u64>,
     /// Pack-cache capacity per unit executor.
     pub pack_cache_capacity: Option<u64>,
@@ -363,7 +362,6 @@ impl RunMeta {
             }
         };
         push("units", &self.units);
-        push("host_threads", &self.host_threads);
         push("ci_cores", &self.ci_cores);
         push("pack_cache_capacity", &self.pack_cache_capacity);
         push("memo_hits", &self.memo_hits);
@@ -965,7 +963,7 @@ mod tests {
         );
         let meta = RunMeta {
             units: Some(2),
-            host_threads: Some(1),
+            ci_cores: Some(2),
             ..RunMeta::default()
         };
         let json = sink.export_chrome_trace(&meta);
@@ -975,6 +973,7 @@ mod tests {
         // Declared-but-idle unit 1 still gets a named lane.
         assert!(json.contains("\"name\": \"unit 1\""));
         assert!(json.contains("\"units\": \"2\""));
+        assert!(json.contains("\"ci_cores\": \"2\""));
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"sim_cost\": 77"));
         // Every complete event carries a duration (spans are closed).

@@ -13,7 +13,7 @@
 //! the unit that can start it earliest.
 //! Ties prefer the op's *home* — the unit the wave planner's LPT
 //! partition assigned its first invocation to — and otherwise follow a
-//! seeded permutation of the units; a non-home choice is a
+//! fixed shuffled order of the units; a non-home choice is a
 //! **deterministic steal**, resolved here rather than raced over at run
 //! time (cf. Bobpp-style deterministic work partitioning). For a
 //! single-wave schedule the simulation reduces exactly to
@@ -29,42 +29,33 @@
 //! exceeds [`Schedule::makespan`].
 //!
 //! The placement is pure integer arithmetic over the plan — no clocks,
-//! no thread timing — so a given `(schedule, seed)` always yields the
-//! same unit assignment, the same per-unit op order, and the same
-//! simulated makespan, which is what the runtime charges into
-//! `time()`.
+//! no thread timing — so a given schedule always yields the same unit
+//! assignment, the same per-unit op order, and the same simulated
+//! makespan, which is what the runtime charges into `time()`. It is
+//! computed once per schedule, on first use, and kept next to the
+//! compiled plan.
 
 use crate::compile::ExecutablePlan;
 use crate::scheduler::Schedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, PoisonError};
 use tcu_core::TcuError;
 
-/// The parallel driver's one knob, which does not affect results: the
-/// steal tie-break seed. Any seed yields byte-identical elements,
-/// `Stats`, and digest; it only moves which unit runs what, hence
-/// per-unit cache counters, fault outcomes, and `time()`. The default
-/// (seed 0) is what [`Schedule::try_run_parallel`] and
-/// [`Schedule::dataflow_makespan`] use.
+/// No setting is left to tune; perfbench still calls `from_env()` and
+/// `use_inline()`. Delete in the next benchmark change.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DataflowTuning {
-    /// Seed of the steal tie-break permutation (0 = lowest-index-first
-    /// after the home unit).
-    pub steal_seed: u64,
-}
+pub struct DataflowTuning;
 
 impl DataflowTuning {
-    /// The default tuning. Reads no environment; perfbench still calls
-    /// it. Delete in the next benchmark change.
+    /// The unit value. Reads no environment.
     #[doc(hidden)]
     #[must_use]
     pub fn from_env() -> Self {
-        Self::default()
+        Self
     }
 
     /// Always `false`: every parallel run uses the threaded executor.
-    /// perfbench still records it. Delete in the next benchmark change.
     #[doc(hidden)]
     #[must_use]
     pub fn use_inline(&self) -> bool {
@@ -95,26 +86,6 @@ pub(crate) struct DataflowPlacement {
     pub(crate) steals: u64,
 }
 
-/// Steal seeds whose placements one schedule keeps; a further seed
-/// evicts the oldest.
-const CACHED_SEEDS: usize = 4;
-
-/// A schedule's dataflow placements by steal seed, each computed once by
-/// [`place_dataflow`] and kept next to the compiled plan. Runs and
-/// queries take the default seed unless told otherwise, so one entry
-/// usually serves them all. Every update leaves the list valid (a panic
-/// in `place_dataflow` happens before any), so a poisoned lock is taken
-/// over as is.
-#[derive(Debug, Default)]
-pub(crate) struct PlacementCache(Mutex<Vec<(u64, Arc<DataflowPlacement>)>>);
-
-impl Clone for PlacementCache {
-    fn clone(&self) -> Self {
-        let cached = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        Self(Mutex::new(cached.clone()))
-    }
-}
-
 /// `splitmix64` step — the standard 64-bit mix, enough PRNG for a
 /// tie-break permutation without pulling in a dependency.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -125,13 +96,13 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeded Fisher–Yates permutation of the unit indices — the order
-/// non-home units are considered when several can start an op equally
-/// early. Seed 0 still shuffles (the shuffle is what the seeded
-/// steal-order proptests vary); determinism per seed is the contract.
-fn steal_permutation(units: usize, seed: u64) -> Vec<usize> {
+/// The order non-home units are considered when several can start an
+/// op equally early: a Fisher–Yates shuffle of the unit indices driven
+/// by [`splitmix64`] from a fixed state, so it depends on the unit count
+/// alone.
+fn steal_permutation(units: usize) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..units).collect();
-    let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
+    let mut state = 0xD1B5_4A32_D192_ED03;
     for i in (1..units).rev() {
         let r = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
         perm.swap(i, r);
@@ -153,14 +124,10 @@ fn home_units(sched: &Schedule, plan: &ExecutablePlan) -> Vec<u32> {
     home
 }
 
-/// Compute the deterministic dataflow placement of `sched` under
-/// `steal_seed`. Pure function of its arguments — see the module docs
-/// for the simulation and the wave fallback.
-pub(crate) fn place_dataflow(
-    sched: &Schedule,
-    plan: &ExecutablePlan,
-    steal_seed: u64,
-) -> DataflowPlacement {
+/// Compute the deterministic dataflow placement of `sched`. Pure
+/// function of its arguments — see the module docs for the simulation
+/// and the wave fallback.
+pub(crate) fn place_dataflow(sched: &Schedule, plan: &ExecutablePlan) -> DataflowPlacement {
     let n = sched.ops();
     let units = sched.units();
     let costs = &sched.node_costs;
@@ -174,7 +141,7 @@ pub(crate) fn place_dataflow(
         .filter(|&i| indeg[i] == 0)
         .map(|i| Reverse((0u64, Reverse(costs[i]), i as u32)))
         .collect();
-    let perm = steal_permutation(units, steal_seed);
+    let perm = steal_permutation(units);
 
     let mut avail = vec![0u64; units];
     let mut start = vec![0u64; n];
@@ -238,63 +205,38 @@ pub(crate) fn place_dataflow(
 }
 
 impl Schedule {
-    /// The dataflow placement of this schedule under `steal_seed`, over
-    /// its compiled `plan`: computed on first use, then cached.
-    pub(crate) fn placement(
-        &self,
-        plan: &ExecutablePlan,
-        steal_seed: u64,
-    ) -> Arc<DataflowPlacement> {
-        let mut cached = self
-            .placements
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, p)) = cached.iter().find(|(seed, _)| *seed == steal_seed) {
-            return Arc::clone(p);
-        }
-        let p = Arc::new(place_dataflow(self, plan, steal_seed));
-        if cached.len() == CACHED_SEEDS {
-            cached.remove(0);
-        }
-        cached.push((steal_seed, Arc::clone(&p)));
-        p
+    /// The dataflow placement of this schedule over its compiled
+    /// `plan`: computed on first use, then kept.
+    pub(crate) fn placement(&self, plan: &ExecutablePlan) -> &DataflowPlacement {
+        self.placement.get_or_init(|| place_dataflow(self, plan))
     }
 
     /// [`Schedule::placement`] over the compiled plan.
-    fn compiled_placement(&self, steal_seed: u64) -> Result<Arc<DataflowPlacement>, TcuError> {
-        self.compiled().map(|plan| self.placement(plan, steal_seed))
+    fn compiled_placement(&self) -> Result<&DataflowPlacement, TcuError> {
+        self.compiled().map(|plan| self.placement(plan))
     }
 
-    /// The simulated makespan of the dataflow driver under the default
-    /// steal seed (0): what [`Schedule::try_run_parallel`] charges into
-    /// `time()` as its tensor wall-clock. Never exceeds
-    /// [`Schedule::makespan`] — the placement falls back to the wave
-    /// assignment when the barrier-free simulation loses — and never
-    /// undercuts `max(critical_path, ⌈tensor_time / units⌉)`.
+    /// The simulated makespan of the dataflow placement: what
+    /// [`Schedule::try_run_parallel`] charges into `time()` as its
+    /// tensor wall-clock. Never exceeds [`Schedule::makespan`] — the
+    /// placement falls back to the wave assignment when the
+    /// barrier-free simulation loses — and never undercuts
+    /// `max(critical_path, ⌈tensor_time / units⌉)`.
     #[must_use]
     pub fn dataflow_makespan(&self) -> u64 {
-        self.dataflow_makespan_seeded(DataflowTuning::default().steal_seed)
-    }
-
-    /// [`Schedule::dataflow_makespan`] under an explicit steal seed.
-    #[must_use]
-    pub fn dataflow_makespan_seeded(&self, steal_seed: u64) -> u64 {
-        self.compiled_placement(steal_seed)
+        self.compiled_placement()
             .map_or(self.makespan(), |p| p.makespan)
     }
 
-    /// Deterministic steals in the dataflow placement under the
-    /// default steal seed (0): ops the simulation moved off their
-    /// wave-LPT home unit.
+    /// Deterministic steals in the dataflow placement: ops the
+    /// simulation moved off their wave-LPT home unit.
     #[must_use]
     pub fn dataflow_steals(&self) -> u64 {
-        self.compiled_placement(DataflowTuning::default().steal_seed)
-            .map_or(0, |p| p.steals)
+        self.compiled_placement().map_or(0, |p| p.steals)
     }
 
-    /// [`Schedule::sched_efficiency`] for the dataflow driver under the
-    /// default steal seed: `lower_bound / dataflow_makespan`. At least
+    /// [`Schedule::sched_efficiency`] for the dataflow placement:
+    /// `lower_bound / dataflow_makespan`. At least
     /// the wave efficiency (the dataflow makespan never exceeds the
     /// wave makespan), and `1.0` means the barrier-free schedule is
     /// provably optimal for the cost model.
@@ -348,12 +290,12 @@ mod tests {
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
         let plan = Scheduler::new().with_units(4).plan(&pipeline(32, 8), &unit);
         let compiled = plan.compiled().expect("compiles");
-        let p1 = place_dataflow(&plan, compiled, 7);
-        let p2 = place_dataflow(&plan, compiled, 7);
+        let p1 = place_dataflow(&plan, compiled);
+        let p2 = place_dataflow(&plan, compiled);
         assert_eq!(p1.unit_order, p2.unit_order);
         assert_eq!(p1.start, p2.start);
         assert_eq!(p1.makespan, p2.makespan);
-        assert!(plan.dataflow_makespan_seeded(7) <= plan.makespan());
+        assert!(plan.dataflow_makespan() <= plan.makespan());
         let bound = plan
             .critical_path()
             .max(plan.tensor_time().div_ceil(plan.units() as u64));
@@ -363,17 +305,19 @@ mod tests {
     #[test]
     fn global_order_respects_every_hazard_edge() {
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
-        let plan = Scheduler::new().with_units(3).plan(&pipeline(32, 8), &unit);
-        let compiled = plan.compiled().expect("compiles");
-        for seed in [0u64, 1, 0xDEAD_BEEF] {
+        for units in [1usize, 2, 3, 5] {
+            let plan = Scheduler::new()
+                .with_units(units)
+                .plan(&pipeline(32, 8), &unit);
+            let compiled = plan.compiled().expect("compiles");
             // The `(start, index)` keys every queue is sorted by.
-            let p = place_dataflow(&plan, compiled, seed);
+            let p = place_dataflow(&plan, compiled);
             let key = |i: usize| (p.start[i], i);
             for i in 0..plan.ops() {
                 for &j in compiled.successors_of(i) {
                     assert!(
                         key(i) < key(j as usize),
-                        "op {i} must execute before its successor {j} (seed {seed})"
+                        "op {i} must execute before its successor {j} ({units} units)"
                     );
                 }
             }
@@ -386,23 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn placements_are_computed_once_per_seed() {
+    fn placements_are_computed_once_per_schedule() {
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
         let plan = Scheduler::new().with_units(2).plan(&pipeline(32, 8), &unit);
         let compiled = plan.compiled().expect("compiles");
-        let first = plan.placement(compiled, 0);
-        assert!(Arc::ptr_eq(&first, &plan.placement(compiled, 0)));
-        assert_eq!(
-            first.unit_order,
-            place_dataflow(&plan, compiled, 0).unit_order
-        );
-        assert_eq!(plan.dataflow_makespan(), first.makespan);
-        // Other seeds get their own entries; a fifth evicts the oldest.
-        for seed in 1..=CACHED_SEEDS as u64 {
-            let p = plan.placement(compiled, seed);
-            assert_eq!(p.start, place_dataflow(&plan, compiled, seed).start);
-        }
-        assert!(!Arc::ptr_eq(&first, &plan.placement(compiled, 0)));
+        assert!(plan.placement.get().is_none(), "placed only on first use");
+        let fresh = place_dataflow(&plan, compiled);
+        assert_eq!(plan.dataflow_makespan(), fresh.makespan);
+        let kept = plan.placement.get().expect("the query placed the schedule");
+        assert_eq!(kept.unit_order, fresh.unit_order);
+        assert_eq!(kept.start, fresh.start);
+        assert!(std::ptr::eq(kept, plan.placement(compiled)));
     }
 
     #[test]
@@ -428,16 +366,16 @@ mod tests {
             }
         }
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
-        let plan = Scheduler::new().with_units(3).plan(&g, &unit);
-        assert_eq!(plan.waves(), 1);
-        let compiled = plan.compiled().expect("compiles");
-        for seed in [0u64, 42] {
-            let p = place_dataflow(&plan, compiled, seed);
+        for units in [2usize, 3, 4] {
+            let plan = Scheduler::new().with_units(units).plan(&g, &unit);
+            assert_eq!(plan.waves(), 1);
+            let compiled = plan.compiled().expect("compiles");
+            let p = place_dataflow(&plan, compiled);
             for (u, q) in p.unit_order.iter().enumerate() {
                 for &i in q {
                     assert_eq!(
                         p.home[i as usize] as usize, u,
-                        "single wave keeps LPT homes"
+                        "single wave keeps LPT homes ({units} units)"
                     );
                 }
             }

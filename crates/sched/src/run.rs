@@ -62,11 +62,11 @@
 //! machine has `p`, so a compiled plan has two executors.
 //! [`Schedule::try_run`] is the serial loop: one pass over the stream
 //! in emission order on the machine's own executor, each op writing its
-//! bound destination in place, under a fixed policy of one attempt and
-//! no quarantine (one unit has no survivor to hand work to). It
-//! computes no placement and keeps no recovery state; an executor panic
-//! comes back as a typed error. Every parallel run, at every core
-//! count, goes to the threaded executor below.
+//! bound destination in place, with one attempt per op and no
+//! quarantine (one unit has no survivor to hand work to). It computes
+//! no placement and keeps no recovery state; an executor panic comes
+//! back as a typed error. Every parallel run, at every core count, goes
+//! to the threaded executor below.
 //!
 //! # Multi-unit execution
 //!
@@ -93,24 +93,24 @@
 //!   op. The main thread copies it into the rectangle once and only
 //!   then releases the hazard successors of every op in the chain, so
 //!   overlapping writes retire in hazard (emission) order and elements
-//!   are bit-identical to [`Schedule::run`] for every unit count, steal
-//!   seed, and interleaving. An op no other op continues is a one-op
-//!   chain: a per-op scratch;
+//!   are bit-identical to [`Schedule::run`] for every unit count and
+//!   interleaving. An op no other op continues is a one-op chain: a
+//!   per-op scratch;
 //! * **dispatch** — an op is ready once every hazard predecessor outside
 //!   its own chain has committed (the chain's earlier ops run first, on
 //!   the same unit); each idle unit receives its entire ready prefix as
 //!   *one* channel message, and reads are snapshotted right before
 //!   their first reader's dispatch;
 //! * **buffers** — a run's placement is computed once per schedule and
-//!   steal seed, and kept next to the compiled plan. Its chain
-//!   accumulators and snapshots come from a pool the calling thread
-//!   keeps per scalar type, and every merged accumulator and every
-//!   snapshot returns to it when the run ends, so a warm run on the
-//!   same thread allocates no data-sized buffer. The pool lives as long
-//!   as the thread and holds only the buffers the thread's last
-//!   threaded run held, so it never keeps more than one run's working
-//!   set. Every pooled buffer is fully overwritten before it is read:
-//!   a seed copy, a zero fill for an overwrite, or a snapshot copy.
+//!   kept next to the compiled plan. Its chain accumulators and
+//!   snapshots come from a pool the calling thread keeps per scalar
+//!   type, and every merged accumulator and every snapshot returns to
+//!   it when the run ends, so a warm run on the same thread allocates
+//!   no data-sized buffer. The pool lives as long as the thread and
+//!   holds only the buffers the thread's last threaded run held, so it
+//!   never keeps more than one run's working set. Every pooled buffer
+//!   is fully overwritten before it is read: a seed copy, a zero fill
+//!   for an overwrite, or a snapshot copy.
 //!
 //! # Fault tolerance
 //!
@@ -123,13 +123,14 @@
 //! `catch_unwind`:
 //!
 //! * a transient [`InjectedFault`] (as injected by
-//!   [`tcu_core::FaultyExecutor`]) is retried in place, each retry
-//!   charging simulated backoff into wall-clock;
+//!   [`tcu_core::FaultyExecutor`]) is retried in place, up to 3 attempts
+//!   per op, each retry charging simulated backoff into wall-clock;
 //! * a permanent fault — or any other panic payload, i.e. a real
 //!   executor bug — quarantines the unit for the rest of the run.
 //!
-//! A serial run's fixed policy turns both into typed failures:
-//! [`TcuError::RetriesExhausted`] and [`TcuError::UnitFault`].
+//! A serial run makes one attempt per op and quarantines nothing, so it
+//! turns both into typed failures: [`TcuError::RetriesExhausted`] and
+//! [`TcuError::UnitFault`].
 //!
 //! Recovery is **pass-based**. When a unit dies, its unexecuted queue
 //! suffix and everything hazard-downstream of that suffix leave the
@@ -154,9 +155,9 @@
 //! chain, merging its completed prefix (by then each open chain's next
 //! op has provably been removed).
 //!
-//! That makes recovery a function of the schedule, the steal seed, and
-//! the fault plan alone. No removed op can have been dispatched — each
-//! one waits on an uncommitted op outside its chain, or on a chain op
+//! That makes recovery a function of the schedule and the fault plan
+//! alone. No removed op can have been dispatched — each one waits on
+//! an uncommitted op outside its chain, or on a chain op
 //! queued ahead of it on its own unit — except a torn chain's completed
 //! ops, which the plan determines. So every unit's execution sequence
 //! in a pass is its queue minus the removed set, and so is every
@@ -186,7 +187,7 @@
 //!    `dataflow_exec.rs`'s `serial_executor_panic_fails_typed`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
-use crate::dataflow::{DataflowPlacement, DataflowTuning};
+use crate::dataflow::DataflowPlacement;
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
 use std::any::Any;
@@ -195,7 +196,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tcu_core::{
     partition_lpt, BindRole, Executor, FaultKind, InjectedFault, OperandId, ParallelTcuMachine,
-    RecoveryPolicy, TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
+    TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
 };
 use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
 
@@ -398,12 +399,15 @@ fn serial_read<'s, T: Scalar>(
     }
 }
 
-/// The fixed policy of a serial run: one attempt and no quarantine —
-/// one unit has no survivor to hand work to.
-const SERIAL_POLICY: RecoveryPolicy = RecoveryPolicy {
-    max_attempts: 1,
-    quarantine: false,
-};
+/// Attempts per op on the serial run. It quarantines nothing either:
+/// one unit has no survivor to hand work to, so a permanent fault fails
+/// the run.
+const SERIAL_ATTEMPTS: u32 = 1;
+
+/// Attempts per op on a parallel run, the first try included. A
+/// unit that fails permanently is quarantined and its work re-run on
+/// the survivors.
+const PARALLEL_ATTEMPTS: u32 = 3;
 
 impl Schedule {
     /// Execute the planned stream on `mach` with `env`'s bindings: each
@@ -433,8 +437,8 @@ impl Schedule {
     /// shapes, every op's contract, and every binding the stream
     /// touches. A failure there returns [`TcuError`] with outputs and
     /// `Stats` untouched. Then the whole stream is charged and executed
-    /// under a fixed policy — one attempt, no quarantine — so an
-    /// executor panic comes back typed instead of unwinding:
+    /// with one attempt per op and no quarantine, so an executor panic
+    /// comes back typed instead of unwinding:
     /// [`TcuError::RetriesExhausted`] for an injected transient fault,
     /// [`TcuError::UnitFault`] for anything else. Such a run keeps the
     /// full charge, and the outputs hold what the ops before the
@@ -472,7 +476,7 @@ impl Schedule {
     /// differently than the planning unit did (tall support must
     /// agree), if the environment's buffer shapes disagree with the
     /// planned graph's, if a referenced buffer is unbound, or if a
-    /// fault was unrecoverable under the default [`RecoveryPolicy`].
+    /// fault was unrecoverable (see [`Schedule::try_run_parallel`]).
     pub fn run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
@@ -482,50 +486,28 @@ impl Schedule {
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// [`Schedule::run_parallel`] with fault recovery under the default
-    /// [`RecoveryPolicy`] (3 attempts per op, quarantine on) and the
-    /// default [`DataflowTuning`] (steal seed 0). See
-    /// [`Schedule::try_run_parallel_with`].
+    /// [`Schedule::run_parallel`] with fault recovery, returning errors
+    /// instead of panicking. Runs the prologue both executors share
+    /// (plan, machine and binding checks, then the whole stream charged
+    /// in emission order, so `Stats` and the digest equal the serial
+    /// run's even under recovery), takes the schedule's deterministic
+    /// placement, then executes it on the threaded executor, one worker
+    /// per unit. Thread interleaving is not observable in elements,
+    /// `Stats`, digest, `time()`, or [`tcu_core::FaultStats`].
+    /// Wall-clock advances by [`Schedule::dataflow_makespan`] plus the
+    /// charged backoff and recovery passes.
+    ///
+    /// Transient faults retry in place, at most 3 attempts per op, or
+    /// the run fails with [`TcuError::RetriesExhausted`]. A unit that
+    /// fails permanently is quarantined and its work re-run in a
+    /// recovery pass (see the [module docs](self)); losing every unit
+    /// with work still pending fails with
+    /// [`TcuError::AllUnitsQuarantined`]. On `Err` the makespan is not
+    /// charged and outputs hold only the committed ops' results.
     pub fn try_run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
-    ) -> Result<(), TcuError> {
-        self.try_run_parallel_with(
-            mach,
-            env,
-            RecoveryPolicy::default(),
-            DataflowTuning::default(),
-        )
-    }
-
-    /// The fault-tolerant parallel driver under explicit `policy` and
-    /// `tuning`. Runs the prologue both executors share (plan, machine
-    /// and binding checks, then the whole stream charged in emission
-    /// order, so `Stats` and the digest equal the serial run's even
-    /// under recovery), resolves the deterministic placement, then
-    /// executes it on the threaded executor, one worker per unit. The
-    /// steal seed is not observable in elements, `Stats`, or digest,
-    /// and thread interleaving is not observable in `time()` or
-    /// [`tcu_core::FaultStats`] either. Wall-clock advances by
-    /// [`Schedule::dataflow_makespan_seeded`] of the tuning's seed plus
-    /// the charged backoff and recovery passes.
-    ///
-    /// Transient faults retry in place, at most `policy.max_attempts`
-    /// attempts per op, or the run fails with
-    /// [`TcuError::RetriesExhausted`]. A unit that fails permanently is
-    /// quarantined and its work re-run in a recovery pass (see the
-    /// [module docs](self)); without `policy.quarantine` the run fails
-    /// with [`TcuError::UnitFault`], and losing every unit with work
-    /// still pending fails with [`TcuError::AllUnitsQuarantined`]. On
-    /// `Err` the makespan is not charged and outputs hold only the
-    /// committed ops' results.
-    pub fn try_run_parallel_with<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-        policy: RecoveryPolicy,
-        tuning: DataflowTuning,
     ) -> Result<(), TcuError> {
         if mach.units() != self.units() {
             return Err(TcuError::PlanMismatch {
@@ -538,10 +520,8 @@ impl Schedule {
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
-        let placement = self.placement(plan, tuning.steal_seed);
-        run_threaded(
-            self, plan, &placement, &mut acct, execs, env, policy, &recorder,
-        )?;
+        let placement = self.placement(plan);
+        run_threaded(self, plan, placement, &mut acct, execs, env, &recorder)?;
         acct.complete_wave(placement.makespan);
         Ok(())
     }
@@ -911,17 +891,16 @@ enum Terminal {
 }
 
 impl Terminal {
-    /// The error this stop fails the run with, or `None` when the unit
-    /// is quarantined and its work recovered.
-    fn fatal(self, unit: usize, wave: usize, policy: RecoveryPolicy) -> Option<TcuError> {
+    /// The error this stop fails a run with when the unit cannot be
+    /// quarantined.
+    fn error(self, unit: usize, wave: usize) -> TcuError {
         match self {
-            Terminal::Exhausted { attempts } => Some(TcuError::RetriesExhausted {
+            Terminal::Exhausted { attempts } => TcuError::RetriesExhausted {
                 unit,
                 wave,
                 attempts,
-            }),
-            Terminal::Dead { .. } if policy.quarantine => None,
-            Terminal::Dead { .. } => Some(TcuError::UnitFault { unit, wave }),
+            },
+            Terminal::Dead { .. } => TcuError::UnitFault { unit, wave },
         }
     }
 }
@@ -1034,7 +1013,6 @@ fn run_items_contained<T: Scalar, E: Executor>(
     exec: &mut E,
     open: &mut Vec<OpenChain<T>>,
     items: Vec<WaveItem<'_, T>>,
-    max_attempts: u32,
     rec: Option<&dyn tcu_obs::Recorder>,
     unit: u32,
 ) -> UnitOutcome<T> {
@@ -1070,7 +1048,7 @@ fn run_items_contained<T: Scalar, E: Executor>(
             item.tag,
             item.b,
             &mut chain.acc.view_mut(),
-            max_attempts,
+            PARALLEL_ATTEMPTS,
             &mut out.notes,
         );
         if let Err(terminal) = result {
@@ -1317,7 +1295,7 @@ impl PassLog {
 
 /// The serial run: one pass over the stream in emission order on the
 /// machine's own executor, each op under [`execute_with_retries`] with
-/// one attempt, straight into the bound destination. Reads are
+/// [`SERIAL_ATTEMPTS`], straight into the bound destination. Reads are
 /// zero-copy except an op's reads of the buffer it writes, snapshotted
 /// on first use (see the [module docs](self)). The first failing op
 /// ends the run: its fault annotation (digest-exempt) is recorded and
@@ -1375,16 +1353,14 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
             tag,
             b,
             &mut out_view,
-            SERIAL_POLICY.max_attempts,
+            SERIAL_ATTEMPTS,
             &mut notes,
         );
         env.outputs[cop.out_buf] = Some(host);
         if let Err(terminal) = result {
             record_notes(acct, 0, &notes);
             let wave = sched.nodes()[i].level;
-            return Err(terminal
-                .fatal(0, wave, SERIAL_POLICY)
-                .unwrap_or_else(|| unreachable!("the serial policy quarantines nothing")));
+            return Err(terminal.error(0, wave));
         }
         if t0.is_some() {
             emit_span(
@@ -1418,7 +1394,6 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
     env: &mut ExecEnv<'_, T>,
-    policy: RecoveryPolicy,
     recorder: &Option<std::sync::Arc<dyn tcu_obs::Recorder>>,
 ) -> Result<(), TcuError> {
     let stamps = &tag_stamps(env);
@@ -1427,7 +1402,6 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     let inputs = &env.inputs;
     let outputs = &mut env.outputs;
     let units = execs.len();
-    let max_attempts = policy.max_attempts.max(1);
     let s = acct.sqrt_m();
     let start = &placement.start;
     let mut queues = placement.unit_order.clone();
@@ -1452,14 +1426,9 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                 let mut open = Vec::new();
                 while let Ok(task) = trx.recv() {
                     let outcome = match task {
-                        Task::Run(items) => run_items_contained(
-                            exec,
-                            &mut open,
-                            items,
-                            max_attempts,
-                            rec.as_deref(),
-                            u as u32,
-                        ),
+                        Task::Run(items) => {
+                            run_items_contained(exec, &mut open, items, rec.as_deref(), u as u32)
+                        }
                         Task::Flush => {
                             let mut out = UnitOutcome::new();
                             out.closed.append(&mut open);
@@ -1640,7 +1609,12 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                         let wave = queues[u]
                             .get(pos)
                             .map_or(0, |&i| sched.nodes()[i as usize].level);
-                        let fatal = terminal.fatal(u, wave, policy);
+                        // A parallel run quarantines a dead unit;
+                        // only an exhausted retry budget fails the run.
+                        let fatal = match terminal {
+                            Terminal::Dead { .. } => None,
+                            Terminal::Exhausted { .. } => Some(terminal.error(u, wave)),
+                        };
                         log.stop(u, pos, &queues[u], start, fatal);
                         pending -= remove_downstream(plan, log.lost(u, &queues[u]), &mut removed);
                     }
@@ -2085,7 +2059,7 @@ mod tests {
         let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
         let plan = Scheduler::new().with_units(2).plan(&g, &unit);
         let compiled = plan.compiled().expect("compiles");
-        let placement = place_dataflow(&plan, compiled, 0);
+        let placement = place_dataflow(&plan, compiled);
         let chains = Chains::of_pass(&plan, compiled, &placement.unit_order);
         let lengths: Vec<usize> = (0..compiled.ops())
             .filter(|&i| chains.before[i] == 0)

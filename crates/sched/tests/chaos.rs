@@ -28,7 +28,7 @@ use std::sync::Arc;
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
     FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
-    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp, TraceLog,
+    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TraceLog,
 };
 use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
 use tcu_obs::{EventKind, Lane, ObsSink};
@@ -224,16 +224,14 @@ impl ChaosRun {
     }
 }
 
-/// One `try_run_parallel_with` execution (steal seed 0) on a fresh
-/// jittered machine of the plan's unit count whose every unit executor
-/// injects from `fplan`.
+/// One `try_run_parallel` execution on a fresh jittered machine of the
+/// plan's unit count whose every unit executor injects from `fplan`.
 fn run_faulty(
     g: &OpGraph,
     bufs: &Bufs,
     plan: &Schedule,
     seed: u64,
     fplan: FaultPlan,
-    policy: RecoveryPolicy,
     salt: u64,
 ) -> ChaosRun {
     silence_injected_fault_panics();
@@ -250,7 +248,7 @@ fn run_faulty(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let result = plan.try_run_parallel_with(&mut mach, &mut env, policy, Default::default());
+    let result = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     ChaosRun::observe(result, c, d, &mut mach)
 }
@@ -312,9 +310,7 @@ fn check_recovery_unobservable(seed: u64) {
         // Recoverable by construction: no consecutive transients, at
         // most units − 1 permanent victims (and none at 1 unit).
         let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
-        let policy = RecoveryPolicy::default();
-        let runs =
-            SALTS.map(|salt| run_faulty(&g, &bufs, &plan, seed, fplan.clone(), policy, salt));
+        let runs = SALTS.map(|salt| run_faulty(&g, &bufs, &plan, seed, fplan.clone(), salt));
         for (run, salt) in runs.iter().zip(SALTS) {
             let what = format!("{units} units, salt {salt}");
             prop_assert!(
@@ -342,7 +338,7 @@ fn check_recovery_unobservable(seed: u64) {
             // the placement makespan plus exactly what the fault
             // counters say recovery charged.
             let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
-            prop_assert_eq!(run.time, plan.dataflow_makespan_seeded(0) + charged);
+            prop_assert_eq!(run.time, plan.dataflow_makespan() + charged);
             let saw_faults =
                 run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
             prop_assert_eq!(
@@ -385,8 +381,7 @@ fn seeded_plans_quarantine_most_multi_unit_runs() {
         for units in [2usize, 4, 8] {
             let plan = Scheduler::new().with_units(units).plan(&g, &unit);
             let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
-            let policy = RecoveryPolicy::default();
-            let run = run_faulty(&g, &bufs, &plan, seed, fplan, policy, SALTS[0]);
+            let run = run_faulty(&g, &bufs, &plan, seed, fplan, SALTS[0]);
             assert!(run.result.is_ok(), "{:?}", run.result);
             runs += 1;
             quarantined += u32::from(run.fault_stats.quarantined_units > 0);
@@ -431,14 +426,14 @@ fn exhausted_retries_fail_typed_not_panicking() {
     let (g, bufs) = two_op_graph();
     let plan = plan_at(&g, 1);
     // Transient on three consecutive executions of unit 0: attempts
-    // 1, 2, 3 of the first op all fault — max_attempts = 3 exhausted.
+    // 1, 2, 3 of the first op all fault — a parallel run's 3 attempts
+    // are exhausted.
     let fplan = FaultPlan::none()
         .fail(0, 0, FaultKind::Transient)
         .fail(0, 1, FaultKind::Transient)
         .fail(0, 2, FaultKind::Transient);
     for salt in SALTS {
-        let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 3, fplan.clone(), policy, salt);
+        let run = run_faulty(&g, &bufs, &plan, 3, fplan.clone(), salt);
         match run.result {
             Err(TcuError::RetriesExhausted { unit, attempts, .. }) => {
                 assert_eq!(unit, 0);
@@ -448,28 +443,6 @@ fn exhausted_retries_fail_typed_not_panicking() {
         }
         // Nothing committed: the failed op's destination is untouched.
         assert_eq!(run.c, Matrix::<i64>::zeros(DIM, DIM));
-    }
-}
-
-#[test]
-fn raising_max_attempts_recovers_the_same_plan() {
-    let (g, bufs) = two_op_graph();
-    let plan = plan_at(&g, 1);
-    let fplan = FaultPlan::none()
-        .fail(0, 0, FaultKind::Transient)
-        .fail(0, 1, FaultKind::Transient)
-        .fail(0, 2, FaultKind::Transient);
-    let policy = RecoveryPolicy {
-        max_attempts: 4,
-        quarantine: true,
-    };
-    let (c_ref, ..) = serial_reference(&g, &bufs, 3);
-    for salt in SALTS {
-        let run = run_faulty(&g, &bufs, &plan, 3, fplan.clone(), policy, salt);
-        assert!(run.result.is_ok(), "{:?}", run.result);
-        assert_eq!(run.fault_stats.transient_faults, 3);
-        assert_eq!(run.fault_stats.retries, 3);
-        assert_eq!(run.c, c_ref);
     }
 }
 
@@ -484,8 +457,7 @@ fn all_units_quarantined_fails_typed_not_hanging() {
         .fail(1, 0, FaultKind::Permanent);
     let (_, _, stats_ref, _) = serial_reference(&g, &bufs, 5);
     for salt in SALTS {
-        let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
+        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), salt);
         match run.result {
             Err(TcuError::AllUnitsQuarantined { pending, .. }) => assert_eq!(pending, 2),
             other => panic!("expected AllUnitsQuarantined, got {other:?}"),
@@ -497,32 +469,13 @@ fn all_units_quarantined_fails_typed_not_hanging() {
 }
 
 #[test]
-fn quarantine_off_makes_permanent_faults_fatal() {
-    let (g, bufs) = two_op_graph();
-    let plan = plan_at(&g, 2);
-    let fplan = FaultPlan::none().fail(0, 0, FaultKind::Permanent);
-    let policy = RecoveryPolicy {
-        max_attempts: 3,
-        quarantine: false,
-    };
-    for salt in SALTS {
-        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
-        match run.result {
-            Err(TcuError::UnitFault { unit, .. }) => assert_eq!(unit, 0),
-            other => panic!("expected UnitFault, got {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn single_dead_unit_is_quarantined_and_survivors_finish() {
     let (g, bufs) = two_op_graph();
     let plan = plan_at(&g, 2);
     let fplan = FaultPlan::none().fail(0, 0, FaultKind::Permanent);
     let (c_ref, _, stats_ref, trace_ref) = serial_reference(&g, &bufs, 5);
     for salt in SALTS {
-        let policy = RecoveryPolicy::default();
-        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), policy, salt);
+        let run = run_faulty(&g, &bufs, &plan, 5, fplan.clone(), salt);
         assert!(run.result.is_ok(), "{:?}", run.result);
         assert_eq!(run.fault_stats.quarantined_units, 1);
         assert_eq!(run.fault_stats.permanent_faults, 1);
@@ -533,10 +486,7 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
         // The recovery pass re-runs the dead unit's op on the survivor:
         // its cost is charged on top of the placement makespan.
         assert_eq!(run.fault_stats.recovery_makespan, 16 * SQRT_M as u64 + 13);
-        assert_eq!(
-            run.time,
-            plan.dataflow_makespan_seeded(0) + 16 * SQRT_M as u64 + 13
-        );
+        assert_eq!(run.time, plan.dataflow_makespan() + 16 * SQRT_M as u64 + 13);
     }
 }
 

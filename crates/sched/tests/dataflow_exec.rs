@@ -3,12 +3,11 @@
 //! For random RAW-pipeline graphs (the chaos / thread-count-invariance
 //! generator) at every unit count in {1, 2, 4, 8}, the threaded
 //! executor must be byte-identical to the serial scheduled run in
-//! *elements*, *Stats*, and *trace digest*, under every steal seed,
-//! under seeded transient fault plans, and under seeded permanent
-//! (quarantine) fault plans. The simulated clock must land exactly on
-//! [`Schedule::dataflow_makespan_seeded`] plus the charged
-//! backoff/recovery, and the placement's makespan must never exceed the
-//! wave makespan. Every run's executors sleep a salted pseudo-random
+//! *elements*, *Stats*, and *trace digest*, fault-free, under seeded
+//! transient fault plans, and under seeded permanent (quarantine) fault
+//! plans. The simulated clock must land exactly on
+//! [`Schedule::dataflow_makespan`] plus the charged backoff/recovery,
+//! and the placement's makespan must never exceed the wave makespan. Every run's executors sleep a salted pseudo-random
 //! 0–50 µs before each execution, so replays of one plan under
 //! different salts interleave the worker threads differently; they must
 //! agree on the clock, the fault counters, the ordered fault trace, and
@@ -19,24 +18,24 @@
 //! rather than incidental. A foreign executor panic is pinned by
 //! `foreign_panics_recover_on_the_threaded_executor` and
 //! `foreign_panic_inside_a_chain_reruns_the_whole_chain`; a serial run
-//! fails typed on it (`serial_executor_panic_fails_typed`).
+//! fails typed on it, and on injected faults
+//! (`serial_executor_panic_fails_typed`).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcu_core::{
-    assign_unit_ids, silence_injected_fault_panics, Executor, FaultPlan, FaultStats,
+    assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
     FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
-    ParallelTcuMachine, RecoveryPolicy, TcuError, TcuMachine, TensorOp, TraceEvent,
+    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TraceEvent,
 };
 use tcu_linalg::Matrix;
 use tcu_linalg::{MatrixView, MatrixViewMut, Scalar};
-use tcu_sched::{BufferId, DataflowTuning, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
+use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const STEAL_SEEDS: [u64; 3] = [0, 1, 0xDEAD];
 /// Jitter salts: each replay of a plan runs under its own.
 const SALTS: [u64; 3] = [1, 2, 3];
 
@@ -242,17 +241,16 @@ struct DfRun {
     caches: Vec<PackCacheStats>,
 }
 
-/// One `try_run_parallel_with` execution on a fresh machine whose every
-/// unit executor injects from `fplan` (`FaultPlan::none()` for a clean
-/// run) around a jittered host executor, under an explicit steal seed;
-/// unit `u`'s sleeps are drawn from `salt` and `u`.
+/// One `try_run_parallel` execution on a fresh machine whose every unit
+/// executor injects from `fplan` (`FaultPlan::none()` for a clean run)
+/// around a jittered host executor; unit `u`'s sleeps are drawn from
+/// `salt` and `u`.
 fn df_run(
     g: &OpGraph,
     bufs: &Bufs,
     plan: &Schedule,
     seed: u64,
     fplan: FaultPlan,
-    steal_seed: u64,
     salt: u64,
 ) -> DfRun {
     silence_injected_fault_panics();
@@ -278,8 +276,7 @@ fn df_run(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let tuning = DataflowTuning { steal_seed };
-    let result = plan.try_run_parallel_with(&mut mach, &mut env, RecoveryPolicy::default(), tuning);
+    let result = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     let caches = (0..units)
         .map(|u| {
@@ -335,7 +332,6 @@ fn assert_unobservable(
     run: &DfRun,
     refr: &(Matrix<i64>, Matrix<i64>, tcu_core::Stats, u64),
     plan: &Schedule,
-    steal_seed: u64,
     label: &str,
 ) {
     prop_assert!(run.result.is_ok(), "{} failed: {:?}", label, run.result);
@@ -346,7 +342,7 @@ fn assert_unobservable(
     let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
     prop_assert_eq!(
         run.time,
-        plan.dataflow_makespan_seeded(steal_seed) + charged,
+        plan.dataflow_makespan() + charged,
         "clock identity: {}",
         label
     );
@@ -365,30 +361,26 @@ fn check_dataflow_contract((g, bufs): (OpGraph, Bufs), seed: u64) {
         let bound = plan
             .critical_path()
             .max(plan.tensor_time().div_ceil(units as u64));
-        for ss in STEAL_SEEDS {
-            let df = plan.dataflow_makespan_seeded(ss);
-            prop_assert!(df <= plan.makespan(), "df beats wave at {units} units");
-            prop_assert!(df >= bound, "df under lower bound at {units} units");
-        }
+        let df = plan.dataflow_makespan();
+        prop_assert!(df <= plan.makespan(), "df beats wave at {units} units");
+        prop_assert!(df >= bound, "df under lower bound at {units} units");
 
-        // Fault-free, every steal seed.
-        for ss in STEAL_SEEDS {
-            let label = format!("u={units} ss={ss}");
-            check_replays(&g, &bufs, &plan, seed, FaultPlan::none(), ss, &refr, &label);
-        }
+        // Fault-free.
+        let label = format!("fault-free u={units}");
+        check_replays(&g, &bufs, &plan, seed, FaultPlan::none(), &refr, &label);
 
         // Transient-only faults: per-unit sequences are fixed, so the
         // same plan entries fire on the same ops under every salt.
         let tplan = FaultPlan::seeded(seed ^ 0x7A11, units, horizon(&plan), 200, 0);
         let label = format!("transient u={units}");
-        check_replays(&g, &bufs, &plan, seed, tplan, 0, &refr, &label);
+        check_replays(&g, &bufs, &plan, seed, tplan, &refr, &label);
 
         // Recoverable permanent faults (chaos-style: at most
         // `units − 1` victims): recovery must stay byte-unobservable and
         // replay its fault record exactly.
         let pplan = FaultPlan::seeded(seed ^ 0xC44F, units, horizon(&plan), 150, units / 2);
         let label = format!("permanent u={units}");
-        check_replays(&g, &bufs, &plan, seed, pplan, 0, &refr, &label);
+        check_replays(&g, &bufs, &plan, seed, pplan, &refr, &label);
     }
 }
 
@@ -405,14 +397,13 @@ fn check_replays(
     plan: &Schedule,
     seed: u64,
     fplan: FaultPlan,
-    steal_seed: u64,
     refr: &(Matrix<i64>, Matrix<i64>, tcu_core::Stats, u64),
     label: &str,
 ) {
-    let runs = SALTS.map(|salt| df_run(g, bufs, plan, seed, fplan.clone(), steal_seed, salt));
+    let runs = SALTS.map(|salt| df_run(g, bufs, plan, seed, fplan.clone(), salt));
     for (run, salt) in runs.iter().zip(SALTS) {
         let what = format!("{label} salt={salt}");
-        assert_unobservable(run, refr, plan, steal_seed, &what);
+        assert_unobservable(run, refr, plan, &what);
         let first = &runs[0];
         prop_assert_eq!(run.time, first.time, "time(): {}", what);
         prop_assert_eq!(
@@ -435,7 +426,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Random RAW pipelines × 1/2/4/8 units × {fault-free, transient,
-    // permanent} × steal seeds × jitter salts: the dataflow driver must
+    // permanent} × jitter salts: the threaded executor must
     // be byte-unobservable against the serial scheduled run, with replay
     // determinism exactly as documented.
     #[test]
@@ -598,34 +589,85 @@ fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
     }
 }
 
-/// A serial run contains executor panics under its fixed policy, so
-/// one comes back as a typed error instead of unwinding through
-/// `try_run`: unit 0, in the failing op's wave. Charges precede
-/// execution, so the failed run holds the whole stream's charge (named
-/// deviation 1).
+/// A serial run makes one attempt per op and quarantines nothing, so an
+/// executor panic comes back as a typed error instead of unwinding
+/// through `try_run`, on unit 0 in the failing op's wave: a foreign
+/// panic or an injected permanent fault as `UnitFault`, an injected
+/// transient as `RetriesExhausted` after its one attempt. Charges
+/// precede execution, so each failed run holds the whole stream's
+/// charge (named deviation 1): the fault-free run's `Stats` and digest,
+/// with the fault only in one digest-exempt annotation.
 #[test]
 fn serial_executor_panic_fails_typed() {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
     let (g, bufs) = random_graph(3);
     let plan = Scheduler::new().plan(&g, &unit);
+    // `try_run` on fresh outputs, any panic it lets through caught.
+    fn run<E: Executor>(
+        g: &OpGraph,
+        bufs: &Bufs,
+        plan: &Schedule,
+        ser: &mut TcuMachine<ModelTensorUnit, E>,
+    ) -> std::thread::Result<Result<(), TcuError>> {
+        let (a, b) = (pseudo(DIM, DIM, 3), pseudo(DIM, DIM, 4));
+        let (mut c, mut d) = (
+            Matrix::<i64>::zeros(DIM, DIM),
+            Matrix::<i64>::zeros(DIM, DIM),
+        );
+        let mut env = ExecEnv::new(g);
+        env.bind_input(bufs.a, a.view());
+        env.bind_input(bufs.b, b.view());
+        env.bind_output(bufs.c, c.view_mut());
+        env.bind_output(bufs.d, d.view_mut());
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.try_run(ser, &mut env)))
+    }
+
     let mut ser = TcuMachine::with_executor(unit, BuggyExecutor::default());
     ser.executor_mut().panic_at = Some(0);
-    let (a, b) = (pseudo(DIM, DIM, 3), pseudo(DIM, DIM, 4));
-    let (mut c, mut d) = (
-        Matrix::<i64>::zeros(DIM, DIM),
-        Matrix::<i64>::zeros(DIM, DIM),
-    );
-    let mut env = ExecEnv::new(&g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        plan.try_run(&mut ser, &mut env)
-    }));
+    let result = run(&g, &bufs, &plan, &mut ser);
     assert!(
         matches!(result, Ok(Err(TcuError::UnitFault { unit: 0, wave: 0 }))),
         "expected a typed UnitFault, got {result:?}"
     );
     assert_eq!(ser.stats().tensor_calls, plan.invocations());
+
+    silence_injected_fault_panics();
+    let (.., stats_ref, digest_ref) = serial_reference(&g, &bufs, 3);
+    for kind in [FaultKind::Transient, FaultKind::Permanent] {
+        let exec = FaultyExecutor::new(HostExecutor::new(), FaultPlan::none().fail(0, 0, kind));
+        let mut ser = TcuMachine::with_executor(unit, exec);
+        ser.enable_trace();
+        let result = run(&g, &bufs, &plan, &mut ser);
+        let transient = kind == FaultKind::Transient;
+        if transient {
+            assert!(
+                matches!(
+                    result,
+                    Ok(Err(TcuError::RetriesExhausted {
+                        unit: 0,
+                        attempts: 1,
+                        ..
+                    }))
+                ),
+                "expected RetriesExhausted after one attempt, got {result:?}"
+            );
+        } else {
+            assert!(
+                matches!(result, Ok(Err(TcuError::UnitFault { unit: 0, .. }))),
+                "expected a typed UnitFault, got {result:?}"
+            );
+        }
+        assert_eq!(ser.stats(), &stats_ref, "{kind:?}: the full charge");
+        let trace = ser.take_trace();
+        assert_eq!(
+            trace.digest(),
+            digest_ref,
+            "{kind:?}: the fault-free digest"
+        );
+        assert_eq!(
+            trace.fault_events(),
+            vec![TraceEvent::Fault { unit: 0, transient }],
+            "{kind:?}: one fault annotation"
+        );
+    }
 }

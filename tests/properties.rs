@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) of the core invariants: ring axioms
 //! on the simulated tensor unit, oracle agreement under random inputs,
 //! transform inverses, cost-model monotonicity, and exact agreement of
-//! the tiled/parallel host kernels with the naive oracle.
+//! the tiled host kernels with the naive oracle.
 
 use proptest::prelude::*;
 use tcu::algos::{apsd, closure, dense, fft, intmul, poly, workloads};
@@ -64,9 +64,9 @@ fn edge_matrix<T: Scalar>(
     })
 }
 
-/// `a · b` through every tiled-kernel entry (views into larger matrices
-/// at 1 and 3 threads, and the packed strip; each overwriting `c0` and
-/// accumulating onto it) equals `matmul_naive`.
+/// `a · b` through every tiled-kernel entry (views into larger matrices,
+/// and the packed strip; each overwriting `c0` and accumulating onto it)
+/// equals `matmul_naive`.
 fn assert_kernels_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matrix<T>) {
     let (n, k, p) = (a.rows(), a.cols(), b.cols());
     let want = matmul_naive(a, b);
@@ -79,47 +79,13 @@ fn assert_kernels_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matr
     let (av, bv) = (host_a.subview(1, 2, n, k), host_b.subview(1, 1, k, p));
     let packed = kernels::pack_a(av);
     for (accumulate, want) in [(false, &want), (true, &want_acc)] {
-        for threads in [1, 3] {
-            let mut c = c0.clone();
-            kernels::matmul_into(&mut c.view_mut(), av, bv, accumulate, threads);
-            prop_assert_eq!(
-                &c,
-                want,
-                "views, threads {}, accumulate {}",
-                threads,
-                accumulate
-            );
-        }
+        let mut c = c0.clone();
+        kernels::matmul_into(&mut c.view_mut(), av, bv, accumulate, 1);
+        prop_assert_eq!(&c, want, "views, accumulate {}", accumulate);
         let mut c = c0.clone();
         kernels::matmul_packed_into(&mut c.view_mut(), &packed, bv, accumulate);
         prop_assert_eq!(&c, want, "packed, accumulate {}", accumulate);
     }
-}
-
-/// `a · b` accumulated onto `c0` at 2 host threads, in a product of at
-/// least 2^23 multiply-adds: two real row bands at the kernels' minimum
-/// of 2^22 each. `a` is widened to `t` copies side by side against `t`
-/// copies of `b` down the diagonal (zeros elsewhere) until inner and
-/// width reach 16, then its rows are stacked until the work suffices;
-/// every block of the result is `c0 + a · b`, exactly.
-fn assert_bands_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matrix<T>) {
-    let (n, k, p) = (a.rows(), a.cols(), b.cols());
-    let t = 16usize.div_ceil(k.min(p));
-    let rows = n * (1usize << 23).div_ceil(n * t * k * t * p);
-    let wide_a = Matrix::from_fn(rows, t * k, |i, j| a[(i % n, j % k)]);
-    let diag_b = Matrix::from_fn(t * k, t * p, |i, j| {
-        if i / k == j / p {
-            b[(i % k, j % p)]
-        } else {
-            T::ZERO
-        }
-    });
-    let tiled = |m: &Matrix<T>| Matrix::from_fn(rows, t * p, |i, j| m[(i % n, j % p)]);
-    let mut want = c0.clone();
-    want.add_assign(&matmul_naive(a, b));
-    let mut c = tiled(c0);
-    kernels::matmul_into(&mut c.view_mut(), wide_a.view(), diag_b.view(), true, 2);
-    prop_assert_eq!(&c, &tiled(&want), "two row bands");
 }
 
 proptest! {
@@ -270,17 +236,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_kernel_bit_identical_for_every_thread_count(seed in any::<u64>(), n in 1usize..520, threads in 1usize..9) {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let s = 16;
-        let a = workloads::random_matrix_i64(n, s, 100, &mut rng);
-        let b = workloads::random_matrix_i64(s, s, 100, &mut rng);
-        let serial = kernels::matmul(a.view(), b.view());
-        prop_assert_eq!(serial.clone(), matmul_naive(&a, &b));
-        prop_assert_eq!(kernels::matmul_threads(a.view(), b.view(), threads), serial);
-    }
-
-    #[test]
     fn tiled_kernel_equals_naive_f64(seed in any::<u64>(), n in 1usize..32, k in 1usize..20) {
         // Floats: the tiled kernel and the oracle share the same
         // per-element mul_add order, so they agree under IEEE ==.
@@ -288,8 +243,7 @@ proptest! {
         let a = Matrix::from_fn(n, k, |_, _| rand::Rng::gen_range(&mut rng, -4.0f64..4.0));
         let b = Matrix::from_fn(k, k, |_, _| rand::Rng::gen_range(&mut rng, -4.0f64..4.0));
         let want = matmul_naive(&a, &b);
-        prop_assert_eq!(kernels::matmul(a.view(), b.view()), want.clone());
-        prop_assert_eq!(kernels::matmul_threads(a.view(), b.view(), 4), want);
+        prop_assert_eq!(kernels::matmul(a.view(), b.view()), want);
     }
 
     #[test]
@@ -328,9 +282,6 @@ proptest! {
             }
             let c0 = workloads::random_matrix_i64(n, p, 100, &mut rng);
             assert_kernels_match_naive(&a, &b, &c0);
-            if layout == (seed % 4) as usize {
-                assert_bands_match_naive(&a, &b, &c0);
-            }
         }
     }
 
@@ -353,14 +304,11 @@ proptest! {
             }
             let c0 = Matrix::from_fn(n, p, |_, _| rng.gen::<u64>());
             assert_kernels_match_naive(&a, &b, &c0);
-            if layout == (seed % 4) as usize {
-                assert_bands_match_naive(&a, &b, &c0);
-            }
         }
     }
 
     #[test]
-    fn fused_accumulate_equals_unfused(seed in any::<u64>(), n in 1usize..400, threads in 1usize..5) {
+    fn fused_accumulate_equals_unfused(seed in any::<u64>(), n in 1usize..400) {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let s = 8;
         let a = workloads::random_matrix_i64(n, s, 30, &mut rng);
@@ -369,7 +317,7 @@ proptest! {
         let mut want = c0.clone();
         want.add_assign(&matmul_naive(&a, &b));
         let mut got = c0;
-        kernels::matmul_acc_threads(&mut got.view_mut(), a.view(), b.view(), threads);
+        kernels::matmul_acc(&mut got.view_mut(), a.view(), b.view());
         prop_assert_eq!(got, want);
     }
 
@@ -386,7 +334,6 @@ proptest! {
         owned.enable_trace();
         let co = owned.tensor_mul(&a, &b);
         let mut viewed = TcuMachine::model(16, 7);
-        viewed.set_host_threads(3);
         viewed.enable_trace();
         let cv = viewed.tensor_mul_view(wide.subview(1, s, n, s), wts.subview(s, 0, s, s));
         prop_assert_eq!(co, cv);
