@@ -231,7 +231,31 @@ pub fn try_transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
 /// Kernels `A`, `B` and `C` of stage `kk` on the CPU, in place: close
 /// the pivot block, then fold it into the rest of its block row and
 /// block column.
+///
+/// Every row loop of the three kernels runs over `s` elements. The
+/// width the benchmarks and examples run, `s = 16`, is dispatched to an
+/// inlined copy of the kernels with a *literal* width `W`, as
+/// `tcu_linalg`'s `mul_band` does for its shapes: each step's pivot row
+/// then sits in a `[i64; W]` array that the compiler can keep in vector
+/// registers and knows aliases no row, and each row loop runs over
+/// those `W` values. Every other width runs the runtime-length loop
+/// (`W = 0`), which pays its vector prologue and remainder on every row
+/// and at `s = 16` is slower with 512-bit vectors than with 256-bit
+/// ones. Both arms compute the same elements in the same order.
 fn pivot_kernels<U: TensorUnit, E: Executor>(
+    mach: &mut TcuMachine<U, E>,
+    d: &mut Matrix<i64>,
+    kk: usize,
+    s: usize,
+) {
+    match s {
+        16 => pivot_kernels_impl::<U, E, 16>(mach, d, kk, s),
+        _ => pivot_kernels_impl::<U, E, 0>(mach, d, kk, s),
+    }
+}
+
+#[inline(always)]
+fn pivot_kernels_impl<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     d: &mut Matrix<i64>,
     kk: usize,
@@ -240,85 +264,97 @@ fn pivot_kernels<U: TensorUnit, E: Executor>(
     let q = d.rows() / s;
     // A( X_kk ): in-block closure.
     let mut xkk = d.block(kk * s, kk * s, s, s);
-    kernel_a(mach, &mut xkk);
+    kernel_a::<U, E, W>(mach, &mut xkk);
     d.set_block(kk * s, kk * s, &xkk);
 
     // B( X_kj, X_kk ): pivot block row.
     for j in (0..q).filter(|&j| j != kk) {
         let mut xkj = d.block(kk * s, j * s, s, s);
-        kernel_b(mach, &mut xkj, &xkk);
+        kernel_b::<U, E, W>(mach, &mut xkj, &xkk);
         d.set_block(kk * s, j * s, &xkj);
     }
 
     // C( X_ik, X_kk ): pivot block column.
     for i in (0..q).filter(|&i| i != kk) {
         let mut xik = d.block(i * s, kk * s, s, s);
-        kernel_c(mach, &mut xik, &xkk);
+        kernel_c::<U, E, W>(mach, &mut xik, &xkk);
         d.set_block(i * s, kk * s, &xik);
     }
 }
 
 /// `row[j] ∨= c ∧ pivot[j]` for every `j`: one row of a Figure 7 step.
+#[inline(always)]
 fn or_and(row: &mut [i64], c: i64, pivot: &[i64]) {
     for (x, &p) in row.iter_mut().zip(pivot) {
         *x |= c & p;
     }
 }
 
-/// Step `k` of a kernel whose pivot row is row `k` of the block it
-/// updates (`A`, `B`): `X[i,·] ∨= c_i ∧ X[k,·]` for every row `i ≠ k`,
-/// with `c_i = coef(i, X[i,k])`. Row `k` is skipped: its own update is
-/// `a ∨ (c ∧ a) = a`, so the other rows borrow it unchanged.
-fn pivot_row_step(x: &mut Matrix<i64>, k: usize, coef: impl Fn(usize, i64) -> i64) {
+/// The `s` steps of a Figure 7 kernel on the `s × s` block `x`: step `k`
+/// sets `X[i,·] ∨= c_i ∧ P[k,·]` for every row `i`, with
+/// `c_i = coef(i, k, X[i,k])`, where the pivot rows `P` are `y`'s, or
+/// `x`'s own when `y` is `None` (kernels `A` and `B`). Each step copies
+/// its pivot row before updating: `x`'s own pivot row updates to
+/// `a ∨ (c ∧ a) = a`, so it reads the same before and after. The copy
+/// is a `[i64; W]` for a dispatched width `W` (see [`pivot_kernels`])
+/// and a runtime-length buffer for `W = 0`.
+#[inline(always)]
+fn fig7_steps<const W: usize>(
+    x: &mut Matrix<i64>,
+    y: Option<&Matrix<i64>>,
+    coef: impl Fn(usize, usize, i64) -> i64,
+) {
     let s = x.cols();
-    let (above, rest) = x.as_mut_slice().split_at_mut(k * s);
-    let (pivot, below) = rest.split_at_mut(s);
-    let rows = (above.chunks_exact_mut(s).zip(0..)).chain(below.chunks_exact_mut(s).zip(k + 1..));
-    for (row, i) in rows {
-        let c = coef(i, row[k]);
-        or_and(row, c, pivot);
+    let mut buf = vec![0; if W == 0 { s } else { 0 }];
+    for k in 0..s {
+        let src = y.unwrap_or(x).row(k);
+        let fixed: [i64; W] = std::array::from_fn(|j| src[j]);
+        let pivot: &[i64] = if W == 0 {
+            buf.copy_from_slice(src);
+            &buf
+        } else {
+            &fixed
+        };
+        for (i, row) in x.as_mut_slice().chunks_exact_mut(s).enumerate() {
+            let c = coef(i, k, row[k]);
+            or_and(row, c, pivot);
+        }
     }
 }
 
 /// Kernel `A` (Figure 7): in-block closure with (∨, ∧); 2 ops per inner
-/// iteration. `X[i,k]` is read once per row: the step's `j = k` update
-/// leaves it unchanged.
-fn kernel_a<U: TensorUnit, E: Executor>(mach: &mut TcuMachine<U, E>, x: &mut Matrix<i64>) {
+/// iteration.
+#[inline(always)]
+fn kernel_a<U: TensorUnit, E: Executor, const W: usize>(
+    mach: &mut TcuMachine<U, E>,
+    x: &mut Matrix<i64>,
+) {
+    fig7_steps::<W>(x, None, |_, _, xik| xik);
     let s = x.rows();
-    for k in 0..s {
-        pivot_row_step(x, k, |_, xik| xik);
-    }
     mach.charge(2 * (s * s * s) as u64);
 }
 
 /// Kernel `B` (Figure 7): `X[i,j] ∨= Y[i,k] ∧ X[k,j]`.
-fn kernel_b<U: TensorUnit, E: Executor>(
+#[inline(always)]
+fn kernel_b<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
     y: &Matrix<i64>,
 ) {
+    fig7_steps::<W>(x, None, |i, k, _| y[(i, k)]);
     let s = x.rows();
-    for k in 0..s {
-        pivot_row_step(x, k, |i, _| y[(i, k)]);
-    }
     mach.charge(2 * (s * s * s) as u64);
 }
 
-/// Kernel `C` (Figure 7): `X[i,j] ∨= X[i,k] ∧ Y[k,j]`. `X[i,k]` is read
-/// once per row: the step's `j = k` update leaves it unchanged.
-fn kernel_c<U: TensorUnit, E: Executor>(
+/// Kernel `C` (Figure 7): `X[i,j] ∨= X[i,k] ∧ Y[k,j]`.
+#[inline(always)]
+fn kernel_c<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
     y: &Matrix<i64>,
 ) {
+    fig7_steps::<W>(x, Some(y), |_, _, xik| xik);
     let s = x.rows();
-    for k in 0..s {
-        let pivot = y.row(k);
-        for row in x.as_mut_slice().chunks_exact_mut(s) {
-            let c = row[k];
-            or_and(row, c, pivot);
-        }
-    }
     mach.charge(2 * (s * s * s) as u64);
 }
 
@@ -384,12 +420,18 @@ mod tests {
 
     #[test]
     fn matches_unblocked_oracle() {
+        // √m = 16 runs the fixed-width pivot kernels; √m = 2, 4, 6, 8
+        // and 32 the runtime-length loop.
         for (n, m, density) in [
             (8usize, 4usize, 0.2),
             (16, 16, 0.1),
             (32, 16, 0.05),
             (32, 16, 0.5),
             (24, 4, 0.15),
+            (32, 64, 0.05),
+            (64, 256, 0.025),
+            (64, 1024, 0.025),
+            (36, 36, 0.04),
         ] {
             let (host, dev) = closure_pair(n, m, density, 1000 + n as u64);
             assert_eq!(host, dev, "n={n} m={m} density={density}");
@@ -473,11 +515,17 @@ mod tests {
     #[cfg(feature = "sched")]
     #[test]
     fn scheduled_closure_matches_eager_with_identical_stats() {
+        // The fixed-width pivot kernels (√m = 16) and the runtime-length
+        // loop at √m = 2, 4, 6, 8 and 32.
         for (n, m, density) in [
             (16usize, 16usize, 0.1),
             (32, 16, 0.2),
             (24, 4, 0.15),
             (64, 16, 0.03),
+            (32, 64, 0.05),
+            (64, 256, 0.025),
+            (64, 1024, 0.025),
+            (36, 36, 0.04),
         ] {
             let mut rng = StdRng::seed_from_u64(500 + n as u64);
             let adj = random_digraph(n, density, &mut rng);

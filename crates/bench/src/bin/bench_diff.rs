@@ -11,7 +11,12 @@
 //! * `speedup_tiled` — the seed-kernel-vs-tiled-kernel ratio measured
 //!   on the *same* machine in the same run, so the check is meaningful
 //!   across hosts of different absolute speed. Regression = fresh ratio
-//!   more than `threshold` percent *below* baseline.
+//!   more than `threshold` percent *below* baseline. Compared **only
+//!   when both files name the same `target_features`**: the vector
+//!   instructions a build may use decide how wide both kernels run (a
+//!   256-bit build reads its `f64` ratios 37–48% below the 512-bit
+//!   `BENCH_matmul.json`), so mismatched features print an explicit
+//!   "skipped (features X vs Y)" line instead.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
 //!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow` and
 //!   `faults` `run_parallel` cases), and **only when both files were
@@ -82,10 +87,12 @@ impl CaseSpeedup {
 }
 
 /// One parsed bench file: its cases plus the core count it ran with
-/// (`available_parallelism`).
+/// (`available_parallelism`) and the vector features its binary was
+/// compiled with (`target_features`, written by `bench_matmul` only).
 struct BenchFile {
     cases: Vec<CaseSpeedup>,
     cores: Option<f64>,
+    features: Option<String>,
 }
 
 /// Extract `(name, speedup_tiled)` pairs from the bench JSON. The file
@@ -95,9 +102,13 @@ struct BenchFile {
 fn parse_file(text: &str) -> BenchFile {
     let mut cases = Vec::new();
     let mut cores = None;
+    let mut features = None;
     for line in text.lines() {
         if cores.is_none() {
             cores = field_num(line, "available_parallelism");
+        }
+        if features.is_none() {
+            features = field_str(line, "target_features");
         }
         let Some(name) = field_str(line, "name") else {
             continue;
@@ -127,7 +138,11 @@ fn parse_file(text: &str) -> BenchFile {
             sched_efficiency,
         });
     }
-    BenchFile { cases, cores }
+    BenchFile {
+        cases,
+        cores,
+        features,
+    }
 }
 
 fn field_str(line: &str, key: &str) -> Option<String> {
@@ -195,6 +210,20 @@ fn main() -> ExitCode {
             fresh_file.cores, base_file.cores
         );
     }
+    let same_features = fresh_file.features.is_some() && fresh_file.features == base_file.features;
+    let features_note = || {
+        format!(
+            "skipped (features \"{}\" vs \"{}\")",
+            fresh_file.features.as_deref().unwrap_or("?"),
+            base_file.features.as_deref().unwrap_or("?")
+        )
+    };
+    if !same_features && fresh.iter().any(|f| f.speedup_tiled.is_some()) {
+        println!(
+            "bench_diff: target features differ; tiled-speedup comparisons {}",
+            features_note()
+        );
+    }
 
     let mut regressions = 0u32;
     // Regressions that fail the run even in `--informational` mode:
@@ -236,7 +265,11 @@ fn main() -> ExitCode {
         // (kind, fresh, baseline, higher_is_better, unit suffix)
         let mut checks: Vec<(&str, f64, f64, bool, &str)> = Vec::new();
         if let (Some(ft), Some(bt)) = (f.speedup_tiled, b.speedup_tiled) {
-            checks.push(("tiled speedup", ft, bt, true, "x"));
+            if same_features {
+                checks.push(("tiled speedup", ft, bt, true, "x"));
+            } else {
+                println!("{:<20}  tiled speedup {}", f.name, features_note());
+            }
         }
         let cores_note = || {
             let show = |c: Option<f64>| c.map_or_else(|| "?".to_string(), |v| format!("{v}"));

@@ -26,6 +26,13 @@
 //! All variants are checked against `matmul_naive` before timing (to a
 //! rounding tolerance for the seed and blocked `f64` flows, exactly
 //! otherwise), so the numbers can never come from a wrong kernel.
+//!
+//! A case's seed and tiled variants are timed in interleaved rounds
+//! ([`tcu_bench::time_pair_ns`]), since `speedup_tiled` is their ratio.
+//! Timed one after the other on 512-bit vectors, the seed kernel's
+//! per-call time moved by up to a third from one process to the next
+//! (`tensor_mul n=64`: 3.1 or 3.9–4.3 µs), enough to fail `bench_diff`'s
+//! 20% gate on the box that recorded the baseline.
 
 use tcu_linalg::kernels;
 use tcu_linalg::ops::{matmul_naive, max_abs_diff};
@@ -202,11 +209,14 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool) -> Case {
     }
 
     let reps: u32 = if quick { 20 } else { 200 };
-    let seed_ns = tcu_bench::time_ns(reps, || {
-        let strip = wide.block(0, s, n, s);
-        matmul_seed(&strip, &b)
-    });
-    let tiled_ns = tcu_bench::time_ns(reps, || tiled(&wide, &b));
+    let (seed_ns, tiled_ns) = tcu_bench::time_pair_ns(
+        reps,
+        || {
+            let strip = wide.block(0, s, n, s);
+            matmul_seed(&strip, &b)
+        },
+        || tiled(&wide, &b),
+    );
     let wide_ns = past_32_bits.map(|(wide, b)| tcu_bench::time_ns(reps, || tiled(&wide, &b)));
     Case {
         name: format!("tensor_mul n={n}{}", T::SUFFIX),
@@ -247,8 +257,8 @@ fn bench_blocked<T: Elem>(d: usize, quick: bool) -> Case {
     }
 
     let reps: u32 = if quick { 3 } else { 10 };
-    let seed_ns = tcu_bench::time_ns(reps, || seed_flow(&a, &b));
-    let tiled_ns = tcu_bench::time_ns(reps, || packed_flow(&a, &b));
+    let (seed_ns, tiled_ns) =
+        tcu_bench::time_pair_ns(reps, || seed_flow(&a, &b), || packed_flow(&a, &b));
     let wide_ns = past_32_bits.map(|(a, b)| tcu_bench::time_ns(reps, || packed_flow(&a, &b)));
     Case {
         name: format!("blocked d={d}{}", T::SUFFIX),
@@ -326,6 +336,7 @@ fn render_json(cases: &[Case], quick: bool, cores: usize) -> String {
         "  \"target_features\": \"{}\",\n",
         target_features()
     ));
+    out.push_str(&format!("  \"rustflags\": \"{}\",\n", tcu_bench::RUSTFLAGS));
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     out.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {

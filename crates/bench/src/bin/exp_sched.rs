@@ -928,6 +928,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sched\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!("  \"rustflags\": \"{}\",\n", tcu_bench::RUSTFLAGS));
     json.push_str(&format!("  \"available_parallelism\": {threads},\n"));
     json.push_str(&format!("  \"pack_cache_cap\": {pack_cache_cap},\n"));
     json.push_str(&format!("  \"memo_hits\": {memo_hits},\n"));

@@ -14,6 +14,12 @@ pub mod experiments;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// The rustflags this package was compiled with (space separated, empty
+/// for none), as cargo passed them to the build script. `bench_matmul`
+/// and `exp_sched` write them into their JSON headers: a recording
+/// built without `.cargo/config.toml`'s flags measures other kernels.
+pub const RUSTFLAGS: &str = env!("TCU_BENCH_RUSTFLAGS");
+
 /// Set by [`experiment_main`] when `--stats` asks for per-machine
 /// summaries; read by [`report_stats`].
 static STATS_ENABLED: AtomicBool = AtomicBool::new(false);

@@ -43,6 +43,17 @@
 //! The kernels run on the calling thread. Parallelism lives one level
 //! up, where the paper puts it: `p` tensor units, each invocation one
 //! atomic charge.
+//!
+//! **Vector width.** The kernels are plain Rust that the compiler
+//! vectorizes; nothing here names an instruction set. Which vectors it
+//! emits is a property of the build: `.cargo/config.toml` builds for
+//! `target-cpu=native` and clears LLVM's `prefer-256-bit` tuning (which
+//! LLVM sets for recent Intel server cores), so on an AVX-512 host the
+//! const-dimension micro-kernels use 512-bit zmm registers, and on an
+//! AVX2 host 256-bit ymm ones; a portable build gets SSE2. Without
+//! the flag, an AVX-512 host whose tuning sets it gets ymm code. Each
+//! lane holds one output element and runs the same operation in the
+//! same `k` order, so the width never changes a result bit.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -51,9 +62,12 @@ use crate::view::{MatrixView, MatrixViewMut};
 /// Micro-kernel height: rows of `C` kept in accumulators per tile.
 const MR: usize = 4;
 /// Micro-kernel width: one packed `B` panel. `4 × 16` keeps the whole
-/// accumulator tile in vector registers (8 zmm of `f64` with AVX-512,
-/// 16 ymm with AVX2) and covers the hot `√m = 16` shape with a single
-/// panel, so the left operand is traversed once per invocation.
+/// accumulator tile in vector registers and covers the hot `√m = 16`
+/// shape with a single panel, so the left operand is traversed once per
+/// invocation. The tile is 8 zmm of `f64` when the build emits 512-bit
+/// vectors (an AVX-512 host with `.cargo/config.toml`'s
+/// `target-feature=-prefer-256-bit`, see the module docs) and 16 ymm
+/// when it emits 256-bit ones (AVX2, or AVX-512 without that flag).
 const NR: usize = 16;
 
 /// `C = A·B` through the tiled kernel.
