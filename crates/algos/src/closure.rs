@@ -69,9 +69,28 @@ pub fn transitive_closure<U: TensorUnit, E: Executor>(
     }
 }
 
-/// Deferred fast path (feature `sched`): [`transitive_closure`] with
-/// every stage's `D` updates recorded into a `tcu-sched` op graph and
-/// run as a planned, tagged stream.
+// Per-thread scratch pool for `try_transitive_scheduled`: the
+// `[tall, wts, prods]` buffers of the last completed call, handed back
+// to the next call of the same shape. Dropped (not restored) on the
+// error path — a faulted run just re-allocates next time.
+thread_local! {
+    static SCRATCH: core::cell::RefCell<Option<[Matrix<i64>; 3]>> =
+        const { core::cell::RefCell::new(None) };
+}
+
+/// Block-columns of `D`-stage updates batched per plan in
+/// [`try_transitive_scheduled`]. Chosen so the product panel
+/// (`D_CHUNK · (q−1) · s²` elements) stays L2-resident at the bench
+/// shape (n = 256, s = 16 → 120 KiB): profiling chunk sizes 2/4/8/15
+/// showed 2 dominated by per-plan machinery, 15 (everything in one
+/// plan) dominated by the 460 KiB product round-trip evicting `X`
+/// between fold and the next stage's kernels, and 4 ≈ 8 at the sweet
+/// spot.
+const D_CHUNK: usize = 4;
+
+/// Deferred fast path: [`transitive_closure`] with every stage's `D`
+/// updates recorded into a `tcu-sched` op graph and run as a planned,
+/// tagged stream.
 ///
 /// Per pivot block `kk`, the stacked tall operand `T` (every `X_{i,k}`,
 /// `i ≠ k`) is recorded as the single left operand streamed against the
@@ -94,45 +113,13 @@ pub fn transitive_closure<U: TensorUnit, E: Executor>(
 /// as the eager kernel `D` charges it — `Stats` and results are
 /// identical.
 ///
-/// # Panics
-/// Panics unless `d` is square 0/1 with `√m | n`.
-#[cfg(feature = "sched")]
-pub fn transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    d: &mut Matrix<i64>,
-) {
-    try_transitive_scheduled(mach, d).unwrap_or_else(|e| panic!("{e}"));
-}
-
-// Per-thread scratch pool for `try_transitive_scheduled`: the
-// `[tall, wts, prods]` buffers of the last completed call, handed back
-// to the next call of the same shape. Dropped (not restored) on the
-// error path — a faulted run just re-allocates next time.
-#[cfg(feature = "sched")]
-thread_local! {
-    static SCRATCH: core::cell::RefCell<Option<[Matrix<i64>; 3]>> =
-        const { core::cell::RefCell::new(None) };
-}
-
-/// Block-columns of `D`-stage updates batched per plan in
-/// [`try_transitive_scheduled`]. Chosen so the product panel
-/// (`D_CHUNK · (q−1) · s²` elements) stays L2-resident at the bench
-/// shape (n = 256, s = 16 → 120 KiB): profiling chunk sizes 2/4/8/15
-/// showed 2 dominated by per-plan machinery, 15 (everything in one
-/// plan) dominated by the 460 KiB product round-trip evicting `X`
-/// between fold and the next stage's kernels, and 4 ≈ 8 at the sweet
-/// spot.
-#[cfg(feature = "sched")]
-const D_CHUNK: usize = 4;
-
-/// Fallible form of [`transitive_scheduled`]: execution faults surface
-/// as [`tcu_core::TcuError`] instead of panicking. Shape and 0/1-entry
-/// preconditions still panic — they are caller bugs, not runtime
-/// faults.
-///
 /// # Errors
-/// Propagates any [`tcu_core::TcuError`] from [`tcu_sched::Schedule::try_run`].
-#[cfg(feature = "sched")]
+/// Execution faults come back as the [`tcu_core::TcuError`] of
+/// [`tcu_sched::Schedule::try_run`].
+///
+/// # Panics
+/// Panics unless `d` is square 0/1 with `√m | n` — caller bugs, not
+/// runtime faults.
 pub fn try_transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     d: &mut Matrix<i64>,
@@ -512,7 +499,6 @@ mod tests {
         transitive_closure(&mut mach, &mut d);
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_closure_matches_eager_with_identical_stats() {
         // The fixed-width pivot kernels (√m = 16) and the runtime-length
@@ -535,14 +521,13 @@ mod tests {
             let mut sched = TcuMachine::model(m, 7);
             sched.executor_mut().enable_pack_cache(2);
             let mut got = adj.clone();
-            transitive_scheduled(&mut sched, &mut got);
+            try_transitive_scheduled(&mut sched, &mut got).unwrap();
             assert_eq!(got, want, "n={n} m={m}");
             assert_eq!(got, transitive_closure_host(&adj), "n={n} m={m}");
             assert_eq!(sched.stats(), eager.stats(), "n={n} m={m}");
         }
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_closure_plans_once_per_chunk_length() {
         use crate::plan_memo::plan_cache_stats;
@@ -558,7 +543,7 @@ mod tests {
             let mut mach = TcuMachine::model(m, 4_128);
             let mut d = adj.clone();
             let before = plan_cache_stats();
-            transitive_scheduled(&mut mach, &mut d);
+            try_transitive_scheduled(&mut mach, &mut d).unwrap();
             let after = plan_cache_stats();
             (d, after.misses - before.misses, after.hits - before.hits)
         };
@@ -570,7 +555,6 @@ mod tests {
         assert_eq!((warm_misses, warm_hits), (0, 256), "warm call");
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_closure_packs_each_stage_stack_once() {
         let (n, m) = (32usize, 16usize);
@@ -579,7 +563,7 @@ mod tests {
         let mut d = random_digraph(n, 0.2, &mut rng);
         let mut mach = TcuMachine::model(m, 0);
         mach.executor_mut().enable_pack_cache(2);
-        transitive_scheduled(&mut mach, &mut d);
+        try_transitive_scheduled(&mut mach, &mut d).unwrap();
         let cache = mach.executor().pack_cache_stats().expect("cache on");
         // q stages, each streaming one stacked operand against q − 1
         // weight blocks in ⌈(q−1)/D_CHUNK⌉ chunk plans: one lookup per

@@ -130,65 +130,35 @@ pub fn multiply_rect_view<T: Scalar, U: TensorUnit, E: Executor>(
     c
 }
 
-/// Deferred fast path (feature `sched`): record the Theorem 2 blocked
-/// flow into a `tcu-sched` op graph and run the coalesced schedule.
+/// Deferred fast path: record the Theorem 2 blocked flow into a
+/// `tcu-sched` op graph, recorded in `blk × blk` blocks, and run the
+/// coalesced schedule.
 ///
-/// With the natural block size `√m` the recorded stream is identical to
-/// [`multiply`]'s op-for-op (nothing can merge) and the simulated
-/// `Stats` totals match the eager path exactly — what the pack cache
-/// then removes is host-side strip re-packing, not model charges. With
-/// a *smaller* block size (see [`multiply_scheduled_blocked`]) the
-/// scheduler's width/inner merging rebuilds full-footprint invocations
-/// out of the narrow recording, recovering the model-optimal charge
-/// from suboptimally-blocked code.
+/// With the natural block size `blk = √m` the recorded stream is
+/// identical to [`multiply`]'s op-for-op (nothing can merge) and the
+/// simulated `Stats` totals match the eager path exactly — what the
+/// pack cache then removes is host-side strip re-packing, not model
+/// charges. With a *smaller* block size `blk < √m` (the coalescing
+/// ablation) the scheduler's width/inner merging rebuilds
+/// full-footprint invocations out of the narrow recording, merging
+/// `(√m/blk)²` narrow ops into each emitted invocation and recovering
+/// the model-optimal charge from suboptimally-blocked code. The merged
+/// inner chains reassociate per-element sums, so use ring scalars
+/// (integers, `F_p`) when exact equality with the eager path matters;
+/// at `blk = √m` results are bit-identical for every scalar type.
 ///
 /// The recorded graph and its schedule are memoized per `(d, blk)` and
 /// unit in [`crate::plan_memo`], so a repeated call at one shape records,
 /// plans and compiles nothing: it binds the operands and runs.
 ///
-/// # Panics
-/// Panics unless operands are square of equal dimension `d` with `√m | d`.
-#[cfg(feature = "sched")]
-#[must_use]
-pub fn multiply_scheduled<T: Scalar, U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    let s = mach.sqrt_m();
-    multiply_scheduled_blocked(mach, a, b, s)
-}
-
-/// [`multiply_scheduled`] with an explicit recording block size
-/// `blk ≤ √m` (the coalescing ablation: a block-`blk` recording on a
-/// `√m`-unit machine merges `(√m/blk)²` narrow ops into each emitted
-/// invocation). For non-`√m` blocks the merged inner chains reassociate
-/// per-element sums, so use ring scalars (integers, `F_p`) when exact
-/// equality with the eager path matters; at `blk = √m` results are
-/// bit-identical for every scalar type.
+/// # Errors
+/// Execution faults (binding, validation, unit failures) come back as
+/// the [`tcu_core::TcuError`] of [`tcu_sched::Schedule::try_run`].
 ///
 /// # Panics
 /// Panics unless operands are square of equal dimension `d`, with
-/// `blk | d`, `blk | √m`, and `d ≥ √m`.
-#[cfg(feature = "sched")]
-#[must_use]
-pub fn multiply_scheduled_blocked<T: Scalar, U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    blk: usize,
-) -> Matrix<T> {
-    try_multiply_scheduled_blocked(mach, a, b, blk).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`multiply_scheduled_blocked`]: execution faults
-/// (binding, validation, unit failures) surface as
-/// [`tcu_core::TcuError`] instead of panicking. Shape preconditions on
-/// the operands still panic — they are caller bugs, not runtime faults.
-///
-/// # Errors
-/// Propagates any [`tcu_core::TcuError`] from [`tcu_sched::Schedule::try_run`].
-#[cfg(feature = "sched")]
+/// `blk | d`, `blk | √m`, and `d ≥ √m` — caller bugs, not runtime
+/// faults.
 pub fn try_multiply_scheduled_blocked<T: Scalar, U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     a: &Matrix<T>,
@@ -467,7 +437,6 @@ mod tests {
         assert_eq!(multiply(&mut mach, &a, &id), a);
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_at_native_block_matches_eager_stats_exactly() {
         let (m, l) = (16usize, 1000u64);
@@ -478,7 +447,7 @@ mod tests {
             let want = multiply(&mut eager, &a, &b);
             let mut sched = TcuMachine::model(m, l);
             sched.executor_mut().enable_pack_cache(d / 4);
-            let got = multiply_scheduled(&mut sched, &a, &b);
+            let got = try_multiply_scheduled_blocked(&mut sched, &a, &b, 4).unwrap();
             assert_eq!(got, want, "d = {d}");
             assert_eq!(got, matmul_naive(&a, &b), "d = {d}");
             // Same op multiset, same CPU summation bill: full parity.
@@ -489,7 +458,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn repeated_scheduled_calls_reuse_one_memoized_plan() {
         use crate::plan_memo::plan_cache_stats;
@@ -499,7 +467,7 @@ mod tests {
         let b = pseudo(d, d, 26);
         let run = || {
             let mut mach = TcuMachine::model(m, l);
-            let c = multiply_scheduled_blocked(&mut mach, &a, &b, 2);
+            let c = try_multiply_scheduled_blocked(&mut mach, &a, &b, 2).unwrap();
             (c, mach.stats().clone())
         };
         let (first, first_stats) = run();
@@ -513,7 +481,6 @@ mod tests {
         assert_eq!(second_stats, first_stats);
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn narrow_recording_coalesces_back_to_native_charges() {
         // Block-2 recording on a √m = 4 machine: the scheduler merges
@@ -527,7 +494,7 @@ mod tests {
         let mut native = TcuMachine::model(m, l);
         let want = multiply(&mut native, &a, &b);
         let mut narrow = TcuMachine::model(m, l);
-        let got = multiply_scheduled_blocked(&mut narrow, &a, &b, 2);
+        let got = try_multiply_scheduled_blocked(&mut narrow, &a, &b, 2).unwrap();
         assert_eq!(got, want);
         // Full parity with the natively-blocked flow: merging rebuilds
         // the same invocation grid (charge rows pad to the footprint

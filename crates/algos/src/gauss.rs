@@ -68,9 +68,9 @@ pub fn ge_forward<T: Field, U: TensorUnit, E: Executor>(
     }
 }
 
-/// Deferred fast path (feature `sched`): [`ge_forward`] with every
-/// stage's Schur-complement update (`D` kernels) recorded into a
-/// `tcu-sched` op graph and run as a planned, tagged stream.
+/// Deferred fast path: [`ge_forward`] with every stage's
+/// Schur-complement update (`D` kernels) recorded into a `tcu-sched` op
+/// graph and run as a planned, tagged stream.
 ///
 /// This is the versioned pipeline capability at work: the graph reads
 /// the pivot *panel* of `X` — the column of blocks below the diagonal —
@@ -85,24 +85,13 @@ pub fn ge_forward<T: Field, U: TensorUnit, E: Executor>(
 /// every `Field` scalar, floats included (the fused accumulate performs
 /// the same per-element sum as product-then-add).
 ///
+/// # Errors
+/// Execution faults come back as the [`tcu_core::TcuError`] of
+/// [`tcu_sched::Schedule::try_run`].
+///
 /// # Panics
 /// Panics unless `x` is square with `√m | √n`, or if a pivot used by
-/// the no-pivoting scheme is zero.
-#[cfg(feature = "sched")]
-pub fn eliminate_scheduled<T: Field, U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    x: &mut Matrix<T>,
-) {
-    try_eliminate_scheduled(mach, x).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Fallible form of [`eliminate_scheduled`]: execution faults surface
-/// as [`tcu_core::TcuError`] instead of panicking. Shape preconditions
-/// still panic — they are caller bugs, not runtime faults.
-///
-/// # Errors
-/// Propagates any [`tcu_core::TcuError`] from [`tcu_sched::Schedule::try_run`].
-#[cfg(feature = "sched")]
+/// the no-pivoting scheme is zero — caller bugs, not runtime faults.
 pub fn try_eliminate_scheduled<T: Field, U: TensorUnit + 'static, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<T>,
@@ -425,7 +414,6 @@ mod tests {
         ge_forward(&mut mach, &mut c);
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_elimination_is_bit_identical_with_identical_stats() {
         for (d, m) in [(16usize, 16usize), (32, 16), (24, 16), (32, 4)] {
@@ -436,7 +424,7 @@ mod tests {
             let mut sched = TcuMachine::model(m, 1000);
             sched.executor_mut().enable_pack_cache(4);
             let mut got = c0;
-            eliminate_scheduled(&mut sched, &mut got);
+            try_eliminate_scheduled(&mut sched, &mut got).unwrap();
             // Fused accumulates perform the same per-element sums, so
             // even f64 agrees under IEEE equality.
             assert_eq!(got, want, "d={d} m={m}");
@@ -444,7 +432,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_elimination_exact_over_prime_field() {
         let d = 16usize;
@@ -462,12 +449,11 @@ mod tests {
         ge_forward(&mut eager, &mut want);
         let mut sched = TcuMachine::model(16, 3);
         let mut got = c0;
-        eliminate_scheduled(&mut sched, &mut got);
+        try_eliminate_scheduled(&mut sched, &mut got).unwrap();
         assert_eq!(got, want);
         assert_eq!(sched.stats(), eager.stats());
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_elimination_packs_each_pivot_panel_once() {
         let (d, m) = (32usize, 16usize);
@@ -476,7 +462,7 @@ mod tests {
         let mut mach = TcuMachine::model(m, 10);
         mach.executor_mut().enable_pack_cache(2);
         let mut x = c0;
-        eliminate_scheduled(&mut mach, &mut x);
+        try_eliminate_scheduled(&mut mach, &mut x).unwrap();
         let cache = mach.executor().pack_cache_stats().expect("cache on");
         // Per stage with rem > 0: the panel is the only left operand —
         // one pack, rem − 1 re-uses.

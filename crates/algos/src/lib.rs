@@ -34,7 +34,6 @@ pub mod fft;
 pub mod gauss;
 pub mod intmul;
 pub mod parallel;
-#[cfg(feature = "sched")]
 pub mod plan_memo;
 pub mod poly;
 pub mod scan;

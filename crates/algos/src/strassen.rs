@@ -84,36 +84,6 @@ pub fn multiply_strassen_with_base<T: Scalar, U: TensorUnit, E: Executor>(
     rec_strassen(mach, a.view(), b.view(), base_dim.max(1))
 }
 
-/// Deferred fast path (feature `sched`): the standard eight-product
-/// recursion with every base product recorded into one `tcu-sched` op
-/// graph before anything executes. The recursion only ever multiplies
-/// sub-blocks of the *original* operands (all combining additions come
-/// after the products), so the whole product tree is a single batch of
-/// independent ops over regions of `A` and `B` — one wave the scheduler
-/// may reorder, coalesce, and strip-cache at will. Base products are
-/// emitted grouped by left-operand block with column-adjacent weight
-/// blocks consecutive, which is exactly the shape width-merging fuses:
-/// with a base dimension below `√m` (see
-/// [`multiply_recursive_scheduled_with_base`]) pairs of products
-/// collapse into one invocation. Results are bit-identical to
-/// [`multiply_recursive`] for every scalar type (the leaf products
-/// write disjoint slots, so merging fuses truly independent ops and no
-/// sum is reassociated), and at base `√m` the simulated `Stats` totals
-/// match the eager recursion exactly.
-///
-/// # Panics
-/// Panics unless operands are square, of equal power-of-two dimension.
-#[cfg(feature = "sched")]
-#[must_use]
-pub fn multiply_recursive_scheduled<T: Scalar, U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
-    let base = mach.sqrt_m();
-    multiply_recursive_scheduled_with_base(mach, a, b, base)
-}
-
 /// Largest leaf-product count for which the scheduled recursion's graph
 /// and plan are memoized across calls (see [`crate::plan_memo`]).
 ///
@@ -122,35 +92,31 @@ pub fn multiply_recursive_scheduled<T: Scalar, U: TensorUnit + 'static, E: Execu
 /// wall cliff the benchmarks exposed), so the plan is cached and
 /// replayed; above it, planning is a vanishing fraction of the work and
 /// the memory for a retained graph would be wasted.
-#[cfg(feature = "sched")]
 pub const PLAN_MEMO_MAX_LEAVES: usize = 4096;
 
-/// [`multiply_recursive_scheduled`] with an explicit base-case
-/// dimension `≤ √m` (the coalescing ablation hook).
+/// Deferred fast path: the standard eight-product recursion with every
+/// base product recorded into one `tcu-sched` op graph before anything
+/// executes. The recursion only ever multiplies sub-blocks of the
+/// *original* operands (all combining additions come after the
+/// products), so the whole product tree is a single batch of
+/// independent ops over regions of `A` and `B` — one wave the scheduler
+/// may reorder, coalesce, and strip-cache at will. Base products are
+/// emitted grouped by left-operand block with column-adjacent weight
+/// blocks consecutive, which is exactly the shape width-merging fuses:
+/// with a base dimension `base_dim` below `√m` (the coalescing ablation
+/// hook) pairs of products collapse into one invocation. Results are
+/// bit-identical to [`multiply_recursive_with_base`] for every scalar
+/// type (the leaf products write disjoint slots, so merging fuses truly
+/// independent ops and no sum is reassociated), and at base `√m` the
+/// simulated `Stats` totals match the eager recursion exactly.
+///
+/// # Errors
+/// Execution faults come back as the [`tcu_core::TcuError`] of
+/// [`tcu_sched::Schedule::try_run`].
 ///
 /// # Panics
 /// Panics unless operands are square of equal power-of-two dimension
-/// and `1 ≤ base_dim ≤ √m`.
-#[cfg(feature = "sched")]
-#[must_use]
-pub fn multiply_recursive_scheduled_with_base<T: Scalar, U: TensorUnit + 'static, E: Executor>(
-    mach: &mut TcuMachine<U, E>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    base_dim: usize,
-) -> Matrix<T> {
-    try_multiply_recursive_scheduled_with_base(mach, a, b, base_dim)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`multiply_recursive_scheduled_with_base`]:
-/// execution faults surface as [`tcu_core::TcuError`] instead of
-/// panicking. Shape preconditions still panic — they are caller bugs,
-/// not runtime faults.
-///
-/// # Errors
-/// Propagates any [`tcu_core::TcuError`] from [`tcu_sched::Schedule::try_run`].
-#[cfg(feature = "sched")]
+/// and `1 ≤ base_dim ≤ √m` — caller bugs, not runtime faults.
 pub fn try_multiply_recursive_scheduled_with_base<
     T: Scalar,
     U: TensorUnit + 'static,
@@ -225,7 +191,6 @@ pub fn try_multiply_recursive_scheduled_with_base<
 /// row-) adjacent regions of the original `B`, so consecutive leaf
 /// pairs share the left strip against adjacent weights — the width-
 /// merge shape. `(ar, ac)` / `(br, bc)` anchor the current sub-blocks.
-#[cfg(feature = "sched")]
 #[allow(clippy::too_many_arguments)]
 fn record_products(
     g: &mut tcu_sched::OpGraph,
@@ -282,7 +247,6 @@ fn record_products(
 /// Reassemble the product batch bottom-up, consuming leaves in the
 /// emission order of [`record_products`] and billing the combining
 /// additions exactly as the eager recursion does.
-#[cfg(feature = "sched")]
 fn combine_products<T: Scalar, U: TensorUnit, E: Executor>(
     mach: &mut TcuMachine<U, E>,
     products: &Matrix<T>,
@@ -603,7 +567,6 @@ mod tests {
         let _ = multiply_strassen(&mut mach, &a, &a.clone());
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_recursion_matches_eager_results_and_stats() {
         let (m, l) = (16usize, 777u64);
@@ -613,13 +576,12 @@ mod tests {
             let mut eager = TcuMachine::model(m, l);
             let want = multiply_recursive(&mut eager, &a, &b);
             let mut sched = TcuMachine::model(m, l);
-            let got = multiply_recursive_scheduled(&mut sched, &a, &b);
+            let got = try_multiply_recursive_scheduled_with_base(&mut sched, &a, &b, 4).unwrap();
             assert_eq!(got, want, "d = {d}");
             assert_eq!(sched.stats(), eager.stats(), "d = {d}");
         }
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn sub_footprint_base_coalesces_product_pairs() {
         // Base 2 on a √m = 4 machine: leaf products come in (same left
@@ -633,7 +595,7 @@ mod tests {
         let mut eager = TcuMachine::model(m, l);
         let want = multiply_recursive_with_base(&mut eager, &a, &b, 2);
         let mut sched = TcuMachine::model(m, l);
-        let got = multiply_recursive_scheduled_with_base(&mut sched, &a, &b, 2);
+        let got = try_multiply_recursive_scheduled_with_base(&mut sched, &a, &b, 2).unwrap();
         assert_eq!(got, want);
         assert_eq!(got, matmul_naive(&a, &b));
         assert_eq!(
@@ -644,7 +606,6 @@ mod tests {
         assert!(sched.time() < eager.time());
     }
 
-    #[cfg(feature = "sched")]
     #[test]
     fn scheduled_recursion_is_float_exact() {
         // Width merges never reassociate a sum, so even f64 results are
@@ -657,7 +618,7 @@ mod tests {
             let mut eager = TcuMachine::model(16, 5);
             let want = multiply_recursive_with_base(&mut eager, &a, &b, base);
             let mut sched = TcuMachine::model(16, 5);
-            let got = multiply_recursive_scheduled_with_base(&mut sched, &a, &b, base);
+            let got = try_multiply_recursive_scheduled_with_base(&mut sched, &a, &b, base).unwrap();
             assert_eq!(got, want, "base = {base}");
         }
     }

@@ -19,7 +19,7 @@
 //!   "skipped (features X vs Y)" line instead.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
 //!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow` and
-//!   `faults` `run_parallel` cases), and **only when both files were
+//!   `faults` `try_run_parallel` cases), and **only when both files were
 //!   measured with the same `available_parallelism`**: a parallel ratio
 //!   from a 1-core runner says nothing about a multi-core baseline, so
 //!   mismatched core counts print an explicit "skipped (cores N vs M)"

@@ -41,7 +41,7 @@
 //!   dominant wall cost here, the 0.158× cliff — is paid once in the
 //!   warmup and the timed rounds run plan-free.
 //! * `dataflow d=<d> units=<p>` — the serial scheduled run versus
-//!   `run_parallel` (the barrier-free dataflow driver) on `p` units
+//!   `try_run_parallel` (the barrier-free dataflow driver) on `p` units
 //!   over the packcache-style accumulation graph (`d/√m` independent
 //!   column-block chains). Results are asserted bit-identical before
 //!   timing; the `speedup_wall` of these cases is what `bench_diff`
@@ -50,9 +50,8 @@
 //!   worker per unit). Their `sched_efficiency` (the structural bound
 //!   over the dataflow makespan) is a *hard* `bench_diff` gate —
 //!   deterministic, so >10% drops fail even in informational mode.
-//! * `faults d=<d> units=<p> rate=<r>` — `run_parallel` on plain
-//!   executors versus the fault-tolerant `try_run_parallel` on
-//!   `FaultyExecutor`s injecting `r` transient faults per mille (plus a
+//! * `faults d=<d> units=<p> rate=<r>` — `try_run_parallel` on plain
+//!   executors versus on `FaultyExecutor`s injecting `r` transient faults per mille (plus a
 //!   permanent victim when `r > 0`). `rate=0` pins the fault-free
 //!   containment overhead in wall-clock (the gated number); nonzero
 //!   rates chart recovery's simulated cost — retry backoff + recovery
@@ -61,9 +60,10 @@
 //!   asserted byte-identical before timing (the recovery contract).
 //! * `gauss d=<d>` / `closure n=<n>` — the panel-re-streaming paper
 //!   workloads on their scheduled fast paths
-//!   (`gauss::eliminate_scheduled`, `closure::transitive_scheduled`):
-//!   model charges are asserted identical to eager. With plans
-//!   memoized + compiled once (structural shape-hash sharing) and the
+//!   (`gauss::try_eliminate_scheduled`,
+//!   `closure::try_transitive_scheduled`): model charges are asserted
+//!   identical to eager. With plans memoized + compiled once per stage
+//!   shape (the memo's parameter key names the shape) and the
 //!   closure `D`-stage chunked to keep its product panel
 //!   cache-resident, both run at or above eager wall at the committed
 //!   sizes — `bench_diff` gates their `speedup_wall` against an
@@ -99,10 +99,10 @@ fn workload(r: usize, c: usize, seed: u64) -> Matrix<f64> {
 /// inside the timed call (gauss/closure/strassen). `first_plan_ns` is
 /// the planning wall time the *first* (warmup) call paid — the cost the
 /// old single `plan_ns: 0.0` field hid — and `amortized_plan_ns` is the
-/// planning time per timed rep once the structural memo is warm (≈ 0
-/// when plan sharing works). The hit/miss counters are cumulative over
-/// the case (warmup + timed reps), so `plan_cache_hits > 0` is the CI
-/// witness that equal-shape stages actually shared a plan.
+/// planning time per timed rep once the memo is warm (≈ 0 when plan
+/// sharing works). The hit/miss counters are cumulative over the case
+/// (warmup + timed reps); CI pins `plan_cache_misses` at one plan per
+/// stage shape.
 #[derive(Default)]
 struct MemoCost {
     first_plan_ns: f64,
@@ -215,7 +215,7 @@ fn bench_packcache(d: usize, quick: bool) -> Case {
     let (c_sched, sched_stats, cache) = {
         let mut mach = TcuMachine::model(s * s, 0);
         mach.executor_mut().enable_pack_cache(pack_cap);
-        let c = dense::multiply_scheduled(&mut mach, &a, &b);
+        let c = dense::try_multiply_scheduled_blocked(&mut mach, &a, &b, s).unwrap();
         let cache = mach.executor().pack_cache_stats().expect("cache enabled");
         (c, mach.stats().clone(), cache)
     };
@@ -264,10 +264,10 @@ fn bench_packcache(d: usize, quick: bool) -> Case {
         mach.executor_mut().enable_pack_cache(pack_cap);
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         c
     };
     assert_eq!(sched_once(), c_eager, "planned run must equal eager");
@@ -344,10 +344,10 @@ fn bench_coalesce(d: usize, quick: bool) -> Case {
             .enable_pack_cache(tcu_core::pack_cache_capacity((d, d), s, 1));
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         (c, mach.stats().clone())
     };
 
@@ -479,7 +479,7 @@ fn bench_gauss(d: usize, quick: bool) -> Case {
         let mut mach = TcuMachine::model(s * s, 0);
         mach.executor_mut().enable_pack_cache(pack_cap);
         let mut x = c0.clone();
-        gauss::eliminate_scheduled(&mut mach, &mut x);
+        gauss::try_eliminate_scheduled(&mut mach, &mut x).unwrap();
         let cache = mach.executor().pack_cache_stats().expect("cache enabled");
         (x, mach.stats().clone(), cache)
     };
@@ -503,7 +503,7 @@ fn bench_gauss(d: usize, quick: bool) -> Case {
         sched_ns,
         // Record + plan happen per stage inside the timed call; the
         // memo split below reports what that actually cost (first call
-        // plans, warm reps ride the structural memo).
+        // plans, warm reps ride the memo).
         plan_ns: 0.0,
         eager_invocations: eager_stats.tensor_calls,
         sched_invocations: sched_stats.tensor_calls,
@@ -543,7 +543,7 @@ fn bench_closure(n: usize, quick: bool) -> Case {
     let sched_run = || {
         let mut mach = TcuMachine::model(s * s, 0);
         let mut x = adj.clone();
-        closure::transitive_scheduled(&mut mach, &mut x);
+        closure::try_transitive_scheduled(&mut mach, &mut x).unwrap();
         (x, mach.stats().clone())
     };
     reset_plan_cache_stats();
@@ -601,7 +601,8 @@ fn bench_strassen(d: usize, quick: bool) -> Case {
     // re-streamed many times (gauss), not sub-footprint tiles.
     let sched_run = || {
         let mut mach = TcuMachine::model(SQRT_M * SQRT_M, l);
-        let c = strassen::multiply_recursive_scheduled_with_base(&mut mach, &ai, &bi, base);
+        let c = strassen::try_multiply_recursive_scheduled_with_base(&mut mach, &ai, &bi, base)
+            .unwrap();
         (c, mach.stats().clone())
     };
     reset_plan_cache_stats();
@@ -645,7 +646,7 @@ fn bench_strassen(d: usize, quick: bool) -> Case {
     }
 }
 
-/// Serial scheduled run vs `run_parallel`, the barrier-free dataflow
+/// Serial scheduled run vs `try_run_parallel`, the barrier-free dataflow
 /// driver, on `units`. The graph is the packcache accumulation flow:
 /// `q` independent column-block chains of `q` products each. The
 /// placement is resolved at plan time; at run time ops dispatch as
@@ -688,25 +689,25 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
         let mut mach = TcuMachine::with_executor(unit, tcu_core::HostExecutor::new());
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan_serial.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan_serial.try_run(&mut mach, &mut env).unwrap();
         (c, mach.stats().clone())
     };
     let df_run = || {
         let mut mach = ParallelTcuMachine::new(unit, units);
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan_par.run_parallel(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan_par.try_run_parallel(&mut mach, &mut env).unwrap();
         (c, mach.stats().clone())
     };
     let (c_serial, serial_stats) = serial_run();
     let (c_df, df_stats) = df_run();
-    assert_eq!(c_serial, c_df, "run_parallel must be bit-identical");
+    assert_eq!(c_serial, c_df, "try_run_parallel must be bit-identical");
     assert_eq!(serial_stats, df_stats, "charges must be identical");
 
     let reps: u32 = if quick { 2 } else { 5 };
@@ -737,8 +738,8 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
     }
 }
 
-/// The fault-tolerance overhead and recovery-cost case: `run_parallel`
-/// on plain executors versus `try_run_parallel` on `FaultyExecutor`s
+/// The fault-tolerance overhead and recovery-cost case:
+/// `try_run_parallel` on plain executors versus on `FaultyExecutor`s
 /// injecting a seeded plan at `rate` transient faults per mille (plus
 /// one permanent victim when `rate > 0`). At `rate = 0` the injector is
 /// a pure counted pass-through, so `speedup_wall` *is* the fault-free
@@ -790,10 +791,10 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         let mut mach = ParallelTcuMachine::new(unit, units);
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run_parallel(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run_parallel(&mut mach, &mut env).unwrap();
         (c, mach.stats().clone())
     };
     let faulty_run = || {
@@ -805,9 +806,9 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         assign_unit_ids(&mut mach);
         let mut c = Matrix::<f64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
         plan.try_run_parallel(&mut mach, &mut env)
             .expect("seeded plans are recoverable");
         drop(env);

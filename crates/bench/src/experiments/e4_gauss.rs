@@ -44,7 +44,7 @@ pub fn run(quick: bool) {
             let mut smach = TcuMachine::model(m, l);
             smach.executor_mut().enable_pack_cache(2);
             let mut sc = augmented_from(&a, &b);
-            gauss::eliminate_scheduled(&mut smach, &mut sc);
+            gauss::try_eliminate_scheduled(&mut smach, &mut sc).unwrap();
             assert_eq!(smach.time(), mach.time());
             crate::report_stats(&format!("E4 gauss d={d} scheduled"), &smach);
         }

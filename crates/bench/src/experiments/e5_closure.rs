@@ -42,7 +42,7 @@ pub fn run(quick: bool) {
             let mut smach = TcuMachine::model(m, l);
             smach.executor_mut().enable_pack_cache(2);
             let mut sd = adj;
-            closure::transitive_scheduled(&mut smach, &mut sd);
+            closure::try_transitive_scheduled(&mut smach, &mut sd).unwrap();
             assert_eq!(sd, d);
             assert_eq!(smach.time(), mach.time());
             crate::report_stats(&format!("E5 closure n={n} scheduled"), &smach);

@@ -6,11 +6,9 @@
 //! is fine for a simulator driven by tests, and useless for anything
 //! long-running: a service front end needs to reject one bad request,
 //! not abort the process. [`TcuError`] names every failure the runtime
-//! can now *return* instead of raising, and the legacy panicking entry
-//! points (`bind_*`, `run`, `run_parallel`) are thin wrappers that
-//! unwrap their `try_*` counterparts — so their panic messages (and the
-//! `#[should_panic]` pins on them) are exactly these errors' `Display`
-//! strings.
+//! can now *return* instead of raising: every entry point of the
+//! scheduled runtime (`try_bind_*`, `try_run`, `try_run_parallel`)
+//! returns it, and a caller that treats a failure as a bug unwraps it.
 
 use std::fmt;
 
@@ -25,10 +23,9 @@ pub enum BindRole {
 
 /// Everything the execution stack can fail with, typed.
 ///
-/// `Display` strings are load-bearing: the panicking wrapper APIs
-/// format these errors verbatim, and the workspace's `#[should_panic]`
-/// expectations match substrings of them — change a message and a pin
-/// tells you.
+/// `Display` strings keep the substrings of the assert messages they
+/// replaced (pinned by this module's tests), so a failure reads the
+/// same whether it was returned or raised.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TcuError {
     /// A binding's view does not have the buffer's registered shape.
@@ -118,7 +115,7 @@ impl fmt::Display for TcuError {
             }
             Self::BindWrittenAsInput { buffer } => write!(
                 f,
-                "buffer {buffer} is written by the graph; bind it mutably with bind_output"
+                "buffer {buffer} is written by the graph; bind it mutably with try_bind_output"
             ),
             Self::Unbound { buffer, written } => {
                 if *written {
@@ -159,9 +156,8 @@ mod tests {
 
     #[test]
     fn display_preserves_the_legacy_panic_substrings() {
-        // The wrapper APIs panic with these Display strings, and the
-        // workspace's #[should_panic] pins match substrings of the old
-        // assert messages — each must survive in the new wording.
+        // Each Display string keeps the substring of the assert
+        // message it replaced.
         let cases: Vec<(TcuError, &str)> = vec![
             (
                 TcuError::BindWrittenAsInput { buffer: 2 },

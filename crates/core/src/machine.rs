@@ -109,8 +109,9 @@ impl<U: TensorUnit, E: Executor> TcuMachine<U, E> {
     /// Attach an execution-telemetry recorder: per-op execute spans
     /// land on the recorder's unit-0 lane (a serial machine is one
     /// unit), and the executor gets the chance to emit its own events
-    /// (pack-cache traffic). Purely observational — simulated time,
-    /// `Stats`, traces, and results are unchanged.
+    /// (pack-cache traffic). It replaces any recorder already attached,
+    /// such as the `TCU_TRACE_OUT` sink. Purely observational —
+    /// simulated time, `Stats`, traces, and results are unchanged.
     pub fn enable_recorder(&mut self, recorder: Arc<dyn tcu_obs::Recorder>) {
         self.exec.attach_recorder(Arc::clone(&recorder), 0);
         self.recorder = Some(recorder);

@@ -112,8 +112,9 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
     /// Attach an execution-telemetry recorder: every unit's executor is
     /// told its unit id (so pack-cache events land on the right lane),
     /// and the fault-recovery annotations gain scheduler-lane instant
-    /// events. Purely observational — simulated time, `Stats`, traces,
-    /// and results are unchanged with or without it.
+    /// events. It replaces any recorder already attached, such as the
+    /// `TCU_TRACE_OUT` sink. Purely observational — simulated time,
+    /// `Stats`, traces, and results are unchanged with or without it.
     pub fn enable_recorder(&mut self, recorder: Arc<dyn tcu_obs::Recorder>) {
         for (u, e) in self.execs.iter_mut().enumerate() {
             e.attach_recorder(Arc::clone(&recorder), u as u32);

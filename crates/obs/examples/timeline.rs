@@ -32,7 +32,7 @@ fn workload(r: usize, c: usize, seed: u64) -> Matrix<f64> {
     })
 }
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (d, s, units) = (D, SQRT_M, UNITS);
     let q = d / s;
     let a = workload(d, d, 5);
@@ -58,20 +58,20 @@ fn main() -> std::io::Result<()> {
     let unit = ModelTensorUnit::new(s * s, 0);
     let plan = Scheduler::new().with_units(units).plan(&g, &unit);
 
-    // Attach the sink through the execution environment; the driver
-    // attaches it to the machine, so driver spans (stage/merge, ready
-    // dispatches, steals) and per-unit op spans land in the same sink.
-    // When `TCU_TRACE_OUT` is set, reuse the process-wide sink machines
-    // pick up at construction, so the written trace is this run.
+    // Attach the sink to the machine, so driver spans (stage/merge,
+    // ready dispatches, steals) and per-unit op spans land in the same
+    // sink. When `TCU_TRACE_OUT` is set, reuse the process-wide sink
+    // machines pick up at construction, so the written trace is this
+    // run.
     let sink = tcu_obs::env_recorder().unwrap_or_else(|| Arc::new(ObsSink::new()));
     let mut mach = ParallelTcuMachine::new(unit, units);
+    mach.enable_recorder(sink.clone());
     let mut c = Matrix::<f64>::zeros(d, d);
     let mut env = ExecEnv::new(&g);
-    env.enable_recorder(sink.clone());
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(cb, c.view_mut());
-    plan.run_parallel(&mut mach, &mut env);
+    env.try_bind_input(ab, a.view())?;
+    env.try_bind_input(bb, b.view())?;
+    env.try_bind_output(cb, c.view_mut())?;
+    plan.try_run_parallel(&mut mach, &mut env)?;
     drop(env);
 
     let meta = RunMeta {

@@ -95,10 +95,11 @@ fn run_with_faults(
     let b = workload(d, d, 2);
     let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
     let mut env = ExecEnv::new(g);
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(mb, m.view_mut());
-    env.bind_output(cb, c.view_mut());
+    let shapes = "every view has its buffer's registered shape";
+    env.try_bind_input(ab, a.view()).expect(shapes);
+    env.try_bind_input(bb, b.view()).expect(shapes);
+    env.try_bind_output(mb, m.view_mut()).expect(shapes);
+    env.try_bind_output(cb, c.view_mut()).expect(shapes);
     let r = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     let trace = mach.take_trace();

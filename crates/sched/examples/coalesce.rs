@@ -21,10 +21,10 @@
 //! 3. **Versioned pipeline on parallel units.** A second stage reading
 //!    the first stage's output is recorded into the *same* graph (the
 //!    RAW hazard orders the stages), planned once for 4 units, and
-//!    executed with `Schedule::run_parallel`: per-wave LPT placement,
+//!    executed with `Schedule::try_run_parallel`: per-wave LPT placement,
 //!    per-unit pack caches, wall-clock = Σ wave makespans.
 
-use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TcuMachine, TensorOp};
+use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TcuError, TcuMachine, TensorOp};
 use tcu_linalg::ops::matmul_naive;
 use tcu_linalg::Matrix;
 use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
@@ -58,7 +58,7 @@ fn record_blocked(d: usize, blk: usize) -> (OpGraph, [tcu_sched::BufferId; 3]) {
     (g, [a, b, c])
 }
 
-fn main() {
+fn main() -> Result<(), TcuError> {
     let d = 128usize;
     let a = workload(d, d, 1);
     let b = workload(d, d, 2);
@@ -87,10 +87,10 @@ fn main() {
         );
         let mut c = Matrix::<i64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view())?;
+        env.try_bind_input(bb, b.view())?;
+        env.try_bind_output(cb, c.view_mut())?;
+        plan.try_run(&mut mach, &mut env)?;
         assert_eq!(c, want, "coalesced result must equal the oracle");
         println!("  result: matches the naive oracle element-for-element\n");
     }
@@ -102,10 +102,10 @@ fn main() {
         let plan = Scheduler::new().plan(&g, mach.unit());
         let mut c = Matrix::<i64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view())?;
+        env.try_bind_input(bb, b.view())?;
+        env.try_bind_output(cb, c.view_mut())?;
+        plan.try_run(&mut mach, &mut env)?;
         assert_eq!(c, want, "cached result must equal the oracle");
         let stats = mach.executor().pack_cache_stats().expect("cache enabled");
         println!("√m = 16 unit — cross-invocation strip cache:");
@@ -153,11 +153,11 @@ fn main() {
         mach.enable_pack_caches(2 * q);
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(cb, c.view_mut());
-        plan.run_parallel(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view())?;
+        env.try_bind_input(bb, b.view())?;
+        env.try_bind_output(mb, m.view_mut())?;
+        env.try_bind_output(cb, c.view_mut())?;
+        plan.try_run_parallel(&mut mach, &mut env)?;
         assert_eq!(c, matmul_naive(&want, &b), "pipeline must chain stages");
         println!("versioned pipeline (M = A·B; C = M·B, one graph) on 4 units:");
         println!(
@@ -170,4 +170,5 @@ fn main() {
         );
         println!("  result: matches the chained oracle element-for-element");
     }
+    Ok(())
 }

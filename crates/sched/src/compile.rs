@@ -21,9 +21,9 @@
 //! written-buffer keys is stored ([`ExecutablePlan::staged_reads`]).
 //!
 //! Compilation happens implicitly on first execution and is cached in
-//! the schedule (see [`Schedule::compile`]), so `run`/`try_run*` are
-//! thin compile-then-execute wrappers and repeat runs skip straight to
-//! the precomputed form.
+//! the schedule (see [`Schedule::compile`]), so `try_run` and
+//! `try_run_parallel` compile, then execute, and repeat runs skip
+//! straight to the precomputed form.
 
 use crate::graph::{hazard_successors, Node, OperandRef};
 use crate::run::ExecEnv;
@@ -279,9 +279,10 @@ impl Schedule {
     /// Compilation is structural — it depends on the schedule alone —
     /// so the environment only serves as a shape witness here: the call
     /// fails exactly when running against `env` would. The plan is
-    /// computed once per schedule and cached; `run`/`try_run*` call
-    /// this implicitly, so explicit compilation is only useful to front
-    /// the (small) lowering cost or to inspect the compiled shape.
+    /// computed once per schedule and cached; `try_run` and
+    /// `try_run_parallel` call this implicitly, so explicit compilation
+    /// is only useful to front the (small) lowering cost or to inspect
+    /// the compiled shape.
     pub fn compile<T: Scalar>(&self, env: &ExecEnv<'_, T>) -> Result<&ExecutablePlan, TcuError> {
         if env.shapes() != &self.buffer_shapes[..] {
             return Err(TcuError::PlanMismatch {

@@ -302,75 +302,6 @@ impl OpGraph {
         self.nodes.len() - 1
     }
 
-    /// Structural shape-hash of the recorded stream: equal for two
-    /// graphs that differ only in buffer *names* or in any
-    /// dependency-respecting shuffle of the recording order, different
-    /// whenever a buffer shape, an operand rectangle, an op descriptor,
-    /// or the hazard/generation structure differs.
-    ///
-    /// Buffers contribute `(rows, cols, written)` in registration order
-    /// (names erased); nodes contribute their [`Node::canonical_key`]
-    /// fields *sorted*, so recording order drops out — and because
-    /// region generations count overlapping earlier writes, they are
-    /// themselves invariant under dependency-respecting shuffles, which
-    /// makes the sorted key multiset a faithful fingerprint of the
-    /// dependency structure. Two graphs with equal hashes plan to the
-    /// same [`crate::Schedule`] (modulo buffer identity), which is what
-    /// lets a plan cache share one memoized schedule across equal-shape
-    /// stages regardless of how callers named or ordered their streams.
-    #[must_use]
-    pub fn shape_hash(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut keys: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|n| (n.out, n.a, n.b, op_key(&n.op), n.a_gen, n.b_gen, n.out_gen))
-            .collect();
-        keys.sort_unstable();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.buffers.len().hash(&mut h);
-        for b in &self.buffers {
-            (b.rows, b.cols, b.written).hash(&mut h);
-        }
-        keys.hash(&mut h);
-        h.finish()
-    }
-
-    /// Exact shape equality — the relation [`Self::shape_hash`]
-    /// abstracts: same buffer count with the same `(rows, cols,
-    /// written)` per id (names ignored) and the same *sorted* canonical
-    /// node-key multiset (recording order erased, exactly like the
-    /// hash; generations pin every hazard-ordered pair, so equal
-    /// multisets plan identically — the shuffle-invariance property the
-    /// determinism proptests pin). Plan caches use this as the
-    /// collision-proof verifier before sharing a memoized schedule: a
-    /// hash collision between unequal graphs degrades to a cache miss,
-    /// never to a wrong plan.
-    #[must_use]
-    pub fn shape_eq(&self, other: &Self) -> bool {
-        if self.buffers.len() != other.buffers.len() || self.nodes.len() != other.nodes.len() {
-            return false;
-        }
-        let buffers_eq = self
-            .buffers
-            .iter()
-            .zip(&other.buffers)
-            .all(|(a, b)| (a.rows, a.cols, a.written) == (b.rows, b.cols, b.written));
-        if !buffers_eq {
-            return false;
-        }
-        let keys = |g: &Self| {
-            let mut v: Vec<_> = g
-                .nodes
-                .iter()
-                .map(|n| (n.out, n.a, n.b, op_key(&n.op), n.a_gen, n.b_gen, n.out_gen))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        keys(self) == keys(other)
-    }
-
     /// The recorded nodes, in program (recording) order.
     #[must_use]
     pub fn nodes(&self) -> &[Node] {

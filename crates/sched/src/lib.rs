@@ -26,7 +26,7 @@
 //!   same partitioner the parallel machine uses, so one-unit replay and
 //!   multi-unit dispatch charge identical `Stats` and differ only in
 //!   makespan.
-//! * **[`ExecEnv`] / [`Schedule::run`]** — binds buffers to borrowed
+//! * **[`ExecEnv`] / [`Schedule::try_run`]** — binds buffers to borrowed
 //!   matrix views, charges the stream up front through the machine's
 //!   [`tcu_core::WaveAccountant`] and executes it on the machine's
 //!   executor, tagging every left operand with its
@@ -42,8 +42,7 @@
 //! [`Schedule::try_run_parallel`] surface binding, validation, and unit
 //! faults as [`tcu_core::TcuError`]s — a serial run contains executor
 //! panics too — and the parallel path retries or quarantines faulty
-//! units (see the [`run`] module docs for the fault model). The panicking `run`/`run_parallel` forms are thin unwrapping
-//! wrappers kept for callers that treat faults as bugs.
+//! units (see the [`run`] module docs for the fault model).
 
 pub mod compile;
 pub mod dataflow;

@@ -70,7 +70,7 @@
 //!
 //! # Multi-unit execution
 //!
-//! [`Schedule::run_parallel`] is a barrier-free dataflow driver: ops
+//! [`Schedule::try_run_parallel`] is a barrier-free dataflow driver: ops
 //! dispatch as soon as their hazard predecessors' results have been
 //! committed. Every scheduling decision is resolved *at plan time* by
 //! [`crate::dataflow`]'s deterministic placement simulation (which unit
@@ -93,7 +93,7 @@
 //!   op. The main thread copies it into the rectangle once and only
 //!   then releases the hazard successors of every op in the chain, so
 //!   overlapping writes retire in hazard (emission) order and elements
-//!   are bit-identical to [`Schedule::run`] for every unit count and
+//!   are bit-identical to [`Schedule::try_run`] for every unit count and
 //!   interleaving. An op no other op continues is a one-op chain: a
 //!   per-op scratch;
 //! * **dispatch** — an op is ready once every hazard predecessor outside
@@ -114,11 +114,10 @@
 //!
 //! # Fault tolerance
 //!
-//! Every entry point has a fallible `try_*` form returning
-//! [`TcuError`] — binding mistakes, plan/machine mismatches, and op
-//! contract violations come back as values; the `bind_*`/`run*` names
-//! are thin wrappers that panic with the error's `Display`. On top of
-//! that, [`Schedule::try_run_parallel`] *recovers* from unit faults.
+//! Every entry point returns [`TcuError`] — binding mistakes,
+//! plan/machine mismatches, and op contract violations come back as
+//! values. On top of that, [`Schedule::try_run_parallel`] *recovers*
+//! from unit faults.
 //! Every execution, serial ones included, is wrapped in
 //! `catch_unwind`:
 //!
@@ -215,7 +214,6 @@ pub struct ExecEnv<'a, T: Scalar> {
     written: Vec<bool>,
     inputs: Vec<Option<MatrixView<'a, T>>>,
     outputs: Vec<Option<MatrixViewMut<'a, T>>>,
-    recorder: Option<std::sync::Arc<dyn tcu_obs::Recorder>>,
 }
 
 impl<'a, T: Scalar> ExecEnv<'a, T> {
@@ -234,19 +232,7 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
             outputs: shapes.iter().map(|_| None).collect(),
             written,
             shapes,
-            recorder: None,
         }
-    }
-
-    /// Attach an execution-telemetry recorder to this environment's
-    /// runs: the driver attaches it to the machine (per-op execute
-    /// spans, pack-cache traffic, fault annotations) and emits its own
-    /// stage/merge spans through it. It takes precedence over a
-    /// recorder the machine already holds, such as the `TCU_TRACE_OUT`
-    /// sink machines pick up at construction. Purely observational —
-    /// results, `Stats`, traces, and simulated time are unchanged.
-    pub fn enable_recorder(&mut self, recorder: std::sync::Arc<dyn tcu_obs::Recorder>) {
-        self.recorder = Some(recorder);
     }
 
     /// The environment's cache-key epoch (diagnostic).
@@ -261,11 +247,10 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
         &self.shapes
     }
 
-    /// Bind a read-only buffer to a view of its exact registered shape,
-    /// returning the binding error instead of panicking. Fails on a
-    /// shape mismatch, an id from another graph, or a buffer the graph
-    /// writes (written buffers need [`Self::try_bind_output`], and
-    /// reads of them resolve against per-op generations).
+    /// Bind a read-only buffer to a view of its exact registered shape.
+    /// Fails on a shape mismatch, an id from another graph, or a buffer
+    /// the graph writes (written buffers need [`Self::try_bind_output`],
+    /// and reads of them resolve against per-op generations).
     pub fn try_bind_input(
         &mut self,
         id: BufferId,
@@ -289,19 +274,8 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
         Ok(())
     }
 
-    /// Bind a read-only buffer to a view of its exact registered shape.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch, an id from another graph, or a buffer
-    /// the graph writes (written buffers need [`Self::bind_output`], and
-    /// reads of them resolve against per-op generations).
-    pub fn bind_input(&mut self, id: BufferId, view: MatrixView<'a, T>) {
-        self.try_bind_input(id, view)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Bind a written buffer to a mutable view of its registered shape,
-    /// returning the binding error instead of panicking. Reads the
+    /// Bind a written buffer to a mutable view of its registered shape.
+    /// Fails on a shape mismatch or an id from another graph. Reads the
     /// graph performs on the same buffer (pipelines) are served from
     /// generation-keyed snapshots of this binding.
     pub fn try_bind_output(
@@ -322,17 +296,6 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
         }
         self.outputs[id.0] = Some(view);
         Ok(())
-    }
-
-    /// Bind a written buffer to a mutable view of its registered shape.
-    /// Reads the graph performs on the same buffer (pipelines) are
-    /// served from generation-keyed snapshots of this binding.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or an id from another graph.
-    pub fn bind_output(&mut self, id: BufferId, view: MatrixViewMut<'a, T>) {
-        self.try_bind_output(id, view)
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -415,19 +378,7 @@ impl Schedule {
     /// traced exactly like an eager call; outputs land in the bound
     /// views. The serial order is the schedule's canonical order; on a
     /// pack-caching host executor, repeated left-operand regions are
-    /// packed once per content version per environment.
-    ///
-    /// # Panics
-    /// Panics with the [`TcuError`] of [`Schedule::try_run`].
-    pub fn run<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut TcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run(mach, env).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run`], returning errors instead of panicking: one
+    /// packed once per content version per environment. This is one
     /// pass over the stream in emission order on the machine's own
     /// executor (see the [module docs](self)).
     ///
@@ -448,9 +399,6 @@ impl Schedule {
         mach: &mut TcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
     ) -> Result<(), TcuError> {
-        if let Some(rec) = env.recorder.clone() {
-            mach.enable_recorder(rec);
-        }
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
@@ -465,29 +413,10 @@ impl Schedule {
     }
 
     /// Execute the planned stream *across the units* of a parallel
-    /// machine on the barrier-free dataflow driver (see the
-    /// [module docs](self)): elements, `Stats`, and trace digests are
-    /// byte-identical to the serial [`Schedule::run`] for every unit
-    /// count, and `time()` lands on [`Schedule::dataflow_makespan`].
-    ///
-    /// # Panics
-    /// Panics if the machine's `√m` or unit count differs from what the
-    /// schedule was planned for, if the machine's unit splits ops
-    /// differently than the planning unit did (tall support must
-    /// agree), if the environment's buffer shapes disagree with the
-    /// planned graph's, if a referenced buffer is unbound, or if a
-    /// fault was unrecoverable (see [`Schedule::try_run_parallel`]).
-    pub fn run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run_parallel(mach, env)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run_parallel`] with fault recovery, returning errors
-    /// instead of panicking. Runs the prologue both executors share
+    /// machine on the barrier-free dataflow driver, with fault recovery
+    /// (see the [module docs](self)): elements, `Stats`, and trace
+    /// digests are byte-identical to the serial [`Schedule::try_run`]
+    /// for every unit count. Runs the prologue both executors share
     /// (plan, machine and binding checks, then the whole stream charged
     /// in emission order, so `Stats` and the digest equal the serial
     /// run's even under recovery), takes the schedule's deterministic
@@ -496,6 +425,12 @@ impl Schedule {
     /// `Stats`, digest, `time()`, or [`tcu_core::FaultStats`].
     /// Wall-clock advances by [`Schedule::dataflow_makespan`] plus the
     /// charged backoff and recovery passes.
+    ///
+    /// The machine's `√m`, unit count and tall support must match what
+    /// the schedule was planned for, the environment's buffer shapes
+    /// the planned graph's, and every referenced buffer must be bound;
+    /// otherwise the run returns [`TcuError`] before anything is
+    /// charged or written.
     ///
     /// Transient faults retry in place, at most 3 attempts per op, or
     /// the run fails with [`TcuError::RetriesExhausted`]. A unit that
@@ -513,9 +448,6 @@ impl Schedule {
             return Err(TcuError::PlanMismatch {
                 what: "schedule was planned for a different unit count",
             });
-        }
-        if let Some(rec) = env.recorder.clone() {
-            mach.enable_recorder(rec);
         }
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
@@ -1681,10 +1613,10 @@ mod tests {
 
         let mut c = Matrix::<i64>::zeros(d, 8);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         assert_eq!(c, matmul_naive(&a, &b));
         // One invocation charged instead of two: d·√m + ℓ once.
         assert_eq!(mach.time(), (d * 8) as u64 + 1000);
@@ -1720,10 +1652,10 @@ mod tests {
         let (a, b) = (pseudo(d, d, 3), pseudo(d, d, 4));
         let mut c = Matrix::<i64>::zeros(d, d);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         assert_eq!(mach.stats().tensor_calls, plan.invocations());
         assert_eq!(mach.stats().tensor_rows, plan.charged_rows());
         assert_eq!(mach.stats().tensor_time, plan.tensor_time());
@@ -1763,10 +1695,10 @@ mod tests {
             let aa = pseudo(d, d, seed);
             let mut c = Matrix::<i64>::zeros(d, d);
             let mut env = ExecEnv::new(&g);
-            env.bind_input(ab, aa.view());
-            env.bind_input(bb, b.view());
-            env.bind_output(cb, c.view_mut());
-            plan.run(mach, &mut env);
+            env.try_bind_input(ab, aa.view()).unwrap();
+            env.try_bind_input(bb, b.view()).unwrap();
+            env.try_bind_output(cb, c.view_mut()).unwrap();
+            plan.try_run(mach, &mut env).unwrap();
             (c, aa)
         };
         let (c1, a1) = run_once(&mut mach, 5);
@@ -1825,11 +1757,11 @@ mod tests {
         assert!(plan.waves() > d / s, "RAW must add depth");
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m.view_mut()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         let want_m = matmul_naive(&a, &b);
         assert_eq!(m, want_m);
         assert_eq!(c, matmul_naive(&want_m, &b));
@@ -1869,13 +1801,13 @@ mod tests {
             Matrix::<i64>::zeros(s, s),
         );
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_input(xb, x.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(c1b, c1.view_mut());
-        env.bind_output(c2b, c2.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_input(xb, x.view()).unwrap();
+        env.try_bind_output(mb, m.view_mut()).unwrap();
+        env.try_bind_output(c1b, c1.view_mut()).unwrap();
+        env.try_bind_output(c2b, c2.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         assert_eq!(c1, matmul_naive(&matmul_naive(&a, &b), &b));
         assert_eq!(c2, matmul_naive(&matmul_naive(&x, &b), &b));
         assert_eq!(m, matmul_naive(&x, &b));
@@ -1903,13 +1835,13 @@ mod tests {
         let plan = Scheduler::new().plan(&g, mach.unit());
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m.view_mut()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         let after_first = mach.executor().pack_cache_stats().expect("cache on");
-        plan.run(&mut mach, &mut env);
+        plan.try_run(&mut mach, &mut env).unwrap();
 
         let ab_prod = matmul_naive(&a, &b);
         assert_eq!(m, ab_prod.scale(2));
@@ -1936,21 +1868,21 @@ mod tests {
         let mut serial = TcuMachine::new(unit);
         let (mut m1, mut c1) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m1.view_mut());
-        env.bind_output(cb, c1.view_mut());
-        plan.run(&mut serial, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m1.view_mut()).unwrap();
+        env.try_bind_output(cb, c1.view_mut()).unwrap();
+        plan.try_run(&mut serial, &mut env).unwrap();
 
         let mut par = ParallelTcuMachine::new(unit, p);
         par.enable_pack_caches(2 * d / s);
         let (mut m2, mut c2) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m2.view_mut());
-        env.bind_output(cb, c2.view_mut());
-        plan.run_parallel(&mut par, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m2.view_mut()).unwrap();
+        env.try_bind_output(cb, c2.view_mut()).unwrap();
+        plan.try_run_parallel(&mut par, &mut env).unwrap();
 
         // Bit-identical results, identical per-op charges, and the
         // multi-unit wall-clock the planner predicted.
@@ -2008,13 +1940,13 @@ mod tests {
     ) -> (std::sync::Arc<tcu_obs::ObsSink>, Vec<Matrix<T>>) {
         let sink = std::sync::Arc::new(tcu_obs::ObsSink::new());
         let mut outs: Vec<Matrix<T>> = init.iter().map(|(_, m)| (*m).clone()).collect();
+        mach.enable_recorder(sink.clone());
         let mut env = ExecEnv::new(g);
-        env.enable_recorder(sink.clone());
         for (id, m) in inputs {
-            env.bind_input(*id, m.view());
+            env.try_bind_input(*id, m.view()).unwrap();
         }
         for ((id, _), m) in init.iter().zip(&mut outs) {
-            env.bind_output(*id, m.view_mut());
+            env.try_bind_output(*id, m.view_mut()).unwrap();
         }
         plan.try_run_parallel(mach, &mut env)
             .expect("fault-free run");
@@ -2208,14 +2140,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different unit count")]
     fn run_parallel_rejects_mismatched_unit_count() {
         let (g, [_, _, _, _]) = pipeline_graph(8, 4);
         let unit = tcu_core::ModelTensorUnit::new(16, 0);
         let plan = Scheduler::new().with_units(2).plan(&g, &unit);
         let mut par = ParallelTcuMachine::<_, tcu_core::HostExecutor>::new(unit, 3);
         let mut env = ExecEnv::<i64>::new(&g);
-        plan.run_parallel(&mut par, &mut env);
+        assert!(matches!(
+            plan.try_run_parallel(&mut par, &mut env),
+            Err(TcuError::PlanMismatch { what }) if what.contains("different unit count")
+        ));
     }
 
     #[test]
@@ -2246,18 +2180,20 @@ mod tests {
         };
         let wmat = pseudo(s, s, 42);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(wb, wmat.view());
-        env.bind_output(xb, x.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(wb, wmat.view()).unwrap();
+        env.try_bind_output(xb, x.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         assert_eq!(x, want);
     }
 
     #[test]
-    #[should_panic(expected = "bind it mutably")]
     fn written_buffer_rejects_input_binding() {
         let (g, [_, _, mb, _]) = pipeline_graph(8, 4);
         let m = pseudo(8, 8, 1);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(mb, m.view());
+        assert_eq!(
+            env.try_bind_input(mb, m.view()),
+            Err(TcuError::BindWrittenAsInput { buffer: mb.index() })
+        );
     }
 }

@@ -734,13 +734,13 @@ mod tests {
         let xbm = Matrix::from_fn(4, 8, |i, j| (i * 2 + j * 3) as i64 % 11 - 5);
         let mut cm = Matrix::<i64>::zeros(8, 8);
         let mut env = ExecEnv::new(&g);
-        env.bind_input(a, am.view());
-        env.bind_input(b, bm.view());
-        env.bind_input(x, xm.view());
-        env.bind_input(xb, xbm.view());
-        env.bind_output(c, cm.view_mut());
+        env.try_bind_input(a, am.view()).unwrap();
+        env.try_bind_input(b, bm.view()).unwrap();
+        env.try_bind_input(x, xm.view()).unwrap();
+        env.try_bind_input(xb, xbm.view()).unwrap();
+        env.try_bind_output(c, cm.view_mut()).unwrap();
         let mut mach = TcuMachine::model(64, 0);
-        plan.run(&mut mach, &mut env);
+        plan.try_run(&mut mach, &mut env).unwrap();
         // Program-order reference: per half, overwrite then accumulate.
         let acc_full = matmul_naive(&am, &bm);
         let mut want = Matrix::<i64>::zeros(8, 8);

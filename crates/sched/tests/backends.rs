@@ -51,19 +51,19 @@ fn host_and_systolic_agree_on_a_scheduled_blocked_flow() {
     host.enable_trace();
     let mut c_host = Matrix::<i64>::zeros(d, d);
     let mut env = ExecEnv::new(&g);
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(cb, c_host.view_mut());
-    plan.run(&mut host, &mut env);
+    env.try_bind_input(ab, a.view()).unwrap();
+    env.try_bind_input(bb, b.view()).unwrap();
+    env.try_bind_output(cb, c_host.view_mut()).unwrap();
+    plan.try_run(&mut host, &mut env).unwrap();
 
     let mut sys = TcuMachine::with_executor(unit, SystolicExecutor::new());
     sys.enable_trace();
     let mut c_sys = Matrix::<i64>::zeros(d, d);
     let mut env = ExecEnv::new(&g);
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(cb, c_sys.view_mut());
-    plan.run(&mut sys, &mut env);
+    env.try_bind_input(ab, a.view()).unwrap();
+    env.try_bind_input(bb, b.view()).unwrap();
+    env.try_bind_output(cb, c_sys.view_mut()).unwrap();
+    plan.try_run(&mut sys, &mut env).unwrap();
 
     let want = matmul_naive(&a, &b);
     assert_eq!(c_host, want);
@@ -123,11 +123,11 @@ fn raw_pipeline_runs_on_serial_parallel_and_systolic_backends() {
         let plan = Scheduler::new().plan(g, unit);
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(cb, c.view_mut());
-        plan.run(&mut mach, &mut env);
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m.view_mut()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
+        plan.try_run(&mut mach, &mut env).unwrap();
         let stats = mach.stats().clone();
         (m, c, stats)
     }
@@ -152,19 +152,19 @@ fn raw_pipeline_runs_on_serial_parallel_and_systolic_backends() {
         let plan = Scheduler::new().with_units(p).plan(&g, &unit);
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
         let mut env = ExecEnv::new(&g);
-        env.bind_input(ab, a.view());
-        env.bind_input(bb, b.view());
-        env.bind_output(mb, m.view_mut());
-        env.bind_output(cb, c.view_mut());
+        env.try_bind_input(ab, a.view()).unwrap();
+        env.try_bind_input(bb, b.view()).unwrap();
+        env.try_bind_output(mb, m.view_mut()).unwrap();
+        env.try_bind_output(cb, c.view_mut()).unwrap();
         let stats = if systolic {
             let mut par = ParallelTcuMachine::with_executor(unit, p, SystolicExecutor::new());
-            plan.run_parallel(&mut par, &mut env);
+            plan.try_run_parallel(&mut par, &mut env).unwrap();
             assert_eq!(par.time(), plan.dataflow_makespan());
             par.stats().clone()
         } else {
             let mut par = ParallelTcuMachine::new(unit, p);
             par.enable_pack_caches(2 * q);
-            plan.run_parallel(&mut par, &mut env);
+            plan.try_run_parallel(&mut par, &mut env).unwrap();
             assert_eq!(par.time(), plan.dataflow_makespan());
             par.stats().clone()
         };

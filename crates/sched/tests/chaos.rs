@@ -244,10 +244,10 @@ fn run_faulty(
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
     let result = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     ChaosRun::observe(result, c, d, &mut mach)
@@ -271,11 +271,11 @@ fn serial_reference(
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
-    plan.run(&mut ser, &mut env);
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
+    plan.try_run(&mut ser, &mut env).unwrap();
     drop(env);
     (c, d, ser.stats().clone(), ser.take_trace())
 }
@@ -518,7 +518,7 @@ fn unbound_buffers_fail_typed_in_try_run() {
     let mut ser = TcuMachine::new(unit);
     let a = pseudo(DIM, DIM, 0);
     let mut env = ExecEnv::new(&g);
-    env.bind_input(bufs.a, a.view());
+    env.try_bind_input(bufs.a, a.view()).unwrap();
     // B never bound, C (the output) never bound: first touch reports.
     match plan.try_run(&mut ser, &mut env) {
         Err(TcuError::Unbound { .. }) => {}
@@ -559,9 +559,9 @@ fn try_run_rejects_a_later_unbound_read_before_running_anything() {
     let (a, b) = (pseudo(DIM, DIM, 1), pseudo(DIM, DIM, 2));
     let mut c = Matrix::from_fn(DIM, DIM, |_, _| 7i64);
     let mut env = ExecEnv::new(&g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
     let result = plan.try_run(&mut ser, &mut env);
     drop(env);
     assert_eq!(
@@ -639,14 +639,14 @@ impl ExamplePipeline {
         let mut mach = jittered_machine(self.unit, Self::UNITS, fplan, salt);
         let (a, b) = (pseudo(d, d, 1), pseudo(d, d, 2));
         let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
-        let mut env = ExecEnv::new(&self.g);
         if let Some(sink) = sink {
-            env.enable_recorder(sink);
+            mach.enable_recorder(sink);
         }
-        env.bind_input(self.bufs.a, a.view());
-        env.bind_input(self.bufs.b, b.view());
-        env.bind_output(self.bufs.c, m.view_mut());
-        env.bind_output(self.bufs.d, c.view_mut());
+        let mut env = ExecEnv::new(&self.g);
+        env.try_bind_input(self.bufs.a, a.view()).unwrap();
+        env.try_bind_input(self.bufs.b, b.view()).unwrap();
+        env.try_bind_output(self.bufs.c, m.view_mut()).unwrap();
+        env.try_bind_output(self.bufs.d, c.view_mut()).unwrap();
         let result = self.plan.try_run_parallel(&mut mach, &mut env);
         drop(env);
         ChaosRun::observe(result, m, c, &mut mach)

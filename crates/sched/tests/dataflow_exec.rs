@@ -272,10 +272,10 @@ fn df_run(
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
     let result = plan.try_run_parallel(&mut mach, &mut env);
     drop(env);
     let caches = (0..units)
@@ -316,11 +316,11 @@ fn serial_reference(
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
-    plan.run(&mut ser, &mut env);
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
+    plan.try_run(&mut ser, &mut env).unwrap();
     drop(env);
     (c, d, ser.stats().clone(), ser.take_trace().digest())
 }
@@ -511,10 +511,10 @@ fn foreign_panics_recover_on_the_threaded_executor() {
                 Matrix::<i64>::zeros(DIM, DIM),
             );
             let mut env = ExecEnv::new(&g);
-            env.bind_input(bufs.a, a.view());
-            env.bind_input(bufs.b, b.view());
-            env.bind_output(bufs.c, c.view_mut());
-            env.bind_output(bufs.d, d.view_mut());
+            env.try_bind_input(bufs.a, a.view()).unwrap();
+            env.try_bind_input(bufs.b, b.view()).unwrap();
+            env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+            env.try_bind_output(bufs.d, d.view_mut()).unwrap();
             let result = plan.try_run_parallel(&mut mach, &mut env);
             drop(env);
             let what = format!("seed {seed}, {units} units");
@@ -567,10 +567,10 @@ fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
                 Matrix::<i64>::zeros(DIM, DIM),
             );
             let mut env = ExecEnv::new(&g);
-            env.bind_input(bufs.a, a.view());
-            env.bind_input(bufs.b, b.view());
-            env.bind_output(bufs.c, c.view_mut());
-            env.bind_output(bufs.d, d.view_mut());
+            env.try_bind_input(bufs.a, a.view()).unwrap();
+            env.try_bind_input(bufs.b, b.view()).unwrap();
+            env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+            env.try_bind_output(bufs.d, d.view_mut()).unwrap();
             let result = plan.try_run_parallel(&mut mach, &mut env);
             drop(env);
             assert!(result.is_ok(), "k={k}: {result:?}");
@@ -615,10 +615,10 @@ fn serial_executor_panic_fails_typed() {
             Matrix::<i64>::zeros(DIM, DIM),
         );
         let mut env = ExecEnv::new(g);
-        env.bind_input(bufs.a, a.view());
-        env.bind_input(bufs.b, b.view());
-        env.bind_output(bufs.c, c.view_mut());
-        env.bind_output(bufs.d, d.view_mut());
+        env.try_bind_input(bufs.a, a.view()).unwrap();
+        env.try_bind_input(bufs.b, b.view()).unwrap();
+        env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+        env.try_bind_output(bufs.d, d.view_mut()).unwrap();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.try_run(ser, &mut env)))
     }
 

@@ -132,14 +132,14 @@ fn run_once(
         Matrix::<i64>::zeros(DIM, DIM),
         Matrix::<i64>::zeros(DIM, DIM),
     );
-    let mut env = ExecEnv::new(g);
     if let Some(rec) = recorder {
-        env.enable_recorder(rec);
+        mach.enable_recorder(rec);
     }
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
+    let mut env = ExecEnv::new(g);
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
     plan.try_run_parallel(&mut mach, &mut env)
         .expect("seeded plans are recoverable");
     drop(env);
@@ -228,12 +228,12 @@ proptest! {
     }
 }
 
-/// An explicit [`ExecEnv::enable_recorder`] wins over a recorder the
-/// machine already holds — the way the `TCU_TRACE_OUT` sink is attached
-/// at construction: the environment's sink must see every op of the
-/// serial and the parallel run, the machine's earlier sink none.
+/// A recorder attached to a machine replaces the one it already holds
+/// — the way a caller's sink replaces the `TCU_TRACE_OUT` sink attached
+/// at construction: the later sink must see every op of the serial and
+/// the parallel run, the earlier sink none.
 #[test]
-fn explicit_env_recorder_wins_over_the_machines() {
+fn later_machine_recorder_replaces_the_first() {
     let (g, bufs) = random_graph(3);
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
     let a = pseudo(DIM, DIM, 3);
@@ -242,26 +242,27 @@ fn explicit_env_recorder_wins_over_the_machines() {
         Matrix::<i64>::zeros(DIM, DIM),
         Matrix::<i64>::zeros(DIM, DIM),
     );
-    let machine_sink = Arc::new(tcu_obs::ObsSink::new());
-    let env_sink = Arc::new(tcu_obs::ObsSink::new());
+    let first = Arc::new(tcu_obs::ObsSink::new());
+    let later = Arc::new(tcu_obs::ObsSink::new());
     let mut env = ExecEnv::new(&g);
-    env.enable_recorder(env_sink.clone());
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
 
     let serial = Scheduler::new().plan(&g, &unit);
     let mut ser = TcuMachine::new(unit);
-    ser.enable_recorder(machine_sink.clone());
-    serial.run(&mut ser, &mut env);
+    ser.enable_recorder(first.clone());
+    ser.enable_recorder(later.clone());
+    serial.try_run(&mut ser, &mut env).unwrap();
 
     let plan = Scheduler::new().with_units(2).plan(&g, &unit);
     let mut par = ParallelTcuMachine::new(unit, 2);
-    par.enable_recorder(machine_sink.clone());
-    plan.run_parallel(&mut par, &mut env);
+    par.enable_recorder(first.clone());
+    par.enable_recorder(later.clone());
+    plan.try_run_parallel(&mut par, &mut env).unwrap();
 
     let ops = |sink: &tcu_obs::ObsSink| sink.metrics().get(tcu_obs::Metric::OpsExecuted);
-    assert_eq!(ops(&env_sink), (serial.ops() + plan.ops()) as u64);
-    assert_eq!(ops(&machine_sink), 0);
+    assert_eq!(ops(&later), (serial.ops() + plan.ops()) as u64);
+    assert_eq!(ops(&first), 0);
 }

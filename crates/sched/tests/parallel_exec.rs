@@ -1,6 +1,6 @@
 //! Thread-count invariance of the multi-unit parallel driver.
 //!
-//! `Schedule::run_parallel` executes its per-unit queues on real
+//! `Schedule::try_run_parallel` executes its per-unit queues on real
 //! threads, one per unit, so these properties pin the
 //! determinism contract the driver claims: for random RAW-pipeline graphs and every unit count
 //! in {1, 2, 4, 8}, the parallel run's *elements*, *Stats*, *trace*
@@ -91,7 +91,7 @@ fn pseudo(r: usize, c: usize, seed: i64) -> Matrix<i64> {
     })
 }
 
-/// One `run_parallel` execution on fresh machine + environment:
+/// One `try_run_parallel` execution on fresh machine + environment:
 /// returns the written buffers, Stats, trace, wall-clock, and the
 /// per-unit pack-cache counters.
 #[allow(clippy::type_complexity)]
@@ -120,11 +120,11 @@ fn run_at(
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c.view_mut());
-    env.bind_output(bufs.d, d.view_mut());
-    plan.run_parallel(&mut mach, &mut env);
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d.view_mut()).unwrap();
+    plan.try_run_parallel(&mut mach, &mut env).unwrap();
     let time = mach.time();
     let caches = (0..units)
         .map(|u| mach.unit_executor(u).pack_cache_stats().expect("cache on"))
@@ -148,11 +148,11 @@ fn check_thread_count_invariance(seed: u64) {
         Matrix::<i64>::zeros(DIM, DIM),
     );
     let mut env = ExecEnv::new(&g);
-    env.bind_input(bufs.a, a.view());
-    env.bind_input(bufs.b, b.view());
-    env.bind_output(bufs.c, c_ref.view_mut());
-    env.bind_output(bufs.d, d_ref.view_mut());
-    plan1.run(&mut ser, &mut env);
+    env.try_bind_input(bufs.a, a.view()).unwrap();
+    env.try_bind_input(bufs.b, b.view()).unwrap();
+    env.try_bind_output(bufs.c, c_ref.view_mut()).unwrap();
+    env.try_bind_output(bufs.d, d_ref.view_mut()).unwrap();
+    plan1.try_run(&mut ser, &mut env).unwrap();
     let trace_ref = ser.take_trace();
 
     for units in UNIT_COUNTS {

@@ -218,7 +218,7 @@ fn e4_gauss_f64_output_bits_pinned() {
     let mut eager = c0.clone();
     gauss::ge_forward(&mut TcuMachine::model(16, 55), &mut eager);
     let mut sched = c0;
-    gauss::eliminate_scheduled(&mut TcuMachine::model(16, 55), &mut sched);
+    gauss::try_eliminate_scheduled(&mut TcuMachine::model(16, 55), &mut sched).unwrap();
     assert_eq!(
         eager
             .as_slice()
@@ -253,7 +253,7 @@ fn e5_closure_output_pinned() {
     let mut eager = d0.clone();
     closure::transitive_closure(&mut TcuMachine::model(16, 21), &mut eager);
     let mut sched = d0;
-    closure::transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched);
+    closure::try_transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched).unwrap();
     assert_eq!(eager, sched, "scheduled closure must equal eager");
     let got = element_digest(eager.as_slice().iter().map(|&x| x as u64));
     check_bits("e5_closure_bits", got, 6_115_052_828_594_300_709);
@@ -271,7 +271,7 @@ fn e5_sparse_closure_output_pinned() {
     let mut eager = d0.clone();
     closure::transitive_closure(&mut TcuMachine::model(16, 21), &mut eager);
     let mut sched = d0;
-    closure::transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched);
+    closure::try_transitive_scheduled(&mut TcuMachine::model(16, 21), &mut sched).unwrap();
     assert_eq!(eager, sched, "scheduled closure must equal eager");
     let ones = eager.as_slice().iter().filter(|&&x| x == 1).count();
     assert!(

@@ -35,7 +35,7 @@ fn scheduled_e2_matches_the_unscheduled_oracle_and_the_seed_pin() {
 
     let mut sched = TcuMachine::model(16, 1000);
     sched.executor_mut().enable_pack_cache(16);
-    let got = dense::multiply_scheduled(&mut sched, &a, &b);
+    let got = dense::try_multiply_scheduled_blocked(&mut sched, &a, &b, 4).unwrap();
 
     // Element-for-element against the unscheduled oracle (and the host
     // reference, so both paths can't be wrong together).
@@ -98,11 +98,11 @@ fn two_stage_pipeline_charges_exactly_twice_the_pinned_e2_run() {
     let plan = Scheduler::new().plan(&g, mach.unit());
     let (mut m, mut c) = (Matrix::<i64>::zeros(d, d), Matrix::<i64>::zeros(d, d));
     let mut env = ExecEnv::new(&g);
-    env.bind_input(ab, a.view());
-    env.bind_input(bb, b.view());
-    env.bind_output(mb, m.view_mut());
-    env.bind_output(cb, c.view_mut());
-    plan.run(&mut mach, &mut env);
+    env.try_bind_input(ab, a.view()).unwrap();
+    env.try_bind_input(bb, b.view()).unwrap();
+    env.try_bind_output(mb, m.view_mut()).unwrap();
+    env.try_bind_output(cb, c.view_mut()).unwrap();
+    plan.try_run(&mut mach, &mut env).unwrap();
 
     let want_m = matmul_naive(&a, &b);
     assert_eq!(m, want_m);
@@ -129,7 +129,7 @@ fn narrow_recording_coalesces_to_the_pinned_native_charges() {
     let mut eager = TcuMachine::model(16, 1000);
     let want = dense::multiply(&mut eager, &a, &b);
     let mut narrow = TcuMachine::model(16, 1000);
-    let got = dense::multiply_scheduled_blocked(&mut narrow, &a, &b, 2);
+    let got = dense::try_multiply_scheduled_blocked(&mut narrow, &a, &b, 2).unwrap();
     assert_eq!(got, want);
     assert_eq!(narrow.stats(), eager.stats());
 }
