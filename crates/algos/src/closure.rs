@@ -222,7 +222,7 @@ pub fn try_transitive_scheduled<U: TensorUnit + 'static, E: Executor>(
 /// Every row loop of the three kernels runs over `s` elements. The
 /// width the benchmarks and examples run, `s = 16`, is dispatched to an
 /// inlined copy of the kernels with a *literal* width `W`, as
-/// `tcu_linalg`'s `mul_band` does for its shapes: each step's pivot row
+/// `tcu_linalg`'s tile kernel does for its shapes: each step's pivot row
 /// then sits in a `[i64; W]` array that the compiler can keep in vector
 /// registers and knows aliases no row, and each row loop runs over
 /// those `W` values. Every other width runs the runtime-length loop
@@ -249,23 +249,29 @@ fn pivot_kernels_impl<U: TensorUnit, E: Executor, const W: usize>(
     s: usize,
 ) {
     let q = d.rows() / s;
+    // The stage's scratch, allocated once: the closed pivot block, one
+    // block that every off-pivot block passes through in turn, and the
+    // pivot-row copy of the runtime-length loop.
+    let mut row = vec![0; if W == 0 { s } else { 0 }];
+    let mut blk = Matrix::<i64>::zeros(s, s);
+
     // A( X_kk ): in-block closure.
     let mut xkk = d.block(kk * s, kk * s, s, s);
-    kernel_a::<U, E, W>(mach, &mut xkk);
+    kernel_a::<U, E, W>(mach, &mut xkk, &mut row);
     d.set_block(kk * s, kk * s, &xkk);
 
     // B( X_kj, X_kk ): pivot block row.
     for j in (0..q).filter(|&j| j != kk) {
-        let mut xkj = d.block(kk * s, j * s, s, s);
-        kernel_b::<U, E, W>(mach, &mut xkj, &xkk);
-        d.set_block(kk * s, j * s, &xkj);
+        blk.set_block_view(0, 0, d.subview(kk * s, j * s, s, s));
+        kernel_b::<U, E, W>(mach, &mut blk, &xkk, &mut row);
+        d.set_block(kk * s, j * s, &blk);
     }
 
     // C( X_ik, X_kk ): pivot block column.
     for i in (0..q).filter(|&i| i != kk) {
-        let mut xik = d.block(i * s, kk * s, s, s);
-        kernel_c::<U, E, W>(mach, &mut xik, &xkk);
-        d.set_block(i * s, kk * s, &xik);
+        blk.set_block_view(0, 0, d.subview(i * s, kk * s, s, s));
+        kernel_c::<U, E, W>(mach, &mut blk, &xkk, &mut row);
+        d.set_block(i * s, kk * s, &blk);
     }
 }
 
@@ -284,21 +290,21 @@ fn or_and(row: &mut [i64], c: i64, pivot: &[i64]) {
 /// its pivot row before updating: `x`'s own pivot row updates to
 /// `a ∨ (c ∧ a) = a`, so it reads the same before and after. The copy
 /// is a `[i64; W]` for a dispatched width `W` (see [`pivot_kernels`])
-/// and a runtime-length buffer for `W = 0`.
+/// and, for `W = 0`, the stage's `s`-element buffer `row`.
 #[inline(always)]
 fn fig7_steps<const W: usize>(
     x: &mut Matrix<i64>,
     y: Option<&Matrix<i64>>,
+    row: &mut [i64],
     coef: impl Fn(usize, usize, i64) -> i64,
 ) {
     let s = x.cols();
-    let mut buf = vec![0; if W == 0 { s } else { 0 }];
     for k in 0..s {
         let src = y.unwrap_or(x).row(k);
         let fixed: [i64; W] = std::array::from_fn(|j| src[j]);
         let pivot: &[i64] = if W == 0 {
-            buf.copy_from_slice(src);
-            &buf
+            row.copy_from_slice(src);
+            row
         } else {
             &fixed
         };
@@ -315,8 +321,9 @@ fn fig7_steps<const W: usize>(
 fn kernel_a<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
+    row: &mut [i64],
 ) {
-    fig7_steps::<W>(x, None, |_, _, xik| xik);
+    fig7_steps::<W>(x, None, row, |_, _, xik| xik);
     let s = x.rows();
     mach.charge(2 * (s * s * s) as u64);
 }
@@ -327,8 +334,9 @@ fn kernel_b<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
     y: &Matrix<i64>,
+    row: &mut [i64],
 ) {
-    fig7_steps::<W>(x, None, |i, k, _| y[(i, k)]);
+    fig7_steps::<W>(x, None, row, |i, k, _| y[(i, k)]);
     let s = x.rows();
     mach.charge(2 * (s * s * s) as u64);
 }
@@ -339,8 +347,9 @@ fn kernel_c<U: TensorUnit, E: Executor, const W: usize>(
     mach: &mut TcuMachine<U, E>,
     x: &mut Matrix<i64>,
     y: &Matrix<i64>,
+    row: &mut [i64],
 ) {
-    fig7_steps::<W>(x, Some(y), |_, _, xik| xik);
+    fig7_steps::<W>(x, Some(y), row, |_, _, xik| xik);
     let s = x.rows();
     mach.charge(2 * (s * s * s) as u64);
 }

@@ -17,6 +17,10 @@
 //!   256-bit build reads its `f64` ratios 37–48% below the 512-bit
 //!   `BENCH_matmul.json`), so mismatched features print an explicit
 //!   "skipped (features X vs Y)" line instead.
+//! * `speedup_chain` — `bench_matmul`'s per-link-calls-vs-fused-chain
+//!   ratio, an in-run ratio like `speedup_tiled` and compared the same
+//!   way: higher is better, only between files with the same
+//!   `target_features`.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
 //!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow` and
 //!   `faults` `try_run_parallel` cases), and **only when both files were
@@ -65,6 +69,9 @@ const EFFICIENCY_DROP_PCT: f64 = 10.0;
 struct CaseSpeedup {
     name: String,
     speedup_tiled: Option<f64>,
+    /// Per-link calls over one fused call per accumulation chain
+    /// (`bench_matmul`'s `chain` cases); compared like `speedup_tiled`.
+    speedup_chain: Option<f64>,
     /// Wall-clock speedup of the case's fast path over its reference.
     /// Gated only for thread-parallel cases (`threads > 1`), and only
     /// when core counts match — serial wall ratios stay informational.
@@ -114,6 +121,7 @@ fn parse_file(text: &str) -> BenchFile {
             continue;
         };
         let speedup_tiled = field_num(line, "speedup_tiled");
+        let speedup_chain = field_num(line, "speedup_chain");
         let plan_ms = field_num(line, "plan_ms").filter(|&ms| ms > 0.0);
         let speedup_wall = field_num(line, "speedup_wall");
         let threads = field_num(line, "threads");
@@ -122,6 +130,7 @@ fn parse_file(text: &str) -> BenchFile {
         let floor_gated = WALL_FLOOR_CASES.contains(&name.as_str()) && speedup_wall.is_some();
         let efficiency_gated = name.contains("dataflow") && sched_efficiency.is_some();
         if speedup_tiled.is_none()
+            && speedup_chain.is_none()
             && plan_ms.is_none()
             && !parallel_wall
             && !floor_gated
@@ -132,6 +141,7 @@ fn parse_file(text: &str) -> BenchFile {
         cases.push(CaseSpeedup {
             name,
             speedup_tiled,
+            speedup_chain,
             speedup_wall,
             threads,
             plan_ms,
@@ -218,9 +228,13 @@ fn main() -> ExitCode {
             base_file.features.as_deref().unwrap_or("?")
         )
     };
-    if !same_features && fresh.iter().any(|f| f.speedup_tiled.is_some()) {
+    if !same_features
+        && fresh
+            .iter()
+            .any(|f| f.speedup_tiled.is_some() || f.speedup_chain.is_some())
+    {
         println!(
-            "bench_diff: target features differ; tiled-speedup comparisons {}",
+            "bench_diff: target features differ; tiled- and chain-speedup comparisons {}",
             features_note()
         );
     }
@@ -264,11 +278,16 @@ fn main() -> ExitCode {
         compared += 1;
         // (kind, fresh, baseline, higher_is_better, unit suffix)
         let mut checks: Vec<(&str, f64, f64, bool, &str)> = Vec::new();
-        if let (Some(ft), Some(bt)) = (f.speedup_tiled, b.speedup_tiled) {
-            if same_features {
-                checks.push(("tiled speedup", ft, bt, true, "x"));
-            } else {
-                println!("{:<20}  tiled speedup {}", f.name, features_note());
+        for (kind, fresh_ratio, base_ratio) in [
+            ("tiled speedup", f.speedup_tiled, b.speedup_tiled),
+            ("chain speedup", f.speedup_chain, b.speedup_chain),
+        ] {
+            if let (Some(fr), Some(br)) = (fresh_ratio, base_ratio) {
+                if same_features {
+                    checks.push((kind, fr, br, true, "x"));
+                } else {
+                    println!("{:<20}  {kind} {}", f.name, features_note());
+                }
             }
         }
         let cores_note = || {

@@ -18,6 +18,15 @@
 //!   `d × d` operands (the E2 hot path), seed flow (block copies +
 //!   `matmul_naive` + copy-back) versus the view flow.
 //!
+//! * `chain d=<d>` — Theorem 2's product as the serial scheduled run
+//!   executes it: `d/√m` accumulation chains of `d/√m` links, one per
+//!   `C` strip (E2's shape at `d = 256`). The reference issues one
+//!   `matmul_into` per link in emission order (every strip's step `k`
+//!   before any strip's step `k + 1`); the fused variant runs each
+//!   chain as one `matmul_chain_into` call, with each `A` strip's
+//!   narrow verdict taken once per flow, as the serial scheduled run
+//!   records it per read. Their ratio is `speedup_chain`.
+//!
 //! The `i64` cases draw operands that fit 32 bits, so the tiled kernels
 //! take their narrow multiplier, and additionally time the tiled
 //! variant on operands past 32 bits (`wide_ns_per_op`), which take the
@@ -107,10 +116,16 @@ struct Case {
     n: usize,
     sqrt_m: usize,
     reps: u32,
+    /// The reference variant: the seed kernel, or per-link calls for a
+    /// chain case.
     seed_ns: f64,
+    /// The measured variant: the tiled kernel, or fused chains.
     tiled_ns: f64,
     /// The tiled variant on operands past 32 bits (integer cases only).
     wide_ns: Option<f64>,
+    /// A `chain` case: its fields are written as `per_link_ns_per_op`,
+    /// `fused_ns_per_op` and `speedup_chain`.
+    chain: bool,
 }
 
 fn main() {
@@ -137,6 +152,10 @@ fn main() {
         cases.push(bench_blocked::<f64>(d, quick));
     }
     cases.push(bench_blocked::<i64>(256, quick));
+    cases.push(bench_chain::<i64>(256, quick));
+    if !quick {
+        cases.push(bench_chain::<f64>(512, quick));
+    }
 
     let mut table = tcu_bench::Table::new(
         "BENCH matmul — seed naive vs tiled view kernel (host wall-clock)",
@@ -149,7 +168,7 @@ fn main() {
             "speedup",
         ],
     );
-    for c in &cases {
+    for c in cases.iter().filter(|c| !c.chain) {
         table.row(vec![
             c.name.clone(),
             c.reps.to_string(),
@@ -161,6 +180,20 @@ fn main() {
         ]);
     }
     table.print();
+    let mut chains = tcu_bench::Table::new(
+        "BENCH matmul — per-link calls vs one fused call per accumulation chain",
+        &["case", "reps", "per-link ns/op", "fused ns/op", "speedup"],
+    );
+    for c in cases.iter().filter(|c| c.chain) {
+        chains.row(vec![
+            c.name.clone(),
+            c.reps.to_string(),
+            tcu_bench::fmt_f(c.seed_ns, 0),
+            tcu_bench::fmt_f(c.tiled_ns, 0),
+            tcu_bench::fmt_f(c.seed_ns / c.tiled_ns, 2),
+        ]);
+    }
+    chains.print();
 
     let json = render_json(&cases, quick, cores);
     std::fs::write(&out_path, &json).expect("write BENCH_matmul.json");
@@ -226,6 +259,7 @@ fn bench_tensor_mul<T: Elem>(n: usize, quick: bool) -> Case {
         seed_ns,
         tiled_ns,
         wide_ns,
+        chain: false,
     }
 }
 
@@ -268,7 +302,70 @@ fn bench_blocked<T: Elem>(d: usize, quick: bool) -> Case {
         seed_ns,
         tiled_ns,
         wide_ns,
+        chain: false,
     }
+}
+
+/// Theorem 2's product as accumulation chains (see the module docs):
+/// per-link calls in emission order against one fused call per chain.
+/// Both flows must give the same elements; the `i64` operands fit 32
+/// bits, so both take the narrow multiplier.
+fn bench_chain<T: Elem>(d: usize, quick: bool) -> Case {
+    let s = SQRT_M;
+    let a = workload::<T>(d, d, 5, NARROW_BITS.0);
+    let b = workload::<T>(d, d, 6, NARROW_BITS.1);
+    let (per_link, fused) = (per_link_flow(&a, &b), fused_flow(&a, &b));
+    assert!(per_link == fused, "fused chains must equal per-link calls");
+    assert!(T::agrees(&fused, &matmul_naive(&a, &b), 1e-6 * d as f64));
+    let reps: u32 = if quick { 3 } else { 10 };
+    let (seed_ns, tiled_ns) =
+        tcu_bench::time_pair_ns(reps, || per_link_flow(&a, &b), || fused_flow(&a, &b));
+    Case {
+        name: format!("chain d={d}{}", T::SUFFIX),
+        n: d,
+        sqrt_m: s,
+        reps,
+        seed_ns,
+        tiled_ns,
+        wide_ns: None,
+        chain: true,
+    }
+}
+
+/// One `matmul_into` per link, in emission order: step `k` of every
+/// strip before step `k + 1` of any.
+fn per_link_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    let (d, s) = (a.rows(), SQRT_M);
+    let mut c = Matrix::<T>::zeros(d, d);
+    for k in 0..d / s {
+        for j in 0..d / s {
+            let mut out = c.subview_mut(0, j * s, d, s);
+            let (strip, blk) = (a.subview(0, k * s, d, s), b.subview(k * s, j * s, s, s));
+            kernels::matmul_into(&mut out, strip, blk, true, 1);
+        }
+    }
+    c
+}
+
+/// One `matmul_chain_into` per `C` strip, each `A` strip's narrow
+/// verdict taken once.
+fn fused_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    let (d, s) = (a.rows(), SQRT_M);
+    let q = d / s;
+    let strips: Vec<_> = (0..q).map(|k| a.subview(0, k * s, d, s)).collect();
+    let verdicts: Vec<bool> = strips.iter().map(|&v| kernels::is_narrow(v)).collect();
+    let mut c = Matrix::<T>::zeros(d, d);
+    for j in 0..q {
+        let links: Vec<_> = (0..q)
+            .map(|k| kernels::ChainLink {
+                a: kernels::ChainA::View(strips[k], Some(verdicts[k])),
+                b: b.subview(k * s, j * s, s, s),
+                accumulate: true,
+            })
+            .collect();
+        kernels::matmul_chain_into(&mut c.subview_mut(0, j * s, d, s), &links);
+    }
+    c
 }
 
 /// The seed flow: per (block column, step), copy the strip and block out
@@ -340,11 +437,15 @@ fn render_json(cases: &[Case], quick: bool, cores: usize) -> String {
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     out.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
+        let [reference, measured, speedup] = if c.chain {
+            ["per_link_ns_per_op", "fused_ns_per_op", "speedup_chain"]
+        } else {
+            ["seed_ns_per_op", "tiled_ns_per_op", "speedup_tiled"]
+        };
         out.push_str("    {");
         out.push_str(&format!(
             "\"name\": \"{}\", \"n\": {}, \"sqrt_m\": {}, \"reps\": {}, \
-             \"seed_ns_per_op\": {:.1}, \"tiled_ns_per_op\": {:.1}, \
-             \"speedup_tiled\": {:.3}",
+             \"{reference}\": {:.1}, \"{measured}\": {:.1}, \"{speedup}\": {:.3}",
             c.name,
             c.n,
             c.sqrt_m,

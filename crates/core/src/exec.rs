@@ -49,6 +49,27 @@ pub struct OperandId {
     pub extent: (usize, usize),
 }
 
+/// One link of an accumulation chain handed to
+/// [`Executor::execute_chain`]: an op and its operands, as one
+/// [`Executor::execute_tagged`] call would take them.
+#[derive(Clone, Copy, Debug)]
+pub struct ChainOp<'a, T: Scalar> {
+    /// The op (its `accumulate` flag says whether the link adds to the
+    /// destination or replaces it).
+    pub op: TensorOp,
+    /// Left operand.
+    pub a: MatrixView<'a, T>,
+    /// Left operand's provenance, when the caller knows it.
+    pub a_id: Option<OperandId>,
+    /// Whether every element of `a` takes the narrow multiplier
+    /// ([`kernels::is_narrow`]), when the caller recorded it: the host
+    /// executor then skips its own scan of `a`. Must be the verdict of
+    /// `a` as it is when the chain runs.
+    pub a_narrow: Option<bool>,
+    /// Right operand.
+    pub b: MatrixView<'a, T>,
+}
+
 /// A numeric backend for tensor instructions.
 ///
 /// `execute` computes `out (+)= a · b` exactly as `op` describes
@@ -91,6 +112,36 @@ pub trait Executor: Send {
     ) -> u64 {
         let _ = a_id;
         self.execute(op, a, b, out)
+    }
+
+    /// Execute an *accumulation chain*: `links`, in order, all writing
+    /// `out` — each one's result exactly what [`Self::execute_tagged`]
+    /// of that link alone would leave in `out` after the links before
+    /// it. Returns the summed native cost. Each completed link adds 1 to
+    /// `done`, so a caller that catches an unwind knows how far the
+    /// chain got.
+    ///
+    /// The default runs [`Self::execute_tagged`] once per link, counting
+    /// each as it completes, so a backend that does not override this
+    /// keeps its per-op behaviour — one execution per link, in order
+    /// (a fault injector's execution indices count links). A backend
+    /// may fuse the chain instead (the host executor keeps each tile of
+    /// `out` in registers across every link); its results must stay
+    /// bit-identical to the per-link calls. A fused chain that unwinds
+    /// part-way through may leave `out` partly written, with `done`
+    /// short of the links its kernel had started.
+    fn execute_chain<T: Scalar>(
+        &mut self,
+        links: &[ChainOp<'_, T>],
+        out: &mut MatrixViewMut<'_, T>,
+        done: &mut usize,
+    ) -> u64 {
+        let mut cost = 0;
+        for link in links {
+            cost += self.execute_tagged(&link.op, link.a, link.a_id, link.b, out);
+            *done += 1;
+        }
+        cost
     }
 
     /// Counters of the backend's derived-operand cache, when it keeps
@@ -256,6 +307,11 @@ impl PackCache {
     }
 }
 
+/// Native cost of one op on the host: scalar multiply-adds performed.
+fn native_cost(op: &TensorOp) -> u64 {
+    (op.rows * op.inner * op.width) as u64
+}
+
 /// The default backend: the tiled, register-blocked host kernels of
 /// `tcu-linalg` (packed `B` panels, an optional pack cache for `A`
 /// strips), run on the calling thread. A parallel machine gets its
@@ -300,6 +356,46 @@ impl HostExecutor {
         self.cache.as_ref().map(|c| c.stats)
     }
 
+    /// `a`'s packed strip under `id` from the pack cache — one lookup,
+    /// recorded as a `PackLookup` span (and an eviction as `PackEvict`)
+    /// when a recorder is attached — or `None` when caching is off.
+    fn cached_pack<T: Scalar>(
+        &mut self,
+        id: OperandId,
+        a: MatrixView<'_, T>,
+    ) -> Option<Arc<kernels::PackedA<T>>> {
+        let cache = self.cache.as_mut()?;
+        let before = cache.stats;
+        let start = self.recorder.as_ref().map(|(r, _)| r.now_ns());
+        let packed = cache.get_or_pack(id, a);
+        if let (Some((rec, unit)), Some(t0)) = (self.recorder.as_ref(), start) {
+            let after = cache.stats;
+            rec.record(
+                tcu_obs::Lane::Unit(*unit),
+                tcu_obs::SpanEvent {
+                    kind: tcu_obs::EventKind::PackLookup {
+                        unit: *unit,
+                        hit: after.hits > before.hits,
+                    },
+                    t_ns: t0,
+                    dur_ns: rec.now_ns().saturating_sub(t0),
+                },
+            );
+            if after.evictions > before.evictions {
+                let t = rec.now_ns();
+                rec.record(
+                    tcu_obs::Lane::Unit(*unit),
+                    tcu_obs::SpanEvent {
+                        kind: tcu_obs::EventKind::PackEvict { unit: *unit },
+                        t_ns: t,
+                        dur_ns: 0,
+                    },
+                );
+            }
+        }
+        Some(packed)
+    }
+
     /// Always 1: the kernels run on the calling thread. perfbench still
     /// records it; delete in the next benchmark change.
     #[doc(hidden)]
@@ -322,8 +418,7 @@ impl Executor for HostExecutor {
         out: &mut MatrixViewMut<'_, T>,
     ) -> u64 {
         kernels::matmul_into(out, a, b, op.accumulate, 1);
-        // Native cost: scalar multiply-adds performed.
-        (op.rows * op.inner * op.width) as u64
+        native_cost(op)
     }
 
     fn execute_tagged<T: Scalar>(
@@ -334,43 +429,47 @@ impl Executor for HostExecutor {
         b: MatrixView<'_, T>,
         out: &mut MatrixViewMut<'_, T>,
     ) -> u64 {
-        match (a_id, self.cache.as_mut()) {
-            (Some(id), Some(cache)) => {
-                // Bit-identical to the unpacked kernel: only the pack
-                // traffic changes.
-                let before = cache.stats;
-                let start = self.recorder.as_ref().map(|(r, _)| r.now_ns());
-                let packed = cache.get_or_pack(id, a);
-                if let (Some((rec, unit)), Some(t0)) = (self.recorder.as_ref(), start) {
-                    let after = cache.stats;
-                    rec.record(
-                        tcu_obs::Lane::Unit(*unit),
-                        tcu_obs::SpanEvent {
-                            kind: tcu_obs::EventKind::PackLookup {
-                                unit: *unit,
-                                hit: after.hits > before.hits,
-                            },
-                            t_ns: t0,
-                            dur_ns: rec.now_ns().saturating_sub(t0),
-                        },
-                    );
-                    if after.evictions > before.evictions {
-                        let t = rec.now_ns();
-                        rec.record(
-                            tcu_obs::Lane::Unit(*unit),
-                            tcu_obs::SpanEvent {
-                                kind: tcu_obs::EventKind::PackEvict { unit: *unit },
-                                t_ns: t,
-                                dur_ns: 0,
-                            },
-                        );
-                    }
-                }
-                kernels::matmul_packed_into(out, &packed, b, op.accumulate);
-                (op.rows * op.inner * op.width) as u64
-            }
-            _ => self.execute(op, a, b, out),
-        }
+        let link = ChainOp {
+            op: *op,
+            a,
+            a_id,
+            a_narrow: None,
+            b,
+        };
+        self.execute_chain(std::slice::from_ref(&link), out, &mut 0)
+    }
+
+    /// One kernel call for the whole chain
+    /// ([`kernels::matmul_chain_into`]; a tagged op is a one-link
+    /// chain): each link's left operand is looked up in the pack cache
+    /// once — a packed strip gives the same bits as the view, only the
+    /// pack traffic changes — and a view carries the caller's narrow
+    /// verdict, when it recorded one, so the kernel does not rescan it.
+    fn execute_chain<T: Scalar>(
+        &mut self,
+        links: &[ChainOp<'_, T>],
+        out: &mut MatrixViewMut<'_, T>,
+        done: &mut usize,
+    ) -> u64 {
+        let packed: Vec<_> = links
+            .iter()
+            .map(|l| l.a_id.and_then(|id| self.cached_pack(id, l.a)))
+            .collect();
+        let kernel_links: Vec<_> = links
+            .iter()
+            .zip(&packed)
+            .map(|(l, p)| kernels::ChainLink {
+                a: match p {
+                    Some(p) => kernels::ChainA::Packed(p),
+                    None => kernels::ChainA::View(l.a, l.a_narrow),
+                },
+                b: l.b,
+                accumulate: l.op.accumulate,
+            })
+            .collect();
+        kernels::matmul_chain_into(out, &kernel_links);
+        *done += links.len();
+        links.iter().map(|l| native_cost(&l.op)).sum()
     }
 
     fn cache_stats(&self) -> Option<PackCacheStats> {
@@ -591,6 +690,61 @@ mod tests {
             &mut out.view_mut(),
         );
         assert_eq!(cached.pack_cache_stats().expect("enabled").lookups, 4);
+    }
+
+    #[test]
+    fn host_chains_equal_per_link_calls_and_look_each_link_up_once() {
+        // A C strip's chain: an overwriting head, then accumulates, each
+        // link streaming its own strip of `big`, one of which holds an
+        // element past 32 bits, so the chain must take the wide
+        // multiplier whether or not the caller hands in verdicts.
+        let mut big = pseudo(64, 16, 13);
+        big[(37, 9)] = 1 << 40;
+        let wts: Vec<Matrix<i64>> = (0..4).map(|l| pseudo(4, 4, 20 + l)).collect();
+        let mut want = Matrix::<i64>::zeros(64, 4);
+        for (l, w) in wts.iter().enumerate() {
+            want.add_assign(&matmul_naive(&big.block(0, 4 * l, 64, 4), w));
+        }
+        for recorded in [false, true] {
+            let links: Vec<ChainOp<'_, i64>> = (0..4)
+                .map(|l| {
+                    let a = big.subview(0, 4 * l, 64, 4);
+                    ChainOp {
+                        op: if l == 0 {
+                            TensorOp::mul(64, 4)
+                        } else {
+                            TensorOp::mul_acc(64, 4)
+                        },
+                        a,
+                        a_id: Some(OperandId {
+                            buffer: 7,
+                            generation: 0,
+                            origin: (0, 4 * l),
+                            extent: (64, 4),
+                        }),
+                        a_narrow: recorded.then(|| kernels::is_narrow(a)),
+                        b: wts[l].view(),
+                    }
+                })
+                .collect();
+            for cache in [false, true] {
+                let mut exec = HostExecutor::new();
+                if cache {
+                    exec.enable_pack_cache(8);
+                }
+                // Twice: the second chain finds every strip packed.
+                for _ in 0..2 {
+                    let mut got = pseudo(64, 4, 30);
+                    let mut done = 0;
+                    let cost = exec.execute_chain(&links, &mut got.view_mut(), &mut done);
+                    assert_eq!(got, want, "cache {cache}, recorded {recorded}");
+                    assert_eq!((done, cost), (4, 4 * 64 * 4 * 4));
+                }
+                if let Some(stats) = exec.pack_cache_stats() {
+                    assert_eq!((stats.lookups, stats.misses), (8, 4));
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod trace;
 pub use cost::{Stats, StatsSummary};
 pub use error::{BindRole, TcuError};
 pub use exec::{
-    pack_cache_capacity, Executor, HostExecutor, OperandId, PackCacheStats, ReplayExecutor,
+    pack_cache_capacity, ChainOp, Executor, HostExecutor, OperandId, PackCacheStats, ReplayExecutor,
 };
 pub use fault::{
     assign_unit_ids, silence_injected_fault_panics, FaultKind, FaultPlan, FaultStats,

@@ -5,19 +5,28 @@
 //! oracle), while the kernels here compute the *same sum in the same
 //! per-element order* but organized for the cache and the register file:
 //!
-//! * `pack_b` copies the right operand once per invocation into
-//!   column panels of width `NR`, so the micro-kernel reads `B` as
-//!   contiguous, reusable rows regardless of the source view's stride;
-//! * the `MR × NR` register-blocked micro-kernel keeps a full tile of
+//! * `pack_b` copies each right operand once per call into column
+//!   panels of width `NR`, so the tile kernel reads `B` as contiguous,
+//!   reusable rows regardless of the source view's stride;
+//! * the `MR × NR` register-blocked tile kernel keeps a full tile of
 //!   `C` in accumulators across the entire inner (`k`) loop, eliminating
 //!   the per-`k` round trips through `C` that dominate the naive triple
 //!   loop;
+//! * [`matmul_chain_into`] runs an *accumulation chain* — several
+//!   products into one destination, as Theorem 2's `k` steps stream
+//!   into one `C` strip — keeping each `MR × NR` tile of the destination
+//!   in registers across every link, so `C` is loaded and stored once
+//!   per chain instead of once per product. Per link it performs exactly
+//!   the operations of a one-link chain: the link's product summed from
+//!   zero in ascending `k`, then added to the carried tile (or replacing
+//!   it, for a link that overwrites);
 //! * [`matmul_into`] is the runtime-dispatch entry the executor layer
-//!   keys off a `TensorOp`'s accumulate flag;
+//!   keys off a `TensorOp`'s accumulate flag, a one-link chain, as are
+//!   [`matmul`] and [`matmul_acc`];
 //! * [`pack_a`] / [`matmul_acc_packed`] pack a tall strip once into
 //!   interleaved row panels so blocked flows that re-stream the same
 //!   strip per block column read a compact sequential buffer instead of
-//!   page-strided rows.
+//!   page-strided rows; a chain link's `A` may be such a strip.
 //!
 //! Accumulation order matters: for each output element the `k` loop runs
 //! in ascending order from a zero accumulator, exactly like
@@ -28,17 +37,19 @@
 //!
 //! **Narrow multiplier.** For scalar types with [`Scalar::NARROW_MUL`]
 //! (`i64`, `u64`), a call whose `A` and `B` elements all pass
-//! [`Scalar::is_narrow`] — they fit 32 bits — runs the micro-kernels on
+//! [`Scalar::is_narrow`] — they fit 32 bits — runs the tile kernel on
 //! [`Scalar::mul_add_narrow`]: the operands' 32-bit values, sign- (or
 //! zero-) extended, multiplied into the same 64-bit accumulators in the
 //! same ascending-`k` order. The product of two 32-bit values is exact
 //! in 64 bits, so it equals the wide `a * b`, and every accumulator step
 //! is the same add: the result is bit-identical to the wide path for
 //! every input, with no bound on the sums and no rounding involved. The
-//! choice is a property of the input alone. [`PackedA`] records it when
-//! it packs, `pack_b` checks `B` as it copies it, and the view path
-//! scans `A` once per call. One element past 32 bits in either operand
-//! sends the whole call down the wide path.
+//! choice is a property of the input alone, made once per call (a chain
+//! decides once for all its links). [`PackedA`] records it when it
+//! packs, `pack_b` checks `B` as it copies it, and a view `A` is scanned
+//! once per call unless its caller hands in the verdict it recorded for
+//! that operand ([`ChainA::View`]). One element past 32 bits in any
+//! operand sends the whole call down the wide path.
 //!
 //! The kernels run on the calling thread. Parallelism lives one level
 //! up, where the paper puts it: `p` tensor units, each invocation one
@@ -49,7 +60,7 @@
 //! emits is a property of the build: `.cargo/config.toml` builds for
 //! `target-cpu=native` and clears LLVM's `prefer-256-bit` tuning (which
 //! LLVM sets for recent Intel server cores), so on an AVX-512 host the
-//! const-dimension micro-kernels use 512-bit zmm registers, and on an
+//! const-dimension tile kernels use 512-bit zmm registers, and on an
 //! AVX2 host 256-bit ymm ones; a portable build gets SSE2. Without
 //! the flag, an AVX-512 host whose tuning sets it gets ymm code. Each
 //! lane holds one output element and runs the same operation in the
@@ -59,9 +70,9 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::view::{MatrixView, MatrixViewMut};
 
-/// Micro-kernel height: rows of `C` kept in accumulators per tile.
+/// Tile height: rows of `C` kept in accumulators per tile.
 const MR: usize = 4;
-/// Micro-kernel width: one packed `B` panel. `4 × 16` keeps the whole
+/// Tile width: one packed `B` panel. `4 × 16` keeps the whole
 /// accumulator tile in vector registers and covers the hot `√m = 16`
 /// shape with a single panel, so the left operand is traversed once per
 /// invocation. The tile is 8 zmm of `f64` when the build emits 512-bit
@@ -78,7 +89,7 @@ const NR: usize = 16;
 pub fn matmul<T: Scalar>(a: MatrixView<'_, T>, b: MatrixView<'_, T>) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
     let mut c = Matrix::<T>::zeros(a.rows(), b.cols());
-    run::<T, false>(&mut c.view_mut(), a, b);
+    matmul_into(&mut c.view_mut(), a, b, false, 1);
     c
 }
 
@@ -101,10 +112,11 @@ pub fn matmul_acc<T: Scalar>(
 
 /// Unified entry point for the executor layer: `C (+)= A·B` with the
 /// accumulate flag decided at runtime (the `TensorOp.accumulate` bit of
-/// `tcu-core`'s IR dispatches here). Overwrite mode writes every element
-/// of `c`, so the destination needs no pre-zeroing. The last argument
-/// is ignored: it stays only because perfbench still passes it, until
-/// the next benchmark change drops it.
+/// `tcu-core`'s IR dispatches here), as a one-link
+/// [`matmul_chain_into`]. Overwrite mode writes every element of `c`,
+/// so the destination needs no pre-zeroing. The last argument is
+/// ignored: it stays only because perfbench still passes it, until the
+/// next benchmark change drops it.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()` or `c` is not `a.rows × b.cols`.
@@ -115,32 +127,27 @@ pub fn matmul_into<T: Scalar>(
     accumulate: bool,
     _unused: usize,
 ) {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dimensions must agree");
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (a.rows(), b.cols()),
-        "matmul_acc: output shape mismatch"
-    );
-    if accumulate {
-        run::<T, true>(c, a, b);
-    } else {
-        run::<T, false>(c, a, b);
-    }
+    let link = ChainLink {
+        a: ChainA::View(a, None),
+        b,
+        accumulate,
+    };
+    matmul_chain_into(c, &[link]);
 }
 
 /// A left operand packed once into contiguous `MR`-row panels:
 /// `panel t`, covering rows `[t·MR, t·MR + MR)`, stores those rows
 /// back-to-back, each as its `k` values in column order (rows past the
 /// ragged bottom edge are zero). Keeping the rows *row-major inside the
-/// panel* lets the packed micro-kernel read `A` exactly like the view
-/// kernel reads its rows — same loads, same codegen — with the panel
-/// merely guaranteeing the rows sit on one or two cache lines instead
-/// of a page apart. One pack per *strip* — not per invocation — is the
-/// cache lever for blocked flows: a `d × √m` strip of a `d × d` matrix
-/// has page-sized row strides (TLB-hostile, one cache line per row
-/// touch), and the blocked algorithm re-streams it once per block
-/// column. Packing converts all of those re-reads into sequential scans
-/// of a compact buffer that stays cache-resident across uses.
+/// panel* lets the tile kernel read a packed `A` exactly like a view's
+/// rows — same loads, same codegen — with the panel merely guaranteeing
+/// the rows sit on one or two cache lines instead of a page apart. One
+/// pack per *strip* — not per invocation — is the cache lever for
+/// blocked flows: a `d × √m` strip of a `d × d` matrix has page-sized
+/// row strides (TLB-hostile, one cache line per row touch), and the
+/// blocked algorithm re-streams it once per block column. Packing
+/// converts all of those re-reads into sequential scans of a compact
+/// buffer that stays cache-resident across uses.
 #[derive(Clone, Debug)]
 pub struct PackedA<T> {
     rows: usize,
@@ -216,12 +223,12 @@ pub fn matmul_acc_packed<T: Scalar>(
     matmul_packed_into(c, a, b, true);
 }
 
-/// Unified packed-strip entry for the executor layer: `C (+)= A·B` with
-/// a pre-packed left operand and the accumulate flag decided at runtime —
-/// the pack-cache execution path of `HostExecutor` dispatches here with
-/// whatever `TensorOp.accumulate` says. Overwrite mode writes every
-/// element of `c` (no pre-zeroing needed); both modes are bit-identical
-/// to [`matmul_into`] on the unpacked view.
+/// `C (+)= A·B` with a pre-packed left operand and the accumulate flag
+/// decided at runtime, as a one-link [`matmul_chain_into`]. Overwrite
+/// mode writes every element of `c` (no pre-zeroing needed); both
+/// modes are bit-identical to [`matmul_into`] on the unpacked view,
+/// except that an empty inner dimension leaves an accumulating `c` as
+/// it is.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()` or `c` is not `a.rows × b.cols`.
@@ -231,169 +238,295 @@ pub fn matmul_packed_into<T: Scalar>(
     b: MatrixView<'_, T>,
     accumulate: bool,
 ) {
-    let (n, k, p) = (a.rows, a.cols, b.cols());
-    assert_eq!(k, b.rows(), "matmul: inner dimensions must agree");
-    assert_eq!(
-        (c.rows(), c.cols()),
-        (n, p),
-        "matmul_acc: output shape mismatch"
-    );
-    if n == 0 || p == 0 {
-        return;
-    }
-    if k == 0 {
-        // An empty inner dimension accumulates nothing — but overwrite
-        // mode must still zero the destination like `matmul_into` does.
-        if !accumulate {
-            for i in 0..n {
-                c.row_mut(i).fill(T::ZERO);
-            }
+    let link = ChainLink {
+        a: ChainA::Packed(a),
+        b,
+        accumulate,
+    };
+    matmul_chain_into(c, &[link]);
+}
+
+/// The left operand of one [`ChainLink`].
+#[derive(Clone, Copy, Debug)]
+pub enum ChainA<'a, T: Scalar> {
+    /// Rows read through a (possibly strided) view, with the caller's
+    /// recorded verdict of whether every element is
+    /// [`Scalar::is_narrow`] — `None` has the chain scan them.
+    View(MatrixView<'a, T>, Option<bool>),
+    /// A strip packed by [`pack_a`], which recorded its narrowness.
+    Packed(&'a PackedA<T>),
+}
+
+impl<T: Scalar> ChainA<'_, T> {
+    fn rows(&self) -> usize {
+        match self {
+            ChainA::View(a, _) => a.rows(),
+            ChainA::Packed(a) => a.rows,
         }
-        return;
     }
-    let (packed_b, b_narrow) = pack_b(b);
-    match (accumulate, T::NARROW_MUL && a.narrow && b_narrow) {
-        (true, true) => packed_band::<T, true, true>(a, &packed_b, k, p, c),
-        (true, false) => packed_band::<T, true, false>(a, &packed_b, k, p, c),
-        (false, true) => packed_band::<T, false, true>(a, &packed_b, k, p, c),
-        (false, false) => packed_band::<T, false, false>(a, &packed_b, k, p, c),
+
+    fn cols(&self) -> usize {
+        match self {
+            ChainA::View(a, _) => a.cols(),
+            ChainA::Packed(a) => a.cols,
+        }
+    }
+
+    fn narrow(&self) -> bool {
+        match *self {
+            ChainA::View(_, Some(narrow)) => narrow,
+            ChainA::View(a, None) => is_narrow(a),
+            ChainA::Packed(a) => a.narrow,
+        }
     }
 }
 
-/// Const-dimension dispatch for the packed band (same hot square shapes
-/// as `mul_band`: fully unrolled inner products).
-fn packed_band<T: Scalar, const ACC: bool, const NARROW: bool>(
-    a: &PackedA<T>,
-    packed_b: &[T],
-    k: usize,
-    p: usize,
+/// One product of an accumulation chain: `C += A·B`, or `C = A·B` when
+/// `accumulate` is `false`.
+#[derive(Clone, Copy, Debug)]
+pub struct ChainLink<'a, T: Scalar> {
+    /// Left operand, `C.rows × k`.
+    pub a: ChainA<'a, T>,
+    /// Right operand, `k × C.cols`.
+    pub b: MatrixView<'a, T>,
+    /// Add the product to `C` (else replace `C` with it).
+    pub accumulate: bool,
+}
+
+/// Whether every element of `a` takes the narrow multiplier (always
+/// `false` for a type without one) — the verdict a caller may record
+/// per operand and hand to [`matmul_chain_into`] through
+/// [`ChainA::View`].
+#[must_use]
+pub fn is_narrow<T: Scalar>(a: MatrixView<'_, T>) -> bool {
+    T::NARROW_MUL && (0..a.rows()).all(|i| all_narrow(a.row(i)))
+}
+
+/// Run an accumulation chain into `c`: the links' products, in order,
+/// each added to `c` (or overwriting it), with every `MR × NR` tile of
+/// `c` held in registers across the whole chain.
+///
+/// Bit-identical to one one-link call per link, in link order, for
+/// every scalar type: each link's product is summed from zero in
+/// ascending `k` and then added to the carried tile
+/// (`carried.add(product)`) or replaces it. An accumulating link with
+/// an empty inner dimension adds the zero product through a view and
+/// leaves the tile as it is through a packed strip. The chain takes the
+/// narrow multiplier only when every `A` and `B` of every link is
+/// narrow — one decision for the whole chain.
+///
+/// # Panics
+/// Panics if a link's `A` is not `c.rows × k` or its `B` not
+/// `k × c.cols`.
+pub fn matmul_chain_into<T: Scalar>(c: &mut MatrixViewMut<'_, T>, links: &[ChainLink<'_, T>]) {
+    let (n, p) = (c.rows(), c.cols());
+    for link in links {
+        assert_eq!(
+            link.a.cols(),
+            link.b.rows(),
+            "matmul: inner dimensions must agree"
+        );
+        assert_eq!(
+            (link.a.rows(), link.b.cols()),
+            (n, p),
+            "matmul: output shape mismatch"
+        );
+    }
+    if links.is_empty() || n == 0 || p == 0 {
+        return;
+    }
+    // Every link's `B` packed once, back to back; the multiplier is
+    // decided before any `A` is scanned when a `B` is already wide.
+    let panels = p.div_ceil(NR);
+    let panel_len = |l: &ChainLink<'_, T>| l.b.rows() * NR;
+    let mut packed = vec![T::ZERO; panels * links.iter().map(panel_len).sum::<usize>()];
+    let mut narrow = T::NARROW_MUL;
+    let mut off = 0;
+    for link in links {
+        let len = panels * panel_len(link);
+        narrow &= pack_b(link.b, &mut packed[off..off + len]);
+        off += len;
+    }
+    narrow = narrow && links.iter().all(|l| l.a.narrow());
+    let k0 = links[0].b.rows();
+    let uniform = links.iter().all(|l| l.b.rows() == k0);
+    // A one-link chain (every per-op call) runs its own copy of the
+    // kernel, whose link loop the compiler removes and whose `k` loop it
+    // then unrolls in full, as it does not inside a loop over links: one
+    // link through the general copy ran `bench_matmul`'s f64 cases
+    // 27–70% slower.
+    let k = uniform.then_some(k0);
+    match (narrow, links.len() == 1) {
+        (true, true) => chain_band::<T, true, true>(links, &packed, k, c),
+        (true, false) => chain_band::<T, true, false>(links, &packed, k, c),
+        (false, true) => chain_band::<T, false, true>(links, &packed, k, c),
+        (false, false) => chain_band::<T, false, false>(links, &packed, k, c),
+    }
+}
+
+/// Const-dimension dispatch, when every link shares its inner dimension
+/// `k`. The hot shapes are square `√m × √m` right operands; dispatching
+/// them to inlined copies of the band loop with *literal* dimensions
+/// lets the compiler fully unroll the inner product and keep the
+/// register tile clean (the runtime-dimension fallback is ~2× slower on
+/// the `√m = 16` shape). All arms run identical code, so results are
+/// identical.
+fn chain_band<T: Scalar, const NARROW: bool, const ONE: bool>(
+    links: &[ChainLink<'_, T>],
+    packed: &[T],
+    k: Option<usize>,
     c: &mut MatrixViewMut<'_, T>,
 ) {
-    match (k, p) {
-        (4, 4) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 4, 4, c),
-        (8, 8) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 8, 8, c),
-        (16, 16) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 16, 16, c),
-        (32, 32) => packed_band_impl::<T, ACC, NARROW>(a, packed_b, 32, 32, c),
-        _ => packed_band_impl::<T, ACC, NARROW>(a, packed_b, k, p, c),
+    match (k, c.cols()) {
+        (Some(4), 4) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(4), 4, c),
+        (Some(8), 8) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(8), 8, c),
+        (Some(16), 16) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(16), 16, c),
+        (Some(32), 32) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(32), 32, c),
+        (k, p) => chain_band_impl::<T, NARROW, ONE>(links, packed, k, p, c),
     }
 }
 
 #[inline(always)]
-fn packed_band_impl<T: Scalar, const ACC: bool, const NARROW: bool>(
-    a: &PackedA<T>,
-    packed_b: &[T],
-    k: usize,
+fn chain_band_impl<T: Scalar, const NARROW: bool, const ONE: bool>(
+    links: &[ChainLink<'_, T>],
+    packed: &[T],
+    k: Option<usize>,
     p: usize,
     c: &mut MatrixViewMut<'_, T>,
 ) {
-    let n = a.rows;
+    let n = c.rows();
     let panels = p.div_ceil(NR);
-    for (t, apanel) in a.data.chunks_exact(k * MR).enumerate() {
-        let i0 = t * MR;
+    let mut i0 = 0usize;
+    while i0 < n {
         let mr = MR.min(n - i0);
         for q in 0..panels {
-            let j0 = q * NR;
-            let w = NR.min(p - j0);
-            let bpanel = &packed_b[q * k * NR..(q + 1) * k * NR];
-            match mr {
-                1 => micro_kernel_packed::<T, 1, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
-                2 => micro_kernel_packed::<T, 2, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
-                3 => micro_kernel_packed::<T, 3, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
-                _ => micro_kernel_packed::<T, MR, ACC, NARROW>(apanel, bpanel, k, j0, w, i0, c),
+            // A full-width tile passes `NR` as a literal, so its loads and
+            // stores of `c` are fixed-length and the carried tile stays in
+            // registers.
+            let tile = |w| Tile {
+                i0,
+                q,
+                j0: q * NR,
+                w,
+            };
+            let w = NR.min(p - q * NR);
+            match (mr, w) {
+                (MR, NR) => chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile(NR), c),
+                (1, _) => chain_tile::<T, 1, NARROW, ONE>(links, packed, k, panels, tile(w), c),
+                (2, _) => chain_tile::<T, 2, NARROW, ONE>(links, packed, k, panels, tile(w), c),
+                (3, _) => chain_tile::<T, 3, NARROW, ONE>(links, packed, k, panels, tile(w), c),
+                _ => chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile(w), c),
             }
         }
+        i0 += mr;
     }
 }
 
-/// [`micro_kernel`] over a packed `A` panel: the panel's rows are
-/// row-major slices, so this body is the view kernel's verbatim — only
-/// the row pointers come from the compact panel instead of the strided
-/// source. The `kk` loop ascends from zero accumulators — the exact
-/// per-element order of `matmul_naive`, so results are bit-identical to
-/// the view-reading kernel (spilling by add when `ACC`, by overwrite
-/// else).
-#[inline(always)]
-fn micro_kernel_packed<T: Scalar, const RB: usize, const ACC: bool, const NARROW: bool>(
-    apanel: &[T],
-    bpanel: &[T],
-    k: usize,
+/// Where one register tile of a chain sits: rows from `i0`, `B` panel
+/// `q`, columns `[j0, j0 + w)`.
+#[derive(Clone, Copy)]
+struct Tile {
+    i0: usize,
+    q: usize,
     j0: usize,
     w: usize,
-    i0: usize,
-    c: &mut MatrixViewMut<'_, T>,
-) {
-    let mut acc = [[T::ZERO; NR]; RB];
-    let mut arows: [&[T]; RB] = [&[]; RB];
-    for (r, ar) in arows.iter_mut().enumerate() {
-        *ar = &apanel[r * k..(r + 1) * k];
-    }
-    for kk in 0..k {
-        let brow = &bpanel[kk * NR..kk * NR + NR];
-        for r in 0..RB {
-            let av = arows[r][kk];
-            let accr = &mut acc[r];
-            for jj in 0..NR {
-                accr[jj] = mac::<T, NARROW>(accr[jj], av, brow[jj]);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut c.row_mut(i0 + r)[j0..j0 + w];
-        if ACC {
-            for (o, &v) in crow.iter_mut().zip(&accr[..w]) {
-                *o = o.add(v);
-            }
-        } else {
-            crow.copy_from_slice(&accr[..w]);
-        }
-    }
 }
 
-/// Shared body of the view entries: pack `B`, choose the multiplier,
-/// then run the tiled kernel over all of `A`'s rows. `ACC` selects
-/// accumulate-into vs overwrite.
-fn run<T: Scalar, const ACC: bool>(
+/// One `RB × NR` tile through the whole chain: per link, the product
+/// from zero accumulators in ascending `k` — the exact per-element
+/// order of `matmul_naive`, with `NARROW` picking the multiply-add
+/// ([`mac`]) — then folded into the carried tile, which is loaded from
+/// `c` only by an accumulating first link and stored once at the end.
+/// `k` is every link's inner dimension when they share one (a literal
+/// after dispatch), else each link's own; `ONE` says there is one link.
+#[inline(always)]
+fn chain_tile<T: Scalar, const RB: usize, const NARROW: bool, const ONE: bool>(
+    links: &[ChainLink<'_, T>],
+    packed: &[T],
+    k: Option<usize>,
+    panels: usize,
+    tile: Tile,
     c: &mut MatrixViewMut<'_, T>,
-    a: MatrixView<'_, T>,
-    b: MatrixView<'_, T>,
 ) {
-    if a.rows() == 0 || b.cols() == 0 {
-        return;
-    }
-    let (packed, b_narrow) = pack_b(b);
-    let (k, p) = (a.cols(), c.cols());
-    // One scan of `A` decides the multiplier for the whole call.
-    if T::NARROW_MUL && b_narrow && (0..a.rows()).all(|i| all_narrow(a.row(i))) {
-        mul_band::<T, ACC, true>(a, &packed, k, p, c);
-    } else {
-        mul_band::<T, ACC, false>(a, &packed, k, p, c);
-    }
-}
-
-/// Pack `b` into column panels of width [`NR`]: panel `q` holds columns
-/// `[q·NR, q·NR + NR)` as `k` consecutive rows of `NR` elements
-/// (zero-padded on the ragged right edge). One pack per invocation makes
-/// every micro-kernel `B` access a contiguous forward scan. Also returns
-/// whether every element of `b` is narrow, checked as it is copied.
-fn pack_b<T: Scalar>(b: MatrixView<'_, T>) -> (Vec<T>, bool) {
-    let (k, p) = (b.rows(), b.cols());
-    let panels = p.div_ceil(NR).max(1);
-    let mut packed = vec![T::ZERO; panels * k * NR];
-    let mut narrow = T::NARROW_MUL;
-    for q in 0..panels {
-        let j0 = q * NR;
-        let w = NR.min(p.saturating_sub(j0));
-        if w == 0 {
+    let Tile { i0, q, j0, w } = tile;
+    let links = if ONE { &links[..1] } else { links };
+    let mut carry = [[T::ZERO; NR]; RB];
+    let mut off = 0usize;
+    for (l, link) in links.iter().enumerate() {
+        let k = k.unwrap_or_else(|| link.b.rows());
+        let bpanel = &packed[off + q * k * NR..off + (q + 1) * k * NR];
+        off += panels * k * NR;
+        let mut arows: [&[T]; RB] = [&[]; RB];
+        match link.a {
+            ChainA::View(a, _) => {
+                for (r, ar) in arows.iter_mut().enumerate() {
+                    *ar = &a.row(i0 + r)[..k];
+                }
+            }
+            ChainA::Packed(a) => {
+                let apanel = &a.data[i0 * k..(i0 + MR) * k];
+                for (r, ar) in arows.iter_mut().enumerate() {
+                    *ar = &apanel[r * k..(r + 1) * k];
+                }
+            }
+        }
+        let mut prod = [[T::ZERO; NR]; RB];
+        for kk in 0..k {
+            let brow = &bpanel[kk * NR..kk * NR + NR];
+            for r in 0..RB {
+                let av = arows[r][kk];
+                let pr = &mut prod[r];
+                for jj in 0..NR {
+                    pr[jj] = mac::<T, NARROW>(pr[jj], av, brow[jj]);
+                }
+            }
+        }
+        if !link.accumulate {
+            carry = prod;
             continue;
         }
-        let panel = &mut packed[q * k * NR..(q + 1) * k * NR];
+        if l == 0 {
+            for (r, cr) in carry.iter_mut().enumerate() {
+                let crow = &c.row_mut(i0 + r)[j0..j0 + w];
+                cr[..w].copy_from_slice(crow);
+            }
+        }
+        // A packed strip with an empty inner dimension leaves the tile
+        // untouched; a view adds the zero product.
+        if k > 0 || matches!(link.a, ChainA::View(..)) {
+            for (cr, pr) in carry.iter_mut().zip(&prod) {
+                for (o, &v) in cr.iter_mut().zip(pr) {
+                    *o = o.add(v);
+                }
+            }
+        }
+    }
+    for (r, cr) in carry.iter().enumerate() {
+        let crow = &mut c.row_mut(i0 + r)[j0..j0 + w];
+        crow.copy_from_slice(&cr[..w]);
+    }
+}
+
+/// Pack `b` into `out`, column panels of width [`NR`]: panel `q` holds
+/// columns `[q·NR, q·NR + NR)` as `k` consecutive rows of `NR` elements
+/// (`out` comes zeroed, which pads the ragged right edge). One pack per
+/// call makes every tile kernel `B` access a contiguous forward scan.
+/// Returns whether every element of `b` is narrow, checked as it is
+/// copied.
+fn pack_b<T: Scalar>(b: MatrixView<'_, T>, out: &mut [T]) -> bool {
+    let (k, p) = (b.rows(), b.cols());
+    let mut narrow = T::NARROW_MUL;
+    for q in 0..p.div_ceil(NR) {
+        let j0 = q * NR;
+        let w = NR.min(p - j0);
+        let panel = &mut out[q * k * NR..(q + 1) * k * NR];
         for kk in 0..k {
             let src = &b.row(kk)[j0..j0 + w];
             narrow = narrow && all_narrow(src);
             panel[kk * NR..kk * NR + w].copy_from_slice(src);
         }
     }
-    (packed, narrow)
+    narrow
 }
 
 /// Whether every element of `s` takes the narrow multiplier. A
@@ -403,7 +536,7 @@ fn all_narrow<T: Scalar>(s: &[T]) -> bool {
     s.iter().fold(true, |ok, x| ok & x.is_narrow())
 }
 
-/// The micro-kernels' multiply-add: [`Scalar::mul_add_narrow`] when the
+/// The tile kernel's multiply-add: [`Scalar::mul_add_narrow`] when the
 /// call's operands are all narrow, [`Scalar::mul_add`] otherwise. Both
 /// give the same bits on narrow operands.
 #[inline(always)]
@@ -415,110 +548,17 @@ fn mac<T: Scalar, const NARROW: bool>(acc: T, a: T, b: T) -> T {
     }
 }
 
-/// Serial tiled kernel over `a`'s `h` rows: `c` is the `h × p` output
-/// view (possibly strided), `packed` the full packed `B`.
-///
-/// The hot shapes are square `√m × √m` right operands; dispatching them
-/// to inlined copies of the band loop with *literal* dimensions lets the
-/// compiler fully unroll the inner product and keep the register tile
-/// clean (the runtime-dimension fallback is ~2× slower on the `√m = 16`
-/// shape). All arms run identical code, so results are identical.
-fn mul_band<T: Scalar, const ACC: bool, const NARROW: bool>(
-    a: MatrixView<'_, T>,
-    packed: &[T],
-    k: usize,
-    p: usize,
-    c: &mut MatrixViewMut<'_, T>,
-) {
-    match (k, p) {
-        (4, 4) => mul_band_impl::<T, ACC, NARROW>(a, packed, 4, 4, c),
-        (8, 8) => mul_band_impl::<T, ACC, NARROW>(a, packed, 8, 8, c),
-        (16, 16) => mul_band_impl::<T, ACC, NARROW>(a, packed, 16, 16, c),
-        (32, 32) => mul_band_impl::<T, ACC, NARROW>(a, packed, 32, 32, c),
-        _ => mul_band_impl::<T, ACC, NARROW>(a, packed, k, p, c),
-    }
-}
-
-#[inline(always)]
-fn mul_band_impl<T: Scalar, const ACC: bool, const NARROW: bool>(
-    a: MatrixView<'_, T>,
-    packed: &[T],
-    k: usize,
-    p: usize,
-    c: &mut MatrixViewMut<'_, T>,
-) {
-    let h = a.rows();
-    debug_assert_eq!((c.rows(), c.cols()), (h, p));
-    let panels = p.div_ceil(NR);
-    let mut i0 = 0usize;
-    while i0 < h {
-        let mr = MR.min(h - i0);
-        for q in 0..panels {
-            let j0 = q * NR;
-            let w = NR.min(p - j0);
-            let panel = &packed[q * k * NR..(q + 1) * k * NR];
-            if mr == MR {
-                micro_kernel::<T, MR, ACC, NARROW>(a, i0, panel, k, j0, w, c);
-            } else {
-                match mr {
-                    1 => micro_kernel::<T, 1, ACC, NARROW>(a, i0, panel, k, j0, w, c),
-                    2 => micro_kernel::<T, 2, ACC, NARROW>(a, i0, panel, k, j0, w, c),
-                    _ => micro_kernel::<T, 3, ACC, NARROW>(a, i0, panel, k, j0, w, c),
-                }
-            }
-        }
-        i0 += mr;
-    }
-}
-
-/// `RB × NR` register tile: accumulate rows `[i0, i0 + RB)` of the band
-/// against one packed panel, then spill to `c` (overwriting, or adding
-/// when `ACC`). The `kk` loop ascends from zero accumulators — the exact
-/// per-element order of `matmul_naive` — and `NARROW` picks the
-/// multiply-add ([`mac`]).
-#[inline(always)]
-fn micro_kernel<T: Scalar, const RB: usize, const ACC: bool, const NARROW: bool>(
-    a: MatrixView<'_, T>,
-    i0: usize,
-    panel: &[T],
-    k: usize,
-    j0: usize,
-    w: usize,
-    c: &mut MatrixViewMut<'_, T>,
-) {
-    let mut acc = [[T::ZERO; NR]; RB];
-    let mut arows: [&[T]; RB] = [&[]; RB];
-    for (r, ar) in arows.iter_mut().enumerate() {
-        *ar = a.row(i0 + r);
-    }
-    for kk in 0..k {
-        let brow = &panel[kk * NR..kk * NR + NR];
-        for r in 0..RB {
-            let av = arows[r][kk];
-            let accr = &mut acc[r];
-            for jj in 0..NR {
-                accr[jj] = mac::<T, NARROW>(accr[jj], av, brow[jj]);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut c.row_mut(i0 + r)[j0..j0 + w];
-        if ACC {
-            for (o, &v) in crow.iter_mut().zip(&accr[..w]) {
-                *o = o.add(v);
-            }
-        } else {
-            crow.copy_from_slice(&accr[..w]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::Complex64;
     use crate::modular::Fp61;
     use crate::ops::matmul_naive;
+
+    /// Whether `pack_b` finds every element of `b` narrow.
+    fn packed_b_narrow(b: MatrixView<'_, i64>) -> bool {
+        pack_b(b, &mut vec![0; b.cols().div_ceil(NR) * b.rows() * NR])
+    }
 
     fn pseudo(r: usize, c: usize, seed: i64) -> Matrix<i64> {
         Matrix::from_fn(r, c, |i, j| {
@@ -706,7 +746,7 @@ mod tests {
         let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
         let a = Matrix::from_vec(5, 2, vec![lo, hi, hi, hi, lo, 0, -1, lo, hi, lo]);
         let b = Matrix::from_vec(2, 3, vec![lo, hi, lo, hi, hi, 1]);
-        assert!(pack_a(a.view()).narrow && pack_b(b.view()).1);
+        assert!(pack_a(a.view()).narrow && packed_b_narrow(b.view()));
         let want = matmul_naive(&a, &b);
         assert_eq!(want[(1, 1)], 2 * hi * hi);
         assert_eq!(matmul(a.view(), b.view()), want);
@@ -735,9 +775,245 @@ mod tests {
             assert_eq!(got, matmul_naive(&wa, &b));
             let mut wb = b.clone();
             wb[(j, 17 - i)] = v;
-            assert!(!pack_b(wb.view()).1);
+            assert!(!packed_b_narrow(wb.view()));
             assert_eq!(matmul(a.view(), wb.view()), matmul_naive(&a, &wb));
         }
+    }
+
+    /// One `matmul_into` (view links) or `matmul_packed_into` (packed
+    /// links) call per link, in order: what `matmul_chain_into` must
+    /// reproduce bit for bit.
+    fn per_link<T: Scalar>(c: &mut Matrix<T>, links: &[ChainLink<'_, T>]) {
+        for l in links {
+            match l.a {
+                ChainA::View(a, _) => matmul_into(&mut c.view_mut(), a, l.b, l.accumulate, 1),
+                ChainA::Packed(a) => matmul_packed_into(&mut c.view_mut(), a, l.b, l.accumulate),
+            }
+        }
+    }
+
+    /// The chain `ops` (`A`, `B`, accumulate) run from `c0` by
+    /// `matmul_chain_into` equals [`per_link`] in every element's `bits`,
+    /// with each `A` a strided view (unscanned and with its recorded
+    /// verdict), packed, or alternating between the two.
+    fn assert_chain_matches<T: Scalar, B: PartialEq + std::fmt::Debug>(
+        c0: &Matrix<T>,
+        ops: &[(Matrix<T>, Matrix<T>, bool)],
+        bits: impl Fn(T) -> B,
+    ) {
+        let hosts: Vec<Matrix<T>> = ops
+            .iter()
+            .map(|(a, _, _)| {
+                let mut h = Matrix::zeros(a.rows() + 1, a.cols() + 3);
+                h.set_block_view(1, 2, a.view());
+                h
+            })
+            .collect();
+        let views: Vec<MatrixView<'_, T>> = hosts
+            .iter()
+            .zip(ops)
+            .map(|(h, (a, _, _))| h.subview(1, 2, a.rows(), a.cols()))
+            .collect();
+        let packed: Vec<PackedA<T>> = views.iter().map(|&v| pack_a(v)).collect();
+        for layout in 0..4 {
+            let links: Vec<ChainLink<'_, T>> = ops
+                .iter()
+                .enumerate()
+                .map(|(l, (_, b, accumulate))| ChainLink {
+                    a: match layout {
+                        0 => ChainA::View(views[l], None),
+                        1 => ChainA::View(views[l], Some(is_narrow(views[l]))),
+                        2 => ChainA::Packed(&packed[l]),
+                        _ if l % 2 == 0 => ChainA::Packed(&packed[l]),
+                        _ => ChainA::View(views[l], None),
+                    },
+                    b: b.view(),
+                    accumulate: *accumulate,
+                })
+                .collect();
+            let mut want = c0.clone();
+            per_link(&mut want, &links);
+            let mut got = c0.clone();
+            matmul_chain_into(&mut got.view_mut(), &links);
+            let elems = |m: &Matrix<T>| m.as_slice().iter().map(|&x| bits(x)).collect::<Vec<_>>();
+            assert_eq!(
+                elems(&got),
+                elems(&want),
+                "layout {layout}, {}×{}, {} links",
+                c0.rows(),
+                c0.cols(),
+                ops.len()
+            );
+        }
+    }
+
+    /// Heights off the 4-row tile, the dispatched square widths, a
+    /// ragged width, and inner dimensions that differ between links.
+    const CHAIN_SHAPES: [(usize, usize, &[usize]); 7] = [
+        (1, 4, &[4, 4]),
+        (5, 8, &[8, 8, 8]),
+        (22, 16, &[16, 16, 16, 16]),
+        (64, 16, &[16; 6]),
+        (13, 32, &[32, 32, 32]),
+        (11, 20, &[11, 11, 11]),
+        (9, 16, &[3, 16, 7, 1]),
+    ];
+
+    /// The links of a chain of `CHAIN_SHAPES` shape: entry `l` of `ks`
+    /// makes link `l`, overwriting when `overwrite` names it.
+    fn chain_ops<T: Scalar>(
+        n: usize,
+        p: usize,
+        ks: &[usize],
+        overwrite: &[usize],
+        elem: impl Fn(usize, usize, usize) -> T,
+    ) -> Vec<(Matrix<T>, Matrix<T>, bool)> {
+        ks.iter()
+            .enumerate()
+            .map(|(l, &k)| {
+                let a = Matrix::from_fn(n, k, |i, j| elem(2 * l, i, j));
+                let b = Matrix::from_fn(k, p, |i, j| elem(2 * l + 1, i, j));
+                (a, b, !overwrite.contains(&l))
+            })
+            .collect()
+    }
+
+    fn hash(s: usize, i: usize, j: usize) -> u64 {
+        let x = (s as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (i as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            ^ (j as u64 + 7).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 29)
+    }
+
+    #[test]
+    fn chain_equals_one_call_per_link_f64() {
+        // Sevenths round, so a chain that summed its links into one
+        // accumulator (or added products in another order) differs.
+        let elem = |s, i, j| (hash(s, i, j) % 2001) as f64 / 7.0 - 142.0;
+        for (n, p, ks) in CHAIN_SHAPES {
+            let c0 = Matrix::from_fn(n, p, |i, j| elem(99, i, j));
+            for overwrite in [&[][..], &[0], &[1], &[0, 2]] {
+                let ops = chain_ops(n, p, ks, overwrite, elem);
+                assert_chain_matches(&c0, &ops, f64::to_bits);
+                // The one-link calls share the chain's tile kernel, so
+                // also hold it to the naive oracle: each link's product
+                // from zero, added to (or replacing) what came before.
+                let mut want = c0.clone();
+                for (a, b, accumulate) in &ops {
+                    let prod = matmul_naive(a, b);
+                    if *accumulate {
+                        want.add_assign(&prod);
+                    } else {
+                        want = prod;
+                    }
+                }
+                let links: Vec<ChainLink<'_, f64>> = ops
+                    .iter()
+                    .map(|(a, b, accumulate)| ChainLink {
+                        a: ChainA::View(a.view(), None),
+                        b: b.view(),
+                        accumulate: *accumulate,
+                    })
+                    .collect();
+                let mut got = c0.clone();
+                matmul_chain_into(&mut got.view_mut(), &links);
+                let bits =
+                    |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{n}×{p}, overwrite {overwrite:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_overwriting_head_keeps_a_negative_zero_product() {
+        // Every product underflows from below: a fused multiply-add
+        // rounds it to -0.0, and -0.0 + -0.0 stays -0.0, so a chain that
+        // started its head from the `+0.0` of an add (or of `C`) would
+        // end at +0.0.
+        let ops: Vec<(Matrix<f64>, Matrix<f64>, bool)> = (0..3)
+            .map(|l| {
+                let a = Matrix::from_fn(6, 4, |_, _| -1e-200);
+                let b = Matrix::from_fn(4, 4, |_, _| 1e-200);
+                (a, b, l > 0)
+            })
+            .collect();
+        let c0 = Matrix::from_fn(6, 4, |i, j| (i * 4 + j) as f64);
+        assert_chain_matches(&c0, &ops, f64::to_bits);
+        let mut want = c0.clone();
+        let links: Vec<_> = ops
+            .iter()
+            .map(|(a, b, accumulate)| ChainLink {
+                a: ChainA::View(a.view(), None),
+                b: b.view(),
+                accumulate: *accumulate,
+            })
+            .collect();
+        per_link(&mut want, &links);
+        if cfg!(target_feature = "fma") {
+            assert!(want
+                .as_slice()
+                .iter()
+                .all(|x| x.to_bits() == (-0.0f64).to_bits()));
+        }
+    }
+
+    #[test]
+    fn chain_equals_one_call_per_link_i64_narrow_and_wide() {
+        let elem = |s, i, j| (hash(s, i, j) % 201) as i64 - 100;
+        for (n, p, ks) in CHAIN_SHAPES {
+            let c0 = Matrix::from_fn(n, p, |i, j| elem(99, i, j));
+            let ops = chain_ops(n, p, ks, &[1], elem);
+            assert_chain_matches(&c0, &ops, |x| x);
+            let mid = ks.len() / 2;
+            // One wide element in a middle link's `A`, in a middle
+            // link's `B`, and both: each sends the chain wide.
+            for (wide_a, wide_b) in [(true, false), (false, true), (true, true)] {
+                let mut ops = ops.clone();
+                if wide_a {
+                    ops[mid].0[(n - 1, 0)] = 1 << 40;
+                }
+                if wide_b {
+                    let last = ops[mid.saturating_sub(1)].1.cols() - 1;
+                    ops[mid.saturating_sub(1)].1[(0, last)] = -(1 << 33);
+                }
+                assert_chain_matches(&c0, &ops, |x| x);
+            }
+        }
+    }
+
+    #[test]
+    fn chain_equals_one_call_per_link_u64_fp61_complex() {
+        for (n, p, ks) in CHAIN_SHAPES {
+            let c0 = Matrix::from_fn(n, p, |i, j| hash(99, i, j));
+            let ops = chain_ops(n, p, ks, &[2], |s, i, j| hash(s, i, j) >> (s % 3 * 16));
+            assert_chain_matches(&c0, &ops, |x| x);
+
+            let fp = |s, i, j| Fp61::new(hash(s, i, j));
+            let c0 = Matrix::from_fn(n, p, |i, j| fp(99, i, j));
+            assert_chain_matches(&c0, &chain_ops(n, p, ks, &[0], fp), |x| x);
+
+            let cx = |s, i, j| Complex64::root_of_unity(64, (hash(s, i, j) % 64) as i64);
+            let c0 = Matrix::from_fn(n, p, |i, j| cx(99, i, j));
+            assert_chain_matches(&c0, &chain_ops(n, p, ks, &[], cx), |x| {
+                (x.re.to_bits(), x.im.to_bits())
+            });
+        }
+    }
+
+    #[test]
+    fn chain_with_an_empty_inner_dimension_matches_its_calls() {
+        // A `k = 0` link adds the zero product through a view and leaves
+        // `C` as is through a packed strip, exactly like its call.
+        let c0 = Matrix::from_fn(5, 4, |i, j| if (i + j) % 2 == 0 { -0.0 } else { 1.5 });
+        let ops = vec![
+            (Matrix::zeros(5, 0), Matrix::zeros(0, 4), true),
+            (
+                Matrix::from_fn(5, 2, |i, j| (i + j) as f64),
+                Matrix::from_fn(2, 4, |i, j| (i * j) as f64),
+                true,
+            ),
+        ];
+        assert_chain_matches(&c0, &ops, f64::to_bits);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! key no input binding serves, once, right before its first reader's
 //! dispatch (see the `tcu_sched::run` module docs). Only the number of
 //! written-buffer keys is stored ([`ExecutablePlan::staged_reads`]).
+//! Compilation also fixes the serial run's order and its accumulation
+//! chain runs, one executor call each (the same module docs).
 //!
 //! Compilation happens implicitly on first execution and is cached in
 //! the schedule (see [`Schedule::compile`]), so `try_run` and
@@ -88,6 +90,15 @@ pub struct ExecutablePlan {
     pub(crate) succs: Vec<u32>,
     /// `succs` offsets, length `ops + 1`.
     pub(crate) succ_off: Vec<u32>,
+    /// The serial run's op order: emission order, except that each
+    /// chain continuation moves up behind its predecessor once every
+    /// other hazard predecessor has run (see the `tcu_sched::run`
+    /// module docs).
+    pub(crate) serial_order: Vec<u32>,
+    /// Offsets into `serial_order` where each serial run — a stretch of
+    /// consecutive chain links, one executor call — starts, then
+    /// `serial_order.len()`.
+    pub(crate) serial_starts: Vec<u32>,
 }
 
 impl ExecutablePlan {
@@ -120,6 +131,14 @@ impl ExecutablePlan {
     /// Op `i`'s hazard successors (emission-order indices, all `> i`).
     pub(crate) fn successors_of(&self, i: usize) -> &[u32] {
         &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+    }
+
+    /// The serial run's runs, in order: each the op indices of one
+    /// executor call.
+    pub(crate) fn serial_runs(&self) -> impl Iterator<Item = &[u32]> {
+        self.serial_starts
+            .windows(2)
+            .map(|w| &self.serial_order[w[0] as usize..w[1] as usize])
     }
 }
 
@@ -235,7 +254,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         succ_off.push(succs.len() as u32);
     }
 
-    Ok(ExecutablePlan {
+    let mut plan = ExecutablePlan {
         ops,
         written_reads,
         slots: keys.len(),
@@ -243,7 +262,11 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         preds,
         succs,
         succ_off,
-    })
+        serial_order: Vec::new(),
+        serial_starts: Vec::new(),
+    };
+    (plan.serial_order, plan.serial_starts) = crate::run::serial_order(sched, &plan);
+    Ok(plan)
 }
 
 impl Schedule {

@@ -32,12 +32,13 @@
 //! correct, and snapshots exist only where safe-Rust borrows force
 //! them. The two execution loops need different ones:
 //!
-//! * the **serial run** holds an op's destination binding mutably while
-//!   the op runs, so it snapshots a read key on first use, and only when
-//!   an op reads it from the buffer that op writes: one gather per
-//!   `(region, generation)`, the same marshalling the eager blocked
-//!   algorithms perform. Every other read — of inputs and of other
-//!   written buffers alike — is zero-copy;
+//! * the **serial run** holds a run's destination binding mutably while
+//!   the run executes, so it snapshots a read key on first use, and
+//!   only when a link reads it from the buffer the run writes: one
+//!   gather per `(region, generation)`, the same marshalling the eager
+//!   blocked algorithms perform, taken for all of a run's links before
+//!   its call. Every other read — of inputs and of other written
+//!   buffers alike — is zero-copy;
 //! * the **threaded executor**'s workers cannot borrow the outputs the
 //!   main thread retains mutable access to, so it snapshots every read
 //!   key no input binding serves (every written-buffer read, and reads
@@ -61,12 +62,42 @@
 //! The paper's machine is a RAM with one tensor unit, and its parallel
 //! machine has `p`, so a compiled plan has two executors.
 //! [`Schedule::try_run`] is the serial loop: one pass over the stream
-//! in emission order on the machine's own executor, each op writing its
-//! bound destination in place, with one attempt per op and no
-//! quarantine (one unit has no survivor to hand work to). It computes
-//! no placement and keeps no recovery state; an executor panic comes
-//! back as a typed error. Every parallel run, at every core count, goes
-//! to the threaded executor below.
+//! on the machine's own executor, each op writing its bound destination
+//! in place, with one attempt per op and no quarantine (one unit has no
+//! survivor to hand work to). It computes no placement and keeps no
+//! recovery state; an executor panic comes back as a typed error. Every
+//! parallel run, at every core count, goes to the threaded executor
+//! below.
+//!
+//! # Serial chain runs
+//!
+//! Theorem 2 streams each strip `A_k` against `B_kj` into the same `C`
+//! strip for every `k` — the `D = A·B + C` step a tensor core runs with
+//! its accumulator in registers. The serial loop runs it that way. Its
+//! order is computed once per compiled plan: emission order, except
+//! that each *chain continuation* (the next same-rectangle writer of an
+//! accumulation chain, see `Chains`) moves up right behind its
+//! predecessor once every other hazard predecessor has run; one that
+//! cannot stays where emission order puts it. Every op still follows
+//! all of its hazard predecessors, so elements are those of the
+//! emission-order stream. A *run* is a stretch of consecutive links of
+//! one chain — on the dense product, a whole `C` strip's `k` steps —
+//! and the loop issues one [`Executor::execute_chain`] per run; a
+//! one-op run is a one-link chain. The host executor fuses a run into
+//! one kernel call that keeps each tile of the strip in registers
+//! across every link; an executor that does not override the call runs
+//! the links one by one, exactly as it runs tagged ops. For integer
+//! types with a narrow multiplier the loop also records, per read key,
+//! whether the left operand fits 32 bits ([`ChainOp::a_narrow`]), the
+//! first time a link reads that key: the key names one region at one
+//! content version, so every later link that streams it reuses the
+//! verdict, and a strip many chains stream is scanned once per
+//! `try_run` call.
+//!
+//! Charging is not reordered: the prologue charges the stream in
+//! emission order, so `Stats` and the trace digest are those of eager
+//! issue. When a recorder is attached, the loop emits one `OpExec` span
+//! per op, splitting each run's wall evenly across its ops.
 //!
 //! # Multi-unit execution
 //!
@@ -129,7 +160,15 @@
 //!
 //! A serial run makes one attempt per op and quarantines nothing, so it
 //! turns both into typed failures: [`TcuError::RetriesExhausted`] and
-//! [`TcuError::UnitFault`].
+//! [`TcuError::UnitFault`], naming the level of the link that failed.
+//! A fault plan's execution index on a serial machine counts executed
+//! links in the serial order, not in emission order: index 5 of the
+//! dense product is the sixth link of the first `C` strip's chain. A
+//! failed serial run leaves in its outputs what the runs before the
+//! failing one wrote, plus, from the failing run, the links an
+//! executor that runs them one by one completed (an injected fault
+//! fires before its link writes). A fused run that panics part-way
+//! through may leave its rectangle partly written.
 //!
 //! Recovery is **pass-based**. When a unit dies, its unexecuted queue
 //! suffix and everything hazard-downstream of that suffix leave the
@@ -194,10 +233,10 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tcu_core::{
-    partition_lpt, BindRole, Executor, FaultKind, InjectedFault, OperandId, ParallelTcuMachine,
-    TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
+    partition_lpt, BindRole, ChainOp, Executor, FaultKind, InjectedFault, OperandId,
+    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
 };
-use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
+use tcu_linalg::{kernels, Matrix, MatrixView, MatrixViewMut, Scalar};
 
 /// Process-wide epoch allocator: every environment gets a distinct
 /// stamp, so operand tags from different environments (different data)
@@ -374,13 +413,14 @@ const PARALLEL_ATTEMPTS: u32 = 3;
 
 impl Schedule {
     /// Execute the planned stream on `mach` with `env`'s bindings: each
-    /// emitted node issues one tagged tensor instruction, charged and
-    /// traced exactly like an eager call; outputs land in the bound
-    /// views. The serial order is the schedule's canonical order; on a
-    /// pack-caching host executor, repeated left-operand regions are
-    /// packed once per content version per environment. This is one
-    /// pass over the stream in emission order on the machine's own
-    /// executor (see the [module docs](self)).
+    /// emitted node is one tagged tensor instruction, charged and
+    /// traced exactly like an eager call in the schedule's canonical
+    /// order; outputs land in the bound views. On a pack-caching host
+    /// executor, repeated left-operand regions are packed once per
+    /// content version per environment. This is one pass over the
+    /// stream on the machine's own executor, each accumulation chain's
+    /// run issued as one [`Executor::execute_chain`] (see the [module
+    /// docs](self)).
     ///
     /// Everything that can be checked is checked up front, before
     /// anything is charged or written: the machine's `√m` and tall
@@ -392,8 +432,9 @@ impl Schedule {
     /// comes back typed instead of unwinding:
     /// [`TcuError::RetriesExhausted`] for an injected transient fault,
     /// [`TcuError::UnitFault`] for anything else. Such a run keeps the
-    /// full charge, and the outputs hold what the ops before the
-    /// failing one wrote (named deviation 1).
+    /// full charge (named deviation 1), and the outputs hold what the
+    /// runs before the failing one wrote, plus that run's completed
+    /// links (see the [module docs](self)).
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut TcuMachine<U, E>,
@@ -604,6 +645,48 @@ impl Chains {
         }
         chains
     }
+}
+
+/// The serial run's order and its runs, computed once per compiled
+/// plan: emission order, except that each chain continuation moves up
+/// right behind its predecessor when every other hazard predecessor has
+/// already run. A continuation that cannot move stays where emission
+/// order puts it and starts a run of its own. Returns the order and the
+/// offsets where each run starts (then the op count); a run is a
+/// stretch of consecutive links of one chain, so it writes one
+/// rectangle and no link reads it (see [`Chains`]).
+///
+/// Every op is placed after all of its hazard predecessors: an op
+/// reached in emission order finds every earlier op placed, and a
+/// continuation moves only once its predecessors are.
+pub(crate) fn serial_order(sched: &Schedule, plan: &ExecutablePlan) -> (Vec<u32>, Vec<u32>) {
+    let n = plan.ops();
+    let chains = Chains::of_pass(sched, plan, &[(0..n as u32).collect()]);
+    let mut waiting = plan.preds.clone();
+    let mut placed = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut starts = Vec::new();
+    for i in 0..n {
+        if placed[i] {
+            continue;
+        }
+        starts.push(order.len() as u32);
+        let mut link = i;
+        loop {
+            placed[link] = true;
+            order.push(link as u32);
+            for &succ in plan.successors_of(link) {
+                waiting[succ as usize] -= 1;
+            }
+            match chains.next[link] {
+                NO_OP => break,
+                next if waiting[next as usize] > 0 => break,
+                next => link = next as usize,
+            }
+        }
+    }
+    starts.push(n as u32);
+    (order, starts)
 }
 
 /// One op bound for a specific unit's worker.
@@ -888,39 +971,37 @@ fn record_notes<U: TensorUnit>(acct: &mut WaveAccountant<'_, U>, u: usize, notes
     }
 }
 
-/// Execute one op with per-attempt fault containment: every attempt is
-/// wrapped in `catch_unwind`, a transient [`InjectedFault`] retries in
-/// place (bounded by `max_attempts` — each retry consumes the
-/// executor's next execution index, so a fault plan spacing its
+/// Run `attempt` — one op — with per-attempt fault containment: every
+/// attempt is wrapped in `catch_unwind`, a transient [`InjectedFault`]
+/// retries in place (bounded by `max_attempts` — each retry consumes
+/// the executor's next execution index, so a fault plan spacing its
 /// transients out by one index always recovers), and a permanent fault
-/// or a foreign panic stops the unit. Annotations go to `notes`.
-#[allow(clippy::too_many_arguments)]
-fn execute_with_retries<T: Scalar, E: Executor>(
-    exec: &mut E,
+/// or a foreign panic stops the unit. Annotations go to `notes`; `op`
+/// is the retry's cost basis. The serial run passes a whole chain with
+/// one attempt ([`SERIAL_ATTEMPTS`]), so nothing is retried there.
+fn execute_with_retries(
     op: &TensorOp,
-    a: MatrixView<'_, T>,
-    tag: OperandId,
-    b: MatrixView<'_, T>,
-    out: &mut MatrixViewMut<'_, T>,
     max_attempts: u32,
     notes: &mut Vec<WorkerNote>,
+    mut attempt: impl FnMut(),
 ) -> Result<(), Terminal> {
-    let mut attempt = 1u32;
+    let mut tries = 1u32;
     loop {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = exec.execute_tagged(op, a, Some(tag), b, out);
-        }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut attempt));
         let Err(payload) = result else {
             return Ok(());
         };
         match payload.downcast::<InjectedFault>() {
             Ok(fault) if fault.kind == FaultKind::Transient => {
                 notes.push(WorkerNote::Fault { transient: true });
-                if attempt >= max_attempts {
-                    return Err(Terminal::Exhausted { attempts: attempt });
+                if tries >= max_attempts {
+                    return Err(Terminal::Exhausted { attempts: tries });
                 }
-                attempt += 1;
-                notes.push(WorkerNote::Retry { attempt, op: *op });
+                tries += 1;
+                notes.push(WorkerNote::Retry {
+                    attempt: tries,
+                    op: *op,
+                });
             }
             injected => {
                 notes.push(WorkerNote::Fault { transient: false });
@@ -973,16 +1054,15 @@ fn run_items_contained<T: Scalar, E: Executor>(
         };
         let chain = &mut open[slot];
         let t0 = rec.map(tcu_obs::Recorder::now_ns);
-        let result = execute_with_retries(
-            exec,
-            &item.op,
-            item.a,
-            item.tag,
-            item.b,
-            &mut chain.acc.view_mut(),
-            PARALLEL_ATTEMPTS,
-            &mut out.notes,
-        );
+        let result = execute_with_retries(&item.op, PARALLEL_ATTEMPTS, &mut out.notes, || {
+            let _ = exec.execute_tagged(
+                &item.op,
+                item.a,
+                Some(item.tag),
+                item.b,
+                &mut chain.acc.view_mut(),
+            );
+        });
         if let Err(terminal) = result {
             if let Terminal::Dead { foreign: true } = terminal {
                 let torn = open.swap_remove(slot);
@@ -1225,13 +1305,15 @@ impl PassLog {
     }
 }
 
-/// The serial run: one pass over the stream in emission order on the
-/// machine's own executor, each op under [`execute_with_retries`] with
-/// [`SERIAL_ATTEMPTS`], straight into the bound destination. Reads are
-/// zero-copy except an op's reads of the buffer it writes, snapshotted
-/// on first use (see the [module docs](self)). The first failing op
-/// ends the run: its fault annotation (digest-exempt) is recorded and
-/// the error comes back typed.
+/// The serial run: one pass over the plan's serial runs (see
+/// [`serial_order`]) on the machine's own executor, one
+/// [`Executor::execute_chain`] call per run under
+/// [`execute_with_retries`] with [`SERIAL_ATTEMPTS`], straight into the
+/// bound destination. Reads are zero-copy except a run's reads of the
+/// buffer it writes, snapshotted on first use before the run's call
+/// (see the [module docs](self)). The first failing run ends the run:
+/// its fault annotation (digest-exempt) is recorded and the error comes
+/// back typed, naming the level of the link that failed.
 fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
@@ -1242,26 +1324,38 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
 ) -> Result<(), TcuError> {
     let stamps = tag_stamps(env);
     let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
+    // Each read slot's narrow verdict, taken when the slot is first read
+    // as a left operand: a slot names one region at one content version,
+    // so a strip that many chains stream is scanned once per call. A
+    // type without a narrow multiplier records none.
+    let mut narrow: Vec<Option<bool>> = vec![None; if T::NARROW_MUL { plan.slots } else { 0 }];
     let s = acct.sqrt_m();
-    for (i, cop) in plan.ops.iter().enumerate() {
-        // The destination's binding leaves the environment while the op
-        // runs, so its reads of its own buffer come from snapshots, each
-        // taken on the key's first such use, before any write: by the
-        // hazard order, the version the key names.
-        let mut host = env.outputs[cop.out_buf]
+    for run in plan.serial_runs() {
+        let head = &plan.ops[run[0] as usize];
+        // The destination's binding leaves the environment while the run
+        // executes, so its links' reads of their own buffer come from
+        // snapshots, each taken on the key's first such use, before the
+        // run writes: by the hazard order, which the run order keeps,
+        // the version the key names. A continuation reads nothing that
+        // overlaps the run's rectangle, so the earlier links' writes
+        // never reach a later link's operands.
+        let mut host = env.outputs[head.out_buf]
             .take()
             .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
         let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
         let mut staged = 0;
-        for r in [&cop.a, &cop.b] {
-            let slot = &mut arena[r.slot as usize];
-            if r.buf == cop.out_buf && slot.is_none() {
-                *slot = Some(
-                    host.as_view()
-                        .subview(r.r0, r.c0, r.rows, r.cols)
-                        .to_matrix(),
-                );
-                staged += 1;
+        for &i in run {
+            let cop = &plan.ops[i as usize];
+            for r in [&cop.a, &cop.b] {
+                let slot = &mut arena[r.slot as usize];
+                if r.buf == head.out_buf && slot.is_none() {
+                    *slot = Some(
+                        host.as_view()
+                            .subview(r.r0, r.c0, r.rows, r.cols)
+                            .to_matrix(),
+                    );
+                    staged += 1;
+                }
             }
         }
         if staged > 0 {
@@ -1272,39 +1366,59 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
                 tcu_obs::EventKind::Stage { copies: staged },
             );
         }
-        let a = serial_read(&arena, &env.inputs, &env.outputs, &cop.a);
-        let b = serial_read(&arena, &env.inputs, &env.outputs, &cop.b);
-        let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-        let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
         let t0 = recorder.map(tcu_obs::Recorder::now_ns);
         let mut notes = Vec::new();
-        let result = execute_with_retries(
-            exec,
-            &cop.op,
-            a,
-            tag,
-            b,
-            &mut out_view,
-            SERIAL_ATTEMPTS,
-            &mut notes,
-        );
-        env.outputs[cop.out_buf] = Some(host);
+        let mut done = 0usize;
+        let result = {
+            let links: Vec<ChainOp<'_, T>> = run
+                .iter()
+                .map(|&i| {
+                    let cop = &plan.ops[i as usize];
+                    let a = serial_read(&arena, &env.inputs, &env.outputs, &cop.a);
+                    let verdict = narrow.get_mut(cop.a.slot as usize);
+                    ChainOp {
+                        op: cop.op,
+                        a,
+                        a_id: Some(read_tag(&cop.a, stamps[cop.a.buf])),
+                        a_narrow: verdict.map(|v| *v.get_or_insert_with(|| kernels::is_narrow(a))),
+                        b: serial_read(&arena, &env.inputs, &env.outputs, &cop.b),
+                    }
+                })
+                .collect();
+            let mut out = host.subview_mut(head.out_r0, head.out_c0, head.out_rows, head.out_cols);
+            // One attempt, so a chain never reruns links it already
+            // applied to `out`.
+            const _: () = assert!(SERIAL_ATTEMPTS == 1);
+            execute_with_retries(&head.op, SERIAL_ATTEMPTS, &mut notes, || {
+                let _ = exec.execute_chain(&links, &mut out, &mut done);
+            })
+        };
+        env.outputs[head.out_buf] = Some(host);
         if let Err(terminal) = result {
             record_notes(acct, 0, &notes);
-            let wave = sched.nodes()[i].level;
-            return Err(terminal.error(0, wave));
+            let failed = run[done.min(run.len() - 1)] as usize;
+            return Err(terminal.error(0, sched.nodes()[failed].level));
         }
-        if t0.is_some() {
-            emit_span(
-                recorder,
-                tcu_obs::Lane::Unit(0),
-                t0,
-                tcu_obs::EventKind::OpExec {
-                    unit: 0,
-                    rows: cop.op.charge_rows(s) as u64,
-                    sim_cost: acct.op_cost(&cop.op),
-                },
-            );
+        if let (Some(rec), Some(t0)) = (recorder, t0) {
+            // One span per op, the run's wall split evenly across them.
+            let wall = rec.now_ns().saturating_sub(t0);
+            let len = run.len() as u64;
+            let at = |x: u64| t0 + wall * x / len;
+            for (x, &i) in (0u64..).zip(run) {
+                let op = &plan.ops[i as usize].op;
+                rec.record(
+                    tcu_obs::Lane::Unit(0),
+                    tcu_obs::SpanEvent {
+                        kind: tcu_obs::EventKind::OpExec {
+                            unit: 0,
+                            rows: op.charge_rows(s) as u64,
+                            sim_cost: acct.op_cost(op),
+                        },
+                        t_ns: at(x),
+                        dur_ns: at(x + 1) - at(x),
+                    },
+                );
+            }
         }
     }
     Ok(())
@@ -2137,6 +2251,79 @@ mod tests {
                 "one pool per scalar type"
             );
         });
+    }
+
+    /// `plan`'s serial order, checked against its hazard edges and
+    /// against emission order: every op follows all its predecessors,
+    /// and the only op placed out of emission order is a chain
+    /// continuation right behind its chain predecessor, starting no run.
+    fn checked_serial_runs(plan: &Schedule) -> Vec<Vec<u32>> {
+        let compiled = plan.compiled().expect("compiles");
+        let n = compiled.ops();
+        let order = &compiled.serial_order;
+        let mut pos = vec![usize::MAX; n];
+        for (p, &i) in order.iter().enumerate() {
+            assert_eq!(pos[i as usize], usize::MAX, "op {i} placed twice");
+            pos[i as usize] = p;
+        }
+        for i in 0..n {
+            for &j in compiled.successors_of(i) {
+                assert!(pos[i] < pos[j as usize], "edge {i} -> {j} reversed");
+            }
+        }
+        let chains = Chains::of_pass(plan, compiled, &[(0..n as u32).collect()]);
+        let runs: Vec<Vec<u32>> = compiled.serial_runs().map(<[u32]>::to_vec).collect();
+        let mut next_in_emission = 0usize;
+        for run in &runs {
+            for (x, &i) in run.iter().enumerate() {
+                while pos[next_in_emission] < pos[i as usize] {
+                    next_in_emission += 1;
+                }
+                if x > 0 {
+                    assert_eq!(chains.next[run[x - 1] as usize], i, "a run holds one chain");
+                } else {
+                    assert_eq!(
+                        i as usize, next_in_emission,
+                        "a run starts in emission order"
+                    );
+                }
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn serial_runs_follow_chains_and_hazards() {
+        // The dense product: every strip's chain moves up whole behind
+        // its head, so the order is strip-major, one run per strip.
+        let (g, _) = dense_graph(64, 8, true);
+        let unit = tcu_core::ModelTensorUnit::new(64, 0);
+        let plan = Scheduler::new().plan(&g, &unit);
+        let runs = checked_serial_runs(&plan);
+        assert_eq!(runs.len(), 8);
+        assert!(runs.iter().all(|r| r.len() == 8));
+        // The pipeline: stage 2's chains read stage 1's strips, and every
+        // one of those has run by the time stage 2's heads come up.
+        let (g, _) = pipeline_graph(32, 8);
+        let plan = Scheduler::new().plan(&g, &unit);
+        assert!(checked_serial_runs(&plan).iter().all(|r| r.len() == 4));
+        // A continuation that reads a strip written after its chain
+        // predecessor in emission order (M, a level later) stays where
+        // it is and runs on its own.
+        let mut g = OpGraph::new();
+        let [ab, bb, cb, db, mb] = ["A", "B", "C", "D", "M"].map(|name| g.buffer(name, 8, 8));
+        let strip = |buf, c0| crate::OperandRef::new(buf, 0, c0, 8, 4);
+        let blk = crate::OperandRef::new(bb, 0, 0, 4, 4);
+        g.record(TensorOp::mul_acc(8, 4), strip(ab, 0), blk, strip(cb, 0));
+        g.record(TensorOp::mul(8, 4), strip(ab, 4), blk, strip(db, 0));
+        g.record(TensorOp::mul(8, 4), strip(db, 0), blk, strip(mb, 0));
+        g.record(TensorOp::mul_acc(8, 4), strip(mb, 0), blk, strip(cb, 0));
+        let unit = tcu_core::ModelTensorUnit::new(16, 0);
+        let plan = Scheduler::new().plan(&g, &unit);
+        let compiled = plan.compiled().expect("compiles");
+        let chains = Chains::of_pass(&plan, compiled, &[(0..4).collect()]);
+        assert_eq!(chains.next.iter().filter(|&&j| j != NO_OP).count(), 1);
+        assert!(checked_serial_runs(&plan).iter().all(|r| r.len() == 1));
     }
 
     #[test]

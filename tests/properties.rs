@@ -88,6 +88,44 @@ fn assert_kernels_match_naive<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c0: &Matr
     }
 }
 
+/// `matmul_chain_into` from `c0` over links `(A, B)`, each `A` taken as
+/// rows `1..=n` of its matrix (a strided view, or that view packed) per
+/// `plan`'s `(packed, accumulate)`, equals one `matmul_into` or
+/// `matmul_packed_into` call per link in every element's `bits`.
+fn assert_chain_matches<T: Scalar, B: PartialEq + std::fmt::Debug>(
+    c0: &Matrix<T>,
+    ops: &[(Matrix<T>, Matrix<T>)],
+    plan: &[(bool, bool)],
+    bits: impl Fn(T) -> B,
+) {
+    let n = c0.rows();
+    let views: Vec<_> = ops
+        .iter()
+        .map(|(a, _)| a.subview(1, 0, n, a.cols()))
+        .collect();
+    let packed: Vec<_> = views.iter().map(|&v| kernels::pack_a(v)).collect();
+    let mut want = c0.clone();
+    let mut links = Vec::new();
+    for (l, ((_, b), &(pack, accumulate))) in ops.iter().zip(plan).enumerate() {
+        let a = if pack {
+            kernels::matmul_packed_into(&mut want.view_mut(), &packed[l], b.view(), accumulate);
+            kernels::ChainA::Packed(&packed[l])
+        } else {
+            kernels::matmul_into(&mut want.view_mut(), views[l], b.view(), accumulate, 1);
+            kernels::ChainA::View(views[l], None)
+        };
+        links.push(kernels::ChainLink {
+            a,
+            b: b.view(),
+            accumulate,
+        });
+    }
+    let mut got = c0.clone();
+    kernels::matmul_chain_into(&mut got.view_mut(), &links);
+    let elems = |m: &Matrix<T>| m.as_slice().iter().map(|&x| bits(x)).collect::<Vec<_>>();
+    assert_eq!(elems(&got), elems(&want));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -319,6 +357,45 @@ proptest! {
         let mut got = c0;
         kernels::matmul_acc(&mut got.view_mut(), a.view(), b.view());
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fused_chain_equals_one_call_per_link(seed in any::<u64>(), n in 1usize..70, k in 1usize..20, p in 1usize..34, links in 1usize..7) {
+        // i64 across the 32-bit boundary (one layout in three puts a
+        // wide element in one link's `A` or `B`) and f64, each link's `A`
+        // a strided view or packed, each head overwriting or not: the
+        // chain must equal one kernel call per link, bit for bit.
+        use rand::Rng;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let plan: Vec<(bool, bool)> = (0..links).map(|_| (rng.gen_bool(0.5), rng.gen_bool(0.8))).collect();
+        // `A` draws the i32 edges unless `B` gets the wide element, so no
+        // sum overflows in a debug build.
+        let layout = rng.gen_range(0..3u32);
+        let mut ints: Vec<(Matrix<i64>, Matrix<i64>)> = (0..links)
+            .map(|_| {
+                let a = if layout == 1 {
+                    workloads::random_matrix_i64(n + 2, k, 1000, &mut rng)
+                } else {
+                    edge_matrix(n + 2, k, &I64_EDGES, false, &mut rng, |rng| rng.gen_range(-1000..=1000))
+                };
+                (a, workloads::random_matrix_i64(k, p, 1 << 15, &mut rng))
+            })
+            .collect();
+        match layout {
+            0 => ints[rng.gen_range(0..links)].0[(n, 0)] = 1 << 33,
+            1 => ints[rng.gen_range(0..links)].1[(k - 1, p - 1)] = -(1 << 31) - 1,
+            _ => {}
+        }
+        let c0 = workloads::random_matrix_i64(n, p, 100, &mut rng);
+        assert_chain_matches(&c0, &ints, &plan, |x| x);
+        let floats: Vec<(Matrix<f64>, Matrix<f64>)> = (0..links)
+            .map(|_| {
+                let a = Matrix::from_fn(n + 2, k, |_, _| rng.gen_range(-4.0f64..4.0));
+                (a, Matrix::from_fn(k, p, |_, _| rng.gen_range(-4.0f64..4.0)))
+            })
+            .collect();
+        let c0 = Matrix::from_fn(n, p, |_, _| rng.gen_range(-4.0f64..4.0));
+        assert_chain_matches(&c0, &floats, &plan, f64::to_bits);
     }
 
     #[test]
