@@ -410,28 +410,13 @@ fn packed_flow<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     c
 }
 
-/// The x86 vector features this binary was compiled with, comma
-/// separated (empty for none of them).
-fn target_features() -> String {
-    [
-        ("avx512f", cfg!(target_feature = "avx512f")),
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("fma", cfg!(target_feature = "fma")),
-    ]
-    .iter()
-    .filter(|(_, on)| *on)
-    .map(|(name, _)| *name)
-    .collect::<Vec<_>>()
-    .join(",")
-}
-
 fn render_json(cases: &[Case], quick: bool, cores: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"matmul\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!(
         "  \"target_features\": \"{}\",\n",
-        target_features()
+        tcu_bench::target_features()
     ));
     out.push_str(&format!("  \"rustflags\": \"{}\",\n", tcu_bench::RUSTFLAGS));
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));

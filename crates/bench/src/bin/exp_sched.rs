@@ -154,11 +154,10 @@ struct Case {
     /// lower bound no unit count can beat (0 when the case's plan lives
     /// inside an algos entry point and is not held here).
     critical_path: u64,
-    /// `max(critical_path, ⌈work/units⌉) / makespan` of the plan: 1.0
-    /// means the LPT waves hit the structural lower bound (0.0 when the
-    /// plan is not held here). For the `dataflow` and `faults` cases
-    /// this is [`tcu_sched::Schedule::dataflow_efficiency`] — the same
-    /// bound over the barrier-free placement's makespan.
+    /// `max(critical_path, ⌈work/units⌉) / makespan` of the plan
+    /// ([`tcu_sched::Schedule::sched_efficiency`]): 1.0 means the chain
+    /// placement hit the structural lower bound (0.0 when the plan is
+    /// not held here).
     sched_efficiency: f64,
     /// Planned parallel wall over the cost-weighted critical path —
     /// how far the schedule sits from the no-units-can-help floor
@@ -649,15 +648,14 @@ fn bench_strassen(d: usize, quick: bool) -> Case {
 /// Serial scheduled run vs `try_run_parallel`, the barrier-free dataflow
 /// driver, on `units`. The graph is the packcache accumulation flow:
 /// `q` independent column-block chains of `q` products each. The
-/// placement is resolved at plan time; at run time ops dispatch as
-/// their hazard predecessors commit, on one worker thread per unit at
+/// chain placement is resolved at compile time; at run time chains
+/// dispatch as their predecessor chains commit, on one worker thread per unit at
 /// every core count. Results are asserted bit-identical to the serial
 /// scheduled run before timing; `speedup_wall` is the number
 /// `bench_diff` gates when the runner's core count matches the
-/// baseline's. `sched_efficiency`
-/// here is `dataflow_efficiency` — the structural lower bound over the
-/// *dataflow* makespan — and is a hard lower-is-worse `bench_diff`
-/// gate.
+/// baseline's. `sched_efficiency` — the structural lower bound over
+/// the chain placement's makespan — is a hard lower-is-worse
+/// `bench_diff` gate.
 fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
     use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TensorOp};
     use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
@@ -711,8 +709,7 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
     assert_eq!(serial_stats, df_stats, "charges must be identical");
 
     let reps: u32 = if quick { 2 } else { 5 };
-    let eager_ns = tcu_bench::time_ns(reps, || serial_run().0);
-    let sched_ns = tcu_bench::time_ns(reps, || df_run().0);
+    let (eager_ns, sched_ns) = tcu_bench::time_pair_ns(reps, || serial_run().0, || df_run().0);
     Case {
         name: format!("dataflow d={d} units={units}"),
         d,
@@ -727,14 +724,14 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
         // Simulated time: the barrier-free placement's makespan versus
         // the single-unit serial charge.
         eager_sim_time: plan_serial.makespan(),
-        sched_sim_time: plan_par.dataflow_makespan(),
+        sched_sim_time: plan_par.makespan(),
         pack_lookups: 0,
         pack_misses: 0,
         packed_bytes: 0,
         memo: MemoCost::default(),
         critical_path: plan_par.critical_path(),
-        sched_efficiency: plan_par.dataflow_efficiency(),
-        makespan_over_cp: over_cp(plan_par.dataflow_makespan(), plan_par.critical_path()),
+        sched_efficiency: plan_par.sched_efficiency(),
+        makespan_over_cp: over_cp(plan_par.makespan(), plan_par.critical_path()),
     }
 }
 
@@ -820,8 +817,7 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
     assert_eq!(plain_stats, faulty_stats, "recovery must not touch Stats");
 
     let reps: u32 = if quick { 2 } else { 5 };
-    let eager_ns = tcu_bench::time_ns(reps, || plain_run().0);
-    let sched_ns = tcu_bench::time_ns(reps, || faulty_run().0);
+    let (eager_ns, sched_ns) = tcu_bench::time_pair_ns(reps, || plain_run().0, || faulty_run().0);
     Case {
         name: format!("faults d={d} units={units} rate={rate}"),
         d,
@@ -836,15 +832,15 @@ fn bench_faults(d: usize, units: usize, rate: u32, quick: bool) -> Case {
         // Simulated time: planned makespan vs the faulty run's clock
         // (makespan + retry backoff + recovery passes) — the recovery
         // cost in the model's own terms.
-        eager_sim_time: plan.dataflow_makespan(),
+        eager_sim_time: plan.makespan(),
         sched_sim_time: faulty_time,
         pack_lookups: 0,
         pack_misses: 0,
         packed_bytes: 0,
         memo: MemoCost::default(),
         critical_path: plan.critical_path(),
-        sched_efficiency: plan.dataflow_efficiency(),
-        makespan_over_cp: over_cp(plan.dataflow_makespan(), plan.critical_path()),
+        sched_efficiency: plan.sched_efficiency(),
+        makespan_over_cp: over_cp(plan.makespan(), plan.critical_path()),
     }
 }
 
@@ -929,6 +925,10 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sched\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!(
+        "  \"target_features\": \"{}\",\n",
+        tcu_bench::target_features()
+    ));
     json.push_str(&format!("  \"rustflags\": \"{}\",\n", tcu_bench::RUSTFLAGS));
     json.push_str(&format!("  \"available_parallelism\": {threads},\n"));
     json.push_str(&format!("  \"pack_cache_cap\": {pack_cache_cap},\n"));

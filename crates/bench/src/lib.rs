@@ -20,6 +20,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// built without `.cargo/config.toml`'s flags measures other kernels.
 pub const RUSTFLAGS: &str = env!("TCU_BENCH_RUSTFLAGS");
 
+/// The x86 vector features this package was compiled with, comma
+/// separated (empty for none of them). `bench_matmul` and `exp_sched`
+/// write them into their JSON headers next to [`RUSTFLAGS`].
+#[must_use]
+pub fn target_features() -> String {
+    [
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+    ]
+    .iter()
+    .filter(|(_, on)| *on)
+    .map(|(name, _)| *name)
+    .collect::<Vec<_>>()
+    .join(",")
+}
+
 /// Set by [`experiment_main`] when `--stats` asks for per-machine
 /// summaries; read by [`report_stats`].
 static STATS_ENABLED: AtomicBool = AtomicBool::new(false);

@@ -578,23 +578,13 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     }
 
     /// Record one ready-deque dispatch of the dataflow driver: `depth`
-    /// ops whose dependency frontier cleared were handed to `unit` in a
-    /// single batch. Telemetry only — never touches `Stats`, the trace,
+    /// chains whose dependency frontier cleared were handed to `unit` in
+    /// a single batch. Telemetry only — never touches `Stats`, the trace,
     /// or wall-clock — so a recorder-off run skips it entirely.
     pub fn record_ready(&self, unit: usize, depth: usize) {
         self.record_instant(tcu_obs::EventKind::Ready {
             unit: unit as u32,
             depth: depth as u32,
-        });
-    }
-
-    /// Record one deterministic plan-time steal of the dataflow
-    /// placement: the op's wave-LPT home was `from`, but `to` ran it.
-    /// Telemetry only, like [`Self::record_ready`].
-    pub fn record_steal(&self, from: usize, to: usize) {
-        self.record_instant(tcu_obs::EventKind::Steal {
-            from: from as u32,
-            to: to as u32,
         });
     }
 }

@@ -157,14 +157,6 @@ pub enum EventKind {
         /// Ready-deque depth drained by this dispatch.
         depth: u32,
     },
-    /// One op placed on a unit other than its wave-LPT home by the
-    /// dataflow placement (a deterministic plan-time steal).
-    Steal {
-        /// The op's wave-LPT home unit.
-        from: u32,
-        /// The unit that ran it instead.
-        to: u32,
-    },
 }
 
 impl EventKind {
@@ -186,7 +178,6 @@ impl EventKind {
             EventKind::Retry { .. } => "retry",
             EventKind::Quarantine { .. } => "quarantine",
             EventKind::Ready { .. } => "ready",
-            EventKind::Steal { .. } => "steal",
         }
     }
 }
@@ -252,12 +243,11 @@ pub enum Metric {
     Retries,
     Quarantines,
     EventsDropped,
-    Steals,
     ReadyDepthPeak,
 }
 
 /// Number of registered metrics.
-const METRIC_COUNT: usize = 18;
+const METRIC_COUNT: usize = 17;
 
 /// Registry names, indexed by `Metric as usize`.
 pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
@@ -277,7 +267,6 @@ pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
     "retries",
     "quarantines",
     "events_dropped",
-    "steals",
     "ready_depth_peak",
 ];
 
@@ -495,7 +484,6 @@ impl ObsSink {
             EventKind::Retry { .. } => m.bump(Metric::Retries, 1),
             EventKind::Quarantine { .. } => m.bump(Metric::Quarantines, 1),
             EventKind::Ready { depth, .. } => m.bump_max(Metric::ReadyDepthPeak, u64::from(depth)),
-            EventKind::Steal { .. } => m.bump(Metric::Steals, 1),
         }
     }
 
@@ -628,7 +616,8 @@ impl ObsSink {
 
     /// The plain-text run report: metadata header, per-unit busy/idle
     /// utilization, the wall-time split across
-    /// plan/compile/stage/execute/merge, fault/retry lines, dispatch
+    /// plan/compile/stage/execute/merge (a phase no span of its kind
+    /// reached reads `not recorded`), fault/retry lines, dispatch
     /// counters, and the metrics-registry snapshot.
     #[must_use]
     pub fn report(&self, meta: &RunMeta) -> String {
@@ -671,12 +660,27 @@ impl ObsSink {
         for (_, busy, _, _) in &rows {
             phase[3] += busy;
         }
+        // A phase no span of its kind reached reads "not recorded": 0
+        // would claim it was free.
+        let seen = [
+            Metric::PlanBuilds,
+            Metric::Compiles,
+            Metric::StageSpans,
+            Metric::OpsExecuted,
+            Metric::MergeSpans,
+        ]
+        .map(|m| self.metrics.get(m) > 0);
         out.push_str("phase wall time (ns):\n");
-        for (name, ns) in ["plan", "compile", "stage", "execute", "merge"]
+        for ((name, ns), seen) in ["plan", "compile", "stage", "execute", "merge"]
             .iter()
             .zip(phase)
+            .zip(seen)
         {
-            out.push_str(&format!("  {name:<8} {ns}\n"));
+            if seen {
+                out.push_str(&format!("  {name:<8} {ns}\n"));
+            } else {
+                out.push_str(&format!("  {name:<8} not recorded\n"));
+            }
         }
         if retries.0 > 0 {
             out.push_str(&format!(
@@ -685,14 +689,10 @@ impl ObsSink {
             ));
         }
         // Dataflow line: present whenever a dataflow run recorded ready
-        // dispatches (the peak is >= 1 then), with the steal count even
-        // when zero — "no steals" is a result, not an absence of data.
-        let steals = self.metrics.get(Metric::Steals);
+        // dispatches (the peak is >= 1 then).
         let ready_peak = self.metrics.get(Metric::ReadyDepthPeak);
-        if ready_peak > 0 || steals > 0 {
-            out.push_str(&format!(
-                "dataflow: steals {steals}, ready_depth_peak {ready_peak}\n"
-            ));
+        if ready_peak > 0 {
+            out.push_str(&format!("dataflow: ready_depth_peak {ready_peak}\n"));
         }
 
         out.push_str("metrics:");
@@ -801,7 +801,6 @@ fn args_json(kind: &EventKind) -> String {
             format!("\"unit\": {unit}, \"requeued\": {requeued}")
         }
         EventKind::Ready { unit, depth } => format!("\"unit\": {unit}, \"depth\": {depth}"),
-        EventKind::Steal { from, to } => format!("\"from\": {from}, \"to\": {to}"),
     }
 }
 
@@ -1003,9 +1002,39 @@ mod tests {
         );
         let rep = sink.report(&RunMeta::default());
         assert!(rep.contains("unit 2: busy 500 ns (100.0%), idle 0 ns"));
-        assert!(rep.contains("dataflow: steals 0, ready_depth_peak 3"));
+        assert!(rep.contains("dataflow: ready_depth_peak 3"));
         assert!(rep.contains("ops_executed=1"));
         assert!(rep.contains("ready_depth_peak=3"));
+    }
+
+    #[test]
+    fn phases_no_span_reached_read_not_recorded() {
+        // A machine-attached sink sees the run's spans, not the plan and
+        // compile spans: those phases are unmeasured, not free.
+        let sink = ObsSink::new();
+        sink.record(
+            Lane::Unit(0),
+            span(
+                EventKind::OpExec {
+                    unit: 0,
+                    rows: 4,
+                    sim_cost: 16,
+                },
+                10,
+                500,
+            ),
+        );
+        sink.record(Lane::Scheduler, span(EventKind::Stage { copies: 2 }, 0, 10));
+        sink.record(Lane::Scheduler, span(EventKind::Merge { items: 1 }, 510, 0));
+        let rep = sink.report(&RunMeta::default());
+        assert!(rep.contains("  plan     not recorded\n"), "{rep}");
+        assert!(rep.contains("  compile  not recorded\n"), "{rep}");
+        assert!(rep.contains("  stage    10\n"), "{rep}");
+        assert!(rep.contains("  execute  500\n"), "{rep}");
+        // A zero-length span of a phase's kind is a measured 0.
+        assert!(rep.contains("  merge    0\n"), "{rep}");
+        sink.record(Lane::Scheduler, span(EventKind::Compile { ops: 1 }, 0, 7));
+        assert!(sink.report(&RunMeta::default()).contains("  compile  7\n"));
     }
 
     #[test]

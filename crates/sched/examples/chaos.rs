@@ -124,7 +124,7 @@ fn main() {
         "pipeline: {} ops in {} waves on {units} units, planned makespan {}\n",
         plan.ops(),
         plan.waves(),
-        plan.dataflow_makespan()
+        plan.makespan()
     );
 
     // Fault-free baseline: the empty plan is a pure pass-through.

@@ -1,32 +1,34 @@
 //! Schedule compilation: lower a planned [`Schedule`] into a dense
 //! [`ExecutablePlan`] the runtime can replay with no hash lookups, no
-//! per-op environment scans, and no staging decisions in the hot loop.
+//! per-op environment scans, and no staging or placement decisions in
+//! the hot loop.
 //!
-//! Planning resolves *what* to execute (coalesced ops, canonical order,
-//! wave partitions); compilation resolves *how*: every operand read is
-//! interned into a slot of a run-local snapshot arena keyed by
-//! `(buffer, rectangle, generation)`, the hazard structure is flattened
-//! into predecessor counts and successor lists, and the wave structure
-//! into index ranges. The result is structural (no data, no scalar
-//! type): one compiled plan serves every environment whose buffer
-//! shapes match, which is what lets `gauss`/`closure` compile a stage's
-//! schedule once and re-run it against rebound buffers per step.
+//! Planning resolves *what* to execute (coalesced ops, canonical
+//! order); compilation resolves *how*: every operand read is interned
+//! into a slot of a run-local snapshot arena keyed by `(buffer,
+//! rectangle, generation)`, the ops are grouped into accumulation
+//! chains with the DAG between them, and the chains are list-scheduled
+//! onto the planned units (see [`crate::dataflow`]). The result is
+//! structural (no data, no scalar type): one compiled plan serves every
+//! environment whose buffer shapes match, which is what lets
+//! `gauss`/`closure` compile a stage's schedule once and re-run it
+//! against rebound buffers per step.
 //!
 //! Neither executor needs a staging directive. The serial run
-//! snapshots a slot on first use, and only when an op reads the buffer
-//! it writes; the threaded executor, whose workers run while the main
-//! thread retains mutable access to the outputs, snapshots every read
-//! key no input binding serves, once, right before its first reader's
-//! dispatch (see the `tcu_sched::run` module docs). Only the number of
-//! written-buffer keys is stored ([`ExecutablePlan::staged_reads`]).
-//! Compilation also fixes the serial run's order and its accumulation
-//! chain runs, one executor call each (the same module docs).
+//! snapshots a slot on first use, and only when a chain reads the
+//! buffer it writes; the threaded executor, whose workers run while the
+//! main thread retains mutable access to the outputs, snapshots every
+//! read key no input binding serves, once, right before its first
+//! reader's dispatch (see the `tcu_sched::run` module docs). Only the
+//! number of written-buffer keys is stored
+//! ([`ExecutablePlan::staged_reads`]).
 //!
-//! Compilation happens implicitly on first execution and is cached in
-//! the schedule (see [`Schedule::compile`]), so `try_run` and
-//! `try_run_parallel` compile, then execute, and repeat runs skip
-//! straight to the precomputed form.
+//! Compilation happens implicitly on first use and is cached in the
+//! schedule (see [`Schedule::compile`]), so `try_run`,
+//! `try_run_parallel` and [`Schedule::makespan`] compile once, and
+//! every later use skips straight to the precomputed form.
 
+use crate::dataflow::{Chains, Placement};
 use crate::graph::{hazard_successors, Node, OperandRef};
 use crate::run::ExecEnv;
 use crate::scheduler::Schedule;
@@ -65,7 +67,7 @@ pub(crate) struct CompiledOp {
 }
 
 /// A [`Schedule`] lowered to its executable form: dense op array,
-/// snapshot slots, hazard structure, and flattened wave ranges.
+/// snapshot slots, accumulation chains and their placement.
 /// Structural — it references logical buffers and slots, never data —
 /// so one compiled plan is re-runnable against any rebound environment
 /// of the same buffer shapes.
@@ -77,28 +79,13 @@ pub struct ExecutablePlan {
     pub(crate) written_reads: usize,
     /// Snapshot-arena size (one slot per distinct read key).
     pub(crate) slots: usize,
-    /// `ops` index range of each wave, in wave order.
-    pub(crate) wave_ranges: Vec<(usize, usize)>,
-    /// Per-op hazard-predecessor count, emission order — the dataflow
-    /// driver's ready gate (an op is dispatchable once this many
-    /// predecessors have committed).
-    pub(crate) preds: Vec<u32>,
-    /// CSR hazard-successor lists over `ops`: op `i`'s successors are
-    /// `succs[succ_off[i] .. succ_off[i + 1]]`. Edges are strictly
-    /// forward in emission order (conflicting nodes always sit on
-    /// different levels, and emission sorts by level first).
-    pub(crate) succs: Vec<u32>,
-    /// `succs` offsets, length `ops + 1`.
-    pub(crate) succ_off: Vec<u32>,
-    /// The serial run's op order: emission order, except that each
-    /// chain continuation moves up behind its predecessor once every
-    /// other hazard predecessor has run (see the `tcu_sched::run`
-    /// module docs).
-    pub(crate) serial_order: Vec<u32>,
-    /// Offsets into `serial_order` where each serial run — a stretch of
-    /// consecutive chain links, one executor call — starts, then
-    /// `serial_order.len()`.
-    pub(crate) serial_starts: Vec<u32>,
+    /// Hazard edges between the ops.
+    hazard_edges: usize,
+    /// The ops' accumulation chains, the DAG between them, and the
+    /// serial run's chain order.
+    pub(crate) chains: Chains,
+    /// The list schedule of the chains onto the planned units.
+    pub(crate) placement: Placement,
 }
 
 impl ExecutablePlan {
@@ -108,12 +95,6 @@ impl ExecutablePlan {
         self.ops.len()
     }
 
-    /// Waves (equals the schedule's).
-    #[must_use]
-    pub fn waves(&self) -> usize {
-        self.wave_ranges.len()
-    }
-
     /// Read keys the threaded executor snapshots (written-buffer
     /// reads).
     #[must_use]
@@ -121,24 +102,11 @@ impl ExecutablePlan {
         self.written_reads
     }
 
-    /// Hazard edges between compiled ops (the dependency count the
-    /// dataflow driver's ready gating walks).
+    /// Hazard edges between compiled ops (the dependency structure the
+    /// chains and their DAG are built from).
     #[must_use]
     pub fn hazard_edges(&self) -> usize {
-        self.succs.len()
-    }
-
-    /// Op `i`'s hazard successors (emission-order indices, all `> i`).
-    pub(crate) fn successors_of(&self, i: usize) -> &[u32] {
-        &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
-    }
-
-    /// The serial run's runs, in order: each the op indices of one
-    /// executor call.
-    pub(crate) fn serial_runs(&self) -> impl Iterator<Item = &[u32]> {
-        self.serial_starts
-            .windows(2)
-            .map(|w| &self.serial_order[w[0] as usize..w[1] as usize])
+        self.hazard_edges
     }
 }
 
@@ -172,17 +140,16 @@ fn intern_read(
     }
 }
 
-/// Lower `sched` into its executable form. Validates every op against
-/// the planned `√m` once (execution re-checks nothing), resolves each
-/// read to a slot of the snapshot arena, and counts the written-buffer
-/// keys.
+/// Lower `sched` into its executable form: resolve each read to a slot
+/// of the snapshot arena, count the written-buffer keys, build the
+/// accumulation chains and place them onto the planned units.
 ///
 /// # Panics
 /// Panics if an emitted node's operand or output rectangles disagree
 /// with its op descriptor — a scheduler bug, not a caller error (the
 /// graph validates these shapes at record time and coalescing preserves
 /// them).
-pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuError> {
+fn compile_schedule(sched: &Schedule) -> ExecutablePlan {
     let nodes = sched.nodes();
     // A buffer is written iff an emitted node writes it: coalescing
     // merges writes into fewer nodes but never removes a buffer's last
@@ -195,15 +162,8 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     let mut slot_of: HashMap<ReadKey, u32> = HashMap::new();
     let mut keys: Vec<ReadKey> = Vec::new();
     let mut ops: Vec<CompiledOp> = Vec::with_capacity(nodes.len());
-    let mut wave_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut wstart = 0usize;
-    for (i, sn) in nodes.iter().enumerate() {
+    for sn in nodes {
         let node = &sn.node;
-        node.op.check(sched.sqrt_m)?;
-        if i > 0 && sn.level != nodes[i - 1].level {
-            wave_ranges.push((wstart, i));
-            wstart = i;
-        }
         let a = intern_read(&node.a, sn.a_gen, &mut slot_of, &mut keys);
         let b = intern_read(&node.b, sn.b_gen, &mut slot_of, &mut keys);
         assert!(
@@ -227,73 +187,49 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
             b,
         });
     }
-    if !nodes.is_empty() {
-        wave_ranges.push((wstart, nodes.len()));
-    }
-
     let written_reads = keys.iter().filter(|k| written[k.0]).count();
 
-    // Hazard dependency structure over the *emission-ordered* ops:
-    // per-op predecessor counts and CSR successor lists. Conflicting
+    // The hazard structure over the *emission-ordered* ops. Conflicting
     // nodes always differ in level and emission sorts by level first,
-    // so every edge points strictly forward in emission order — which
-    // is what lets the dataflow driver gate dispatch on a simple
-    // committed-predecessor countdown.
+    // so every edge points forward in emission order.
     let emitted: Vec<Node> = nodes.iter().map(|sn| sn.node).collect();
-    let succ_lists = hazard_successors(&emitted);
-    let mut preds = vec![0u32; emitted.len()];
-    let mut succ_off = Vec::with_capacity(emitted.len() + 1);
-    let mut succs = Vec::new();
-    succ_off.push(0u32);
-    for (i, list) in succ_lists.iter().enumerate() {
-        for &j in list {
-            debug_assert!(j > i, "hazard edges must be forward in emission order");
-            preds[j] += 1;
-            succs.push(j as u32);
-        }
-        succ_off.push(succs.len() as u32);
-    }
-
-    let mut plan = ExecutablePlan {
+    let succs = hazard_successors(&emitted);
+    let chains = Chains::new(&emitted, &succs, &sched.node_costs);
+    let placement = Placement::new(&chains, sched.units());
+    ExecutablePlan {
         ops,
         written_reads,
         slots: keys.len(),
-        wave_ranges,
-        preds,
-        succs,
-        succ_off,
-        serial_order: Vec::new(),
-        serial_starts: Vec::new(),
-    };
-    (plan.serial_order, plan.serial_starts) = crate::run::serial_order(sched, &plan);
-    Ok(plan)
+        hazard_edges: succs.iter().map(Vec::len).sum(),
+        chains,
+        placement,
+    }
 }
 
 impl Schedule {
     /// The compiled form of this schedule, lowering it on first use and
     /// caching the result in the schedule itself.
-    pub(crate) fn compiled(&self) -> Result<&ExecutablePlan, TcuError> {
-        if let Some(p) = self.compiled.get() {
-            return Ok(p);
-        }
-        // Telemetry: the lowering itself is a scheduler-lane span (only
-        // cold compiles land here — cache hits return above).
-        let rec = tcu_obs::env_recorder();
-        let start = rec.as_ref().map(|r| r.now_ns());
-        let plan = compile_schedule(self)?;
-        if let (Some(rec), Some(t0)) = (rec, start) {
-            rec.record(
-                tcu_obs::Lane::Scheduler,
-                tcu_obs::SpanEvent {
-                    kind: tcu_obs::EventKind::Compile {
-                        ops: plan.ops.len() as u64,
+    pub(crate) fn compiled(&self) -> &ExecutablePlan {
+        self.compiled.get_or_init(|| {
+            // Telemetry: the lowering itself is a scheduler-lane span
+            // (only cold compiles land here).
+            let rec = tcu_obs::env_recorder();
+            let start = rec.as_ref().map(|r| r.now_ns());
+            let plan = compile_schedule(self);
+            if let (Some(rec), Some(t0)) = (rec, start) {
+                rec.record(
+                    tcu_obs::Lane::Scheduler,
+                    tcu_obs::SpanEvent {
+                        kind: tcu_obs::EventKind::Compile {
+                            ops: plan.ops.len() as u64,
+                        },
+                        t_ns: t0,
+                        dur_ns: rec.now_ns().saturating_sub(t0),
                     },
-                    t_ns: t0,
-                    dur_ns: rec.now_ns().saturating_sub(t0),
-                },
-            );
-        }
-        Ok(self.compiled.get_or_init(|| plan))
+                );
+            }
+            plan
+        })
     }
 
     /// Compile this schedule against `env`'s buffer shapes, returning
@@ -301,17 +237,17 @@ impl Schedule {
     ///
     /// Compilation is structural — it depends on the schedule alone —
     /// so the environment only serves as a shape witness here: the call
-    /// fails exactly when running against `env` would. The plan is
-    /// computed once per schedule and cached; `try_run` and
-    /// `try_run_parallel` call this implicitly, so explicit compilation
-    /// is only useful to front the (small) lowering cost or to inspect
-    /// the compiled shape.
+    /// fails exactly when its buffer shapes disagree with the planned
+    /// graph's. The plan is computed once per schedule and cached;
+    /// `try_run`, `try_run_parallel` and [`Schedule::makespan`] compile
+    /// implicitly, so explicit compilation is only useful to front the
+    /// (small) lowering cost or to inspect the compiled shape.
     pub fn compile<T: Scalar>(&self, env: &ExecEnv<'_, T>) -> Result<&ExecutablePlan, TcuError> {
         if env.shapes() != &self.buffer_shapes[..] {
             return Err(TcuError::PlanMismatch {
                 what: "environment built for a different graph (buffer shapes disagree)",
             });
         }
-        self.compiled()
+        Ok(self.compiled())
     }
 }

@@ -20,12 +20,14 @@
 //! * **[`Scheduler`]** — (1) *coalescing*: merges compatible ops into
 //!   wider invocations (adjacent-width merge for ops sharing a left
 //!   strip, inner-dimension merge for accumulate chains), each merge
-//!   deleting a whole `n·√m + ℓ` charge; (2) *deterministic list
-//!   scheduling*: dependency levels, canonical within-level order, and
-//!   per-wave unit assignment through [`tcu_core::partition_lpt`] — the
-//!   same partitioner the parallel machine uses, so one-unit replay and
-//!   multi-unit dispatch charge identical `Stats` and differ only in
+//!   deleting a whole `n·√m + ℓ` charge; (2) *deterministic ordering*:
+//!   dependency levels and a canonical within-level order, so one-unit
+//!   and multi-unit runs charge identical `Stats` and differ only in
 //!   makespan.
+//! * **[`ExecutablePlan`]** — the schedule compiled once: resolved
+//!   operand slots, the accumulation chains with the DAG between them,
+//!   and a deterministic list schedule of whole chains onto the units
+//!   (see [`dataflow`]), which both execution loops run.
 //! * **[`ExecEnv`] / [`Schedule::try_run`]** — binds buffers to borrowed
 //!   matrix views, charges the stream up front through the machine's
 //!   [`tcu_core::WaveAccountant`] and executes it on the machine's
@@ -55,3 +57,8 @@ pub use dataflow::DataflowTuning;
 pub use graph::{BufferId, Node, OpGraph, OperandRef};
 pub use run::ExecEnv;
 pub use scheduler::{Schedule, ScheduledNode, Scheduler};
+
+/// The dataflow suite's graph generators, for the placement's proptest.
+#[cfg(test)]
+#[path = "../tests/graphs/mod.rs"]
+mod test_graphs;

@@ -7,9 +7,9 @@
 //! buffers it writes. Execution itself runs off the schedule's compiled
 //! form (see [`crate::compile`]): the first run lowers the schedule
 //! into an [`crate::ExecutablePlan`] whose ops carry concrete buffer
-//! offsets, snapshot slots, and the hazard structure, so the per-op hot
-//! loop does no hash lookups and no environment scans — it indexes
-//! dense arrays. Each left
+//! offsets and snapshot slots, grouped into accumulation chains with a
+//! fixed placement, so the hot loop does no hash lookups and no
+//! environment scans — it indexes dense arrays. Each left
 //! operand is tagged with an [`OperandId`] whose generation combines a
 //! process-unique stamp (the environment's *epoch* for frozen
 //! input-bound reads, a fresh per-run stamp for reads of written
@@ -32,11 +32,11 @@
 //! correct, and snapshots exist only where safe-Rust borrows force
 //! them. The two execution loops need different ones:
 //!
-//! * the **serial run** holds a run's destination binding mutably while
-//!   the run executes, so it snapshots a read key on first use, and
-//!   only when a link reads it from the buffer the run writes: one
+//! * the **serial run** holds a chain's destination binding mutably
+//!   while the chain executes, so it snapshots a read key on first use,
+//!   and only when a link reads it from the buffer the chain writes: one
 //!   gather per `(region, generation)`, the same marshalling the eager
-//!   blocked algorithms perform, taken for all of a run's links before
+//!   blocked algorithms perform, taken for all of a chain's links before
 //!   its call. Every other read — of inputs and of other written
 //!   buffers alike — is zero-copy;
 //! * the **threaded executor**'s workers cannot borrow the outputs the
@@ -57,91 +57,69 @@
 //! charged — and a run the prologue rejects has charged and written
 //! nothing.
 //!
-//! # One serial loop, one parallel executor
+//! # One chain path on both loops
 //!
 //! The paper's machine is a RAM with one tensor unit, and its parallel
-//! machine has `p`, so a compiled plan has two executors.
-//! [`Schedule::try_run`] is the serial loop: one pass over the stream
-//! on the machine's own executor, each op writing its bound destination
-//! in place, with one attempt per op and no quarantine (one unit has no
-//! survivor to hand work to). It computes no placement and keeps no
-//! recovery state; an executor panic comes back as a typed error. Every
-//! parallel run, at every core count, goes to the threaded executor
-//! below.
+//! machine has `p`, so a compiled plan has two executors. Both run the
+//! same unit of work: an *accumulation chain* (see [`crate::dataflow`]),
+//! the run of same-rectangle writers that Theorem 2's `D = A·B + C`
+//! steps form — on the dense product, a whole `C` strip's `k` steps.
+//! Each chain is one [`Executor::execute_chain`] call; a one-op chain is
+//! a one-link call. The host executor fuses a chain into one kernel call
+//! that keeps each tile of the strip in registers across every link; an
+//! executor that does not override the call runs the links one by one,
+//! exactly as it runs tagged ops.
 //!
-//! # Serial chain runs
-//!
-//! Theorem 2 streams each strip `A_k` against `B_kj` into the same `C`
-//! strip for every `k` — the `D = A·B + C` step a tensor core runs with
-//! its accumulator in registers. The serial loop runs it that way. Its
-//! order is computed once per compiled plan: emission order, except
-//! that each *chain continuation* (the next same-rectangle writer of an
-//! accumulation chain, see `Chains`) moves up right behind its
-//! predecessor once every other hazard predecessor has run; one that
-//! cannot stays where emission order puts it. Every op still follows
-//! all of its hazard predecessors, so elements are those of the
-//! emission-order stream. A *run* is a stretch of consecutive links of
-//! one chain — on the dense product, a whole `C` strip's `k` steps —
-//! and the loop issues one [`Executor::execute_chain`] per run; a
-//! one-op run is a one-link chain. The host executor fuses a run into
-//! one kernel call that keeps each tile of the strip in registers
-//! across every link; an executor that does not override the call runs
-//! the links one by one, exactly as it runs tagged ops. For integer
-//! types with a narrow multiplier the loop also records, per read key,
-//! whether the left operand fits 32 bits ([`ChainOp::a_narrow`]), the
-//! first time a link reads that key: the key names one region at one
-//! content version, so every later link that streams it reuses the
-//! verdict, and a strip many chains stream is scanned once per
-//! `try_run` call.
+//! [`Schedule::try_run`] is the serial loop: one pass over the chains in
+//! the compiled serial order (topological, smallest head first) on the
+//! machine's own executor, each chain writing its bound destination in
+//! place, with one attempt per chain and no quarantine (one unit has no
+//! survivor to hand work to). It keeps no recovery state; an executor
+//! panic comes back as a typed error. For integer types with a narrow
+//! multiplier it also records, per read key, whether the left operand
+//! fits 32 bits ([`ChainOp::a_narrow`]), the first time a link reads
+//! that key: the key names one region at one content version, so every
+//! later link that streams it reuses the verdict, and a strip many
+//! chains stream is scanned once per `try_run` call. Every parallel
+//! run, at every core count, goes to the threaded executor below.
 //!
 //! Charging is not reordered: the prologue charges the stream in
 //! emission order, so `Stats` and the trace digest are those of eager
-//! issue. When a recorder is attached, the loop emits one `OpExec` span
-//! per op, splitting each run's wall evenly across its ops.
+//! issue. When a recorder is attached, both loops emit one `OpExec` span
+//! per op, splitting each chain call's wall evenly across its links.
 //!
 //! # Multi-unit execution
 //!
-//! [`Schedule::try_run_parallel`] is a barrier-free dataflow driver: ops
-//! dispatch as soon as their hazard predecessors' results have been
-//! committed. Every scheduling decision is resolved *at plan time* by
-//! [`crate::dataflow`]'s deterministic placement simulation (which unit
-//! runs each op, in what per-unit order, with which deterministic
-//! steals), so the runtime executes fixed per-unit queues and its
-//! results cannot depend on thread timing:
+//! [`Schedule::try_run_parallel`] is a barrier-free dataflow driver over
+//! the compiled placement: per-unit queues of whole chains, fixed at
+//! compile time, so its results cannot depend on thread timing:
 //!
 //! * **accounting** — every op is charged on the main thread, up
 //!   front, in emission order (after validating all bindings), so
 //!   `Stats` and the trace digest are byte-identical to the serial
-//!   run's; wall-clock advances once, by the placement's simulated
-//!   makespan, so `time()` lands on [`Schedule::dataflow_makespan`]
-//!   (never above [`Schedule::makespan`]);
-//! * **numerics** — workers execute into private accumulators, one per
-//!   *chain*: a run of consecutive writers of one output rectangle in
-//!   one unit's queue, derived from each pass's queues (see `Chains`).
-//!   The chain's head seeds the accumulator once from the destination
-//!   (zeros for an overwrite), its ops run into it in queue order on
-//!   the worker, and the worker hands it back after the chain's last
-//!   op. The main thread copies it into the rectangle once and only
-//!   then releases the hazard successors of every op in the chain, so
-//!   overlapping writes retire in hazard (emission) order and elements
-//!   are bit-identical to [`Schedule::try_run`] for every unit count and
-//!   interleaving. An op no other op continues is a one-op chain: a
-//!   per-op scratch;
-//! * **dispatch** — an op is ready once every hazard predecessor outside
-//!   its own chain has committed (the chain's earlier ops run first, on
-//!   the same unit); each idle unit receives its entire ready prefix as
-//!   *one* channel message, and reads are snapshotted right before
-//!   their first reader's dispatch;
-//! * **buffers** — a run's placement is computed once per schedule and
-//!   kept next to the compiled plan. Its chain accumulators and
-//!   snapshots come from a pool the calling thread keeps per scalar
-//!   type, and every merged accumulator and every snapshot returns to
-//!   it when the run ends, so a warm run on the same thread allocates
-//!   no data-sized buffer. The pool lives as long as the thread and
-//!   holds only the buffers the thread's last threaded run held, so it
-//!   never keeps more than one run's working set. Every pooled buffer
-//!   is fully overwritten before it is read: a seed copy, a zero fill
-//!   for an overwrite, or a snapshot copy.
+//!   run's; wall-clock advances once, by the placement's makespan, so
+//!   `time()` lands exactly on [`Schedule::makespan`], the charge of the
+//!   queues that run;
+//! * **numerics** — the main thread seeds each chain's accumulator from
+//!   its destination (zeros for an overwriting head), the worker runs
+//!   the chain into it with one `execute_chain` call and hands it back,
+//!   and the main thread copies it into the rectangle once and only then
+//!   releases the chain's successors. Overlapping writes therefore
+//!   retire in hazard order, and elements are bit-identical to
+//!   [`Schedule::try_run`] for every unit count and interleaving;
+//! * **dispatch** — a chain is ready once every predecessor chain has
+//!   committed; whenever a unit's next queued chains are ready the main
+//!   thread sends them, as *one* channel message, busy or not, and
+//!   stages their reads right before. The worker reports each chain as
+//!   it finishes, so merges overlap the unit's next chain;
+//! * **buffers** — accumulators and snapshots come from a pool the
+//!   calling thread keeps per scalar type, and every merged accumulator
+//!   and every snapshot returns to it when the run ends, so a warm run
+//!   on the same thread allocates no data-sized buffer. The pool lives
+//!   as long as the thread and holds only the buffers the thread's last
+//!   threaded run held, so it never keeps more than one run's working
+//!   set. Every pooled buffer is fully overwritten before it is read: a
+//!   seed copy, a zero fill for an overwrite, or a snapshot copy.
 //!
 //! # Fault tolerance
 //!
@@ -149,68 +127,56 @@
 //! plan/machine mismatches, and op contract violations come back as
 //! values. On top of that, [`Schedule::try_run_parallel`] *recovers*
 //! from unit faults.
-//! Every execution, serial ones included, is wrapped in
+//! Every chain call, serial ones included, is wrapped in
 //! `catch_unwind`:
 //!
 //! * a transient [`InjectedFault`] (as injected by
-//!   [`tcu_core::FaultyExecutor`]) is retried in place, up to 3 attempts
-//!   per op, each retry charging simulated backoff into wall-clock;
+//!   [`tcu_core::FaultyExecutor`]) fires before its link writes, so the
+//!   call is retried from the failed link, up to 3 attempts per link,
+//!   each retry charging simulated backoff into wall-clock;
 //! * a permanent fault — or any other panic payload, i.e. a real
 //!   executor bug — quarantines the unit for the rest of the run.
 //!
-//! A serial run makes one attempt per op and quarantines nothing, so it
-//! turns both into typed failures: [`TcuError::RetriesExhausted`] and
+//! A serial run makes one attempt per chain and quarantines nothing, so
+//! it turns both into typed failures: [`TcuError::RetriesExhausted`] and
 //! [`TcuError::UnitFault`], naming the level of the link that failed.
 //! A fault plan's execution index on a serial machine counts executed
 //! links in the serial order, not in emission order: index 5 of the
 //! dense product is the sixth link of the first `C` strip's chain. A
-//! failed serial run leaves in its outputs what the runs before the
-//! failing one wrote, plus, from the failing run, the links an
+//! failed serial run leaves in its outputs what the chains before the
+//! failing one wrote, plus, from the failing chain, the links an
 //! executor that runs them one by one completed (an injected fault
-//! fires before its link writes). A fused run that panics part-way
+//! fires before its link writes). A fused chain that panics part-way
 //! through may leave its rectangle partly written.
 //!
-//! Recovery is **pass-based**. When a unit dies, its unexecuted queue
-//! suffix and everything hazard-downstream of that suffix leave the
-//! current pass; the survivors finish the rest of their fixed queues;
-//! then the removed set is LPT-placed ([`partition_lpt`]) onto the
-//! survivors, each queue kept in `(start, index)` order, and runs as
-//! the next pass, whose makespan is charged as recovery time. Fault,
-//! retry, and quarantine annotations are buffered per unit and flushed
-//! in unit order at each pass boundary.
-//!
-//! Chains change none of this. Injected faults fire
-//! before the executor writes, so a stopping worker hands back every
-//! open accumulator that holds a completed op and the main thread
-//! merges it: the committed set is exactly the unit's executed prefix.
-//! A foreign panic tears only the
-//! accumulator it was writing; that chain's completed ops rejoin the
-//! pass's removed set (they re-run against a destination the chain
-//! never merged into), and so do all open chains of a worker lost
-//! outside containment. A removal can also *cut* a chain whose unit
-//! lives on, leaving its accumulator open with nothing left to
-//! dispatch: when no unit can dispatch, the driver flushes every open
-//! chain, merging its completed prefix (by then each open chain's next
-//! op has provably been removed).
+//! Recovery is **pass-based**. A unit that stops discards its in-flight
+//! chain's accumulator unmerged, so the chain's destination is
+//! untouched. The chain, the rest of the unit's queue and everything
+//! downstream of them leave the current pass; the survivors finish the
+//! rest of their fixed queues, which depend on nothing removed; then the
+//! removed chains are LPT-placed whole ([`partition_lpt`]) onto the
+//! survivors, each queue kept in placement order, and run as the next
+//! pass, whose makespan is charged as recovery time. Fault, retry, and
+//! quarantine annotations are buffered per unit and flushed in unit
+//! order at each pass boundary.
 //!
 //! That makes recovery a function of the schedule and the fault plan
-//! alone. No removed op can have been dispatched — each one waits on
-//! an uncommitted op outside its chain, or on a chain op
-//! queued ahead of it on its own unit — except a torn chain's completed
-//! ops, which the plan determines. So every unit's execution sequence
+//! alone. No removed chain can have been dispatched, except the stopped
+//! unit's own queue behind the failed chain, which it never runs: each
+//! one waits on an uncommitted chain. So every unit's execution sequence
 //! in a pass is its queue minus the removed set, and so is every
 //! executor's fault-plan index. `time()`, [`tcu_core::FaultStats`], and
 //! the *ordered* fault trace therefore replay exactly under any thread
 //! interleaving (the chaos and dataflow suites check this by replaying
-//! each plan under jittered executors). Recovery stays
-//! unobservable in results: charges precede numerics, faulted ops
-//! re-execute against an untouched destination, and the annotations
-//! are excluded from the digest — so a recoverable faulty run's
-//! elements, `Stats`, and digest are byte-identical to the fault-free
-//! run's. Unrecoverable runs fail typed ([`TcuError::RetriesExhausted`],
-//! [`TcuError::UnitFault`], [`TcuError::AllUnitsQuarantined`]); a pass
-//! with several fatal stops drains and reports the one on the op with
-//! the smallest `(start, index)` key, so errors are deterministic too.
+//! each plan under jittered executors). Recovery stays unobservable in
+//! results: charges precede numerics, a re-run chain is seeded from an
+//! untouched destination, and the annotations are excluded from the
+//! digest — so a recoverable faulty run's elements, `Stats`, and digest
+//! are byte-identical to the fault-free run's. Unrecoverable runs fail
+//! typed ([`TcuError::RetriesExhausted`], [`TcuError::UnitFault`],
+//! [`TcuError::AllUnitsQuarantined`]); a pass with several fatal stops
+//! drains and reports the one on the chain with the smallest placement
+//! key, so errors are deterministic too.
 //!
 //! # Known deviations
 //!
@@ -225,16 +191,17 @@
 //!    `dataflow_exec.rs`'s `serial_executor_panic_fails_typed`.
 
 use crate::compile::{CompiledRead, ExecutablePlan};
-use crate::dataflow::DataflowPlacement;
+use crate::dataflow::Chains;
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use tcu_core::{
     partition_lpt, BindRole, ChainOp, Executor, FaultKind, InjectedFault, OperandId,
-    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TensorUnit, WaveAccountant,
+    ParallelTcuMachine, TcuError, TcuMachine, TensorUnit, WaveAccountant,
 };
 use tcu_linalg::{kernels, Matrix, MatrixView, MatrixViewMut, Scalar};
 
@@ -401,16 +368,6 @@ fn serial_read<'s, T: Scalar>(
     }
 }
 
-/// Attempts per op on the serial run. It quarantines nothing either:
-/// one unit has no survivor to hand work to, so a permanent fault fails
-/// the run.
-const SERIAL_ATTEMPTS: u32 = 1;
-
-/// Attempts per op on a parallel run, the first try included. A
-/// unit that fails permanently is quarantined and its work re-run on
-/// the survivors.
-const PARALLEL_ATTEMPTS: u32 = 3;
-
 impl Schedule {
     /// Execute the planned stream on `mach` with `env`'s bindings: each
     /// emitted node is one tagged tensor instruction, charged and
@@ -418,23 +375,21 @@ impl Schedule {
     /// order; outputs land in the bound views. On a pack-caching host
     /// executor, repeated left-operand regions are packed once per
     /// content version per environment. This is one pass over the
-    /// stream on the machine's own executor, each accumulation chain's
-    /// run issued as one [`Executor::execute_chain`] (see the [module
-    /// docs](self)).
+    /// compiled chains on the machine's own executor, each chain issued
+    /// as one [`Executor::execute_chain`] (see the [module docs](self)).
     ///
     /// Everything that can be checked is checked up front, before
     /// anything is charged or written: the machine's `√m` and tall
     /// support against the planning unit's, the environment's buffer
-    /// shapes, every op's contract, and every binding the stream
-    /// touches. A failure there returns [`TcuError`] with outputs and
-    /// `Stats` untouched. Then the whole stream is charged and executed
-    /// with one attempt per op and no quarantine, so an executor panic
-    /// comes back typed instead of unwinding:
-    /// [`TcuError::RetriesExhausted`] for an injected transient fault,
-    /// [`TcuError::UnitFault`] for anything else. Such a run keeps the
-    /// full charge (named deviation 1), and the outputs hold what the
-    /// runs before the failing one wrote, plus that run's completed
-    /// links (see the [module docs](self)).
+    /// shapes, and every binding the stream touches. A failure there
+    /// returns [`TcuError`] with outputs and `Stats` untouched. Then the
+    /// whole stream is charged and executed with one attempt per chain
+    /// and no quarantine, so an executor panic comes back typed instead
+    /// of unwinding: [`TcuError::RetriesExhausted`] for an injected
+    /// transient fault, [`TcuError::UnitFault`] for anything else. Such
+    /// a run keeps the full charge (named deviation 1), and the outputs
+    /// hold what the chains before the failing one wrote, plus that
+    /// chain's completed links (see the [module docs](self)).
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut TcuMachine<U, E>,
@@ -460,12 +415,13 @@ impl Schedule {
     /// for every unit count. Runs the prologue both executors share
     /// (plan, machine and binding checks, then the whole stream charged
     /// in emission order, so `Stats` and the digest equal the serial
-    /// run's even under recovery), takes the schedule's deterministic
-    /// placement, then executes it on the threaded executor, one worker
-    /// per unit. Thread interleaving is not observable in elements,
-    /// `Stats`, digest, `time()`, or [`tcu_core::FaultStats`].
-    /// Wall-clock advances by [`Schedule::dataflow_makespan`] plus the
-    /// charged backoff and recovery passes.
+    /// run's even under recovery), then executes the compiled chain
+    /// placement on the threaded executor, one worker per unit and one
+    /// [`Executor::execute_chain`] per chain. Thread interleaving is not
+    /// observable in elements, `Stats`, digest, `time()`, or
+    /// [`tcu_core::FaultStats`]. Wall-clock advances by
+    /// [`Schedule::makespan`] plus the charged backoff and recovery
+    /// passes.
     ///
     /// The machine's `√m`, unit count and tall support must match what
     /// the schedule was planned for, the environment's buffer shapes
@@ -473,13 +429,13 @@ impl Schedule {
     /// otherwise the run returns [`TcuError`] before anything is
     /// charged or written.
     ///
-    /// Transient faults retry in place, at most 3 attempts per op, or
-    /// the run fails with [`TcuError::RetriesExhausted`]. A unit that
-    /// fails permanently is quarantined and its work re-run in a
-    /// recovery pass (see the [module docs](self)); losing every unit
-    /// with work still pending fails with
+    /// Transient faults retry from the failed link, at most 3 attempts
+    /// per link, or the run fails with [`TcuError::RetriesExhausted`]. A
+    /// unit that fails permanently is quarantined and its chains re-run
+    /// whole in a recovery pass (see the [module docs](self)); losing
+    /// every unit with work still pending fails with
     /// [`TcuError::AllUnitsQuarantined`]. On `Err` the makespan is not
-    /// charged and outputs hold only the committed ops' results.
+    /// charged and outputs hold only the committed chains' results.
     pub fn try_run_parallel<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
@@ -493,15 +449,14 @@ impl Schedule {
         let recorder = mach.recorder_handle();
         let (mut acct, execs) = mach.wave_parts();
         let plan = self.prologue(&mut acct, env)?;
-        let placement = self.placement(plan);
-        run_threaded(self, plan, placement, &mut acct, execs, env, &recorder)?;
-        acct.complete_wave(placement.makespan);
+        run_threaded(self, plan, &mut acct, execs, env, &recorder)?;
+        acct.complete_wave(plan.placement.makespan);
         Ok(())
     }
 
     /// The prologue both executors run before they charge or write
     /// anything: the machine's `√m`, the environment's buffer shapes,
-    /// compilation (every op's contract), every op's output and read
+    /// compilation (cached; the planner validated every op), every op's output and read
     /// bindings, and the machine splitting every op exactly as the
     /// planning unit did. Then the whole stream is charged in emission
     /// order on the calling thread, so `Stats` and the trace come out
@@ -521,7 +476,7 @@ impl Schedule {
                 what: "environment built for a different graph (buffer shapes disagree)",
             });
         }
-        let plan = self.compiled()?;
+        let plan = self.compiled();
         for (i, cop) in plan.ops.iter().enumerate() {
             if env.outputs[cop.out_buf].is_none() {
                 return Err(TcuError::Unbound {
@@ -573,141 +528,65 @@ fn emit_span(
     }
 }
 
-/// "No op" in [`Chains::next`].
-const NO_OP: u32 = u32::MAX;
-
-/// The accumulation chains of one pass: op `j` continues op `i` when
-///
-/// 1. `j` is `i`'s first hazard successor,
-/// 2. `j` writes exactly `i`'s output rectangle and reads nothing that
-///    overlaps it,
-/// 3. both sit in the same unit's queue of this pass, and
-/// 4. every hazard successor of `i` writes or reads that rectangle.
-///
-/// Successor lists are sorted and list every conflicting pair, so rules
-/// 1 and 4 mean no other op reads or overwrites a version between `i`
-/// and `j`, and every op but `j` that waits on `i` also waits on `j` —
-/// by induction, on the chain's last op. Holding a chain's commits back
-/// until one merge after that op therefore delays no op that does not
-/// already wait for it. A pure function of the pass's queues: placement
-/// and recovery passes fix those at plan time, so chains never depend
-/// on thread timing.
-struct Chains {
-    /// The op continuing each op's chain, or [`NO_OP`] at its tail.
-    next: Vec<u32>,
-    /// Each op's chain head.
-    head: Vec<u32>,
-    /// Chain ops ahead of each op — all of them hazard predecessors it
-    /// does not wait on to dispatch, since they run first on its unit.
-    before: Vec<u32>,
-}
-
-impl Chains {
-    fn of_pass(sched: &Schedule, plan: &ExecutablePlan, queues: &[Vec<u32>]) -> Self {
-        let nodes = sched.nodes();
-        let n = plan.ops();
-        let mut unit = vec![NO_OP; n];
-        for (u, q) in queues.iter().enumerate() {
-            for &i in q {
-                unit[i as usize] = u as u32;
-            }
-        }
-        let mut chains = Chains {
-            next: vec![NO_OP; n],
-            head: (0..n as u32).collect(),
-            before: vec![0; n],
-        };
-        // Links point forward in emission order, so an op's own head and
-        // count are final by the time it is linked onward.
-        for i in 0..n {
-            let succs = plan.successors_of(i);
-            let Some(&j) = succs.first() else {
-                continue;
-            };
-            let rect = nodes[i].node.out;
-            let next = &nodes[j as usize].node;
-            let touches = |&x: &u32| {
-                let op = &nodes[x as usize].node;
-                op.out.overlaps(&rect) || op.a.overlaps(&rect) || op.b.overlaps(&rect)
-            };
-            if unit[i] == NO_OP
-                || unit[j as usize] != unit[i]
-                || next.out != rect
-                || next.a.overlaps(&rect)
-                || next.b.overlaps(&rect)
-                || !succs.iter().all(touches)
-            {
-                continue;
-            }
-            chains.next[i] = j;
-            chains.head[j as usize] = chains.head[i];
-            chains.before[j as usize] = chains.before[i] + 1;
-        }
-        chains
+/// One `OpExec` span per link of a chain call that started at `t0` on
+/// `unit`, the call's wall split evenly across the links; `links` gives
+/// each link's charged rows and simulated cost. No-op when recording is
+/// off.
+fn emit_link_spans(
+    rec: Option<&dyn tcu_obs::Recorder>,
+    unit: u32,
+    t0: Option<u64>,
+    links: &[(u64, u64)],
+) {
+    let (Some(rec), Some(t0)) = (rec, t0) else {
+        return;
+    };
+    let wall = rec.now_ns().saturating_sub(t0);
+    let len = links.len().max(1) as u64;
+    let at = |x: u64| t0 + wall * x / len;
+    for (x, &(rows, sim_cost)) in (0u64..).zip(links) {
+        rec.record(
+            tcu_obs::Lane::Unit(unit),
+            tcu_obs::SpanEvent {
+                kind: tcu_obs::EventKind::OpExec {
+                    unit,
+                    rows,
+                    sim_cost,
+                },
+                t_ns: at(x),
+                dur_ns: at(x + 1) - at(x),
+            },
+        );
     }
 }
 
-/// The serial run's order and its runs, computed once per compiled
-/// plan: emission order, except that each chain continuation moves up
-/// right behind its predecessor when every other hazard predecessor has
-/// already run. A continuation that cannot move stays where emission
-/// order puts it and starts a run of its own. Returns the order and the
-/// offsets where each run starts (then the op count); a run is a
-/// stretch of consecutive links of one chain, so it writes one
-/// rectangle and no link reads it (see [`Chains`]).
-///
-/// Every op is placed after all of its hazard predecessors: an op
-/// reached in emission order finds every earlier op placed, and a
-/// continuation moves only once its predecessors are.
-pub(crate) fn serial_order(sched: &Schedule, plan: &ExecutablePlan) -> (Vec<u32>, Vec<u32>) {
-    let n = plan.ops();
-    let chains = Chains::of_pass(sched, plan, &[(0..n as u32).collect()]);
-    let mut waiting = plan.preds.clone();
-    let mut placed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut starts = Vec::new();
-    for i in 0..n {
-        if placed[i] {
-            continue;
-        }
-        starts.push(order.len() as u32);
-        let mut link = i;
-        loop {
-            placed[link] = true;
-            order.push(link as u32);
-            for &succ in plan.successors_of(link) {
-                waiting[succ as usize] -= 1;
-            }
-            match chains.next[link] {
-                NO_OP => break,
-                next if waiting[next as usize] > 0 => break,
-                next => link = next as usize,
-            }
-        }
-    }
-    starts.push(n as u32);
-    (order, starts)
+/// Each link's charged rows and simulated cost on `acct`'s unit, the
+/// annotations of its `OpExec` span.
+fn link_costs<U: TensorUnit>(
+    acct: &WaveAccountant<'_, U>,
+    plan: &ExecutablePlan,
+    links: &[u32],
+) -> Vec<(u64, u64)> {
+    let s = acct.sqrt_m();
+    links
+        .iter()
+        .map(|&i| {
+            let op = &plan.ops[i as usize].op;
+            (op.charge_rows(s) as u64, acct.op_cost(op))
+        })
+        .collect()
 }
 
-/// One op bound for a specific unit's worker.
-struct WaveItem<'v, T: Scalar> {
-    /// Compiled-op index (emission order), for the commit.
-    idx: usize,
-    /// The op's chain head: the key of the worker's accumulator.
-    head: u32,
-    /// Whether the op ends its chain (the worker then hands the
-    /// accumulator back).
-    tail: bool,
-    op: TensorOp,
-    a: MatrixView<'v, T>,
-    tag: OperandId,
-    b: MatrixView<'v, T>,
-    /// The chain's seeded accumulator, carried by its head alone.
-    scratch: Option<Matrix<T>>,
-    /// Rows the op charges (telemetry annotation for its execute span).
-    rows: u64,
-    /// Simulated cost charged for the op (telemetry annotation).
-    sim_cost: u64,
+/// One chain bound for a unit's worker: its links' operands and the
+/// accumulator seeded from its destination.
+struct ChainItem<'v, T: Scalar> {
+    /// Chain index, for the commit.
+    chain: u32,
+    links: Vec<ChainOp<'v, T>>,
+    acc: Matrix<T>,
+    /// Per link, the annotations of its execute span (empty when no
+    /// recorder is attached).
+    spans: Vec<(u64, u64)>,
 }
 
 /// Resolve a compiled read on the parallel path: the staged snapshot
@@ -764,13 +643,13 @@ impl<T: Scalar> Scratch<T> {
         }
     }
 
-    /// An exactly-shaped buffer for unit `unit`'s op — one this run
+    /// An exactly-shaped buffer for unit `unit`'s chain — one this run
     /// handed back, else one the last run left, else fresh zeros — with
     /// the acquisition recorded when a recorder is attached. A pooled
-    /// buffer is re-zeroed when the op needs zeros (`zero`): an executor
-    /// is allowed to skip numerics entirely (replay), so it must present
-    /// the bytes a fresh allocation would. Every other caller overwrites
-    /// each element (a seed or a snapshot copy) instead.
+    /// buffer is re-zeroed when the chain needs zeros (`zero`): an
+    /// executor is allowed to skip numerics entirely (replay), so it must
+    /// present the bytes a fresh allocation would. Every other caller
+    /// overwrites each element (a seed or a snapshot copy) instead.
     fn take(
         &mut self,
         rows: usize,
@@ -821,66 +700,109 @@ impl<T: Scalar> Scratch<T> {
     }
 }
 
-/// Resolve one compiled op into its executable work item: operand
-/// views (staged snapshots or bound inputs), left-operand cache tag,
-/// and its place in its chain. A chain head also gets the chain's
-/// accumulator from `pool`, acquired for `unit` — zeros for an
-/// overwrite op (the kernel writes every element), the exact
-/// destination bytes for an accumulating op (so the chain performs the
-/// identical arithmetic in-place accumulates would); a continuation
-/// carries none and runs into its head's. Also
-/// the rebuild path for an op a recovery pass re-runs: an uncommitted
-/// op's destination is untouched (every later writer of it waits on the
-/// commit of its chain), so building the same item twice yields
-/// byte-identical operands and seed.
-#[allow(clippy::too_many_arguments)]
-fn build_item<'v, T: Scalar>(
-    arena: &'v [OnceLock<Matrix<T>>],
-    inputs: &'v [Option<MatrixView<'_, T>>],
-    outputs: &[Option<MatrixViewMut<'_, T>>],
-    stamps: &[u64],
-    pool: &mut Scratch<T>,
-    plan: &ExecutablePlan,
-    chains: &Chains,
-    idx: usize,
-    rec: Option<&dyn tcu_obs::Recorder>,
-    unit: u32,
-) -> Result<WaveItem<'v, T>, TcuError> {
-    let cop = &plan.ops[idx];
-    let a = wave_read(arena, inputs, &cop.a)?;
-    let b = wave_read(arena, inputs, &cop.b)?;
-    let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-    let mut scratch = None;
-    if chains.before[idx] == 0 {
-        let mut acc = pool.take(cop.op.rows, cop.op.width, !cop.op.accumulate, rec, unit);
-        if cop.op.accumulate {
-            let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
-                buffer: cop.out_buf,
+/// The threaded executor's main-thread view of one run's operands: the
+/// snapshot arena, the bindings, and the per-buffer cache-tag stamps.
+struct Operands<'r, 'e, T: Scalar> {
+    arena: &'r [OnceLock<Matrix<T>>],
+    inputs: &'r [Option<MatrixView<'e, T>>],
+    stamps: &'r [u64],
+}
+
+impl<'r, T: Scalar> Operands<'r, '_, T> {
+    /// Stage chain `c`'s reads that no input binding serves and whose
+    /// snapshot slots are still empty, each into a buffer from `pool`,
+    /// and return how many it staged. Sound at dispatch time: each
+    /// link's writers of the version it reads are hazard predecessors
+    /// outside the chain (no link reads the chain's own rectangle), so
+    /// they have committed, and any later writer waits on this chain's
+    /// commit — so the region holds exactly the bytes the read's key
+    /// names. A buffer the graph never writes, bound as an output,
+    /// holds the same bytes all run.
+    fn stage(
+        &self,
+        outputs: &[Option<MatrixViewMut<'_, T>>],
+        pool: &mut Scratch<T>,
+        plan: &ExecutablePlan,
+        c: usize,
+        rec: Option<&dyn tcu_obs::Recorder>,
+        unit: u32,
+    ) -> Result<u32, TcuError> {
+        let mut staged = 0;
+        for &i in plan.chains.links(c) {
+            let cop = &plan.ops[i as usize];
+            for r in [&cop.a, &cop.b] {
+                if self.inputs[r.buf].is_some() || self.arena[r.slot as usize].get().is_some() {
+                    continue;
+                }
+                let host = outputs[r.buf].as_ref().ok_or(TcuError::Unbound {
+                    buffer: r.buf,
+                    written: false,
+                })?;
+                let mut snap = pool.take(r.rows, r.cols, false, rec, unit);
+                snap.view_mut()
+                    .copy_from(host.as_view().subview(r.r0, r.c0, r.rows, r.cols));
+                let _ = self.arena[r.slot as usize].set(snap);
+                staged += 1;
+            }
+        }
+        Ok(staged)
+    }
+
+    /// Resolve chain `c` into its work item: operand views (staged
+    /// snapshots or bound inputs), left-operand cache tags, and the
+    /// accumulator from `pool`, acquired for `unit` — zeros for an
+    /// overwriting head (the kernel writes every element), the exact
+    /// destination bytes for an accumulating one (so the chain performs
+    /// the arithmetic in-place accumulation would). Also the rebuild
+    /// path for a chain a recovery pass re-runs: an uncommitted chain's
+    /// destination is untouched (every later writer of it waits on the
+    /// chain's commit), so building the same item twice yields
+    /// byte-identical operands and seed.
+    fn build(
+        &self,
+        outputs: &[Option<MatrixViewMut<'_, T>>],
+        pool: &mut Scratch<T>,
+        plan: &ExecutablePlan,
+        c: usize,
+        rec: Option<&dyn tcu_obs::Recorder>,
+        unit: u32,
+    ) -> Result<ChainItem<'r, T>, TcuError> {
+        let links = plan
+            .chains
+            .links(c)
+            .iter()
+            .map(|&i| {
+                let cop = &plan.ops[i as usize];
+                Ok(ChainOp {
+                    op: cop.op,
+                    a: wave_read(self.arena, self.inputs, &cop.a)?,
+                    a_id: Some(read_tag(&cop.a, self.stamps[cop.a.buf])),
+                    a_narrow: None,
+                    b: wave_read(self.arena, self.inputs, &cop.b)?,
+                })
+            })
+            .collect::<Result<Vec<_>, TcuError>>()?;
+        let head = &plan.ops[plan.chains.links(c)[0] as usize];
+        let mut acc = pool.take(head.op.rows, head.op.width, !head.op.accumulate, rec, unit);
+        if head.op.accumulate {
+            let host = outputs[head.out_buf].as_ref().ok_or(TcuError::Unbound {
+                buffer: head.out_buf,
                 written: true,
             })?;
             acc.view_mut().copy_from(host.as_view().subview(
-                cop.out_r0,
-                cop.out_c0,
-                cop.out_rows,
-                cop.out_cols,
+                head.out_r0,
+                head.out_c0,
+                head.out_rows,
+                head.out_cols,
             ));
         }
-        scratch = Some(acc);
+        Ok(ChainItem {
+            chain: c as u32,
+            links,
+            acc,
+            spans: Vec::new(),
+        })
     }
-    Ok(WaveItem {
-        idx,
-        head: chains.head[idx],
-        tail: chains.next[idx] == NO_OP,
-        op: cop.op,
-        a,
-        tag,
-        b,
-        scratch,
-        // Telemetry annotations the dispatcher stamps from the
-        // accountant.
-        rows: 0,
-        sim_cost: 0,
-    })
 }
 
 /// A recovery annotation produced during a pass, recorded into the
@@ -890,19 +812,20 @@ fn build_item<'v, T: Scalar>(
 enum WorkerNote {
     /// A contained fault (transient = retried, permanent = unit died).
     Fault { transient: bool },
-    /// A retry attempt; the op identifies the backoff's cost basis.
-    Retry { attempt: u32, op: TensorOp },
+    /// A retry attempt; the link's op is the backoff's cost basis.
+    Retry {
+        attempt: u32,
+        op: tcu_core::TensorOp,
+    },
 }
 
-/// Why a unit stopped executing mid-pass.
+/// Why a chain call stopped.
 #[derive(Clone, Copy)]
 enum Terminal {
-    /// One op stayed transiently faulting through `max_attempts`.
+    /// One link stayed transiently faulting through `max_attempts`.
     Exhausted { attempts: u32 },
-    /// The unit failed permanently. `foreign` means the panic was not
-    /// an [`InjectedFault`] (which fires before any write), so the
-    /// failed attempt may have half-written its destination.
-    Dead { foreign: bool },
+    /// The unit failed permanently.
+    Dead,
 }
 
 impl Terminal {
@@ -915,44 +838,7 @@ impl Terminal {
                 wave,
                 attempts,
             },
-            Terminal::Dead { .. } => TcuError::UnitFault { unit, wave },
-        }
-    }
-}
-
-/// A chain's accumulator, held open by its unit's worker across
-/// messages until the chain's last op completes.
-struct OpenChain<T: Scalar> {
-    head: u32,
-    acc: Matrix<T>,
-    /// Ops completed into `acc`, in chain order.
-    done: Vec<usize>,
-}
-
-/// Everything one unit's worker produced for one message.
-struct UnitOutcome<T: Scalar> {
-    /// Accumulators to merge: chains whose last op completed — and, at a
-    /// stop or a flush, every open chain with a completed op.
-    closed: Vec<OpenChain<T>>,
-    /// Head of the chain a foreign panic tore after some of its ops had
-    /// completed: those ops rejoin the pass's removed set.
-    torn: Option<u32>,
-    /// Fault/retry annotations, in occurrence order.
-    notes: Vec<WorkerNote>,
-    /// Why the worker stopped early, if it did.
-    terminal: Option<Terminal>,
-    /// Items not executed (the failed item and everything after it).
-    unexecuted: usize,
-}
-
-impl<T: Scalar> UnitOutcome<T> {
-    fn new() -> Self {
-        Self {
-            closed: Vec::new(),
-            torn: None,
-            notes: Vec::new(),
-            terminal: None,
-            unexecuted: 0,
+            Terminal::Dead => TcuError::UnitFault { unit, wave },
         }
     }
 }
@@ -971,142 +857,109 @@ fn record_notes<U: TensorUnit>(acct: &mut WaveAccountant<'_, U>, u: usize, notes
     }
 }
 
-/// Run `attempt` — one op — with per-attempt fault containment: every
-/// attempt is wrapped in `catch_unwind`, a transient [`InjectedFault`]
-/// retries in place (bounded by `max_attempts` — each retry consumes
-/// the executor's next execution index, so a fault plan spacing its
-/// transients out by one index always recovers), and a permanent fault
-/// or a foreign panic stops the unit. Annotations go to `notes`; `op`
-/// is the retry's cost basis. The serial run passes a whole chain with
-/// one attempt ([`SERIAL_ATTEMPTS`]), so nothing is retried there.
-fn execute_with_retries(
-    op: &TensorOp,
+/// Run `links` as one chain with per-attempt fault containment:
+/// `attempt` runs the links from the first one not yet completed,
+/// counting completed links in its argument, and every attempt is
+/// wrapped in `catch_unwind`. A transient [`InjectedFault`] fires before
+/// its link writes, so the call is retried from the failed link, at most
+/// `max_attempts` times per link — each retry consumes the executor's
+/// next execution index, so a fault plan spacing its transients out by
+/// one index always recovers. A permanent fault or a foreign panic stops
+/// the unit. Annotations go to `notes`. On a stop, returns the links
+/// completed before the failing one, and why.
+fn execute_with_retries<T: Scalar>(
+    links: &[ChainOp<'_, T>],
     max_attempts: u32,
     notes: &mut Vec<WorkerNote>,
-    mut attempt: impl FnMut(),
-) -> Result<(), Terminal> {
-    let mut tries = 1u32;
+    mut attempt: impl FnMut(&mut usize),
+) -> Result<(), (usize, Terminal)> {
+    let mut done = 0usize;
+    let (mut failing, mut tries) = (0usize, 1u32);
     loop {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut attempt));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt(&mut done)));
         let Err(payload) = result else {
             return Ok(());
         };
-        match payload.downcast::<InjectedFault>() {
-            Ok(fault) if fault.kind == FaultKind::Transient => {
-                notes.push(WorkerNote::Fault { transient: true });
-                if tries >= max_attempts {
-                    return Err(Terminal::Exhausted { attempts: tries });
-                }
-                tries += 1;
-                notes.push(WorkerNote::Retry {
-                    attempt: tries,
-                    op: *op,
-                });
-            }
-            injected => {
-                notes.push(WorkerNote::Fault { transient: false });
-                return Err(Terminal::Dead {
-                    foreign: injected.is_err(),
-                });
-            }
+        if !payload
+            .downcast_ref::<InjectedFault>()
+            .is_some_and(|f| f.kind == FaultKind::Transient)
+        {
+            notes.push(WorkerNote::Fault { transient: false });
+            return Err((done, Terminal::Dead));
         }
+        notes.push(WorkerNote::Fault { transient: true });
+        if done != failing {
+            (failing, tries) = (done, 1);
+        }
+        if tries >= max_attempts {
+            return Err((done, Terminal::Exhausted { attempts: tries }));
+        }
+        tries += 1;
+        notes.push(WorkerNote::Retry {
+            attempt: tries,
+            op: links[done].op,
+        });
     }
 }
 
-/// Run one unit's batch in queue order on its executor, each op under
-/// [`execute_with_retries`] and into its chain's accumulator in `open`;
-/// a chain's last op closes it. A continuation that overwrites zeroes
-/// the accumulator first, so an executor that skips numerics sees what
-/// a fresh scratch would hold. Injected faults fire before the executor
-/// touches the accumulator, so a stop hands back every open chain with
-/// a completed op for merging; a foreign panic's accumulator is torn
-/// and discarded instead — a recovery pass rebuilds its chain from the
-/// environment.
-fn run_items_contained<T: Scalar, E: Executor>(
+/// Attempts per link on the serial run. It quarantines nothing either:
+/// one unit has no survivor to hand work to, so a permanent fault fails
+/// the run.
+const SERIAL_ATTEMPTS: u32 = 1;
+
+/// Attempts per link on a parallel run, the first try included. A
+/// unit that fails permanently is quarantined and its work re-run on
+/// the survivors.
+const PARALLEL_ATTEMPTS: u32 = 3;
+
+/// Everything one unit's worker reports for one chain.
+struct ChainOutcome<T: Scalar> {
+    chain: u32,
+    /// The chain's accumulator: the result to merge, or — after a stop —
+    /// a buffer to discard unmerged.
+    acc: Matrix<T>,
+    /// Fault/retry annotations, in occurrence order.
+    notes: Vec<WorkerNote>,
+    /// Links completed before the failing one, and why the unit stopped,
+    /// if it did.
+    stop: Option<(usize, Terminal)>,
+}
+
+/// Run one chain on a worker: one [`Executor::execute_chain`] call into
+/// its accumulator under [`execute_with_retries`].
+fn run_chain<T: Scalar, E: Executor>(
     exec: &mut E,
-    open: &mut Vec<OpenChain<T>>,
-    items: Vec<WaveItem<'_, T>>,
+    item: ChainItem<'_, T>,
     rec: Option<&dyn tcu_obs::Recorder>,
     unit: u32,
-) -> UnitOutcome<T> {
-    let mut out = UnitOutcome::new();
-    let mut iter = items.into_iter();
-    while let Some(item) = iter.next() {
-        let slot = match item.scratch {
-            Some(acc) => {
-                open.push(OpenChain {
-                    head: item.head,
-                    acc,
-                    done: Vec::new(),
-                });
-                open.len() - 1
-            }
-            None => {
-                let slot = open
-                    .iter()
-                    .position(|c| c.head == item.head)
-                    .unwrap_or_else(|| unreachable!("a continuation's chain is open on its unit"));
-                if !item.op.accumulate {
-                    open[slot].acc.as_mut_slice().fill(T::ZERO);
-                }
-                slot
-            }
-        };
-        let chain = &mut open[slot];
-        let t0 = rec.map(tcu_obs::Recorder::now_ns);
-        let result = execute_with_retries(&item.op, PARALLEL_ATTEMPTS, &mut out.notes, || {
-            let _ = exec.execute_tagged(
-                &item.op,
-                item.a,
-                Some(item.tag),
-                item.b,
-                &mut chain.acc.view_mut(),
-            );
-        });
-        if let Err(terminal) = result {
-            if let Terminal::Dead { foreign: true } = terminal {
-                let torn = open.swap_remove(slot);
-                out.torn = Some(torn.head).filter(|_| !torn.done.is_empty());
-            }
-            out.closed
-                .extend(open.drain(..).filter(|c| !c.done.is_empty()));
-            out.terminal = Some(terminal);
-            out.unexecuted = 1 + iter.len();
-            break;
-        }
-        emit_span(
-            rec,
-            tcu_obs::Lane::Unit(unit),
-            t0,
-            tcu_obs::EventKind::OpExec {
-                unit,
-                rows: item.rows,
-                sim_cost: item.sim_cost,
-            },
-        );
-        chain.done.push(item.idx);
-        if item.tail {
-            out.closed.push(open.swap_remove(slot));
-        }
+) -> ChainOutcome<T> {
+    let ChainItem {
+        chain,
+        links,
+        mut acc,
+        spans,
+    } = item;
+    let mut notes = Vec::new();
+    let t0 = rec.map(tcu_obs::Recorder::now_ns);
+    let result = execute_with_retries(&links, PARALLEL_ATTEMPTS, &mut notes, |done| {
+        let _ = exec.execute_chain(&links[*done..], &mut acc.view_mut(), done);
+    });
+    if result.is_ok() {
+        emit_link_spans(rec, unit, t0, &spans);
     }
-    out
+    ChainOutcome {
+        chain,
+        acc,
+        notes,
+        stop: result.err(),
+    }
 }
 
-/// One main→worker message of the threaded executor.
-enum Task<'v, T: Scalar> {
-    /// Run these items, in order.
-    Run(Vec<WaveItem<'v, T>>),
-    /// Hand back every open chain: the pass stalled, so a recovery
-    /// removal cut each of them.
-    Flush,
-}
-
-/// One worker→main message of the threaded executor: a message's
-/// outcome, or a drop-guard notice that the worker died outside per-op
-/// containment (the outcome rides in a `Box` so the two variants stay
-/// close in size).
+/// One worker→main message of the threaded executor: a chain's outcome,
+/// or a drop-guard notice that the worker died outside containment (the
+/// outcome rides in a `Box` so the two variants stay close in size).
 enum DfMsg<T: Scalar> {
-    Done(usize, Box<UnitOutcome<T>>),
+    Done(usize, Box<ChainOutcome<T>>),
     Gone(usize),
 }
 
@@ -1129,59 +982,21 @@ impl<T: Scalar> Drop for GoneGuard<T> {
     }
 }
 
-/// Stage op `idx`'s reads that no input binding serves and whose
-/// snapshot slots are still empty, each into a buffer from `pool`.
-/// Sound at first-reader dispatch time: the reader's hazard
-/// predecessors (every generation-`gen` writer among them) have
-/// committed, and any later writer is hazard-gated behind this reader's
-/// own commit, so the region holds exactly the bytes the read's key
-/// names — and a buffer the graph never writes, bound as an output,
-/// holds the same bytes all run.
-#[allow(clippy::too_many_arguments)]
-fn stage_pending_reads<T: Scalar>(
-    arena: &[OnceLock<Matrix<T>>],
-    inputs: &[Option<MatrixView<'_, T>>],
-    outputs: &[Option<MatrixViewMut<'_, T>>],
-    pool: &mut Scratch<T>,
-    plan: &ExecutablePlan,
-    idx: usize,
-    rec: Option<&dyn tcu_obs::Recorder>,
-    unit: u32,
-) -> Result<u32, TcuError> {
-    let cop = &plan.ops[idx];
-    let mut staged = 0;
-    for r in [&cop.a, &cop.b] {
-        if inputs[r.buf].is_some() || arena[r.slot as usize].get().is_some() {
-            continue;
-        }
-        let host = outputs[r.buf].as_ref().ok_or(TcuError::Unbound {
-            buffer: r.buf,
-            written: false,
-        })?;
-        let mut snap = pool.take(r.rows, r.cols, false, rec, unit);
-        snap.view_mut()
-            .copy_from(host.as_view().subview(r.r0, r.c0, r.rows, r.cols));
-        let _ = arena[r.slot as usize].set(snap);
-        staged += 1;
-    }
-    Ok(staged)
-}
-
-/// Mark `seeds` and everything hazard-downstream of them in `removed`,
-/// returning how many ops were newly marked.
+/// Mark `seeds` and every chain downstream of them in `removed`,
+/// returning how many ops (links) the newly marked chains hold.
 fn remove_downstream<'s>(
-    plan: &ExecutablePlan,
+    chains: &Chains,
     seeds: impl IntoIterator<Item = &'s u32>,
     removed: &mut [bool],
 ) -> usize {
     let mut stack: Vec<u32> = seeds.into_iter().copied().collect();
     let mut marked = 0;
-    while let Some(i) = stack.pop() {
-        let i = i as usize;
-        if !removed[i] {
-            removed[i] = true;
-            marked += 1;
-            stack.extend_from_slice(plan.successors_of(i));
+    while let Some(c) = stack.pop() {
+        let c = c as usize;
+        if !removed[c] {
+            removed[c] = true;
+            marked += chains.links(c).len();
+            stack.extend_from_slice(chains.successors(c));
         }
     }
     marked
@@ -1190,21 +1005,15 @@ fn remove_downstream<'s>(
 /// What one execution pass of the threaded executor observed, per
 /// unit, until its boundary.
 ///
-/// Each unit's entries follow its own queue minus the ops the pass
+/// Each unit's entries follow its own queue minus the chains the pass
 /// removes, so closing it yields the same annotations, quarantines,
 /// and recovery pass regardless of how units interleaved.
 struct PassLog {
     /// Buffered fault/retry annotations, per unit, in occurrence order.
     notes: Vec<Vec<WorkerNote>>,
-    /// Queue position of the op each unit stopped at, if it stopped.
+    /// Queue position of the chain each unit stopped at, if it stopped.
     stopped_at: Vec<Option<usize>>,
-    /// Per unit, the heads of chains it completed ops of but lost
-    /// unmerged — torn by a foreign panic, or held by a worker lost
-    /// outside containment. Those ops leave the pass with its queue
-    /// suffix. Which chains these are follows from the plan and the
-    /// failing op, so recovery stays replay-deterministic.
-    rejoin: Vec<Vec<u32>>,
-    /// The pass's fatal stop with the smallest `(start, index)` key.
+    /// The pass's fatal stop with the smallest placement key.
     fatal: Option<((u64, u32), TcuError)>,
 }
 
@@ -1213,35 +1022,16 @@ impl PassLog {
         Self {
             notes: vec![Vec::new(); units],
             stopped_at: vec![None; units],
-            rejoin: vec![Vec::new(); units],
             fatal: None,
         }
     }
 
-    /// What unit `u`'s stop takes out of the pass: its lost chains and
-    /// its queue suffix from the stop on (the removed set is what is
-    /// hazard-downstream of these).
-    fn lost<'q>(&'q self, u: usize, queue: &'q [u32]) -> impl Iterator<Item = &'q u32> {
-        let pos = self.stopped_at[u].unwrap_or(queue.len());
-        self.rejoin[u].iter().chain(&queue[pos..])
-    }
-
-    /// Unit `u` stopped at position `pos` of its pass `queue`; `fatal`
-    /// is the error the stop fails the run with, if it is not
-    /// recoverable.
-    fn stop(
-        &mut self,
-        u: usize,
-        pos: usize,
-        queue: &[u32],
-        start: &[u64],
-        fatal: Option<TcuError>,
-    ) {
+    /// Unit `u` stopped at position `pos` of its pass queue; `fatal` is
+    /// the failing chain's placement key and the error the stop fails
+    /// the run with, if it is not recoverable.
+    fn stop(&mut self, u: usize, pos: usize, fatal: Option<((u64, u32), TcuError)>) {
         self.stopped_at[u] = Some(pos);
-        let key = queue
-            .get(pos)
-            .map_or((u64::MAX, u32::MAX), |&i| (start[i as usize], i));
-        if let Some(e) = fatal {
+        if let Some((key, e)) = fatal {
             if self.fatal.as_ref().is_none_or(|(k, _)| key < *k) {
                 self.fatal = Some((key, e));
             }
@@ -1251,69 +1041,70 @@ impl PassLog {
     /// Close the pass: flush every unit's annotations in unit order and
     /// quarantine the units that died — each credited with the removed
     /// ops no lower-indexed unit's stop already claimed — then LPT-place
-    /// the removed set onto the survivors as the next pass's `queues`,
-    /// charging its makespan as recovery. Returns whether a recovery
-    /// pass follows; `Err` for the pass's earliest fatal stop, or when
-    /// work remains and no unit survives.
+    /// the removed chains onto the survivors as the next pass's
+    /// `queues`, charging its makespan as recovery. Returns whether a
+    /// recovery pass follows; `Err` for the pass's earliest fatal stop,
+    /// or when work remains and no unit survives.
     fn finish<U: TensorUnit>(
         self,
         acct: &mut WaveAccountant<'_, U>,
         sched: &Schedule,
         plan: &ExecutablePlan,
-        start: &[u64],
         queues: &mut Vec<Vec<u32>>,
         alive: &mut [bool],
     ) -> Result<bool, TcuError> {
-        let mut removed = vec![false; plan.ops()];
+        let chains = &plan.chains;
+        let mut removed = vec![false; chains.len()];
         for (u, notes) in self.notes.iter().enumerate() {
             record_notes(acct, u, notes);
-            if self.stopped_at[u].is_some() && self.fatal.is_none() {
+            if let (Some(pos), None) = (self.stopped_at[u], &self.fatal) {
                 alive[u] = false;
-                let requeued = remove_downstream(plan, self.lost(u, &queues[u]), &mut removed);
+                let requeued = remove_downstream(chains, &queues[u][pos..], &mut removed);
                 acct.record_quarantine(u, requeued);
             }
         }
         if let Some((_, e)) = self.fatal {
             return Err(e);
         }
-        let batch: Vec<usize> = (0..plan.ops()).filter(|&i| removed[i]).collect();
+        let mut batch: Vec<usize> = (0..chains.len()).filter(|&c| removed[c]).collect();
         let Some(&first) = batch.first() else {
             return Ok(false);
         };
         let survivors: Vec<usize> = (0..alive.len()).filter(|&u| alive[u]).collect();
         if survivors.is_empty() {
             return Err(TcuError::AllUnitsQuarantined {
-                wave: sched.nodes()[first].level,
-                pending: batch.len(),
+                wave: sched.nodes()[chains.links(first)[0] as usize].level,
+                pending: batch.iter().map(|&c| chains.links(c).len()).sum(),
             });
         }
+        batch.sort_unstable_by_key(|&c| plan.placement.key(chains, c));
         let costs: Vec<u64> = batch
             .iter()
-            .map(|&j| acct.op_cost(&plan.ops[j].op))
+            .map(|&c| {
+                let links = chains.links(c).iter();
+                links.map(|&i| acct.op_cost(&plan.ops[i as usize].op)).sum()
+            })
             .collect();
         let part = partition_lpt(&costs, survivors.len());
         acct.charge_recovery(part.makespan());
         let mut next = vec![Vec::new(); alive.len()];
-        for (&j, &slot) in batch.iter().zip(&part.assignment) {
-            next[survivors[slot]].push(j as u32);
-        }
-        for q in &mut next {
-            q.sort_unstable_by_key(|&j| (start[j as usize], j));
+        for (&c, &slot) in batch.iter().zip(&part.assignment) {
+            next[survivors[slot]].push(c as u32);
         }
         *queues = next;
         Ok(true)
     }
 }
 
-/// The serial run: one pass over the plan's serial runs (see
-/// [`serial_order`]) on the machine's own executor, one
-/// [`Executor::execute_chain`] call per run under
-/// [`execute_with_retries`] with [`SERIAL_ATTEMPTS`], straight into the
-/// bound destination. Reads are zero-copy except a run's reads of the
-/// buffer it writes, snapshotted on first use before the run's call
-/// (see the [module docs](self)). The first failing run ends the run:
-/// its fault annotation (digest-exempt) is recorded and the error comes
-/// back typed, naming the level of the link that failed.
+/// The serial run: one pass over the plan's chains in serial order on
+/// the machine's own executor, one [`Executor::execute_chain`] call per
+/// chain under [`execute_with_retries`] with [`SERIAL_ATTEMPTS`],
+/// straight into the bound destination. Reads are zero-copy except a
+/// chain's reads of the buffer it writes, snapshotted on first use
+/// before the chain's call (see the [module docs](self)). The first
+/// failing chain ends the run: its fault annotation (digest-exempt) is
+/// recorded and the error comes back typed, naming the level of the
+/// link that failed.
 fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
@@ -1329,22 +1120,22 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
     // so a strip that many chains stream is scanned once per call. A
     // type without a narrow multiplier records none.
     let mut narrow: Vec<Option<bool>> = vec![None; if T::NARROW_MUL { plan.slots } else { 0 }];
-    let s = acct.sqrt_m();
-    for run in plan.serial_runs() {
-        let head = &plan.ops[run[0] as usize];
-        // The destination's binding leaves the environment while the run
-        // executes, so its links' reads of their own buffer come from
-        // snapshots, each taken on the key's first such use, before the
-        // run writes: by the hazard order, which the run order keeps,
-        // the version the key names. A continuation reads nothing that
-        // overlaps the run's rectangle, so the earlier links' writes
-        // never reach a later link's operands.
+    for &c in &plan.chains.serial {
+        let chain = plan.chains.links(c as usize);
+        let head = &plan.ops[chain[0] as usize];
+        // The destination's binding leaves the environment while the
+        // chain executes, so its links' reads of their own buffer come
+        // from snapshots, each taken on the key's first such use, before
+        // the chain writes: by the hazard order, which the chain order
+        // keeps, the version the key names. No link reads the chain's
+        // rectangle, so the earlier links' writes never reach a later
+        // link's operands.
         let mut host = env.outputs[head.out_buf]
             .take()
             .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
         let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
         let mut staged = 0;
-        for &i in run {
+        for &i in chain {
             let cop = &plan.ops[i as usize];
             for r in [&cop.a, &cop.b] {
                 let slot = &mut arena[r.slot as usize];
@@ -1368,9 +1159,8 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
         }
         let t0 = recorder.map(tcu_obs::Recorder::now_ns);
         let mut notes = Vec::new();
-        let mut done = 0usize;
         let result = {
-            let links: Vec<ChainOp<'_, T>> = run
+            let links: Vec<ChainOp<'_, T>> = chain
                 .iter()
                 .map(|&i| {
                     let cop = &plan.ops[i as usize];
@@ -1386,72 +1176,51 @@ fn run_serial<T: Scalar, U: TensorUnit, E: Executor>(
                 })
                 .collect();
             let mut out = host.subview_mut(head.out_r0, head.out_c0, head.out_rows, head.out_cols);
-            // One attempt, so a chain never reruns links it already
-            // applied to `out`.
-            const _: () = assert!(SERIAL_ATTEMPTS == 1);
-            execute_with_retries(&head.op, SERIAL_ATTEMPTS, &mut notes, || {
-                let _ = exec.execute_chain(&links, &mut out, &mut done);
+            execute_with_retries(&links, SERIAL_ATTEMPTS, &mut notes, |done| {
+                let _ = exec.execute_chain(&links[*done..], &mut out, done);
             })
         };
         env.outputs[head.out_buf] = Some(host);
-        if let Err(terminal) = result {
+        if let Err((done, terminal)) = result {
             record_notes(acct, 0, &notes);
-            let failed = run[done.min(run.len() - 1)] as usize;
+            let failed = chain[done.min(chain.len() - 1)] as usize;
             return Err(terminal.error(0, sched.nodes()[failed].level));
         }
-        if let (Some(rec), Some(t0)) = (recorder, t0) {
-            // One span per op, the run's wall split evenly across them.
-            let wall = rec.now_ns().saturating_sub(t0);
-            let len = run.len() as u64;
-            let at = |x: u64| t0 + wall * x / len;
-            for (x, &i) in (0u64..).zip(run) {
-                let op = &plan.ops[i as usize].op;
-                rec.record(
-                    tcu_obs::Lane::Unit(0),
-                    tcu_obs::SpanEvent {
-                        kind: tcu_obs::EventKind::OpExec {
-                            unit: 0,
-                            rows: op.charge_rows(s) as u64,
-                            sim_cost: acct.op_cost(op),
-                        },
-                        t_ns: at(x),
-                        dur_ns: at(x + 1) - at(x),
-                    },
-                );
-            }
+        if recorder.is_some() {
+            emit_link_spans(recorder, 0, t0, &link_costs(acct, plan, chain));
         }
     }
     Ok(())
 }
 
 /// The threaded executor: per-unit worker threads drain each pass's
-/// fixed per-unit queues, the main thread dispatches each idle unit's
-/// maximal ready prefix as one batched message, and merges each chain's
-/// accumulator as its worker hands it back — releasing the hazard
-/// successors of the chain's ops — as frontiers clear. No barrier ever
-/// synchronizes units; determinism comes from the fixed queues
-/// (per-unit op sequences cannot depend on timing) and hazard-gated
-/// commits (overlapping writes retire in emission order).
-#[allow(clippy::too_many_arguments)]
+/// fixed per-unit chain queues; the main thread sends each unit its
+/// ready chains as one batched message, and merges each chain's
+/// accumulator as its worker hands it back — releasing the chain's
+/// successors. No barrier ever synchronizes units; determinism comes
+/// from the fixed queues (per-unit chain sequences cannot depend on
+/// timing) and hazard-gated commits (overlapping writes retire in
+/// hazard order).
 fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
-    placement: &DataflowPlacement,
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
     env: &mut ExecEnv<'_, T>,
     recorder: &Option<std::sync::Arc<dyn tcu_obs::Recorder>>,
 ) -> Result<(), TcuError> {
-    let stamps = &tag_stamps(env);
+    let stamps = tag_stamps(env);
     let snapshots: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-    let arena = &snapshots;
-    let inputs = &env.inputs;
+    let operands = Operands {
+        arena: &snapshots,
+        inputs: &env.inputs,
+        stamps: &stamps,
+    };
     let outputs = &mut env.outputs;
+    let chains = &plan.chains;
     let units = execs.len();
-    let s = acct.sqrt_m();
-    let start = &placement.start;
-    let mut queues = placement.unit_order.clone();
-    let mut indeg = plan.preds.clone();
+    let mut queues = plan.placement.unit_order.clone();
+    let mut indeg = chains.preds.clone();
     let mut alive = vec![true; units];
     let mut pool = Scratch::<T>::claim();
 
@@ -1460,7 +1229,7 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
         let mut task_tx = Vec::with_capacity(units);
         let mut handles = Vec::with_capacity(units);
         for (u, exec) in execs.iter_mut().enumerate() {
-            let (ttx, trx) = std::sync::mpsc::channel::<Task<'_, T>>();
+            let (ttx, trx) = std::sync::mpsc::channel::<Vec<ChainItem<'_, T>>>();
             let rtx = result_tx.clone();
             let rec = recorder.clone();
             handles.push(scope.spawn(move || {
@@ -1469,20 +1238,19 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                     tx: rtx,
                     armed: true,
                 };
-                let mut open = Vec::new();
-                while let Ok(task) = trx.recv() {
-                    let outcome = match task {
-                        Task::Run(items) => {
-                            run_items_contained(exec, &mut open, items, rec.as_deref(), u as u32)
+                // After a stop the unit runs nothing more: chains sent
+                // before the main thread saw the stop are dropped unrun.
+                let mut stopped = false;
+                while let Ok(batch) = trx.recv() {
+                    for item in batch {
+                        if stopped {
+                            continue;
                         }
-                        Task::Flush => {
-                            let mut out = UnitOutcome::new();
-                            out.closed.append(&mut open);
-                            out
+                        let outcome = run_chain(exec, item, rec.as_deref(), u as u32);
+                        stopped = outcome.stop.is_some();
+                        if guard.tx.send(DfMsg::Done(u, Box::new(outcome))).is_err() {
+                            stopped = true;
                         }
-                    };
-                    if guard.tx.send(DfMsg::Done(u, Box::new(outcome))).is_err() {
-                        break;
                     }
                 }
                 guard.armed = false;
@@ -1491,58 +1259,47 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
         }
 
         let run_result = (|| -> Result<(), TcuError> {
-            for pass in 0.. {
-                let chains = Chains::of_pass(sched, plan, &queues);
+            loop {
                 let mut log = PassLog::new(units);
                 let mut cursor = vec![0usize; units];
-                // Whether each unit has a message outstanding (at most
-                // one), and the queue positions of its in-flight batch.
-                let mut busy = vec![false; units];
-                let mut in_flight: Vec<Vec<usize>> = vec![Vec::new(); units];
-                // Heads of the chains each unit's worker holds open.
-                let mut open: Vec<Vec<u32>> = vec![Vec::new(); units];
-                let mut removed = vec![false; plan.ops()];
-                let mut pending: usize = queues.iter().map(Vec::len).sum();
+                // Queue positions of each unit's dispatched chains it
+                // has not reported yet, oldest first.
+                let mut in_flight: Vec<VecDeque<usize>> = vec![VecDeque::new(); units];
+                let mut removed = vec![false; chains.len()];
+                let mut pending: usize = queues
+                    .iter()
+                    .flatten()
+                    .map(|&c| chains.links(c as usize).len())
+                    .sum();
                 while pending > 0 {
-                    // Dispatch: every idle, live unit takes its maximal
-                    // ready prefix — skipping ops this pass removed —
+                    // Dispatch: every live unit takes its queue's ready
+                    // prefix — skipping chains this pass removed —
                     // staged, built, and sent as ONE message.
                     for u in 0..units {
-                        if log.stopped_at[u].is_some() || busy[u] {
+                        if log.stopped_at[u].is_some() {
                             continue;
                         }
                         let rec = recorder.as_deref();
                         let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
                         let mut staged = 0u32;
-                        let mut batch: Vec<WaveItem<'_, T>> = Vec::new();
-                        while let Some(&idx) = queues[u].get(cursor[u]) {
-                            let i = idx as usize;
-                            if removed[i] {
+                        let mut batch = Vec::new();
+                        while let Some(&c) = queues[u].get(cursor[u]) {
+                            let c = c as usize;
+                            if removed[c] {
                                 cursor[u] += 1;
                                 continue;
                             }
-                            if indeg[i] != chains.before[i] {
+                            if indeg[c] != 0 {
                                 break;
                             }
-                            staged += stage_pending_reads(
-                                arena, inputs, outputs, &mut pool, plan, i, rec, u as u32,
-                            )?;
-                            let mut item = build_item(
-                                arena, inputs, outputs, stamps, &mut pool, plan, &chains, i, rec,
-                                u as u32,
-                            )?;
-                            let cop = &plan.ops[i];
-                            item.rows = cop.op.charge_rows(s) as u64;
-                            item.sim_cost = acct.op_cost(&cop.op);
-                            if item.scratch.is_some() {
-                                open[u].push(idx);
-                            }
-                            let home = placement.home[i] as usize;
-                            if pass == 0 && home != u {
-                                acct.record_steal(home, u);
+                            staged += operands.stage(outputs, &mut pool, plan, c, rec, u as u32)?;
+                            let mut item =
+                                operands.build(outputs, &mut pool, plan, c, rec, u as u32)?;
+                            if rec.is_some() {
+                                item.spans = link_costs(acct, plan, chains.links(c));
                             }
                             batch.push(item);
-                            in_flight[u].push(cursor[u]);
+                            in_flight[u].push_back(cursor[u]);
                             cursor[u] += 1;
                         }
                         if batch.is_empty() {
@@ -1557,121 +1314,100 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
                             );
                         }
                         acct.record_ready(u, batch.len());
-                        busy[u] = true;
                         // A failed send means the worker is already dead;
                         // its drop guard queued a `Gone`, which the
                         // receive path below recovers from.
-                        let _ = task_tx[u].send(Task::Run(batch));
+                        let _ = task_tx[u].send(batch);
                     }
-                    if !busy.contains(&true) {
-                        // Nothing to dispatch and nothing in flight: every
-                        // op left was removed or completed into a chain a
-                        // removal cut. Merging those chains ends the pass.
-                        for u in 0..units {
-                            if !open[u].is_empty() {
-                                busy[u] = true;
-                                let _ = task_tx[u].send(Task::Flush);
-                            }
-                        }
-                        if !busy.contains(&true) {
-                            return Err(TcuError::PlanMismatch {
-                                what: "dataflow dispatch stalled with work remaining (driver bug)",
-                            });
-                        }
+                    if in_flight.iter().all(VecDeque::is_empty) {
+                        return Err(TcuError::PlanMismatch {
+                            what: "dataflow dispatch stalled with work remaining (driver bug)",
+                        });
                     }
                     let Ok(msg) = result_rx.recv() else {
                         return Err(TcuError::PlanMismatch {
                             what: "dataflow result channel closed (driver bug)",
                         });
                     };
-                    // The answering unit, and — if it stopped — how many
-                    // of its batch it executed first and why it stopped.
-                    // A worker lost outside containment merged nothing
-                    // (its chains' rectangles are pristine), so every
-                    // chain it held re-runs with its batch.
-                    let (u, stop) = match msg {
+                    // A reported chain either commits, or stops its unit
+                    // at its queue position, fatally when its retry budget
+                    // ran out.
+                    let (u, pos, fatal) = match msg {
                         DfMsg::Done(u, outcome) => {
-                            let UnitOutcome {
-                                closed,
-                                torn,
+                            let ChainOutcome {
+                                chain,
+                                acc,
                                 notes,
-                                terminal,
-                                unexecuted,
+                                stop,
                             } = *outcome;
                             log.notes[u].extend(notes);
-                            // Commit: merge each closed chain's accumulator
-                            // into its rectangle once, then release the
-                            // hazard successors of every op in the chain.
-                            if !closed.is_empty() {
+                            let pos = in_flight[u].pop_front().unwrap_or_else(|| {
+                                unreachable!("a reported chain was dispatched to its unit")
+                            });
+                            let c = chain as usize;
+                            let links = chains.links(c);
+                            let Some((done, terminal)) = stop else {
+                                // Commit: merge the accumulator into its
+                                // rectangle once, then release the
+                                // chain's successors.
                                 let rec = recorder.as_deref();
                                 let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                                for chain in &closed {
-                                    let cop = &plan.ops[chain.head as usize];
-                                    outputs[cop.out_buf]
-                                        .as_mut()
-                                        .unwrap_or_else(|| {
-                                            unreachable!("output bound (validated up front)")
-                                        })
-                                        .subview_mut(
-                                            cop.out_r0,
-                                            cop.out_c0,
-                                            cop.out_rows,
-                                            cop.out_cols,
-                                        )
-                                        .copy_from(chain.acc.view());
-                                    for &i in &chain.done {
-                                        for &succ in plan.successors_of(i) {
-                                            indeg[succ as usize] -= 1;
-                                        }
-                                    }
-                                    pending -= chain.done.len();
-                                    open[u].retain(|&h| h != chain.head);
+                                let head = &plan.ops[links[0] as usize];
+                                outputs[head.out_buf]
+                                    .as_mut()
+                                    .unwrap_or_else(|| {
+                                        unreachable!("output bound (validated up front)")
+                                    })
+                                    .subview_mut(
+                                        head.out_r0,
+                                        head.out_c0,
+                                        head.out_rows,
+                                        head.out_cols,
+                                    )
+                                    .copy_from(acc.view());
+                                for &y in chains.successors(c) {
+                                    indeg[y as usize] -= 1;
                                 }
+                                pending -= links.len();
                                 emit_span(
                                     rec,
                                     tcu_obs::Lane::Scheduler,
                                     merge_t0,
-                                    tcu_obs::EventKind::Merge {
-                                        items: closed.len() as u32,
-                                    },
+                                    tcu_obs::EventKind::Merge { items: 1 },
                                 );
-                                pool.free.extend(closed.into_iter().map(|c| c.acc));
-                            }
-                            log.rejoin[u].extend(torn);
-                            let executed = in_flight[u].len() - unexecuted;
-                            (u, terminal.map(|t| (executed, t)))
+                                pool.free.push(acc);
+                                continue;
+                            };
+                            // The stopped chain is discarded unmerged. A
+                            // parallel run quarantines a dead unit; only
+                            // an exhausted retry budget fails the run.
+                            pool.free.push(acc);
+                            let fatal = match terminal {
+                                Terminal::Dead => None,
+                                Terminal::Exhausted { .. } => {
+                                    let failed = links[done.min(links.len() - 1)] as usize;
+                                    let wave = sched.nodes()[failed].level;
+                                    Some((plan.placement.key(chains, c), terminal.error(u, wave)))
+                                }
+                            };
+                            (u, pos, fatal)
                         }
                         DfMsg::Gone(u) => {
                             log.notes[u].push(WorkerNote::Fault { transient: false });
-                            log.rejoin[u].append(&mut open[u]);
-                            (u, Some((0, Terminal::Dead { foreign: true })))
+                            (u, in_flight[u].front().copied().unwrap_or(cursor[u]), None)
                         }
                     };
-                    if let Some((executed, terminal)) = stop {
-                        // A stopped worker handed back or lost every
-                        // chain it held.
-                        open[u].clear();
-                        let pos = in_flight[u].get(executed).copied().unwrap_or(cursor[u]);
-                        let wave = queues[u]
-                            .get(pos)
-                            .map_or(0, |&i| sched.nodes()[i as usize].level);
-                        // A parallel run quarantines a dead unit;
-                        // only an exhausted retry budget fails the run.
-                        let fatal = match terminal {
-                            Terminal::Dead { .. } => None,
-                            Terminal::Exhausted { .. } => Some(terminal.error(u, wave)),
-                        };
-                        log.stop(u, pos, &queues[u], start, fatal);
-                        pending -= remove_downstream(plan, log.lost(u, &queues[u]), &mut removed);
-                    }
+                    // A stopped unit runs nothing more this pass: its
+                    // chain and queue suffix leave the pass with
+                    // everything downstream of them.
                     in_flight[u].clear();
-                    busy[u] = false;
+                    log.stop(u, pos, fatal);
+                    pending -= remove_downstream(chains, &queues[u][pos..], &mut removed);
                 }
-                if !log.finish(acct, sched, plan, start, &mut queues, &mut alive)? {
-                    break;
+                if !log.finish(acct, sched, plan, &mut queues, &mut alive)? {
+                    return Ok(());
                 }
             }
-            Ok(())
         })();
 
         drop(task_tx);
@@ -1684,11 +1420,9 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     pool.release(snapshots.into_iter().filter_map(OnceLock::into_inner));
     run_result
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::place_dataflow;
     use crate::{OpGraph, Scheduler};
     use tcu_core::{ReplayExecutor, TensorOp};
     use tcu_linalg::ops::matmul_naive;
@@ -2002,7 +1736,7 @@ mod tests {
         // multi-unit wall-clock the planner predicted.
         assert_eq!((m2, c2), (m1, c1));
         assert_eq!(par.stats(), serial.stats());
-        assert_eq!(par.time(), plan.dataflow_makespan());
+        assert_eq!(par.time(), plan.makespan());
         assert!(plan.makespan() < plan.tensor_time(), "3 units must help");
         // The units' caches collectively served every lookup.
         let (mut lookups, mut misses) = (0u64, 0u64);
@@ -2104,22 +1838,12 @@ mod tests {
         let (g, [ab, bb, cb]) = dense_graph(d, s, true);
         let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
         let plan = Scheduler::new().with_units(2).plan(&g, &unit);
-        let compiled = plan.compiled().expect("compiles");
-        let placement = place_dataflow(&plan, compiled);
-        let chains = Chains::of_pass(&plan, compiled, &placement.unit_order);
-        let lengths: Vec<usize> = (0..compiled.ops())
-            .filter(|&i| chains.before[i] == 0)
-            .map(|h| {
-                let mut len = 1;
-                let mut i = h;
-                while chains.next[i] != NO_OP {
-                    i = chains.next[i] as usize;
-                    len += 1;
-                }
-                len
-            })
-            .collect();
+        let compiled = plan.compiled();
+        let chains = &compiled.chains;
+        let lengths: Vec<usize> = (0..chains.len()).map(|c| chains.links(c).len()).collect();
         assert_eq!(lengths, vec![q; q], "32 chains of 32 ops");
+        let queues = &compiled.placement.unit_order;
+        assert_eq!(queues.iter().map(Vec::len).collect::<Vec<_>>(), [q / 2; 2]);
 
         let mut mach = ParallelTcuMachine::with_executor(unit, 2, ReplayExecutor::default());
         let (a, b) = (Matrix::<f64>::zeros(d, d), Matrix::<f64>::zeros(d, d));
@@ -2253,63 +1977,55 @@ mod tests {
         });
     }
 
-    /// `plan`'s serial order, checked against its hazard edges and
-    /// against emission order: every op follows all its predecessors,
-    /// and the only op placed out of emission order is a chain
-    /// continuation right behind its chain predecessor, starting no run.
-    fn checked_serial_runs(plan: &Schedule) -> Vec<Vec<u32>> {
-        let compiled = plan.compiled().expect("compiles");
-        let n = compiled.ops();
-        let order = &compiled.serial_order;
-        let mut pos = vec![usize::MAX; n];
-        for (p, &i) in order.iter().enumerate() {
-            assert_eq!(pos[i as usize], usize::MAX, "op {i} placed twice");
-            pos[i as usize] = p;
+    /// `plan`'s serial chain order, checked: it runs every op once and
+    /// each after all of its hazard predecessors, and every chain writes
+    /// one rectangle that none of its continuations reads.
+    fn checked_serial_chains(plan: &Schedule) -> Vec<Vec<u32>> {
+        let compiled = plan.compiled();
+        let nodes: Vec<crate::Node> = plan.nodes().iter().map(|sn| sn.node).collect();
+        let mut pos = vec![usize::MAX; nodes.len()];
+        let mut order: Vec<Vec<u32>> = Vec::new();
+        let mut at = 0;
+        for &c in &compiled.chains.serial {
+            let links = compiled.chains.links(c as usize).to_vec();
+            let rect = nodes[links[0] as usize].out;
+            for (x, &i) in links.iter().enumerate() {
+                let node = &nodes[i as usize];
+                assert_eq!(node.out, rect, "a chain writes one rectangle");
+                assert!(x == 0 || !(node.a.overlaps(&rect) || node.b.overlaps(&rect)));
+                assert_eq!(pos[i as usize], usize::MAX, "op {i} placed twice");
+                pos[i as usize] = at;
+                at += 1;
+            }
+            order.push(links);
         }
-        for i in 0..n {
-            for &j in compiled.successors_of(i) {
-                assert!(pos[i] < pos[j as usize], "edge {i} -> {j} reversed");
+        assert_eq!(at, nodes.len(), "every op placed");
+        for (i, succs) in crate::graph::hazard_successors(&nodes).iter().enumerate() {
+            for &j in succs {
+                assert!(pos[i] < pos[j], "edge {i} -> {j} reversed");
             }
         }
-        let chains = Chains::of_pass(plan, compiled, &[(0..n as u32).collect()]);
-        let runs: Vec<Vec<u32>> = compiled.serial_runs().map(<[u32]>::to_vec).collect();
-        let mut next_in_emission = 0usize;
-        for run in &runs {
-            for (x, &i) in run.iter().enumerate() {
-                while pos[next_in_emission] < pos[i as usize] {
-                    next_in_emission += 1;
-                }
-                if x > 0 {
-                    assert_eq!(chains.next[run[x - 1] as usize], i, "a run holds one chain");
-                } else {
-                    assert_eq!(
-                        i as usize, next_in_emission,
-                        "a run starts in emission order"
-                    );
-                }
-            }
-        }
-        runs
+        order
     }
 
     #[test]
-    fn serial_runs_follow_chains_and_hazards() {
-        // The dense product: every strip's chain moves up whole behind
-        // its head, so the order is strip-major, one run per strip.
+    fn serial_chains_follow_hazards() {
+        // The dense product: one chain per strip, strip-major.
         let (g, _) = dense_graph(64, 8, true);
         let unit = tcu_core::ModelTensorUnit::new(64, 0);
         let plan = Scheduler::new().plan(&g, &unit);
-        let runs = checked_serial_runs(&plan);
-        assert_eq!(runs.len(), 8);
-        assert!(runs.iter().all(|r| r.len() == 8));
+        let chains = checked_serial_chains(&plan);
+        assert_eq!(chains.len(), 8);
+        assert!(chains.iter().all(|r| r.len() == 8));
+        assert!(chains.windows(2).all(|w| w[0][0] < w[1][0]), "heads ascend");
         // The pipeline: stage 2's chains read stage 1's strips, and every
-        // one of those has run by the time stage 2's heads come up.
+        // one of those has run by the time stage 2's chains come up.
         let (g, _) = pipeline_graph(32, 8);
         let plan = Scheduler::new().plan(&g, &unit);
-        assert!(checked_serial_runs(&plan).iter().all(|r| r.len() == 4));
-        // A continuation that reads a strip written after its chain
-        // predecessor in emission order (M, a level later) stays where
-        // it is and runs on its own.
+        assert!(checked_serial_chains(&plan).iter().all(|r| r.len() == 4));
+        // A continuation that reads a strip written after its chain's
+        // head in emission order (M, a level later): the chain runs
+        // whole, after the chains that write D and then M.
         let mut g = OpGraph::new();
         let [ab, bb, cb, db, mb] = ["A", "B", "C", "D", "M"].map(|name| g.buffer(name, 8, 8));
         let strip = |buf, c0| crate::OperandRef::new(buf, 0, c0, 8, 4);
@@ -2320,10 +2036,13 @@ mod tests {
         g.record(TensorOp::mul_acc(8, 4), strip(mb, 0), blk, strip(cb, 0));
         let unit = tcu_core::ModelTensorUnit::new(16, 0);
         let plan = Scheduler::new().plan(&g, &unit);
-        let compiled = plan.compiled().expect("compiles");
-        let chains = Chains::of_pass(&plan, compiled, &[(0..4).collect()]);
-        assert_eq!(chains.next.iter().filter(|&&j| j != NO_OP).count(), 1);
-        assert!(checked_serial_runs(&plan).iter().all(|r| r.len() == 1));
+        let chains = checked_serial_chains(&plan);
+        let written: Vec<BufferId> = chains
+            .iter()
+            .map(|r| plan.nodes()[r[0] as usize].node.out.buf)
+            .collect();
+        assert_eq!(written, [db, mb, cb]);
+        assert_eq!(chains.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 2]);
     }
 
     #[test]

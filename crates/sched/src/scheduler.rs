@@ -1,4 +1,5 @@
-//! Graph → schedule: coalescing passes and deterministic list scheduling.
+//! Graph → schedule: coalescing passes and deterministic canonical
+//! ordering.
 //!
 //! [`Scheduler::plan`] runs three phases over a recorded [`OpGraph`]:
 //!
@@ -7,21 +8,21 @@
 //!    see [width merging](#width-merging) and [inner
 //!    merging](#inner-merging) below. Every merge removes one whole
 //!    `n·√m + ℓ` invocation charge, which is the model's own cost term,
-//!    not a host implementation detail.
+//!    not a host implementation detail. Every emitted op is validated
+//!    against the unit, like every recorded one.
 //! 2. **Leveling**: dependency depth from the hazard structure, built
 //!    through the per-buffer bucket index of [`crate::graph`] (near-
 //!    linear for disjoint-region streams) rather than an all-pairs
 //!    scan. Nodes of equal depth are mutually independent (a conflict
-//!    edge always increases depth), so each depth is a wave the machine
-//!    may run in any order — or on parallel units. A RAW pipeline
-//!    (reads of previously written regions) simply contributes extra
-//!    depths: stage boundaries are waves like any other.
+//!    edge always increases depth). A RAW pipeline (reads of previously
+//!    written regions) simply contributes extra depths.
 //! 3. **Emission**: a canonical serial order (depth, then
-//!    [`Node::canonical_key`]) plus one [`tcu_core::Partition`] per wave
-//!    from [`tcu_core::partition_lpt`], exactly the partitioner the
-//!    parallel machine uses. Single-unit replay and multi-unit dispatch
-//!    therefore charge identical per-op Stats; only the makespan —
-//!    the max-loaded unit per wave — depends on the unit count.
+//!    [`Node::canonical_key`]) and the model-cost aggregates of the
+//!    emitted stream. Every run charges the stream in this order, so
+//!    one-unit and multi-unit runs charge identical per-op `Stats`; only
+//!    the makespan depends on the unit count. It comes from the
+//!    chain-granular placement the schedule compiles once (see
+//!    [`crate::dataflow`]).
 //!
 //! The emitted order depends only on the *dependency structure and
 //! contents* of the graph, never on recording order: any
@@ -55,7 +56,7 @@
 //! (documented, and why the pinned equivalence tests run over `i64`).
 
 use crate::graph::{hazard_successors, levels, Node, OpGraph, RegionBuckets};
-use tcu_core::{partition_lpt, PadPolicy, Partition, TensorUnit};
+use tcu_core::{PadPolicy, TensorUnit};
 use tcu_obs::Recorder as _;
 
 /// Planner configuration: unit count and whether coalescing runs.
@@ -93,7 +94,7 @@ impl Scheduler {
     }
 
     /// Disable the coalescing passes (hazard-respecting reordering and
-    /// wave scheduling still run): the ablation the benchmarks compare
+    /// placement still run): the ablation the benchmarks compare
     /// against, and the mode whose charges match the eager path op-for-op.
     #[must_use]
     pub fn without_coalescing(mut self) -> Self {
@@ -104,11 +105,12 @@ impl Scheduler {
     /// Plan `graph` for a machine with `unit`'s costing policy.
     ///
     /// # Panics
-    /// Panics if a recorded op violates `unit`'s shape contract.
+    /// Panics if a recorded op violates `unit`'s shape contract, or if
+    /// coalescing emitted one that does (a scheduler bug).
     #[must_use]
     pub fn plan<U: TensorUnit>(&self, graph: &OpGraph, unit: &U) -> Schedule {
         // Telemetry wrapper only — planning itself is below. The span
-        // covers coalescing through wave partitioning and lands on the
+        // covers coalescing through emission and lands on the
         // scheduler lane of the process-global sink, when tracing.
         let rec = tcu_obs::env_recorder();
         let start = rec.as_ref().map(|r| r.now_ns());
@@ -145,6 +147,9 @@ impl Scheduler {
                     break;
                 }
             }
+            for n in &nodes {
+                n.op.validate(s);
+            }
         }
 
         // Level, then order canonically within level.
@@ -170,22 +175,20 @@ impl Scheduler {
         });
 
         let mut scheduled = Vec::with_capacity(order.len());
-        let mut waves = Vec::new();
-        let mut makespan = 0u64;
+        let waves = lv.iter().max().map_or(0, |&top| top + 1);
         let (mut invocations, mut charged_rows, mut tensor_time) = (0u64, 0u64, 0u64);
         // Per emitted node (emission order): total invocation cost and
-        // invocation count — the dataflow placement's cost model and
-        // its walk of the per-invocation wave assignments.
+        // invocation count — the placement's cost model and the
+        // prologue's split check.
         let mut emitted_costs: Vec<u64> = Vec::with_capacity(order.len());
         let mut emitted_invs: Vec<u32> = Vec::with_capacity(order.len());
-        let mut wave_costs: Vec<u64> = Vec::new();
         // Serial-order write index per buffer: each emitted node's read
         // generations are the overlapping writes already emitted, which
         // is exactly when the runtime will execute them.
         let mut emitted_writes: Vec<RegionBuckets> = (0..graph.buffer_count())
             .map(|_| RegionBuckets::default())
             .collect();
-        for (pos, &i) in order.iter().enumerate() {
+        for &i in &order {
             let node = nodes[i];
             let a_gen = emitted_writes[node.a.buf.index()].count_overlapping(&node.a);
             let b_gen = emitted_writes[node.b.buf.index()].count_overlapping(&node.b);
@@ -204,14 +207,6 @@ impl Scheduler {
             invocations += count as u64;
             charged_rows += (count * rows) as u64;
             tensor_time += count as u64 * cost;
-            wave_costs.extend(std::iter::repeat_n(cost, count));
-            let wave_ends = pos + 1 == order.len() || lv[order[pos + 1]] != lv[i];
-            if wave_ends {
-                let partition = partition_lpt(&wave_costs, self.units);
-                makespan += partition.makespan();
-                waves.push(partition);
-                wave_costs.clear();
-            }
         }
 
         Schedule {
@@ -223,7 +218,6 @@ impl Scheduler {
                 .collect(),
             units: self.units,
             sqrt_m: s,
-            makespan,
             invocations,
             charged_rows,
             tensor_time,
@@ -231,7 +225,6 @@ impl Scheduler {
             node_costs: emitted_costs,
             node_invocations: emitted_invs,
             compiled: std::sync::OnceLock::new(),
-            placement: std::sync::OnceLock::new(),
         }
     }
 }
@@ -242,7 +235,7 @@ impl Scheduler {
 pub struct ScheduledNode {
     /// The instruction and its operand regions.
     pub node: Node,
-    /// Dependency depth (wave index).
+    /// Dependency depth (the level the serial run's errors name).
     pub level: usize,
     /// Recorded ops this node coalesces (1 = not merged).
     pub fused: u32,
@@ -258,35 +251,32 @@ pub struct ScheduledNode {
     pub b_gen: u32,
 }
 
-/// A planned execution: canonical serial order, per-wave unit
-/// partitions, and the model-cost aggregates of the planned stream.
+/// A planned execution: canonical serial order and the model-cost
+/// aggregates of the planned stream. Its compiled form, with the
+/// chain placement, is computed on first use and kept.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     nodes: Vec<ScheduledNode>,
-    waves: Vec<Partition>,
+    waves: usize,
     recorded_ops: usize,
     pub(crate) buffer_shapes: Vec<(usize, usize)>,
     units: usize,
     pub(crate) sqrt_m: usize,
-    makespan: u64,
     invocations: u64,
     charged_rows: u64,
     tensor_time: u64,
     critical_path: u64,
     /// Per emitted node, emission order: total simulated invocation
     /// cost (the sum over its hardware invocations under the planning
-    /// unit) — the dataflow placement's cost model.
+    /// unit) — the placement's cost model.
     pub(crate) node_costs: Vec<u64>,
     /// Per emitted node, emission order: hardware invocations it
-    /// decomposes into (1, or the tall split) — how the dataflow
-    /// placement walks the per-invocation wave assignments.
+    /// decomposes into (1, or the tall split) — what the prologue checks
+    /// the machine against.
     pub(crate) node_invocations: Vec<u32>,
-    /// Lazily compiled executable form (first run, or an explicit
-    /// [`Schedule::compile`], fills it; every later run reuses it).
+    /// Lazily compiled executable form (first run, query, or explicit
+    /// [`Schedule::compile`] fills it; every later use reuses it).
     pub(crate) compiled: std::sync::OnceLock<crate::compile::ExecutablePlan>,
-    /// Dataflow placement of the compiled form (the first parallel run
-    /// or dataflow query fills it).
-    pub(crate) placement: std::sync::OnceLock<crate::dataflow::DataflowPlacement>,
 }
 
 impl Schedule {
@@ -314,18 +304,10 @@ impl Schedule {
         self.recorded_ops - self.nodes.len()
     }
 
-    /// Dependency levels (independent-op waves).
+    /// Dependency levels.
     #[must_use]
     pub fn waves(&self) -> usize {
-        self.waves.len()
-    }
-
-    /// Per-wave unit assignments: the [`tcu_core::partition_lpt`]
-    /// schedule of each wave's invocation costs onto `units()` units
-    /// (invocation order follows [`Self::nodes`], tall splits expanded).
-    #[must_use]
-    pub fn wave_partitions(&self) -> &[Partition] {
-        &self.waves
+        self.waves
     }
 
     /// Unit count the makespan was planned for.
@@ -355,11 +337,12 @@ impl Schedule {
     }
 
     /// Simulated wall-clock of the tensor work on `units()` units: the
-    /// sum of per-wave LPT makespans. Equals [`Self::tensor_time`] on
-    /// one unit.
+    /// makespan of the chain placement (see [`crate::dataflow`]), which
+    /// is what [`Schedule::try_run_parallel`] charges into `time()`.
+    /// Equals [`Self::tensor_time`] on one unit.
     #[must_use]
     pub fn makespan(&self) -> u64 {
-        self.makespan
+        self.compiled().placement.makespan
     }
 
     /// The longest cost-weighted hazard chain through the scheduled
@@ -372,25 +355,24 @@ impl Schedule {
         self.critical_path
     }
 
-    /// How close the wave schedule gets to the best possible makespan:
+    /// How close the placement gets to the best possible makespan:
     /// `lower_bound / makespan`, where the lower bound is the larger of
     /// the critical path and the perfect work split
-    /// `⌈tensor_time / units⌉`. Always in `(0, 1]` (every wave's LPT
-    /// load is at least the wave's average, and the critical path
-    /// threads through the per-wave maxima, so the bound never exceeds
-    /// the makespan); `1.0` means wave-synchronous LPT left nothing on
-    /// the table, lower values quantify idle-unit time a cleverer
-    /// (e.g. wave-free list) schedule could reclaim. An empty schedule
-    /// reports `1.0`.
+    /// `⌈tensor_time / units⌉`. Always in `(0, 1]`: the placement never
+    /// beats either bound. `1.0` means it left nothing on the table;
+    /// lower values quantify idle-unit time, some of it the price of
+    /// running each accumulation chain whole on one unit. An empty
+    /// schedule reports `1.0`.
     #[must_use]
     pub fn sched_efficiency(&self) -> f64 {
-        if self.makespan == 0 {
+        let makespan = self.makespan();
+        if makespan == 0 {
             return 1.0;
         }
         let bound = self
             .critical_path
             .max(self.tensor_time.div_ceil(self.units as u64));
-        bound as f64 / self.makespan as f64
+        bound as f64 / makespan as f64
     }
 }
 
@@ -652,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_is_canonical_and_wave_partitions_reuse_lpt() {
+    fn schedule_is_canonical_and_only_the_makespan_depends_on_units() {
         let (g, _) = blocked_graph(64, 16);
         let unit = ModelTensorUnit::new(256, 5);
         let p1 = Scheduler::new().plan(&g, &unit);
@@ -661,7 +643,7 @@ mod tests {
         assert_eq!(p1.nodes(), p4.nodes());
         assert_eq!(p1.tensor_time(), p4.tensor_time());
         assert_eq!(p1.makespan(), p1.tensor_time());
-        // 4 equal ops per wave on 4 units: makespan = 1 op per wave.
+        // 4 equal 4-link chains on 4 units: one chain each.
         assert_eq!(p4.makespan() * 4, p4.tensor_time());
     }
 

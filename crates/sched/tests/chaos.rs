@@ -338,7 +338,7 @@ fn check_recovery_unobservable(seed: u64) {
             // the placement makespan plus exactly what the fault
             // counters say recovery charged.
             let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
-            prop_assert_eq!(run.time, plan.dataflow_makespan() + charged);
+            prop_assert_eq!(run.time, plan.makespan() + charged);
             let saw_faults =
                 run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
             prop_assert_eq!(
@@ -486,7 +486,7 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
         // The recovery pass re-runs the dead unit's op on the survivor:
         // its cost is charged on top of the placement makespan.
         assert_eq!(run.fault_stats.recovery_makespan, 16 * SQRT_M as u64 + 13);
-        assert_eq!(run.time, plan.dataflow_makespan() + 16 * SQRT_M as u64 + 13);
+        assert_eq!(run.time, plan.makespan() + 16 * SQRT_M as u64 + 13);
     }
 }
 
@@ -653,13 +653,13 @@ impl ExamplePipeline {
     }
 }
 
-/// The chaos example's pipeline under its seeded plan. The dead unit's
-/// removed suffix cuts chains whose units survive, so the threaded
-/// executor finishes the pass only by flushing their completed
-/// prefixes. Every salt's run must recover byte-identically to the
+/// The chaos example's pipeline under its seeded plan. The dead unit
+/// discards the chain it was running, and that chain, the rest of its
+/// queue and the stage-2 chains that read them re-run whole on the
+/// survivors. Every salt's run must recover byte-identically to the
 /// fault-free run, and all must agree.
 #[test]
-fn cut_chains_flush_and_recover_like_the_fault_free_run() {
+fn a_dead_units_chains_rerun_whole_like_the_fault_free_run() {
     silence_injected_fault_panics();
     let pipeline = ExamplePipeline::new();
     let run = |fplan: FaultPlan, salt: u64| pipeline.run(fplan, salt, None);
@@ -686,7 +686,7 @@ fn cut_chains_flush_and_recover_like_the_fault_free_run() {
 /// The same recovery with a warm buffer pool: a second run on the
 /// thread of the first takes its accumulators and snapshots from the
 /// buffers the first left, and must recover exactly as the cold run
-/// did — the flushed prefixes of cut chains included.
+/// did — the discarded accumulator of the dead unit's chain included.
 #[test]
 fn a_warm_pool_recovers_like_a_cold_one() {
     silence_injected_fault_panics();

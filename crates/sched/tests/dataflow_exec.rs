@@ -6,35 +6,36 @@
 //! *elements*, *Stats*, and *trace digest*, fault-free, under seeded
 //! transient fault plans, and under seeded permanent (quarantine) fault
 //! plans. The simulated clock must land exactly on
-//! [`Schedule::dataflow_makespan`] plus the charged backoff/recovery,
-//! and the placement's makespan must never exceed the wave makespan. Every run's executors sleep a salted pseudo-random
-//! 0–50 µs before each execution, so replays of one plan under
-//! different salts interleave the worker threads differently; they must
-//! agree on the clock, the fault counters, the ordered fault trace, and
-//! every unit's pack-cache counters. Besides that generator's graphs, a
-//! chain-heavy generator records interleaved runs of same-rectangle
-//! accumulates, some reading strips other runs write, so the threaded
-//! executor's accumulation chains — and their recovery — are common
-//! rather than incidental. A foreign executor panic is pinned by
+//! [`Schedule::makespan`] plus the charged backoff/recovery, and the
+//! makespan must never beat the model's lower bound (the placement's
+//! upper bounds are the `tcu_sched::dataflow` unit tests' proptest).
+//! Every run's executors sleep a salted pseudo-random 0–50 µs before
+//! each execution, so replays of one plan under different salts
+//! interleave the worker threads differently; they must agree on the
+//! clock, the fault counters, the ordered fault trace, and every unit's
+//! pack-cache counters. Besides that generator's graphs, a chain-heavy
+//! generator records interleaved runs of same-rectangle accumulates,
+//! some reading strips other runs write, so accumulation chains — run
+//! whole on one unit, and re-run whole when a unit dies under them — are
+//! common rather than incidental. A foreign executor panic is pinned by
 //! `foreign_panics_recover_on_the_threaded_executor` and
 //! `foreign_panic_inside_a_chain_reruns_the_whole_chain`; a serial run
 //! fails typed on it, and on injected faults
 //! (`serial_executor_panic_fails_typed`).
 
+mod graphs;
+
+use graphs::{chain_graph, random_graph, Bufs, DIM, SQRT_M};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
-    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
-    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TraceEvent,
+    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, ParallelTcuMachine,
+    TcuError, TcuMachine, TensorOp, TraceEvent,
 };
 use tcu_linalg::Matrix;
 use tcu_linalg::{MatrixView, MatrixViewMut, Scalar};
 use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
-const DIM: usize = 32;
-const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Jitter salts: each replay of a plan runs under its own.
 const SALTS: [u64; 3] = [1, 2, 3];
@@ -91,135 +92,6 @@ impl Executor for Jittered {
 /// the plan's ops, so planned faults land inside its executions.
 fn horizon(plan: &Schedule) -> u64 {
     plan.ops().div_ceil(plan.units()) as u64
-}
-
-/// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
-/// read-write) the generator records over.
-struct Bufs {
-    a: BufferId,
-    b: BufferId,
-    c: BufferId,
-    d: BufferId,
-}
-
-/// The RAW-pipeline generator shared with the chaos and thread-count
-/// invariance suites — the dataflow contract must hold on the same
-/// population of graphs.
-fn random_graph(seed: u64) -> (OpGraph, Bufs) {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    let mut g = OpGraph::new();
-    let bufs = Bufs {
-        a: g.buffer("A", DIM, DIM),
-        b: g.buffer("B", DIM, DIM),
-        c: g.buffer("C", DIM, DIM),
-        d: g.buffer("D", DIM, DIM),
-    };
-    let n = rng.gen_range(4..24usize);
-    for _ in 0..n {
-        let rows = 16usize;
-        let inner = *[4usize, 8].get(rng.gen_range(0..2usize)).unwrap();
-        let width = *[4usize, 8].get(rng.gen_range(0..2usize)).unwrap();
-        let a_r0 = 16 * rng.gen_range(0..=1usize);
-        let a_c0 = 4 * rng.gen_range(0..=(DIM - inner) / 4);
-        let b_r0 = 4 * rng.gen_range(0..=(DIM - inner) / 4);
-        let b_c0 = 4 * rng.gen_range(0..=(DIM - width) / 4);
-        let (a_buf, out_buf) = if rng.gen_range(0..3u32) == 0 {
-            if rng.gen_range(0..2u32) == 0 {
-                (bufs.c, bufs.d)
-            } else {
-                (bufs.d, bufs.c)
-            }
-        } else {
-            let out = if rng.gen_range(0..2u32) == 0 {
-                bufs.c
-            } else {
-                bufs.d
-            };
-            (bufs.a, out)
-        };
-        let out_r0 = 16 * rng.gen_range(0..=1usize);
-        let out_c0 = 4 * rng.gen_range(0..=(DIM - width) / 4);
-        g.record(
-            TensorOp {
-                rows,
-                inner,
-                width,
-                accumulate: rng.gen_range(0..4u32) != 0,
-                pad: PadPolicy::ZeroPad,
-            },
-            OperandRef::new(a_buf, a_r0, a_c0, rows, inner),
-            OperandRef::new(bufs.b, b_r0, b_c0, inner, width),
-            OperandRef::new(out_buf, out_r0, out_c0, rows, width),
-        );
-    }
-    (g, bufs)
-}
-
-/// The chain-heavy generator: interleaved runs of `mul_acc` into one
-/// 16×8 strip of C or D each (an occasional overwrite among them), whose
-/// left operands read A or — one time in three — another strip of C or
-/// D, often one another run accumulates into.
-fn chain_graph(seed: u64) -> (OpGraph, Bufs) {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut g = OpGraph::new();
-    let bufs = Bufs {
-        a: g.buffer("A", DIM, DIM),
-        b: g.buffer("B", DIM, DIM),
-        c: g.buffer("C", DIM, DIM),
-        d: g.buffer("D", DIM, DIM),
-    };
-    let (rows, s) = (16usize, SQRT_M);
-    let strip = |rng: &mut StdRng| {
-        let buf = if rng.gen_range(0..2u32) == 0 {
-            bufs.c
-        } else {
-            bufs.d
-        };
-        OperandRef::new(
-            buf,
-            rows * rng.gen_range(0..2usize),
-            s * rng.gen_range(0..DIM / s),
-            rows,
-            s,
-        )
-    };
-    let mut runs: Vec<(OperandRef, usize)> = (0..rng.gen_range(2..6usize))
-        .map(|_| (strip(&mut rng), rng.gen_range(2..7usize)))
-        .collect();
-    while !runs.is_empty() {
-        let r = rng.gen_range(0..runs.len());
-        let out = runs[r].0;
-        let written = strip(&mut rng);
-        let a = if rng.gen_range(0..3u32) == 0 && !written.overlaps(&out) {
-            written
-        } else {
-            OperandRef::new(
-                bufs.a,
-                rows * rng.gen_range(0..2usize),
-                s * rng.gen_range(0..DIM / s),
-                rows,
-                s,
-            )
-        };
-        let b = OperandRef::new(
-            bufs.b,
-            s * rng.gen_range(0..DIM / s),
-            s * rng.gen_range(0..DIM / s),
-            s,
-            s,
-        );
-        let op = if rng.gen_range(0..6u32) == 0 {
-            TensorOp::mul(rows, s)
-        } else {
-            TensorOp::mul_acc(rows, s)
-        };
-        g.record(op, a, b, out);
-        runs[r].1 -= 1;
-        if runs[r].1 == 0 {
-            runs.swap_remove(r);
-        }
-    }
-    (g, bufs)
 }
 
 fn pseudo(r: usize, c: usize, seed: i64) -> Matrix<i64> {
@@ -342,7 +214,7 @@ fn assert_unobservable(
     let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
     prop_assert_eq!(
         run.time,
-        plan.dataflow_makespan() + charged,
+        plan.makespan() + charged,
         "clock identity: {}",
         label
     );
@@ -356,14 +228,14 @@ fn check_dataflow_contract((g, bufs): (OpGraph, Bufs), seed: u64) {
     for units in UNIT_COUNTS {
         let plan = Scheduler::new().with_units(units).plan(&g, &unit);
 
-        // The placement never loses to the wave schedule, and never
-        // beats the model's lower bound.
+        // The placement never beats the model's lower bound.
         let bound = plan
             .critical_path()
             .max(plan.tensor_time().div_ceil(units as u64));
-        let df = plan.dataflow_makespan();
-        prop_assert!(df <= plan.makespan(), "df beats wave at {units} units");
-        prop_assert!(df >= bound, "df under lower bound at {units} units");
+        prop_assert!(
+            plan.makespan() >= bound,
+            "makespan under lower bound at {units} units"
+        );
 
         // Fault-free.
         let label = format!("fault-free u={units}");
@@ -490,9 +362,9 @@ impl Executor for BuggyExecutor {
 }
 
 /// A foreign panic on unit 0's first execution: the threaded executor
-/// computes into scratch, so it discards the torn scratch, quarantines
-/// the unit, and rebuilds the op in a recovery pass — byte-identical to
-/// the serial run.
+/// computes into an accumulator, so it discards the torn one,
+/// quarantines the unit, and re-runs the chain in a recovery pass —
+/// byte-identical to the serial run.
 #[test]
 fn foreign_panics_recover_on_the_threaded_executor() {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
@@ -527,13 +399,13 @@ fn foreign_panics_recover_on_the_threaded_executor() {
     }
 }
 
-/// A foreign panic on a chain op after some of its chain completed:
+/// A foreign panic on a chain link after some of its chain completed:
 /// two 4-op accumulation chains, one per unit, and unit 0's executor
-/// panics on its `k`-th execution (`k > 0`). The torn accumulator held
-/// the chain's completed ops unmerged, so the whole chain re-runs on
-/// the survivor — 4 ops whatever `k` — and the run is still
-/// byte-identical to serial. Which ops rejoin follows from the plan, so
-/// a replay reproduces the clock and the fault counters.
+/// panics on its `k`-th execution (`k > 0`). The stopped unit discards
+/// its accumulator with the completed links unmerged, so the whole
+/// chain re-runs on the survivor — 4 ops whatever `k` — and the run is
+/// still byte-identical to serial. What re-runs follows from the plan,
+/// so a replay reproduces the clock and the fault counters.
 #[test]
 fn foreign_panic_inside_a_chain_reruns_the_whole_chain() {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);

@@ -191,12 +191,7 @@ fn check_recorder_unobservable(seed: u64) {
             // Fault-free, the clock is exactly the placement's planned
             // wall (plus zero scalar work in these graphs).
             if !faulty {
-                prop_assert_eq!(
-                    on.time,
-                    plan.dataflow_makespan(),
-                    "planned wall at {:?}",
-                    label
-                );
+                prop_assert_eq!(on.time, plan.makespan(), "planned wall at {:?}", label);
             }
 
             // The sink must have observed the run — otherwise a

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcu_core::{
     ModelTensorUnit, PackCacheStats, PadPolicy, ParallelTcuMachine, TcuMachine, TensorOp,
+    WeakTensorUnit,
 };
 use tcu_linalg::Matrix;
 use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Scheduler};
@@ -173,7 +174,7 @@ fn check_thread_count_invariance(seed: u64) {
         prop_assert_eq!(trace.digest(), trace_ref.digest());
         // Wall-clock is the placement's planned multi-unit wall, and
         // every invocation consulted exactly one unit's cache.
-        prop_assert_eq!(time, plan.dataflow_makespan());
+        prop_assert_eq!(time, plan.makespan());
         let lookups: u64 = caches.iter().map(|s| s.lookups).sum();
         prop_assert_eq!(lookups, plan.invocations());
 
@@ -221,4 +222,41 @@ fn more_units_never_slow_the_plan() {
         );
         prev = plan.makespan();
     }
+}
+
+/// One 64-row `mul` on a weak unit is one chain of four square
+/// invocations, and the queue that runs it is one unit's: `time()` is
+/// that queue's 4 · (16·16 + 5) = 1044. A per-invocation wave partition
+/// spread the invocations over both units and charged 522 while one
+/// unit ran all of them.
+#[test]
+fn a_tall_op_on_a_weak_unit_is_charged_the_queue_that_runs_it() {
+    let mut g = OpGraph::new();
+    let ab = g.buffer("A", 64, 16);
+    let bb = g.buffer("B", 16, 16);
+    let cb = g.buffer("C", 64, 16);
+    g.record(
+        TensorOp::mul(64, 16),
+        OperandRef::new(ab, 0, 0, 64, 16),
+        OperandRef::new(bb, 0, 0, 16, 16),
+        OperandRef::new(cb, 0, 0, 64, 16),
+    );
+    let unit = WeakTensorUnit::new(256, 5);
+    let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+    assert_eq!(plan.invocations(), 4);
+    assert_eq!(plan.makespan(), 1044);
+
+    let a = Matrix::from_fn(64, 16, |i, j| (i * 16 + j) as i64 % 7 - 3);
+    let b = Matrix::from_fn(16, 16, |i, j| (i + 2 * j) as i64 % 5 - 2);
+    let mut c = Matrix::<i64>::zeros(64, 16);
+    let mut par = ParallelTcuMachine::new(unit, 2);
+    let mut env = ExecEnv::new(&g);
+    env.try_bind_input(ab, a.view()).unwrap();
+    env.try_bind_input(bb, b.view()).unwrap();
+    env.try_bind_output(cb, c.view_mut()).unwrap();
+    plan.try_run_parallel(&mut par, &mut env).unwrap();
+    drop(env);
+    assert_eq!(par.time(), 1044);
+    assert_eq!(par.time(), plan.makespan());
+    assert_eq!(c, tcu_linalg::ops::matmul_naive(&a, &b));
 }
