@@ -53,11 +53,13 @@
 //! * `faults d=<d> units=<p> rate=<r>` — `try_run_parallel` on plain
 //!   executors versus on `FaultyExecutor`s injecting `r` transient faults per mille (plus a
 //!   permanent victim when `r > 0`). `rate=0` pins the fault-free
-//!   containment overhead in wall-clock (the gated number); nonzero
-//!   rates chart recovery's simulated cost — retry backoff + recovery
-//!   passes — against fault density. Recovery is replay-deterministic,
-//!   so the simulated columns are exact. Elements and `Stats` are
-//!   asserted byte-identical before timing (the recovery contract).
+//!   wall-clock cost of injection (the gated number): containment plus
+//!   the injector's one call per link where plain executors fuse each
+//!   chain into one kernel call; nonzero rates chart recovery's
+//!   simulated cost — retry backoff + recovery passes — against fault
+//!   density. Recovery is replay-deterministic, so the simulated
+//!   columns are exact. Elements and `Stats` are asserted
+//!   byte-identical before timing (the recovery contract).
 //! * `gauss d=<d>` / `closure n=<n>` — the panel-re-streaming paper
 //!   workloads on their scheduled fast paths
 //!   (`gauss::try_eliminate_scheduled`,
@@ -739,9 +741,11 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
 /// `try_run_parallel` on plain executors versus on `FaultyExecutor`s
 /// injecting a seeded plan at `rate` transient faults per mille (plus
 /// one permanent victim when `rate > 0`). At `rate = 0` the injector is
-/// a pure counted pass-through, so `speedup_wall` *is* the fault-free
-/// containment overhead (the per-op `catch_unwind` + the wrapper's plan
-/// probe) — the number the gate keeps honest. At `rate > 0` the wall
+/// a counted pass-through that runs each chain one call per link (its
+/// execution indices count links), while the plain executors fuse each
+/// chain into one kernel call, so `speedup_wall` is the fault-free cost
+/// of injection: the wrapper's plan probe per link plus the unfused
+/// kernel — the number the gate keeps honest. At `rate > 0` the wall
 /// ratio shows recovery's host cost and the sim ratio its simulated
 /// cost (retry backoff + recovery passes over the planned makespan),
 /// as a function of fault rate. Elements and `Stats` are asserted

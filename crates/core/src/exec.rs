@@ -126,7 +126,7 @@ pub trait Executor: Send {
     /// keeps its per-op behaviour — one execution per link, in order
     /// (a fault injector's execution indices count links). A backend
     /// may fuse the chain instead (the host executor keeps each tile of
-    /// `out` in registers across every link); its results must stay
+    /// `out` in registers across groups of links); its results must stay
     /// bit-identical to the per-link calls. A fused chain that unwinds
     /// part-way through may leave `out` partly written, with `done`
     /// short of the links its kernel had started.

@@ -15,11 +15,12 @@
 //! * [`matmul_chain_into`] runs an *accumulation chain* — several
 //!   products into one destination, as Theorem 2's `k` steps stream
 //!   into one `C` strip — keeping each `MR × NR` tile of the destination
-//!   in registers across every link, so `C` is loaded and stored once
-//!   per chain instead of once per product. Per link it performs exactly
-//!   the operations of a one-link chain: the link's product summed from
-//!   zero in ascending `k`, then added to the carried tile (or replacing
-//!   it, for a link that overwrites);
+//!   in registers across a group of links whose `B` panels fit L1
+//!   together, so `C` is loaded and stored once per group instead of
+//!   once per product. Per link it performs exactly the operations of a
+//!   one-link chain: the link's product summed from zero in ascending
+//!   `k`, then added to the carried tile (or replacing it, for a link
+//!   that overwrites);
 //! * [`matmul_into`] is the runtime-dispatch entry the executor layer
 //!   keys off a `TensorOp`'s accumulate flag, a one-link chain, as are
 //!   [`matmul`] and [`matmul_acc`];
@@ -304,7 +305,8 @@ pub fn is_narrow<T: Scalar>(a: MatrixView<'_, T>) -> bool {
 
 /// Run an accumulation chain into `c`: the links' products, in order,
 /// each added to `c` (or overwriting it), with every `MR × NR` tile of
-/// `c` held in registers across the whole chain.
+/// `c` held in registers across each group of links whose `B` panels
+/// fit L1 together (8 KiB of them).
 ///
 /// Bit-identical to one one-link call per link, in link order, for
 /// every scalar type: each link's product is summed from zero in
@@ -350,19 +352,40 @@ pub fn matmul_chain_into<T: Scalar>(c: &mut MatrixViewMut<'_, T>, links: &[Chain
     narrow = narrow && links.iter().all(|l| l.a.narrow());
     let k0 = links[0].b.rows();
     let uniform = links.iter().all(|l| l.b.rows() == k0);
-    // A one-link chain (every per-op call) runs its own copy of the
-    // kernel, whose link loop the compiler removes and whose `k` loop it
-    // then unrolls in full, as it does not inside a loop over links: one
-    // link through the general copy ran `bench_matmul`'s f64 cases
-    // 27–70% slower.
     let k = uniform.then_some(k0);
-    match (narrow, links.len() == 1) {
-        (true, true) => chain_band::<T, true, true>(links, &packed, k, c),
-        (true, false) => chain_band::<T, true, false>(links, &packed, k, c),
-        (false, true) => chain_band::<T, false, true>(links, &packed, k, c),
-        (false, false) => chain_band::<T, false, false>(links, &packed, k, c),
+    // The links run in groups whose `B` panels one tile reads fit
+    // `CHAIN_B_BYTES` together, so they stay in L1 from tile to tile;
+    // each tile is stored to `c` and reloaded between groups, which
+    // changes no bits.
+    let kmax = links.iter().map(|l| l.b.rows()).max().unwrap_or(0);
+    let group = (CHAIN_B_BYTES / (kmax.max(1) * NR * std::mem::size_of::<T>())).max(1);
+    let mut off = 0;
+    for links in links.chunks(group) {
+        let len = panels * links.iter().map(panel_len).sum::<usize>();
+        let packed = &packed[off..off + len];
+        off += len;
+        // A one-link group (every per-op call) runs its own copy of the
+        // kernel, whose link loop the compiler removes and whose `k` loop
+        // it then unrolls in full, as it does not inside a loop over
+        // links: one link through the general copy ran `bench_matmul`'s
+        // f64 cases 27–70% slower.
+        match (narrow, links.len() == 1) {
+            (true, true) => chain_band::<T, true, true>(links, packed, k, c),
+            (true, false) => chain_band::<T, true, false>(links, packed, k, c),
+            (false, true) => chain_band::<T, false, true>(links, packed, k, c),
+            (false, false) => chain_band::<T, false, false>(links, packed, k, c),
+        }
     }
 }
+
+/// Bytes of packed `B` one tile reads per group of chain links. A tile
+/// reads every link's `k × NR` panel of `B`, and a chain runs tile by
+/// tile, so those panels are re-read once per tile: all 32 links of
+/// Theorem 2's `d = 512`, `√m = 16` f64 chain (64 KiB) overflow a
+/// 48 KiB L1 and came from L2 every 4 rows, which ran those chains
+/// (packed `A`, one thread of an AVX-512 Xeon) 10% slower than one
+/// call per link; in groups of 8 KiB (4 such links) they ran 14% faster.
+const CHAIN_B_BYTES: usize = 8 * 1024;
 
 /// Const-dimension dispatch, when every link shares its inner dimension
 /// `k`. The hot shapes are square `√m × √m` right operands; dispatching
@@ -378,16 +401,18 @@ fn chain_band<T: Scalar, const NARROW: bool, const ONE: bool>(
     c: &mut MatrixViewMut<'_, T>,
 ) {
     match (k, c.cols()) {
-        (Some(4), 4) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(4), 4, c),
-        (Some(8), 8) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(8), 8, c),
-        (Some(16), 16) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(16), 16, c),
-        (Some(32), 32) => chain_band_impl::<T, NARROW, ONE>(links, packed, Some(32), 32, c),
-        (k, p) => chain_band_impl::<T, NARROW, ONE>(links, packed, k, p, c),
+        (Some(4), 4) => chain_band_impl::<T, NARROW, ONE, 4>(links, packed, Some(4), 4, c),
+        (Some(8), 8) => chain_band_impl::<T, NARROW, ONE, 8>(links, packed, Some(8), 8, c),
+        (Some(16), 16) => chain_band_impl::<T, NARROW, ONE, 16>(links, packed, Some(16), 16, c),
+        (Some(32), 32) => chain_band_impl::<T, NARROW, ONE, 32>(links, packed, Some(32), 32, c),
+        (k, p) => chain_band_impl::<T, NARROW, ONE, 0>(links, packed, k, p, c),
     }
 }
 
+/// The band loop over `c`'s tiles. `K` is `k`'s literal value, or 0
+/// when it has none.
 #[inline(always)]
-fn chain_band_impl<T: Scalar, const NARROW: bool, const ONE: bool>(
+fn chain_band_impl<T: Scalar, const NARROW: bool, const ONE: bool, const K: usize>(
     links: &[ChainLink<'_, T>],
     packed: &[T],
     k: Option<usize>,
@@ -400,25 +425,64 @@ fn chain_band_impl<T: Scalar, const NARROW: bool, const ONE: bool>(
     while i0 < n {
         let mr = MR.min(n - i0);
         for q in 0..panels {
-            // A full-width tile passes `NR` as a literal, so its loads and
-            // stores of `c` are fixed-length and the carried tile stays in
-            // registers.
-            let tile = |w| Tile {
+            let w = NR.min(p - q * NR);
+            let tile = Tile {
                 i0,
                 q,
                 j0: q * NR,
                 w,
             };
-            let w = NR.min(p - q * NR);
-            match (mr, w) {
-                (MR, NR) => chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile(NR), c),
-                (1, _) => chain_tile::<T, 1, NARROW, ONE>(links, packed, k, panels, tile(w), c),
-                (2, _) => chain_tile::<T, 2, NARROW, ONE>(links, packed, k, panels, tile(w), c),
-                (3, _) => chain_tile::<T, 3, NARROW, ONE>(links, packed, k, panels, tile(w), c),
-                _ => chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile(w), c),
+            // A full tile passes `NR` as a literal, so its loads and
+            // stores of `c` are fixed-length and the carried tile stays in
+            // registers. A chain of several links runs every other tile
+            // out of line: with the edge tiles' copies inlined beside it,
+            // the full tile's link loop took 1.7× as long on Theorem 2's
+            // `d = 512` chains.
+            if (mr, w) == (MR, NR) {
+                let tile = Tile { w: NR, ..tile };
+                chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile, c);
+            } else if ONE {
+                chain_edge::<T, NARROW, ONE, K>(links, packed, k, panels, tile, mr, c);
+            } else {
+                chain_edge_out_of_line::<T, NARROW, K>(links, packed, k, panels, tile, mr, c);
             }
         }
         i0 += mr;
+    }
+}
+
+/// [`chain_edge`] for a chain of several links, in its own function.
+#[inline(never)]
+fn chain_edge_out_of_line<T: Scalar, const NARROW: bool, const K: usize>(
+    links: &[ChainLink<'_, T>],
+    packed: &[T],
+    k: Option<usize>,
+    panels: usize,
+    tile: Tile,
+    mr: usize,
+    c: &mut MatrixViewMut<'_, T>,
+) {
+    chain_edge::<T, NARROW, false, K>(links, packed, k, panels, tile, mr, c);
+}
+
+/// A tile of `mr < MR` rows or `w < NR` columns: a ragged bottom or
+/// right edge, or every tile of a `c` narrower than `NR`.
+#[inline(always)]
+fn chain_edge<T: Scalar, const NARROW: bool, const ONE: bool, const K: usize>(
+    links: &[ChainLink<'_, T>],
+    packed: &[T],
+    k: Option<usize>,
+    panels: usize,
+    tile: Tile,
+    mr: usize,
+    c: &mut MatrixViewMut<'_, T>,
+) {
+    let k = if K > 0 { Some(K) } else { k };
+    match mr {
+        1 => chain_tile::<T, 1, NARROW, ONE>(links, packed, k, panels, tile, c),
+        2 => chain_tile::<T, 2, NARROW, ONE>(links, packed, k, panels, tile, c),
+        3 => chain_tile::<T, 3, NARROW, ONE>(links, packed, k, panels, tile, c),
+        _ => chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile, c),
     }
 }
 
@@ -848,8 +912,9 @@ mod tests {
     }
 
     /// Heights off the 4-row tile, the dispatched square widths, a
-    /// ragged width, and inner dimensions that differ between links.
-    const CHAIN_SHAPES: [(usize, usize, &[usize]); 7] = [
+    /// ragged width, inner dimensions that differ between links, and
+    /// chains longer than one group of `CHAIN_B_BYTES`.
+    const CHAIN_SHAPES: [(usize, usize, &[usize]); 8] = [
         (1, 4, &[4, 4]),
         (5, 8, &[8, 8, 8]),
         (22, 16, &[16, 16, 16, 16]),
@@ -857,6 +922,7 @@ mod tests {
         (13, 32, &[32, 32, 32]),
         (11, 20, &[11, 11, 11]),
         (9, 16, &[3, 16, 7, 1]),
+        (10, 16, &[16; 9]),
     ];
 
     /// The links of a chain of `CHAIN_SHAPES` shape: entry `l` of `ks`
@@ -892,7 +958,7 @@ mod tests {
         let elem = |s, i, j| (hash(s, i, j) % 2001) as f64 / 7.0 - 142.0;
         for (n, p, ks) in CHAIN_SHAPES {
             let c0 = Matrix::from_fn(n, p, |i, j| elem(99, i, j));
-            for overwrite in [&[][..], &[0], &[1], &[0, 2]] {
+            for overwrite in [&[][..], &[0], &[1], &[0, 2], &[4]] {
                 let ops = chain_ops(n, p, ks, overwrite, elem);
                 assert_chain_matches(&c0, &ops, f64::to_bits);
                 // The one-link calls share the chain's tile kernel, so

@@ -66,9 +66,9 @@
 //! steps form — on the dense product, a whole `C` strip's `k` steps.
 //! Each chain is one [`Executor::execute_chain`] call; a one-op chain is
 //! a one-link call. The host executor fuses a chain into one kernel call
-//! that keeps each tile of the strip in registers across every link; an
-//! executor that does not override the call runs the links one by one,
-//! exactly as it runs tagged ops.
+//! that keeps each tile of the strip in registers across groups of
+//! links; an executor that does not override the call runs the links
+//! one by one, exactly as it runs tagged ops.
 //!
 //! [`Schedule::try_run`] is the serial loop: one pass over the chains in
 //! the compiled serial order (topological, smallest head first) on the
@@ -456,11 +456,12 @@ impl Schedule {
 
     /// The prologue both executors run before they charge or write
     /// anything: the machine's `√m`, the environment's buffer shapes,
-    /// compilation (cached; the planner validated every op), every op's output and read
-    /// bindings, and the machine splitting every op exactly as the
-    /// planning unit did. Then the whole stream is charged in emission
-    /// order on the calling thread, so `Stats` and the trace come out
-    /// byte-identical to eager issue however execution interleaves.
+    /// compilation (cached; the planner validated every op), every op's
+    /// output and read bindings, and the machine splitting every op
+    /// exactly as the planning unit did. Then the whole stream is
+    /// charged in emission order on the calling thread, so `Stats` and
+    /// the trace come out byte-identical to eager issue however
+    /// execution interleaves.
     fn prologue<T: Scalar, U: TensorUnit>(
         &self,
         acct: &mut WaveAccountant<'_, U>,
@@ -592,7 +593,7 @@ struct ChainItem<'v, T: Scalar> {
 /// Resolve a compiled read on the parallel path: the staged snapshot
 /// if its slot is filled (every read no input binding serves),
 /// otherwise zero-copy from the bound input.
-fn wave_read<'v, T: Scalar>(
+fn parallel_read<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
     r: &CompiledRead,
@@ -775,10 +776,10 @@ impl<'r, T: Scalar> Operands<'r, '_, T> {
                 let cop = &plan.ops[i as usize];
                 Ok(ChainOp {
                     op: cop.op,
-                    a: wave_read(self.arena, self.inputs, &cop.a)?,
+                    a: parallel_read(self.arena, self.inputs, &cop.a)?,
                     a_id: Some(read_tag(&cop.a, self.stamps[cop.a.buf])),
                     a_narrow: None,
-                    b: wave_read(self.arena, self.inputs, &cop.b)?,
+                    b: parallel_read(self.arena, self.inputs, &cop.b)?,
                 })
             })
             .collect::<Result<Vec<_>, TcuError>>()?;
@@ -1420,6 +1421,7 @@ fn run_threaded<T: Scalar, U: TensorUnit, E: Executor>(
     pool.release(snapshots.into_iter().filter_map(OnceLock::into_inner));
     run_result
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
