@@ -53,9 +53,9 @@
 //! * `faults d=<d> units=<p> rate=<r>` — `try_run_parallel` on plain
 //!   executors versus on `FaultyExecutor`s injecting `r` transient faults per mille (plus a
 //!   permanent victim when `r > 0`). `rate=0` pins the fault-free
-//!   wall-clock cost of injection (the gated number): containment plus
-//!   the injector's one call per link where plain executors fuse each
-//!   chain into one kernel call; nonzero rates chart recovery's
+//!   wall-clock cost of injection (the gated number): containment and
+//!   the injector's plan probe per chain, both sides fusing each chain
+//!   into one kernel call; nonzero rates chart recovery's
 //!   simulated cost — retry backoff + recovery passes — against fault
 //!   density. Recovery is replay-deterministic, so the simulated
 //!   columns are exact. Elements and `Stats` are asserted
@@ -741,11 +741,11 @@ fn bench_dataflow(d: usize, units: usize, quick: bool) -> Case {
 /// `try_run_parallel` on plain executors versus on `FaultyExecutor`s
 /// injecting a seeded plan at `rate` transient faults per mille (plus
 /// one permanent victim when `rate > 0`). At `rate = 0` the injector is
-/// a counted pass-through that runs each chain one call per link (its
-/// execution indices count links), while the plain executors fuse each
-/// chain into one kernel call, so `speedup_wall` is the fault-free cost
-/// of injection: the wrapper's plan probe per link plus the unfused
-/// kernel — the number the gate keeps honest. At `rate > 0` the wall
+/// a counted pass-through that hands each chain to the host executor
+/// whole, as the plain executors run it, so `speedup_wall` is the
+/// fault-free cost of injection: the wrapper's plan probe per chain —
+/// the number the gate keeps honest. A chain a planned fault falls in
+/// runs one call per link. At `rate > 0` the wall
 /// ratio shows recovery's host cost and the sim ratio its simulated
 /// cost (retry backoff + recovery passes over the planned makespan),
 /// as a function of fault rate. Elements and `Stats` are asserted

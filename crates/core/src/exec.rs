@@ -171,12 +171,15 @@ pub trait Executor: Send {
 /// unit, with the cache split across `units` per-unit executors.
 ///
 /// One blocked pass streams at most `⌈cols/√m⌉` distinct left strips
-/// (one per block column of the operand); a pipelined flow can keep two
-/// stages' strips live at once, and each of `units` executors only ever
-/// sees the strips placed on its unit. Hence
-/// `⌈2·⌈cols/√m⌉ / units⌉`, clamped to `[2, 1024]` — at least a working
-/// pair so ping-pong reuse never thrashes, and a hard ceiling so a huge
-/// operand cannot turn the cache into an unbounded retainer.
+/// (one per block column of the operand), and a pipelined flow can keep
+/// two stages' strips live at once. Hence `⌈2·⌈cols/√m⌉ / units⌉`,
+/// clamped to `[2, 1024]` — at least a working pair so ping-pong reuse
+/// never thrashes, and a hard ceiling so a huge operand cannot turn the
+/// cache into an unbounded retainer. The division by `units` assumes
+/// each unit sees only its share of the strips, but a unit runs whole
+/// accumulation chains and streams every strip its chains read: the
+/// capacity holds them all at 1 and 2 units, and from 3 units on falls
+/// below the strip count, so such a cache thrashes.
 #[must_use]
 pub fn pack_cache_capacity(dims: (usize, usize), sqrt_m: usize, units: usize) -> usize {
     let strips = dims.1.div_ceil(sqrt_m.max(1));

@@ -19,15 +19,13 @@
 //! Injected faults manifest as panics carrying an [`InjectedFault`]
 //! payload, raised *before* the wrapped executor touches the output —
 //! so a retried op sees its destination exactly as seeded, and the
-//! parallel driver (`tcu-sched`) contains the unwind per op with
-//! `catch_unwind`. Non-injected panics (a real executor bug) are
-//! treated as permanent unit faults and recovered the same way when the
-//! op ran into a private accumulator: the torn accumulator is
-//! discarded, and every op of its chain that had completed into it
-//! re-runs with the failed op, rebuilt from the destination the chain
-//! never merged into.
+//! parallel driver (`tcu-sched`) contains the unwind per chain attempt
+//! with `catch_unwind`, retrying from the failed link. Non-injected
+//! panics (a real executor bug) are treated as permanent unit faults
+//! and recovered the same way: the chain's private accumulator is
+//! discarded unmerged, and the whole chain re-runs on a survivor.
 
-use crate::exec::{Executor, OperandId, PackCacheStats};
+use crate::exec::{ChainOp, Executor, OperandId, PackCacheStats};
 use crate::op::TensorOp;
 use crate::parallel::ParallelTcuMachine;
 use crate::tensor_unit::TensorUnit;
@@ -147,6 +145,14 @@ impl FaultPlan {
         self.faults.get(&(unit, k)).copied()
     }
 
+    /// Whether any fault is planned on `unit` for an execution in `ks`.
+    fn any_in(&self, unit: usize, ks: std::ops::Range<u64>) -> bool {
+        self.faults
+            .range((unit, ks.start)..(unit, ks.end))
+            .next()
+            .is_some()
+    }
+
     /// Number of planned faults.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -162,8 +168,9 @@ impl FaultPlan {
 
 /// An [`Executor`] wrapper that injects the faults of a [`FaultPlan`].
 ///
-/// Each instance counts its own executions and checks the plan under
-/// its configured unit id before delegating; a planned fault panics
+/// Each instance counts its own executions (one per op, one per link of
+/// a chain) and checks the plan under its configured unit id before
+/// delegating; a planned fault panics
 /// with an [`InjectedFault`] payload *without* touching the output.
 /// Once a permanent fault fires, every later execution on the instance
 /// fails too (the unit is dead until quarantined).
@@ -274,6 +281,30 @@ impl<E: Executor> Executor for FaultyExecutor<E> {
     ) -> u64 {
         self.trip();
         self.inner.execute_tagged(op, a, a_id, b, out)
+    }
+
+    /// A chain no planned fault falls in goes to the wrapped executor
+    /// whole (the host executor fuses it), its links counted as
+    /// executions; any other chain runs one [`Self::execute_tagged`]
+    /// per link, so a fault fires at its own link, before that link
+    /// writes, with the links before it counted in `done`.
+    fn execute_chain<T: Scalar>(
+        &mut self,
+        links: &[ChainOp<'_, T>],
+        out: &mut MatrixViewMut<'_, T>,
+        done: &mut usize,
+    ) -> u64 {
+        let ks = self.executed..self.executed + links.len() as u64;
+        if self.dead || self.plan.any_in(self.unit, ks.clone()) {
+            let mut cost = 0;
+            for link in links {
+                cost += self.execute_tagged(&link.op, link.a, link.a_id, link.b, out);
+                *done += 1;
+            }
+            return cost;
+        }
+        self.executed = ks.end;
+        self.inner.execute_chain(links, out, done)
     }
 
     fn cache_stats(&self) -> Option<PackCacheStats> {
@@ -473,5 +504,86 @@ mod tests {
         let _ = plain.execute(&op, a.view(), b.view(), &mut want.view_mut());
         assert_eq!(out, want);
         assert_eq!(exec.executed(), 1);
+    }
+
+    /// Counts the chain and per-op calls that reach it.
+    #[derive(Default)]
+    struct Calls {
+        chains: usize,
+        ops: usize,
+    }
+
+    impl Executor for Calls {
+        fn name(&self) -> &'static str {
+            "calls"
+        }
+
+        fn execute<T: Scalar>(
+            &mut self,
+            op: &TensorOp,
+            a: MatrixView<'_, T>,
+            b: MatrixView<'_, T>,
+            out: &mut MatrixViewMut<'_, T>,
+        ) -> u64 {
+            self.ops += 1;
+            HostExecutor::new().execute(op, a, b, out)
+        }
+
+        fn execute_chain<T: Scalar>(
+            &mut self,
+            links: &[ChainOp<'_, T>],
+            out: &mut MatrixViewMut<'_, T>,
+            done: &mut usize,
+        ) -> u64 {
+            self.chains += 1;
+            HostExecutor::new().execute_chain(links, out, done)
+        }
+    }
+
+    #[test]
+    fn chains_no_fault_falls_in_reach_the_inner_executor_whole() {
+        silence_injected_fault_panics();
+        let a = Matrix::from_fn(4, 4, |i, j| (i + 2 * j) as i64);
+        let b = Matrix::from_fn(4, 4, |i, j| (2 * i + j) as i64);
+        let links: Vec<_> = (0..4)
+            .map(|_| ChainOp {
+                op: TensorOp::mul_acc(4, 4),
+                a: a.view(),
+                a_id: None,
+                a_narrow: None,
+                b: b.view(),
+            })
+            .collect();
+        let mut want = Matrix::<i64>::zeros(4, 4);
+        let mut host = HostExecutor::new();
+        for l in &links {
+            let _ = host.execute(&l.op, l.a, l.b, &mut want.view_mut());
+        }
+        let plan = FaultPlan::none().fail(0, 5, FaultKind::Transient);
+        let mut exec = FaultyExecutor::new(Calls::default(), plan);
+        let mut out = Matrix::<i64>::zeros(4, 4);
+        // Executions 0..4: no fault, one chain call.
+        let mut done = 0;
+        let _ = exec.execute_chain(&links, &mut out.view_mut(), &mut done);
+        assert_eq!((done, exec.executed()), (4, 4));
+        assert_eq!((exec.inner().chains, exec.inner().ops), (1, 0));
+        assert_eq!(out, want);
+        // Executions 4..8 hold the fault at 5: link by link, and the
+        // fault fires at the chain's second link with one link done.
+        let mut out = Matrix::<i64>::zeros(4, 4);
+        let mut done = 0;
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            exec.execute_chain(&links, &mut out.view_mut(), &mut done)
+        }))
+        .unwrap_err()
+        .downcast::<InjectedFault>()
+        .unwrap();
+        assert_eq!((fault.k, done, exec.executed()), (5, 1, 6));
+        assert_eq!((exec.inner().chains, exec.inner().ops), (1, 1));
+        // The retry from the failed link (executions 6..9) runs whole.
+        let _ = exec.execute_chain(&links[done..], &mut out.view_mut(), &mut done);
+        assert_eq!((done, exec.executed()), (4, 9));
+        assert_eq!((exec.inner().chains, exec.inner().ops), (2, 1));
+        assert_eq!(out, want);
     }
 }

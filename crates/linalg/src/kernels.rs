@@ -306,7 +306,7 @@ pub fn is_narrow<T: Scalar>(a: MatrixView<'_, T>) -> bool {
 /// Run an accumulation chain into `c`: the links' products, in order,
 /// each added to `c` (or overwriting it), with every `MR × NR` tile of
 /// `c` held in registers across each group of links whose `B` panels
-/// fit L1 together (8 KiB of them).
+/// fit L1 together (16 KiB of them).
 ///
 /// Bit-identical to one one-link call per link, in link order, for
 /// every scalar type: each link's product is summed from zero in
@@ -382,10 +382,15 @@ pub fn matmul_chain_into<T: Scalar>(c: &mut MatrixViewMut<'_, T>, links: &[Chain
 /// reads every link's `k × NR` panel of `B`, and a chain runs tile by
 /// tile, so those panels are re-read once per tile: all 32 links of
 /// Theorem 2's `d = 512`, `√m = 16` f64 chain (64 KiB) overflow a
-/// 48 KiB L1 and came from L2 every 4 rows, which ran those chains
-/// (packed `A`, one thread of an AVX-512 Xeon) 10% slower than one
-/// call per link; in groups of 8 KiB (4 such links) they ran 14% faster.
-const CHAIN_B_BYTES: usize = 8 * 1024;
+/// 48 KiB L1 and came from L2 every 4 rows. On one thread of an
+/// AVX-512 Xeon (medians of 6–8 interleaved runs), that chain with
+/// packed `A`, the executor's path, ran 1.28× faster than one call per
+/// link as one group, 1.42–1.50× in groups of 8 KiB (4 links) and
+/// 1.53–1.61× in groups of 16 KiB (8 links); with `A` read in place,
+/// 1.39–1.42× at 8 KiB and 1.59–1.83× from 16 KiB up. The 16-link
+/// `d = 256` i64 chain read 1.41–1.47× at every size from 8 KiB to one
+/// group.
+const CHAIN_B_BYTES: usize = 16 * 1024;
 
 /// Const-dimension dispatch, when every link shares its inner dimension
 /// `k`. The hot shapes are square `√m × √m` right operands; dispatching
@@ -437,7 +442,11 @@ fn chain_band_impl<T: Scalar, const NARROW: bool, const ONE: bool, const K: usiz
             // registers. A chain of several links runs every other tile
             // out of line: with the edge tiles' copies inlined beside it,
             // the full tile's link loop took 1.7× as long on Theorem 2's
-            // `d = 512` chains.
+            // `d = 512` chains. A one-link call keeps them inline, as its
+            // full tile runs faster beside them: with them out of line,
+            // `bench_matmul`'s f64 `blocked d=256` flow (one-link calls,
+            // no ragged tile) took 524–579 µs against 421–471 µs over 8
+            // alternating full runs.
             if (mr, w) == (MR, NR) {
                 let tile = Tile { w: NR, ..tile };
                 chain_tile::<T, MR, NARROW, ONE>(links, packed, k, panels, tile, c);
@@ -466,7 +475,8 @@ fn chain_edge_out_of_line<T: Scalar, const NARROW: bool, const K: usize>(
 }
 
 /// A tile of `mr < MR` rows or `w < NR` columns: a ragged bottom or
-/// right edge, or every tile of a `c` narrower than `NR`.
+/// right edge, or every tile of a `c` narrower than `NR`. `K` keeps
+/// the band's literal inner dimension.
 #[inline(always)]
 fn chain_edge<T: Scalar, const NARROW: bool, const ONE: bool, const K: usize>(
     links: &[ChainLink<'_, T>],
@@ -922,7 +932,7 @@ mod tests {
         (13, 32, &[32, 32, 32]),
         (11, 20, &[11, 11, 11]),
         (9, 16, &[3, 16, 7, 1]),
-        (10, 16, &[16; 9]),
+        (10, 16, &[16; 17]),
     ];
 
     /// The links of a chain of `CHAIN_SHAPES` shape: entry `l` of `ks`
@@ -958,7 +968,7 @@ mod tests {
         let elem = |s, i, j| (hash(s, i, j) % 2001) as f64 / 7.0 - 142.0;
         for (n, p, ks) in CHAIN_SHAPES {
             let c0 = Matrix::from_fn(n, p, |i, j| elem(99, i, j));
-            for overwrite in [&[][..], &[0], &[1], &[0, 2], &[4]] {
+            for overwrite in [&[][..], &[0], &[1], &[0, 2], &[4], &[8]] {
                 let ops = chain_ops(n, p, ks, overwrite, elem);
                 assert_chain_matches(&c0, &ops, f64::to_bits);
                 // The one-link calls share the chain's tile kernel, so

@@ -21,21 +21,20 @@
 //! Unrecoverable plans must come back as typed [`TcuError`]s — never a
 //! panic, never an abort — under every salt.
 
+mod graphs;
+
+use graphs::{random_graph, Bufs, DIM, SQRT_M};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tcu_core::{
     assign_unit_ids, silence_injected_fault_panics, Executor, FaultKind, FaultPlan, FaultStats,
-    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, PadPolicy,
-    ParallelTcuMachine, TcuError, TcuMachine, TensorOp, TraceLog,
+    FaultyExecutor, HostExecutor, ModelTensorUnit, OperandId, PackCacheStats, ParallelTcuMachine,
+    TcuError, TcuMachine, TensorOp, TraceLog,
 };
 use tcu_linalg::{Matrix, MatrixView, MatrixViewMut, Scalar};
 use tcu_obs::{EventKind, Lane, ObsSink};
 use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
-const DIM: usize = 32;
-const SQRT_M: usize = 8;
 const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Jitter salts: each replay of a plan runs under its own.
 const SALTS: [u64; 3] = [1, 2, 3];
@@ -116,67 +115,6 @@ fn jittered_machine(
 /// unit runs out of work.
 fn horizon(plan: &Schedule) -> u64 {
     plan.ops().div_ceil(plan.units()) as u64
-}
-
-/// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
-/// read-write) the generator records over.
-struct Bufs {
-    a: BufferId,
-    b: BufferId,
-    c: BufferId,
-    d: BufferId,
-}
-
-/// The RAW-pipeline generator of the thread-count-invariance suite —
-/// chaos injection must hold on the same population of graphs.
-fn random_graph(seed: u64) -> (OpGraph, Bufs) {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    let mut g = OpGraph::new();
-    let bufs = Bufs {
-        a: g.buffer("A", DIM, DIM),
-        b: g.buffer("B", DIM, DIM),
-        c: g.buffer("C", DIM, DIM),
-        d: g.buffer("D", DIM, DIM),
-    };
-    let n = rng.gen_range(4..24usize);
-    for _ in 0..n {
-        let rows = 16usize;
-        let inner = *[4usize, 8].get(rng.gen_range(0..2usize)).unwrap();
-        let width = *[4usize, 8].get(rng.gen_range(0..2usize)).unwrap();
-        let a_r0 = 16 * rng.gen_range(0..=1usize);
-        let a_c0 = 4 * rng.gen_range(0..=(DIM - inner) / 4);
-        let b_r0 = 4 * rng.gen_range(0..=(DIM - inner) / 4);
-        let b_c0 = 4 * rng.gen_range(0..=(DIM - width) / 4);
-        let (a_buf, out_buf) = if rng.gen_range(0..3u32) == 0 {
-            if rng.gen_range(0..2u32) == 0 {
-                (bufs.c, bufs.d)
-            } else {
-                (bufs.d, bufs.c)
-            }
-        } else {
-            let out = if rng.gen_range(0..2u32) == 0 {
-                bufs.c
-            } else {
-                bufs.d
-            };
-            (bufs.a, out)
-        };
-        let out_r0 = 16 * rng.gen_range(0..=1usize);
-        let out_c0 = 4 * rng.gen_range(0..=(DIM - width) / 4);
-        g.record(
-            TensorOp {
-                rows,
-                inner,
-                width,
-                accumulate: rng.gen_range(0..4u32) != 0,
-                pad: PadPolicy::ZeroPad,
-            },
-            OperandRef::new(a_buf, a_r0, a_c0, rows, inner),
-            OperandRef::new(bufs.b, b_r0, b_c0, inner, width),
-            OperandRef::new(out_buf, out_r0, out_c0, rows, width),
-        );
-    }
-    (g, bufs)
 }
 
 fn pseudo(r: usize, c: usize, seed: i64) -> Matrix<i64> {

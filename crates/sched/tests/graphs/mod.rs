@@ -1,7 +1,8 @@
-//! Random op-graph generators shared by the dataflow suite
-//! (`dataflow_exec.rs`) and the placement's own proptest
+//! Random op-graph generators shared by the parallel-run suites
+//! (`dataflow_exec.rs`, `chaos.rs`, `parallel_exec.rs`,
+//! `obs_unobservable.rs`) and the placement's own proptest
 //! (`tcu_sched::dataflow`'s unit tests). The includer brings
-//! `BufferId`, `OpGraph` and `OperandRef` into scope: the suite from
+//! `BufferId`, `OpGraph` and `OperandRef` into scope: the suites from
 //! `tcu_sched`, the unit tests from the crate itself.
 
 #![allow(dead_code)]
@@ -25,9 +26,9 @@ pub struct Bufs {
     pub d: BufferId,
 }
 
-/// The RAW-pipeline generator of the chaos and thread-count invariance
-/// suites — the dataflow contract must hold on the same population of
-/// graphs.
+/// The RAW-pipeline generator: a third of the ops stream one
+/// read-write buffer and update the other, turning the batch into a
+/// RAW/WAR pipeline.
 pub fn random_graph(seed: u64) -> (OpGraph, Bufs) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F));
     let mut g = OpGraph::new();
